@@ -1,17 +1,16 @@
 //! The codegen acceptance gate, enforced: the JIT-compiled native settle
-//! engine must deliver at least 3x the sequential interpreted tape's
-//! throughput on a FAME1 hub, both single-threaded.
+//! engine must deliver at least 3x the interpreted tape's throughput on
+//! a FAME1 hub.
 //!
 //! Two hubs are measured. The Rok core hub — the workload the flow
 //! actually runs — is reported for the BENCH trajectory; the gated
 //! workload is the hub of a wide 128-block datapath (~5000 ops), where
 //! per-op dispatch and bounds checks dominate the interpreter's time and
 //! the straight-line native code has the most to win. Both comparisons
-//! are engine-vs-engine on one thread, so the floor holds on any host —
-//! including single-core CI runners where the partitioned engine cannot
-//! help.
+//! are engine-vs-engine on one thread, so the floor holds on any host,
+//! single-core CI runners included.
 //!
-//! Like the tape-optimizer and partition floors, the comparison uses the
+//! Like the tape-optimizer floor, the comparison uses the
 //! minimum over several interleaved trials — the minimum is the run
 //! least disturbed by the machine, so the ratio is stable enough to
 //! assert on in CI. Hosts without `rustc` on `PATH` (where the
@@ -41,7 +40,7 @@ fn min_nanos(mut f: impl FnMut()) -> u128 {
 }
 
 /// A wide target: `blocks` independent 24-op mixing datapaths sharing
-/// one stirred input (the same design the partition floor gates on).
+/// one stirred input.
 /// After the FAME1 transform the hub tape is ~40 ops per block — enough
 /// straight-line work that the interpreter's per-op dispatch overhead
 /// is the dominant cost the native code removes.

@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
 use std::fmt;
+use strober_server::protocol::EstimateSpec;
 
 /// The fully parsed command line: global options plus one subcommand.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,8 +131,9 @@ impl Default for BenchArgs {
     }
 }
 
-/// Arguments of the `submit` subcommand. The estimate knobs mirror
-/// `strober estimate`; the fuzz knobs mirror `strober fuzz`.
+/// Arguments of the `submit` subcommand. The estimate/replay knobs are
+/// the same [`EstimateSpec`] `strober estimate` fills; the fuzz knobs
+/// mirror `strober fuzz`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitArgs {
     /// Server address to dial.
@@ -144,34 +146,9 @@ pub struct SubmitArgs {
     pub detach: bool,
     /// Emit the result as JSON.
     pub json: bool,
-    /// Core configuration name (estimate/replay).
-    pub core: String,
-    /// Bundled workload name (estimate/replay).
-    pub workload: String,
-    /// Path to an assembly file sent inline instead of a workload name.
-    pub asm: Option<String>,
-    /// Sample size `n`.
-    pub samples: usize,
-    /// Replay length `L`.
-    pub replay_length: u32,
-    /// RNG seed.
-    pub seed: u64,
-    /// Replay worker threads (0 = server default).
-    pub parallel: usize,
-    /// Bit-parallel replay lanes per worker (1..=64).
-    pub batch_lanes: usize,
-    /// Cycle budget.
-    pub max_cycles: u64,
-    /// Disable the optimizing tape compiler.
-    pub no_tape_opt: bool,
-    /// Hub-simulator settle worker threads (1 = sequential).
-    pub hub_threads: usize,
-    /// Hub settle engine: `auto`, `interp`, `partitioned` or `jit`.
-    pub hub_engine: String,
-    /// Target relative error ε for adaptive stopping (0 = disabled).
-    pub target_error: f64,
-    /// Minimum replayed samples before the stopping rule may fire.
-    pub min_samples: usize,
+    /// The run knobs (estimate/replay). As parsed, `spec.asm` holds the
+    /// `--asm` file *path*; the command reads the file and sends its text.
+    pub spec: EstimateSpec,
     /// First fuzz seed (inclusive).
     pub seed_start: u64,
     /// Last fuzz seed (exclusive).
@@ -188,20 +165,7 @@ impl Default for SubmitArgs {
             priority: "normal".to_owned(),
             detach: false,
             json: false,
-            core: "rok".to_owned(),
-            workload: "dhrystone".to_owned(),
-            asm: None,
-            samples: 30,
-            replay_length: 128,
-            seed: 0x57_0BE5,
-            parallel: 0,
-            batch_lanes: 64,
-            max_cycles: 200_000_000,
-            no_tape_opt: false,
-            hub_threads: 1,
-            hub_engine: "auto".to_owned(),
-            target_error: 0.0,
-            min_samples: 30,
+            spec: EstimateSpec::default(),
             seed_start: 0,
             seed_end: 50,
             cycles: 48,
@@ -262,26 +226,12 @@ impl Default for FuzzArgs {
 }
 
 /// Arguments of the `estimate` subcommand.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EstimateArgs {
-    /// Core configuration name.
-    pub core: String,
-    /// Bundled workload name.
-    pub workload: String,
-    /// Path to an assembly file instead of a bundled workload.
-    pub asm: Option<String>,
-    /// Sample size `n`.
-    pub samples: usize,
-    /// Replay length `L`.
-    pub replay_length: u32,
-    /// RNG seed.
-    pub seed: u64,
-    /// Replay worker threads.
-    pub parallel: usize,
-    /// Bit-parallel replay lanes per worker (1..=64; 1 = scalar replay).
-    pub batch_lanes: usize,
-    /// Cycle budget.
-    pub max_cycles: u64,
+    /// The run knobs, shared flag for flag with `strober submit`. As
+    /// parsed, `spec.asm` holds the `--asm` file *path* and
+    /// `spec.parallel == 0` means one replay worker per hardware thread.
+    pub spec: EstimateSpec,
     /// Emit the result as JSON.
     pub json: bool,
     /// Artifact store directory (None = default location).
@@ -294,54 +244,9 @@ pub struct EstimateArgs {
     pub trace_out: Option<String>,
     /// Print the metrics snapshot table after the results.
     pub metrics: bool,
-    /// Disable the optimizing tape compiler on the hub simulator.
-    pub no_tape_opt: bool,
-    /// Hub-simulator settle worker threads (1 = sequential; more selects
-    /// the partitioned parallel engine).
-    pub hub_threads: usize,
-    /// Hub settle engine: `auto` (threads decide), `interp`,
-    /// `partitioned` or `jit` (native code compiled from the op tape).
-    pub hub_engine: String,
-    /// Target relative error ε for confidence-driven adaptive stopping
-    /// (0 = disabled). Implies the streaming capture→replay pipeline.
-    pub target_error: f64,
-    /// Minimum replayed samples before the stopping rule may fire.
-    pub min_samples: usize,
     /// Use the streaming capture→replay pipeline even without a stopping
     /// rule (replay overlaps capture; results stay bit-identical).
     pub stream: bool,
-}
-
-impl Default for EstimateArgs {
-    fn default() -> Self {
-        EstimateArgs {
-            core: "rok".to_owned(),
-            workload: "dhrystone".to_owned(),
-            asm: None,
-            samples: 30,
-            replay_length: 128,
-            seed: 0x57_0BE5,
-            // One replay worker per hardware thread; snapshots are
-            // independent, so replay scales until the machine runs out.
-            parallel: default_parallelism(),
-            // Pack 64 snapshots per u64 bit-lane pass; composes with the
-            // worker threads above (threads × lanes concurrent replays).
-            batch_lanes: 64,
-            max_cycles: 200_000_000,
-            json: false,
-            cache_dir: None,
-            no_cache: false,
-            manifest: None,
-            trace_out: None,
-            metrics: false,
-            no_tape_opt: false,
-            hub_threads: 1,
-            hub_engine: "auto".to_owned(),
-            target_error: 0.0,
-            min_samples: 30,
-            stream: false,
-        }
-    }
 }
 
 /// Arguments of the `run` subcommand.
@@ -384,13 +289,6 @@ pub struct CacheArgs {
     pub action: CacheAction,
     /// Artifact store directory (None = default location).
     pub cache_dir: Option<String>,
-}
-
-/// The default replay parallelism: every available hardware thread.
-pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// The artifact store location used when `--cache-dir` is not given:
@@ -445,6 +343,93 @@ fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<
         .ok_or_else(|| ArgError(format!("flag {flag} expects a value")))
 }
 
+/// How a shared run-knob flag lands in the [`EstimateSpec`].
+#[derive(Clone, Copy)]
+enum SpecSetter {
+    /// A bare switch.
+    Switch(fn(&mut EstimateSpec)),
+    /// A flag whose value is taken as is.
+    Text(fn(&mut EstimateSpec, String)),
+    /// A flag whose value is parsed; the error says what is wrong with it.
+    Parsed(fn(&mut EstimateSpec, &str) -> Result<(), String>),
+}
+
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| "not a number".to_owned())
+}
+
+/// The run knobs `estimate` and `submit` share, as (spellings, setter) —
+/// the only place either command parses them. Bounds live in
+/// [`EstimateSpec::validate`], which both commands run once the flags
+/// are read.
+const SPEC_FLAGS: &[(&[&str], SpecSetter)] = {
+    use SpecSetter::{Parsed, Switch, Text};
+    &[
+        (&["--core"], Text(|s, v| s.core = v)),
+        (&["--workload"], Text(|s, v| s.workload = v)),
+        (&["--asm"], Text(|s, v| s.asm = Some(v))),
+        (
+            &["-n", "--samples"],
+            Parsed(|s, v| number(v).map(|n| s.samples = n)),
+        ),
+        (
+            &["-L", "--replay-length"],
+            Parsed(|s, v| number(v).map(|n| s.replay_length = n)),
+        ),
+        (&["--seed"], Parsed(|s, v| number(v).map(|n| s.seed = n))),
+        (
+            &["--parallel", "--jobs", "-j"],
+            Parsed(|s, v| {
+                s.parallel = number(v)?;
+                // 0 is how the spec spells "the default"; leaving the
+                // flag out asks for that, an explicit 0 is a typo.
+                if s.parallel == 0 {
+                    return Err("must be at least 1".to_owned());
+                }
+                Ok(())
+            }),
+        ),
+        (
+            &["--batch-lanes"],
+            Parsed(|s, v| number(v).map(|n| s.batch_lanes = n)),
+        ),
+        (
+            &["--max-cycles"],
+            Parsed(|s, v| number(v).map(|n| s.max_cycles = n)),
+        ),
+        (&["--no-tape-opt"], Switch(|s| s.tape_opt = false)),
+        (&["--hub-engine"], Text(|s, v| s.hub_engine = v)),
+        (
+            &["--target-error"],
+            Parsed(|s, v| number(v).map(|n| s.target_error = n)),
+        ),
+        (
+            &["--min-samples"],
+            Parsed(|s, v| number(v).map(|n| s.min_samples = n)),
+        ),
+    ]
+};
+
+/// Applies `flag` to `spec` if it is one of [`SPEC_FLAGS`]; `Ok(false)`
+/// leaves it for the caller's own flags.
+fn parse_spec_flag<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+    spec: &mut EstimateSpec,
+) -> Result<bool, ArgError> {
+    let Some((_, setter)) = SPEC_FLAGS.iter().find(|(names, _)| names.contains(&flag)) else {
+        return Ok(false);
+    };
+    match *setter {
+        SpecSetter::Switch(set) => set(spec),
+        SpecSetter::Text(set) => set(spec, take_value(flag, it)?),
+        SpecSetter::Parsed(set) => {
+            set(spec, &take_value(flag, it)?).map_err(|m| ArgError(format!("{flag}: {m}")))?;
+        }
+    }
+    Ok(true)
+}
+
 /// Parses a command line (without the program name).
 ///
 /// The global `--log-level LEVEL` flag is accepted before the
@@ -488,92 +473,21 @@ fn parse_command<'a>(
         "estimate" => {
             let mut a = EstimateArgs::default();
             while let Some(flag) = it.next() {
+                if parse_spec_flag(flag, &mut it, &mut a.spec)? {
+                    continue;
+                }
                 match flag {
-                    "--core" => a.core = take_value(flag, &mut it)?,
-                    "--workload" => a.workload = take_value(flag, &mut it)?,
-                    "--asm" => a.asm = Some(take_value(flag, &mut it)?),
-                    "-n" | "--samples" => {
-                        a.samples = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "-L" | "--replay-length" => {
-                        a.replay_length = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "--seed" => {
-                        a.seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "--parallel" | "--jobs" | "-j" => {
-                        a.parallel = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.parallel == 0 {
-                            return Err(ArgError(format!("{flag}: must be at least 1")));
-                        }
-                    }
-                    "--batch-lanes" => {
-                        a.batch_lanes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.batch_lanes == 0 || a.batch_lanes > 64 {
-                            return Err(ArgError(format!("{flag}: must be in 1..=64")));
-                        }
-                    }
-                    "--max-cycles" => {
-                        a.max_cycles = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
                     "--json" => a.json = true,
                     "--cache-dir" => a.cache_dir = Some(take_value(flag, &mut it)?),
                     "--no-cache" => a.no_cache = true,
                     "--manifest" => a.manifest = Some(take_value(flag, &mut it)?),
                     "--trace-out" => a.trace_out = Some(take_value(flag, &mut it)?),
                     "--metrics" => a.metrics = true,
-                    "--no-tape-opt" => a.no_tape_opt = true,
-                    "--hub-threads" => {
-                        a.hub_threads = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.hub_threads == 0 || a.hub_threads > 64 {
-                            return Err(ArgError(format!("{flag}: must be in 1..=64")));
-                        }
-                    }
-                    "--hub-engine" => {
-                        a.hub_engine = take_value(flag, &mut it)?;
-                        if !matches!(
-                            a.hub_engine.as_str(),
-                            "auto" | "interp" | "partitioned" | "jit"
-                        ) {
-                            return Err(ArgError(format!(
-                                "{flag}: must be one of auto|interp|partitioned|jit"
-                            )));
-                        }
-                    }
-                    "--target-error" => {
-                        a.target_error = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if !(a.target_error > 0.0 && a.target_error < 1.0) {
-                            return Err(ArgError(format!("{flag}: must be in (0, 1)")));
-                        }
-                    }
-                    "--min-samples" => {
-                        a.min_samples = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.min_samples < 2 {
-                            return Err(ArgError(format!("{flag}: must be at least 2")));
-                        }
-                    }
                     "--stream" => a.stream = true,
                     other => return Err(ArgError(format!("unknown flag `{other}`"))),
                 }
             }
+            a.spec.validate().map_err(ArgError)?;
             Ok(Command::Estimate(a))
         }
         "run" => {
@@ -777,6 +691,9 @@ fn parse_command<'a>(
                 }
             }
             while let Some(flag) = it.next() {
+                if parse_spec_flag(flag, &mut it, &mut a.spec)? {
+                    continue;
+                }
                 match flag {
                     "--addr" => a.addr = take_value(flag, &mut it)?,
                     "--priority" => {
@@ -790,78 +707,6 @@ fn parse_command<'a>(
                     }
                     "--detach" => a.detach = true,
                     "--json" => a.json = true,
-                    "--core" => a.core = take_value(flag, &mut it)?,
-                    "--workload" => a.workload = take_value(flag, &mut it)?,
-                    "--asm" => a.asm = Some(take_value(flag, &mut it)?),
-                    "-n" | "--samples" => {
-                        a.samples = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "-L" | "--replay-length" => {
-                        a.replay_length = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "--seed" => {
-                        a.seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "--parallel" | "--jobs" | "-j" => {
-                        a.parallel = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "--batch-lanes" => {
-                        a.batch_lanes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.batch_lanes == 0 || a.batch_lanes > 64 {
-                            return Err(ArgError(format!("{flag}: must be in 1..=64")));
-                        }
-                    }
-                    "--max-cycles" => {
-                        a.max_cycles = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                    }
-                    "--no-tape-opt" => a.no_tape_opt = true,
-                    "--hub-threads" => {
-                        a.hub_threads = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.hub_threads == 0 || a.hub_threads > 64 {
-                            return Err(ArgError(format!("{flag}: must be in 1..=64")));
-                        }
-                    }
-                    "--hub-engine" => {
-                        a.hub_engine = take_value(flag, &mut it)?;
-                        if !matches!(
-                            a.hub_engine.as_str(),
-                            "auto" | "interp" | "partitioned" | "jit"
-                        ) {
-                            return Err(ArgError(format!(
-                                "{flag}: must be one of auto|interp|partitioned|jit"
-                            )));
-                        }
-                    }
-                    "--target-error" => {
-                        a.target_error = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if !(a.target_error > 0.0 && a.target_error < 1.0) {
-                            return Err(ArgError(format!("{flag}: must be in (0, 1)")));
-                        }
-                    }
-                    "--min-samples" => {
-                        a.min_samples = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ArgError(format!("{flag}: not a number")))?;
-                        if a.min_samples < 2 {
-                            return Err(ArgError(format!("{flag}: must be at least 2")));
-                        }
-                    }
                     "--seeds" => {
                         let v = take_value(flag, &mut it)?;
                         let Some((lo, hi)) = v.split_once("..") else {
@@ -884,6 +729,9 @@ fn parse_command<'a>(
                     }
                     other => return Err(ArgError(format!("unknown flag `{other}`"))),
                 }
+            }
+            if a.kind != "fuzz" {
+                a.spec.validate().map_err(ArgError)?;
             }
             Ok(Command::Submit(a))
         }
@@ -982,7 +830,7 @@ USAGE:
                    [--batch-lanes K] [--max-cycles N] [--json]
                    [--cache-dir DIR] [--no-cache] [--manifest FILE]
                    [--trace-out FILE] [--metrics] [--no-tape-opt]
-                   [--hub-threads T] [--hub-engine E] [--target-error E]
+                   [--hub-engine auto|interp|jit] [--target-error E]
                    [--min-samples M] [--stream]
       Run the full flow: fast sampled simulation, gate-level replay,
       average power with a 99% confidence interval. Prepared artifacts
@@ -1000,12 +848,8 @@ USAGE:
       disables the hub simulator's optimizing tape compiler (constant
       folding, copy propagation, dead code elimination, fusion) — an
       escape hatch for isolating a suspected optimizer miscompile.
-      --hub-threads T (default 1, max 64) runs the hub simulator's
-      combinational settle on T workers via the partitioned parallel
-      engine; results are bit-identical to the sequential default.
-      --hub-engine picks the settle engine explicitly: auto (default;
-      the thread count decides), interp (sequential interpreter),
-      partitioned (multi-threaded interpreter) or jit — the op tape is
+      --hub-engine picks the hub simulator's settle engine: auto
+      (default) and interp walk the op tape; with jit the op tape is
       lowered to Rust, compiled once with rustc into a cached dylib,
       and attached as a native settle function; compiles are keyed by
       design + tape options + rustc version in the artifact store, so
@@ -1075,13 +919,15 @@ USAGE:
                    [--priority high|normal|low] [--detach] [--json]
                    [estimate/replay: --core NAME, --workload NAME | --asm FILE,
                     -n N, -L CYCLES, --seed S, --jobs P, --batch-lanes K,
-                    --max-cycles N, --no-tape-opt, --hub-threads T,
-                    --hub-engine E, --target-error E, --min-samples M]
+                    --max-cycles N, --no-tape-opt, --hub-engine E,
+                    --target-error E, --min-samples M]
                    [fuzz: --seeds A..B, --cycles N]
       Submit a job to a running server. By default the client follows
       the job, streaming progress events until the result arrives;
       --detach prints the job id and returns immediately. An --asm
-      file is read locally and sent inline as assembly text.
+      file is read locally and sent inline as assembly text. The
+      estimate/replay flags are the same ones `strober estimate`
+      takes, with the same bounds.
 
   strober jobs     [--addr HOST:PORT]
       List every job the server knows about.
@@ -1112,6 +958,24 @@ USAGE:
 mod tests {
     use super::*;
 
+    fn estimate(argv: &[&str]) -> Result<EstimateArgs, ArgError> {
+        let mut full = vec!["estimate"];
+        full.extend_from_slice(argv);
+        match parse(&full)?.command {
+            Command::Estimate(a) => Ok(a),
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
+    fn submit(argv: &[&str]) -> Result<SubmitArgs, ArgError> {
+        let mut full = vec!["submit", "estimate"];
+        full.extend_from_slice(argv);
+        match parse(&full)?.command {
+            Command::Submit(a) => Ok(a),
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_estimate_flags() {
         let cli = parse(&[
@@ -1128,160 +992,101 @@ mod tests {
             "--trace-out",
             "trace.json",
             "--metrics",
+            "--stream",
         ])
         .unwrap();
         assert_eq!(cli.log_level, None);
         let Command::Estimate(a) = cli.command else {
             panic!("wrong command")
         };
-        assert_eq!(a.core, "boum-2w");
-        assert_eq!(a.workload, "coremark");
-        assert_eq!(a.samples, 40);
-        assert_eq!(a.replay_length, 256);
+        assert_eq!(
+            a.spec,
+            EstimateSpec {
+                core: "boum-2w".to_owned(),
+                workload: "coremark".to_owned(),
+                samples: 40,
+                replay_length: 256,
+                ..EstimateSpec::default()
+            }
+        );
         assert!(a.json);
         assert_eq!(a.trace_out.as_deref(), Some("trace.json"));
         assert!(a.metrics);
-        assert!(!a.no_tape_opt);
-    }
-
-    #[test]
-    fn parses_no_tape_opt() {
-        let Command::Estimate(a) = parse(&["estimate", "--no-tape-opt"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert!(a.no_tape_opt);
-    }
-
-    #[test]
-    fn hub_threads_default_and_bounds() {
-        let Command::Estimate(a) = parse(&["estimate"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.hub_threads, 1);
-
-        let Command::Estimate(a) = parse(&["estimate", "--hub-threads", "4"]).unwrap().command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.hub_threads, 4);
-
-        for bad in ["0", "65", "many"] {
-            assert!(parse(&["estimate", "--hub-threads", bad]).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn hub_engine_default_and_bounds() {
-        let Command::Estimate(a) = parse(&["estimate"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.hub_engine, "auto");
-
-        for engine in ["auto", "interp", "partitioned", "jit"] {
-            let Command::Estimate(a) = parse(&["estimate", "--hub-engine", engine])
-                .unwrap()
-                .command
-            else {
-                panic!("wrong command")
-            };
-            assert_eq!(a.hub_engine, engine);
-        }
-
-        assert!(parse(&["estimate", "--hub-engine", "llvm"])
-            .unwrap_err()
-            .0
-            .contains("auto|interp|partitioned|jit"));
-    }
-
-    #[test]
-    fn target_error_flags_default_and_bounds() {
-        let Command::Estimate(a) = parse(&["estimate"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.target_error, 0.0);
-        assert_eq!(a.min_samples, 30);
-        assert!(!a.stream);
-
-        let Command::Estimate(a) = parse(&[
-            "estimate",
-            "--target-error",
-            "0.05",
-            "--min-samples",
-            "10",
-            "--stream",
-        ])
-        .unwrap()
-        .command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.target_error, 0.05);
-        assert_eq!(a.min_samples, 10);
         assert!(a.stream);
+    }
 
-        for bad in ["0", "1", "1.5", "-0.1", "lots"] {
-            assert!(
-                parse(&["estimate", "--target-error", bad]).is_err(),
-                "{bad}"
-            );
+    /// A legal value for each value-taking shared flag, keyed by its
+    /// first spelling. A flag added to the table without one fails here.
+    fn sample_value(flag: &str) -> &'static str {
+        match flag {
+            "--core" => "boum-2w",
+            "--workload" => "vvadd",
+            "--asm" => "prog.s",
+            "-n" => "12",
+            "-L" => "64",
+            "--seed" => "7",
+            "--parallel" => "3",
+            "--batch-lanes" => "8",
+            "--max-cycles" => "1000",
+            "--hub-engine" => "jit",
+            "--target-error" => "0.05",
+            "--min-samples" => "4",
+            other => panic!("no sample value for shared flag {other}"),
         }
-        assert!(parse(&["estimate", "--min-samples", "1"])
-            .unwrap_err()
-            .0
-            .contains("at least 2"));
     }
 
     #[test]
-    fn submit_parses_target_error() {
-        let Command::Submit(a) = parse(&[
-            "submit",
-            "estimate",
-            "--target-error",
-            "0.1",
-            "--min-samples",
-            "5",
-        ])
-        .unwrap()
-        .command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.target_error, 0.1);
-        assert_eq!(a.min_samples, 5);
-        assert!(parse(&["submit", "estimate", "--target-error", "2"])
-            .unwrap_err()
-            .0
-            .contains("(0, 1)"));
+    fn every_shared_flag_parses_the_same_under_estimate_and_submit() {
+        assert_eq!(estimate(&[]).unwrap().spec, EstimateSpec::default());
+        assert_eq!(submit(&[]).unwrap().spec, EstimateSpec::default());
+        for (names, setter) in SPEC_FLAGS {
+            for &name in *names {
+                let argv = match setter {
+                    SpecSetter::Switch(_) => vec![name],
+                    _ => vec![name, sample_value(names[0])],
+                };
+                let one_shot = estimate(&argv).unwrap().spec;
+                let served = submit(&argv).unwrap().spec;
+                assert_eq!(one_shot, served, "{argv:?}");
+                assert_ne!(one_shot, EstimateSpec::default(), "{argv:?} set nothing");
+            }
+        }
     }
 
     #[test]
-    fn submit_parses_hub_threads() {
-        let Command::Submit(a) = parse(&["submit", "estimate", "--hub-threads", "2"])
-            .unwrap()
-            .command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.hub_threads, 2);
-        assert!(parse(&["submit", "estimate", "--hub-threads", "65"])
-            .unwrap_err()
-            .0
-            .contains("1..=64"));
-    }
-
-    #[test]
-    fn submit_parses_hub_engine() {
-        let Command::Submit(a) = parse(&["submit", "estimate", "--hub-engine", "jit"])
-            .unwrap()
-            .command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.hub_engine, "jit");
-        assert!(parse(&["submit", "estimate", "--hub-engine", "fast"])
-            .unwrap_err()
-            .0
-            .contains("auto|interp|partitioned|jit"));
+    fn shared_flag_bounds_hold_under_both_commands() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["--core", "z80"], "unknown core"),
+            (&["--workload", "doom"], "unknown workload"),
+            (&["-n", "1"], "samples"),
+            (&["-n", "abc"], "not a number"),
+            (&["-n"], "expects a value"),
+            (&["-L", "0"], "replay_length"),
+            (&["--jobs", "0"], "at least 1"),
+            (&["--batch-lanes", "0"], "1..=64"),
+            (&["--batch-lanes", "65"], "1..=64"),
+            (&["--batch-lanes", "many"], "not a number"),
+            (&["--max-cycles", "0"], "max_cycles"),
+            // Any name off the ladder is rejected, never remapped.
+            (&["--hub-engine", "llvm"], "auto|interp|jit"),
+            (&["--target-error", "1"], "between 0 and 1"),
+            (&["--target-error", "1.5"], "between 0 and 1"),
+            (&["--target-error", "-0.1"], "between 0 and 1"),
+            (&["--target-error", "lots"], "not a number"),
+            (
+                &["--target-error", "0.1", "--min-samples", "1"],
+                "at least 2",
+            ),
+            (
+                &["--target-error", "0.1", "--min-samples", "31"],
+                "exceeds the sample size",
+            ),
+        ];
+        for (argv, needle) in cases {
+            for err in [estimate(argv).unwrap_err(), submit(argv).unwrap_err()] {
+                assert!(err.0.contains(needle), "{argv:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1361,44 +1166,13 @@ mod tests {
         };
         assert_eq!(a.cache_dir.as_deref(), Some("/tmp/store"));
         assert_eq!(a.manifest.as_deref(), Some("run.json"));
-        assert_eq!(a.parallel, 2);
+        assert_eq!(a.spec.parallel, 2);
         assert!(!a.no_cache);
 
         let Command::Estimate(a) = parse(&["estimate", "--no-cache"]).unwrap().command else {
             panic!("wrong command")
         };
         assert!(a.no_cache);
-    }
-
-    #[test]
-    fn parallel_defaults_to_available_hardware() {
-        let Command::Estimate(a) = parse(&["estimate"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.parallel, default_parallelism());
-        assert!(a.parallel >= 1);
-        assert!(parse(&["estimate", "--jobs", "0"])
-            .unwrap_err()
-            .0
-            .contains("at least 1"));
-    }
-
-    #[test]
-    fn batch_lanes_default_and_bounds() {
-        let Command::Estimate(a) = parse(&["estimate"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.batch_lanes, 64);
-
-        let Command::Estimate(a) = parse(&["estimate", "--batch-lanes", "8"]).unwrap().command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.batch_lanes, 8);
-
-        for bad in ["0", "65", "many"] {
-            assert!(parse(&["estimate", "--batch-lanes", bad]).is_err(), "{bad}");
-        }
     }
 
     #[test]
@@ -1551,12 +1325,18 @@ mod tests {
             panic!("wrong command")
         };
         assert_eq!(a.kind, "replay");
-        assert_eq!(a.core, "rok-tiny");
-        assert_eq!(a.workload, "vvadd");
         assert_eq!(a.priority, "high");
         assert!(a.detach);
-        assert_eq!(a.samples, 12);
-        assert_eq!(a.batch_lanes, 8);
+        assert_eq!(
+            a.spec,
+            EstimateSpec {
+                core: "rok-tiny".to_owned(),
+                workload: "vvadd".to_owned(),
+                samples: 12,
+                batch_lanes: 8,
+                ..EstimateSpec::default()
+            }
+        );
 
         let Command::Submit(a) = parse(&["submit", "fuzz", "--seeds", "5..9", "--cycles", "16"])
             .unwrap()
@@ -1579,10 +1359,6 @@ mod tests {
             .unwrap_err()
             .0
             .contains("not high, normal or low"));
-        assert!(parse(&["submit", "estimate", "--batch-lanes", "65"])
-            .unwrap_err()
-            .0
-            .contains("1..=64"));
     }
 
     #[test]
@@ -1695,13 +1471,5 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown flag"));
-        assert!(parse(&["estimate", "-n"])
-            .unwrap_err()
-            .0
-            .contains("expects a value"));
-        assert!(parse(&["estimate", "-n", "abc"])
-            .unwrap_err()
-            .0
-            .contains("not a number"));
     }
 }

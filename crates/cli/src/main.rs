@@ -8,14 +8,12 @@ use args::{
     ExportArgs, FuzzArgs, JobsArgs, ProbeArgs, RunArgs, ServeArgs, SubmitArgs, TopArgs, HELP,
 };
 use std::process::ExitCode;
-use strober::{HubEngine, RunControl, StoppingRule, StroberConfig, StroberFlow};
+use strober::{RunControl, StroberConfig, StroberFlow};
 use strober_cores::build_core;
 use strober_dram::{DramConfig, DramModel, LpddrPowerParams};
 use strober_isa::programs;
 use strober_server::catalog::{self, core_config};
-use strober_server::protocol::{
-    EstimateSpec, Event, FuzzSpec, JobResult, JobSpec, Priority, Request, Response,
-};
+use strober_server::protocol::{Event, FuzzSpec, JobResult, JobSpec, Priority, Request, Response};
 use strober_server::{Client, Server, ServerConfig};
 use strober_store::{CodegenProvenance, RunManifest, SamplingOutcome, Store};
 
@@ -91,24 +89,18 @@ fn open_store(a: &EstimateArgs) -> Option<Store> {
 }
 
 fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
-    let config = core_config(&a.core)?;
-    let image = load_image(&a.workload, &a.asm)?;
+    let spec = &a.spec;
+    let config = core_config(&spec.core)?;
+    let image = load_image(&spec.workload, &spec.asm)?;
     let design = build_core(&config);
-    let mut session = StroberConfig {
-        replay_length: a.replay_length,
-        sample_size: a.samples,
-        seed: a.seed,
-        ..StroberConfig::default()
+    let session = spec.session_config()?;
+    let parallel = match spec.parallel {
+        0 => StroberFlow::default_parallelism(),
+        n => n,
     };
-    session.platform.tape_opt = !a.no_tape_opt;
-    session.platform.hub_threads = a.hub_threads;
-    session.platform.hub_engine =
-        HubEngine::from_name(&a.hub_engine).expect("validated by the arg parser");
-    session.platform.target_error = a.target_error;
-    session.platform.min_samples = a.min_samples;
     let mut manifest = RunManifest::new(
         config.name.clone(),
-        a.asm.clone().unwrap_or_else(|| a.workload.clone()),
+        spec.asm.clone().unwrap_or_else(|| spec.workload.clone()),
     );
     manifest.fingerprint = StroberFlow::prepare_fingerprint(&design, &session).to_hex();
 
@@ -146,27 +138,19 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
 
     let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
     dram.load(&image, 0);
-    let (run, results) = if a.stream || a.target_error > 0.0 {
+    let rule = spec.stopping_rule(flow.config())?;
+    let (run, results) = if a.stream || rule.is_some() {
         strober_probe::info!(
             "[2/4] streaming simulation with overlapped gate-level replay \
-             ({} workers x {} bit-lanes) ...",
-            a.parallel,
-            a.batch_lanes
+             ({parallel} workers x {} bit-lanes) ...",
+            spec.batch_lanes
         );
-        let rule = if a.target_error > 0.0 {
-            Some(
-                StoppingRule::new(a.target_error, flow.config().confidence, a.min_samples)
-                    .map_err(|e| format!("invalid stopping rule: {e}"))?,
-            )
-        } else {
-            None
-        };
         let (run, results) = flow
             .replay_streaming(
                 &mut dram,
-                a.max_cycles,
-                a.parallel,
-                a.batch_lanes,
+                spec.max_cycles,
+                parallel,
+                spec.batch_lanes,
                 rule,
                 &RunControl::default(),
             )
@@ -174,7 +158,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
         if dram.exit_code().is_none() && !run.stop.is_converged() {
             return Err(format!(
                 "workload did not halt within {} cycles",
-                a.max_cycles
+                spec.max_cycles
             ));
         }
         strober_probe::info!(
@@ -186,23 +170,22 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     } else {
         strober_probe::info!("[2/4] fast simulation with reservoir sampling ...");
         let run = flow
-            .run_sampled(&mut dram, a.max_cycles)
+            .run_sampled(&mut dram, spec.max_cycles)
             .map_err(|e| format!("sampled run failed: {e}"))?;
         if dram.exit_code().is_none() {
             return Err(format!(
                 "workload did not halt within {} cycles",
-                a.max_cycles
+                spec.max_cycles
             ));
         }
 
         strober_probe::info!(
-            "[3/4] replaying {} snapshots on gate-level simulation ({} workers x {} bit-lanes) ...",
+            "[3/4] replaying {} snapshots on gate-level simulation ({parallel} workers x {} bit-lanes) ...",
             run.snapshots.len(),
-            a.parallel,
-            a.batch_lanes
+            spec.batch_lanes
         );
         let results = flow
-            .replay_all_batched(&run.snapshots, a.parallel, a.batch_lanes)
+            .replay_all_batched(&run.snapshots, parallel, spec.batch_lanes)
             .map_err(|e| format!("replay failed: {e}"))?;
         (run, results)
     };
@@ -221,7 +204,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     };
     manifest.sampling = Some(SamplingOutcome {
         stop_reason: run.stop.as_str().to_owned(),
-        target_epsilon: (a.target_error > 0.0).then_some(a.target_error),
+        target_epsilon: rule.map(|r| r.target_epsilon()),
         achieved_epsilon,
     });
     manifest.hub_engine = flow.hub_engine_name().to_owned();
@@ -268,7 +251,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
         }
         let doc = serde_json::json!({
             "core": config.name,
-            "workload": a.workload,
+            "workload": spec.workload,
             "cycles": run.target_cycles,
             "instret": instret,
             "cpi": run.target_cycles as f64 / instret as f64,
@@ -276,7 +259,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             "windows": run.windows,
             "records": run.records,
             "stop_reason": run.stop.as_str(),
-            "target_error": a.target_error,
+            "target_error": spec.target_error,
             "achieved_epsilon": achieved_epsilon,
             "cache_hit": cache_hit,
             "hub_engine": manifest.hub_engine,
@@ -304,11 +287,11 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     }
 
     println!("core:        {}", config.name);
-    println!("workload:    {}", a.workload);
+    println!("workload:    {}", spec.workload);
     println!("engine:      {}", manifest.hub_engine);
     println!(
         "cycles:      {} ({} windows of {}; {} records)",
-        run.target_cycles, run.windows, a.replay_length, run.records
+        run.target_cycles, run.windows, spec.replay_length, run.records
     );
     println!(
         "CPI:         {:.3}",
@@ -317,7 +300,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     if let Some(eps) = achieved_epsilon {
         println!(
             "stopping:    converged at epsilon {eps:.4} (target {:.4}, {} samples)",
-            a.target_error,
+            spec.target_error,
             results.len()
         );
     }
@@ -750,8 +733,8 @@ fn render_top(addr: &str, seq: u64, at_ms: u64, snap: &strober_probe::MetricsSna
                 row.epsilon
                     .map_or_else(|| "-".to_owned(), |e| format!("{e:.3}")),
                 row.provenance,
-                // The hub settle engine after fallback (tape, tape-jit,
-                // tape-partitioned); unknown until prepare finishes.
+                // The hub settle engine after fallback (tape or
+                // tape-jit); unknown until prepare finishes.
                 if row.engine.is_empty() {
                     "-"
                 } else {
@@ -860,41 +843,12 @@ fn cmd_bench(a: &BenchArgs) -> Result<(), String> {
     );
     let sim_cycles_per_sec = outcome.cycles as f64 / outcome.wall_seconds;
 
-    // Hub settle throughput at 1/2/4/8 workers on the FAME1-transformed
-    // hub — the BENCH_8 trajectory behind the partitioned engine. Each
-    // entry records the engine variant so entries stay comparable across
-    // report versions.
     const SWEEP_CYCLES: u64 = 4096;
     let fame = strober_fame::transform(&design, &strober_fame::FameConfig::default())
         .map_err(|e| format!("fame transform failed: {e}"))?;
-    let mut sweep = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let mut hub = strober_sim::Simulator::new(&fame.hub)
-            .map_err(|e| format!("hub lowering failed: {e}"))?;
-        hub.set_threads(threads);
-        let fire = hub
-            .resolve_port(&fame.meta.control.fire)
-            .map_err(|e| format!("hub fire port: {e}"))?;
-        hub.poke(fire, 1);
-        hub.step_n(SWEEP_CYCLES); // warm: spawn pool, page in code
-        let mut ns = u128::MAX;
-        for _ in 0..TRIALS {
-            let t0 = Instant::now();
-            hub.step_n(SWEEP_CYCLES);
-            black_box(hub.cycle());
-            ns = ns.min(t0.elapsed().as_nanos());
-        }
-        let rate = SWEEP_CYCLES as f64 / (ns as f64 / 1e9);
-        let engine = if threads > 1 {
-            "tape-partitioned"
-        } else {
-            "tape"
-        };
-        sweep.push((threads, engine, rate));
-    }
 
-    // Hub-engine sweep at one thread: the interpreted tape vs the
-    // JIT-compiled native settle code over the same hub. Rows are
+    // Hub-engine sweep: the interpreted tape vs the JIT-compiled native
+    // settle code over the same FAME1-transformed hub. Rows are
     // labeled by the simulator's own engine name; omitted (with a
     // warning) when no rustc is on PATH to compile the dylib.
     let mut engine_sweep: Vec<(&'static str, f64)> = Vec::new();
@@ -1071,25 +1025,9 @@ fn cmd_bench(a: &BenchArgs) -> Result<(), String> {
         "sim_cycles_per_sec".to_owned(),
         serde_json::json!(sim_cycles_per_sec),
     );
-    // The engine variant and thread count behind `sim_cycles_per_sec`,
-    // so BENCH_*.json entries are comparable across PRs.
+    // The engine variant behind `sim_cycles_per_sec`, so BENCH_*.json
+    // entries are comparable across PRs.
     report.insert("sim_engine".to_owned(), serde_json::json!("tape"));
-    report.insert("sim_hub_threads".to_owned(), serde_json::json!(1));
-    report.insert(
-        "hub_threads_sweep".to_owned(),
-        serde_json::Value::Array(
-            sweep
-                .iter()
-                .map(|&(threads, engine, rate)| {
-                    serde_json::json!({
-                        "engine": engine,
-                        "hub_threads": threads,
-                        "sim_cycles_per_sec": rate,
-                    })
-                })
-                .collect(),
-        ),
-    );
     report.insert(
         "hub_engine_sweep".to_owned(),
         serde_json::Value::Array(
@@ -1098,7 +1036,6 @@ fn cmd_bench(a: &BenchArgs) -> Result<(), String> {
                 .map(|&(engine, rate)| {
                     serde_json::json!({
                         "engine": engine,
-                        "hub_threads": 1,
                         "sim_cycles_per_sec": rate,
                     })
                 })
@@ -1139,17 +1076,10 @@ fn cmd_bench(a: &BenchArgs) -> Result<(), String> {
         outcome.wall_seconds,
         strober_bench::fmt_u64(sim_cycles_per_sec as u64)
     );
-    println!("hub settle sweep (rok-tiny fame1 hub, best of {TRIALS}):");
-    for &(threads, engine, rate) in &sweep {
-        println!(
-            "  {threads} thread(s) [{engine}]: {} cycles/s",
-            strober_bench::fmt_u64(rate as u64),
-        );
-    }
     if engine_sweep.is_empty() {
         println!("hub engine sweep: skipped (no rustc on PATH)");
     } else {
-        println!("hub engine sweep (rok-tiny fame1 hub, 1 thread, best of {TRIALS}):");
+        println!("hub engine sweep (rok-tiny fame1 hub, best of {TRIALS}):");
         for &(engine, rate) in &engine_sweep {
             println!(
                 "  [{engine}]: {} cycles/s",
@@ -1189,23 +1119,11 @@ fn dial(addr: &str) -> Result<Client, String> {
 }
 
 fn submit_spec(a: &SubmitArgs) -> Result<JobSpec, String> {
-    let estimate = || -> Result<EstimateSpec, String> {
-        Ok(EstimateSpec {
-            core: a.core.clone(),
-            workload: a.workload.clone(),
-            asm: read_asm(&a.asm)?,
-            samples: a.samples,
-            replay_length: a.replay_length,
-            seed: a.seed,
-            max_cycles: a.max_cycles,
-            parallel: a.parallel,
-            batch_lanes: a.batch_lanes,
-            tape_opt: !a.no_tape_opt,
-            hub_threads: a.hub_threads,
-            hub_engine: a.hub_engine.clone(),
-            target_error: a.target_error,
-            min_samples: a.min_samples,
-        })
+    // The parsed spec carries the `--asm` path; the wire carries its text.
+    let estimate = || -> Result<_, String> {
+        let mut spec = a.spec.clone();
+        spec.asm = read_asm(&spec.asm)?;
+        Ok(spec)
     };
     match a.kind.as_str() {
         "estimate" => Ok(JobSpec::Estimate(estimate()?)),

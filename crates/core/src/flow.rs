@@ -13,7 +13,7 @@ use strober_formal::{match_designs, MatchOptions, NameMap};
 use strober_gates::CellLibrary;
 use strober_gatesim::{BatchSim, GateSim, GateSimError, Tape, VpiLoader, MAX_LANES};
 use strober_jit::{JitArtifact, JitCompiler, JitProvenance};
-use strober_platform::{HostModel, HubEngine, PlatformConfig, ZynqHost};
+use strober_platform::{HostModel, HubEngine, PlatformConfig, PlatformStats, ZynqHost};
 use strober_power::PowerAnalyzer;
 use strober_rtl::Design;
 use strober_sampling::{Confidence, Reservoir, SampleStats, StoppingRule};
@@ -173,22 +173,18 @@ impl StroberFlow {
 
     /// The stable cache key for preparing `design` under `config`.
     ///
-    /// Hashes the canonical serialization of the design and every
-    /// configuration input that preparation consumes (the full config,
-    /// plus the synthesis and FAME sub-configurations explicitly, so a
-    /// change in how either is derived also changes the key).
+    /// Hashes the canonical serialization of the design and exactly the
+    /// configuration preparation consumes — the FAME window
+    /// (`replay_length`, `warmup`) and the synthesis options. Run-only
+    /// knobs (seed, sample size, confidence, frequency, platform) are
+    /// left out on purpose: changing one must hit the store, not redo
+    /// FAME/synthesis/formal matching.
     pub fn prepare_fingerprint(design: &Design, config: &StroberConfig) -> Fingerprint {
         let fame_config = FameConfig {
             replay_length: config.replay_length,
             warmup: config.warmup,
         };
-        fingerprint_parts(&[
-            &"strober-prepare",
-            design,
-            config,
-            &config.synth,
-            &fame_config,
-        ])
+        fingerprint_parts(&[&"strober-prepare", design, &config.synth, &fame_config])
     }
 
     /// Prepares a session through the artifact store: on a hit the
@@ -332,27 +328,13 @@ impl StroberFlow {
 
     /// The settle engine this session's hub simulators run under, after
     /// fallback: `tape-jit` only when a compiled engine is actually
-    /// prepared, `tape-partitioned` when the thread count selects the
-    /// parallel engine, `tape` otherwise. For run manifests and the
-    /// `engine` metric label.
+    /// prepared, `tape` otherwise. For run manifests and the `engine`
+    /// metric label.
     pub fn hub_engine_name(&self) -> &'static str {
-        match self.config.platform.hub_engine {
-            HubEngine::Interp => "tape",
-            HubEngine::Partitioned => "tape-partitioned",
-            HubEngine::Jit => {
-                if self.jit_info().is_some() {
-                    "tape-jit"
-                } else {
-                    "tape"
-                }
-            }
-            HubEngine::Auto => {
-                if self.config.platform.hub_threads > 1 {
-                    "tape-partitioned"
-                } else {
-                    "tape"
-                }
-            }
+        if self.jit_info().is_some() {
+            "tape-jit"
+        } else {
+            "tape"
         }
     }
 
@@ -498,12 +480,40 @@ impl StroberFlow {
         ctl: &RunControl<'_>,
     ) -> Result<SampledRun, StroberError> {
         let _span = strober_probe::span("strober.core.run_sampled");
+        let sampled = self.sample_windows(model, max_cycles, ctl, |_, _| true, |_| false)?;
+        let stop = if model.is_done() {
+            StopReason::WorkloadDone
+        } else {
+            StopReason::MaxCycles
+        };
+        Ok(sampled.into_run(stop))
+    }
+
+    /// The sampling loop behind both [`StroberFlow::run_sampled_controlled`]
+    /// and [`StroberFlow::replay_streaming`]: every `L`-cycle window is
+    /// offered to the reservoir, selected windows are captured and the
+    /// rest run free. One loop, so the RNG sequence — and therefore the
+    /// selected sample — cannot differ between the two flows.
+    ///
+    /// `placed(slot, snapshot)` sees every reservoir placement and
+    /// `stop_after(windows)` runs after every window; either ends the
+    /// loop early by returning `false` / `true`. Cancellation is checked
+    /// at every window boundary and [`Progress::SimWindows`] reported
+    /// every [`RunControl::window_stride`] windows.
+    fn sample_windows(
+        &self,
+        model: &mut dyn HostModel,
+        max_cycles: u64,
+        ctl: &RunControl<'_>,
+        mut placed: impl FnMut(usize, &Arc<FameSnapshot>) -> bool,
+        mut stop_after: impl FnMut(u64) -> bool,
+    ) -> Result<Sampled, StroberError> {
         let t0 = std::time::Instant::now();
         let mut host =
             ZynqHost::with_sim(&self.fame, self.config.platform.clone(), self.hub_sim()?)?;
         let window = host.trace_window();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut reservoir: Reservoir<FameSnapshot> = Reservoir::new(self.config.sample_size);
+        let mut reservoir: Reservoir<Arc<FameSnapshot>> = Reservoir::new(self.config.sample_size);
 
         let stride = ctl.window_stride();
         let mut windows = 0u64;
@@ -517,8 +527,11 @@ impl StroberFlow {
             }
             match reservoir.decide(&mut rng) {
                 Some(slot) => {
-                    let snap = host.capture_snapshot(model)?;
-                    reservoir.place(slot, snap)?;
+                    let snap = Arc::new(host.capture_snapshot(model)?);
+                    reservoir.place(slot, snap.clone())?;
+                    if !placed(slot, &snap) {
+                        break;
+                    }
                 }
                 None => {
                     host.run(model, window)?;
@@ -531,6 +544,9 @@ impl StroberFlow {
                     windows,
                     target_cycles: host.target_cycles(),
                 });
+            }
+            if stop_after(windows) {
+                break;
             }
         }
         if last_report != windows {
@@ -554,19 +570,10 @@ impl StroberFlow {
                 }
             }
         }
-        let records = reservoir.records();
-        let stop = if model.is_done() {
-            StopReason::WorkloadDone
-        } else {
-            StopReason::MaxCycles
-        };
-        Ok(SampledRun {
-            snapshots: reservoir.into_sample(),
-            target_cycles: host.target_cycles(),
-            windows,
-            records,
+        Ok(Sampled {
             stats: host.stats(),
-            stop,
+            reservoir,
+            windows,
         })
     }
 
@@ -613,21 +620,13 @@ impl StroberFlow {
         }
         let parallelism = parallelism.max(1);
         let t0 = std::time::Instant::now();
-        let mut host =
-            ZynqHost::with_sim(&self.fame, self.config.platform.clone(), self.hub_sim()?)?;
-        let window = host.trace_window();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut reservoir: Reservoir<Arc<FameSnapshot>> = Reservoir::new(self.config.sample_size);
 
         // Enough queue depth to keep every lane of every worker fed, with
         // backpressure well before capture can run away from replay.
         let queue_capacity = (parallelism * batch_lanes).max(2);
         let shared = StreamShared::new(self.config.sample_size, queue_capacity);
-        let stride = ctl.window_stride();
-        let mut windows = 0u64;
-        let mut last_report = u64::MAX;
 
-        let producer_result: Result<(), StroberError> = std::thread::scope(|scope| {
+        let sampled = std::thread::scope(|scope| {
             for wi in 0..parallelism {
                 let shared = &shared;
                 let rule = stopping.as_ref();
@@ -636,102 +635,60 @@ impl StroberFlow {
                     replay_worker(self, shared, batch_lanes, rule, ctl);
                 });
             }
-            // The producer: the exact sequential sampling loop, with each
-            // placement also queued for streaming replay. The decide/
-            // capture order matches `run_sampled_controlled` so the RNG
-            // sequence — and therefore the selected sample — is identical.
-            let result = (|| {
-                while host.target_cycles() < max_cycles && !model.is_done() {
-                    if ctl.is_cancelled() {
-                        return Err(StroberError::Cancelled);
+            // The producer: the sequential sampling loop, with each
+            // placement also queued for streaming replay.
+            let sampled = self.sample_windows(
+                model,
+                max_cycles,
+                ctl,
+                |slot, snap| {
+                    let epoch = shared.advance_epoch(slot);
+                    strober_probe::counter_add("strober.core.pipeline.streamed", 1);
+                    let item = WorkItem {
+                        slot,
+                        epoch,
+                        snap: snap.clone(),
+                    };
+                    // A refused push means a worker hit an error and
+                    // closed the queue; its error surfaces after join.
+                    let queued = shared.queue.push(item);
+                    if queued {
+                        strober_probe::gauge_set(
+                            "strober.core.pipeline.queue_depth",
+                            shared.queue.len() as f64,
+                        );
                     }
-                    if shared.aborted() || shared.stop_requested() {
-                        break;
-                    }
-                    match reservoir.decide(&mut rng) {
-                        Some(slot) => {
-                            let snap = Arc::new(host.capture_snapshot(model)?);
-                            reservoir.place(slot, snap.clone())?;
-                            let epoch = shared.advance_epoch(slot);
-                            strober_probe::counter_add("strober.core.pipeline.streamed", 1);
-                            if !shared.queue.push(WorkItem { slot, epoch, snap }) {
-                                // A worker hit an error and closed the
-                                // queue; its error surfaces after join.
-                                break;
-                            }
-                            strober_probe::gauge_set(
-                                "strober.core.pipeline.queue_depth",
-                                shared.queue.len() as f64,
-                            );
-                        }
-                        None => {
-                            host.run(model, window)?;
-                        }
-                    }
-                    windows += 1;
+                    queued
+                },
+                |windows| {
                     shared.windows.store(windows, Ordering::Relaxed);
-                    if windows.is_multiple_of(stride) {
-                        last_report = windows;
-                        ctl.report(Progress::SimWindows {
-                            windows,
-                            target_cycles: host.target_cycles(),
-                        });
-                    }
-                }
-                Ok(())
-            })();
+                    shared.aborted() || shared.stop_requested()
+                },
+            );
             // Capture is over (or failed): close the queue so workers
             // drain the backlog and exit. On abort they bail immediately.
             shared.queue.close();
-            result
-        });
-        producer_result?;
+            sampled
+        })?;
         if let Some(e) = shared.take_error() {
             return Err(e);
         }
         if ctl.is_cancelled() {
             return Err(StroberError::Cancelled);
         }
-        if last_report != windows {
-            ctl.report(Progress::SimWindows {
-                windows,
-                target_cycles: host.target_cycles(),
-            });
-        }
-
-        if strober_probe::enabled() {
-            let elapsed = t0.elapsed().as_secs_f64();
-            if elapsed > 0.0 {
-                let rate = host.target_cycles() as f64 / elapsed;
-                strober_probe::gauge_set("strober.core.sim_cycles_per_sec", rate);
-                if let Some(labels) = ctl.labels {
-                    strober_probe::gauge_set_labeled(
-                        "strober.core.sim_cycles_per_sec",
-                        labels,
-                        rate,
-                    );
-                }
-            }
-        }
-
-        let records = reservoir.records();
-        let snapshots: Vec<FameSnapshot> = reservoir
-            .into_sample()
-            .into_iter()
-            .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
-            .collect();
-        let results = shared.into_results(snapshots.len());
+        let filled = sampled.reservoir.sample().len();
+        let results = shared.into_results(filled);
         record_replay_rate(results.len(), t0, ctl);
 
         // The stop reason, with the achieved ε recomputed over the final
         // drained sample (the in-flight trigger evaluated a subset).
         let stop = match stopping {
-            Some(rule) if !model.is_done() && host.target_cycles() < max_cycles => {
+            Some(rule) if !model.is_done() && sampled.stats.target_cycles < max_cycles => {
                 let powers: Vec<f64> = results.iter().map(|r| r.power.total_mw()).collect();
                 let achieved = SampleStats::from_measurements(&powers)
                     .map(|stats| {
                         stats
-                            .confidence_interval(windows as usize, rule.confidence())
+                            .confidence_interval(sampled.windows as usize, rule.confidence())
                             .relative_error_bound()
                     })
                     .unwrap_or(f64::INFINITY);
@@ -743,15 +700,7 @@ impl StroberFlow {
             _ if model.is_done() => StopReason::WorkloadDone,
             _ => StopReason::MaxCycles,
         };
-        let run = SampledRun {
-            snapshots,
-            target_cycles: host.target_cycles(),
-            windows,
-            records,
-            stats: host.stats(),
-            stop,
-        };
-        Ok((run, results))
+        Ok((sampled.into_run(stop), results))
     }
 
     /// Assembles one snapshot's bulk-load state through the verified name
@@ -1022,11 +971,6 @@ impl StroberFlow {
         }
         let parallelism = parallelism.max(1);
         let replay_t0 = std::time::Instant::now();
-        if batch_lanes == 1 {
-            let out = self.replay_all_scalar(snapshots, parallelism, ctl)?;
-            record_replay_rate(out.len(), replay_t0, ctl);
-            return Ok(out);
-        }
 
         // Batch formation: group by trace length (lanes share one
         // instruction stream), then cut each group into lane-sized runs,
@@ -1039,82 +983,65 @@ impl StroberFlow {
                 None => by_len.push((len, vec![i])),
             }
         }
-        let mut batches: Vec<Vec<usize>> = Vec::new();
-        for (_, idxs) in by_len {
-            for chunk in idxs.chunks(batch_lanes) {
-                batches.push(chunk.to_vec());
-            }
-        }
+        let batches: Vec<&[usize]> = by_len
+            .iter()
+            .flat_map(|(_, idxs)| idxs.chunks(batch_lanes))
+            .collect();
 
-        let total_batches = batches.len() as u64;
-        let done_batches = AtomicU64::new(0);
-        let bump = |ctl: &RunControl<'_>| {
-            let done = done_batches.fetch_add(1, Ordering::Relaxed) + 1;
+        let total = batches.len() as u64;
+        let done = AtomicU64::new(0);
+        // One cancellation / progress quantum. A batch of one lane takes
+        // the scalar `GateSim` reference path.
+        let run_batch = |batch: &[usize]| -> Result<Vec<ReplayResult>, StroberError> {
+            if ctl.is_cancelled() {
+                return Err(StroberError::Cancelled);
+            }
+            let results = if batch_lanes == 1 {
+                vec![self.replay(&snapshots[batch[0]])?]
+            } else {
+                let refs: Vec<&FameSnapshot> = batch.iter().map(|&i| &snapshots[i]).collect();
+                self.replay_batch(&refs)?
+            };
             ctl.report(Progress::ReplayBatches {
-                done,
-                total: total_batches,
+                done: done.fetch_add(1, Ordering::Relaxed) + 1,
+                total,
             });
+            Ok(results)
         };
 
-        let mut slots: Vec<Option<ReplayResult>> = (0..snapshots.len()).map(|_| None).collect();
-        if parallelism == 1 || batches.len() <= 1 {
-            for b in &batches {
-                if ctl.is_cancelled() {
-                    return Err(StroberError::Cancelled);
-                }
-                let refs: Vec<&FameSnapshot> = b.iter().map(|&i| &snapshots[i]).collect();
-                for (&i, r) in b.iter().zip(self.replay_batch(&refs)?) {
-                    slots[i] = Some(r);
-                }
-                bump(ctl);
-            }
+        let per_batch: Vec<Vec<ReplayResult>> = if parallelism == 1 || batches.len() <= 1 {
+            batches
+                .iter()
+                .map(|b| run_batch(b))
+                .collect::<Result<_, _>>()?
         } else {
+            // Contiguous blocks of batches per worker, joined in spawn
+            // order, so flattening restores batch order.
             let chunk = batches.len().div_ceil(parallelism);
-            let mut results: Vec<Option<Result<Vec<ReplayResult>, StroberError>>> =
-                (0..batches.len()).map(|_| None).collect();
             std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (ci, block) in batches.chunks(chunk).enumerate() {
-                    let flow = &*self;
-                    let bump = &bump;
-                    handles.push((
-                        ci,
+                let handles: Vec<_> = batches
+                    .chunks(chunk)
+                    .enumerate()
+                    .map(|(ci, block)| {
+                        let run_batch = &run_batch;
                         scope.spawn(move || {
                             let _span =
                                 strober_probe::span(format!("strober.core.replay_worker.{ci}"));
-                            block
-                                .iter()
-                                .map(|b| {
-                                    if ctl.is_cancelled() {
-                                        return Err(StroberError::Cancelled);
-                                    }
-                                    let refs: Vec<&FameSnapshot> =
-                                        b.iter().map(|&i| &snapshots[i]).collect();
-                                    let r = flow.replay_batch(&refs);
-                                    if r.is_ok() {
-                                        bump(ctl);
-                                    }
-                                    r
-                                })
-                                .collect::<Vec<_>>()
-                        }),
-                    ));
-                }
-                for (ci, h) in handles {
-                    for (j, r) in h
-                        .join()
-                        .expect("replay worker panicked")
-                        .into_iter()
-                        .enumerate()
-                    {
-                        results[ci * chunk + j] = Some(r);
-                    }
-                }
-            });
-            for (b, r) in batches.iter().zip(results) {
-                for (&i, r) in b.iter().zip(r.expect("all slots filled")?) {
-                    slots[i] = Some(r);
-                }
+                            block.iter().map(|b| run_batch(b)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("replay worker panicked"))
+                    .collect::<Result<_, _>>()
+            })?
+        };
+
+        let mut slots: Vec<Option<ReplayResult>> = (0..snapshots.len()).map(|_| None).collect();
+        for (batch, results) in batches.iter().zip(per_batch) {
+            for (&i, r) in batch.iter().zip(results) {
+                slots[i] = Some(r);
             }
         }
         record_replay_rate(snapshots.len(), replay_t0, ctl);
@@ -1140,58 +1067,6 @@ impl StroberFlow {
         self.replay_all_batched(snapshots, parallelism, MAX_LANES)
     }
 
-    /// The scalar reference path: one snapshot per replay, chunked over
-    /// worker threads. Each snapshot is one cancellation / progress
-    /// quantum (a batch of one).
-    fn replay_all_scalar(
-        &self,
-        snapshots: &[FameSnapshot],
-        parallelism: usize,
-        ctl: &RunControl<'_>,
-    ) -> Result<Vec<ReplayResult>, StroberError> {
-        let total = snapshots.len() as u64;
-        let done = AtomicU64::new(0);
-        let one = |s: &FameSnapshot| {
-            if ctl.is_cancelled() {
-                return Err(StroberError::Cancelled);
-            }
-            let r = self.replay(s)?;
-            ctl.report(Progress::ReplayBatches {
-                done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                total,
-            });
-            Ok(r)
-        };
-        if parallelism == 1 || snapshots.len() <= 1 {
-            return snapshots.iter().map(one).collect();
-        }
-        let chunk = snapshots.len().div_ceil(parallelism);
-        let mut out: Vec<Option<Result<ReplayResult, StroberError>>> =
-            (0..snapshots.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (ci, block) in snapshots.chunks(chunk).enumerate() {
-                let one = &one;
-                handles.push((
-                    ci,
-                    scope.spawn(move || {
-                        let _span = strober_probe::span(format!("strober.core.replay_worker.{ci}"));
-                        block.iter().map(one).collect::<Vec<_>>()
-                    }),
-                ));
-            }
-            for (ci, h) in handles {
-                let results = h.join().expect("replay worker panicked");
-                for (i, r) in results.into_iter().enumerate() {
-                    out[ci * chunk + i] = Some(r);
-                }
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect()
-    }
-
     /// Combines a sampled run and its replay results into the final
     /// energy estimate with a confidence interval.
     ///
@@ -1213,6 +1088,35 @@ impl StroberFlow {
             self.config.freq_hz,
             self.config.confidence,
         )?)
+    }
+}
+
+/// What [`StroberFlow::sample_windows`] leaves behind: the host session's
+/// counters, the filled reservoir and the window count.
+struct Sampled {
+    stats: PlatformStats,
+    reservoir: Reservoir<Arc<FameSnapshot>>,
+    windows: u64,
+}
+
+impl Sampled {
+    fn into_run(self, stop: StopReason) -> SampledRun {
+        let records = self.reservoir.records();
+        SampledRun {
+            // Replay workers drop their references before the pipeline
+            // joins, so the unwrap only clones if one is still alive.
+            snapshots: self
+                .reservoir
+                .into_sample()
+                .into_iter()
+                .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
+                .collect(),
+            target_cycles: self.stats.target_cycles,
+            windows: self.windows,
+            records,
+            stats: self.stats,
+            stop,
+        }
     }
 }
 

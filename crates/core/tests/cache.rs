@@ -2,7 +2,7 @@
 //! be indistinguishable — bit for bit — from one prepared cold.
 
 use std::path::{Path, PathBuf};
-use strober::{StroberConfig, StroberFlow};
+use strober::{HubEngine, StroberConfig, StroberFlow};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
 use strober_isa::{assemble, programs};
@@ -124,4 +124,49 @@ fn fingerprint_tracks_design_and_config() {
         base,
         "design changes change the key"
     );
+
+    let with_warmup = StroberConfig {
+        warmup: 4,
+        ..small_config()
+    };
+    assert_ne!(
+        StroberFlow::prepare_fingerprint(&design, &with_warmup),
+        base,
+        "the warmup prefix is part of the FAME window"
+    );
+
+    // Knobs preparation never reads stay out of the key.
+    assert_eq!(
+        StroberFlow::prepare_fingerprint(&design, &run_only_variant()),
+        base,
+        "seed, sample size, frequency and engine do not re-prepare"
+    );
+}
+
+/// `small_config()` with every run-only knob changed.
+fn run_only_variant() -> StroberConfig {
+    let mut config = StroberConfig {
+        seed: 2,
+        sample_size: 5,
+        freq_hz: 2.0e9,
+        ..small_config()
+    };
+    config.platform.hub_engine = HubEngine::Jit;
+    config.platform.tape_opt = false;
+    config
+}
+
+#[test]
+fn run_only_knobs_hit_the_store() {
+    let dir = TempDir::new("run_only");
+    let mut store = Store::open(dir.path()).unwrap();
+    let design = build_core(&CoreConfig::rok_tiny());
+
+    let (_, hit) = StroberFlow::prepare_cached(&design, small_config(), &mut store).unwrap();
+    assert!(!hit, "first preparation must miss");
+    let (flow, hit) = StroberFlow::prepare_cached(&design, run_only_variant(), &mut store).unwrap();
+    assert!(hit, "a new seed or engine must not redo FAME/synth/formal");
+    // The session still runs under the configuration it was asked for.
+    assert_eq!(flow.config().seed, 2);
+    assert_eq!(flow.config().platform.hub_engine, HubEngine::Jit);
 }

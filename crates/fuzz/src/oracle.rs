@@ -8,7 +8,6 @@
 //! | `naive`     | tree-walking interpreter                 | (reference)      |
 //! | `tape`      | compiled op-tape, optimizing compiler    | `naive`          |
 //! | `tape-raw`  | compiled op-tape, optimizer disabled     | `naive`          |
-//! | `tape-par@T`| optimized op-tape on T settle workers    | `naive`          |
 //! | `tape-jit`  | rustc-compiled native settle dylib       | `naive`          |
 //! | `fame`      | FAME1 hub with `fire` held high          | `naive`          |
 //! | `gate`      | scalar gate-level sim of the netlist     | `naive`/`tape`   |
@@ -384,32 +383,6 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
             )
             .map_err(|d| err(oracle, d))?;
             compare_rtl(oracle, &run, reference, &outputs)?;
-        }
-    }
-
-    // --- Oracle: partitioned multi-threaded tape engine, both streams.
-    // Same optimized tape as `tape`, settled on a worker pool — every
-    // fuzz seed differentially tests the partition planner and barrier
-    // discipline against the tree-walking reference.
-    for &threads in &[2usize, 4] {
-        let oracle = format!("tape-par@{threads}");
-        for (stream_lane, reference) in refs.iter().enumerate() {
-            let stream = lane_stream(genome, stream_lane);
-            let mut tape = Simulator::new(&design).map_err(|e| err(&oracle, e.to_string()))?;
-            tape.set_threads(threads);
-            let run = run_rtl(
-                &mut tape,
-                &ports,
-                &outputs,
-                stream,
-                cycles,
-                |e, n, v| e.poke_by_name(n, v).map_err(|e| e.to_string()),
-                |e, n| e.peek_output(n).map_err(|e| e.to_string()),
-                |e| e.step(),
-                |e| e.state(),
-            )
-            .map_err(|d| err(&oracle, d))?;
-            compare_rtl(&oracle, &run, reference, &outputs)?;
         }
     }
 

@@ -119,32 +119,24 @@ impl OutputView<'_> {
 /// DESIGN.md §16's which-engine-when table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum HubEngine {
-    /// Backward-compatible default: [`PlatformConfig::hub_threads`]
-    /// decides — 1 keeps the sequential tape walk, more selects the
-    /// partitioned engine. Never JIT-compiles on its own, but keeps a
-    /// pre-attached native engine if the flow installed one.
+    /// The interpreted tape walk. Never JIT-compiles on its own, but
+    /// keeps a pre-attached native engine if the flow installed one.
     #[default]
     Auto,
-    /// Force the sequential interpreted tape walk, detaching any native
-    /// engine and ignoring `hub_threads`.
+    /// Force the interpreted tape walk, detaching any native engine.
     Interp,
-    /// Force the partitioned multi-threaded settle engine with
-    /// `hub_threads.max(2)` workers (DESIGN.md §14).
-    Partitioned,
     /// JIT-compile the tape to native code via `strober-jit`. Falls back
-    /// down the ladder (partitioned if `hub_threads > 1`, else the
-    /// sequential walk) when no `rustc` is on `PATH` or compilation
+    /// to the tape walk when no `rustc` is on `PATH` or compilation
     /// fails, counting `strober.jit.fallback`.
     Jit,
 }
 
 impl HubEngine {
-    /// The wire/CLI name (`auto`, `interp`, `partitioned`, `jit`).
+    /// The wire/CLI name (`auto`, `interp`, `jit`).
     pub fn name(self) -> &'static str {
         match self {
             HubEngine::Auto => "auto",
             HubEngine::Interp => "interp",
-            HubEngine::Partitioned => "partitioned",
             HubEngine::Jit => "jit",
         }
     }
@@ -154,7 +146,6 @@ impl HubEngine {
         match name {
             "auto" => Some(HubEngine::Auto),
             "interp" => Some(HubEngine::Interp),
-            "partitioned" => Some(HubEngine::Partitioned),
             "jit" => Some(HubEngine::Jit),
             _ => None,
         }
@@ -167,7 +158,8 @@ impl std::fmt::Display for HubEngine {
     }
 }
 
-/// Cost-model parameters for the simulated platform.
+/// Cost-model parameters for the simulated platform, plus the two
+/// switches that pick how the hub simulator is built and settled.
 ///
 /// Defaults reproduce the paper's measured environment: a ~50 MHz fabric
 /// clock, a host synchronisation stall every 256 target cycles costing a
@@ -188,24 +180,9 @@ pub struct PlatformConfig {
     /// Whether the hub simulator runs the optimizing tape compiler
     /// (default `true`); the CLI `--no-tape-opt` escape hatch clears it.
     pub tape_opt: bool,
-    /// Worker threads for the hub simulator's combinational settle
-    /// (default 1 = sequential). Values above 1 select the partitioned
-    /// parallel engine (DESIGN.md §14); results are bit-identical either
-    /// way. The CLI `--hub-threads` flag sets this.
-    pub hub_threads: usize,
-    /// Which settle engine drives the hub (default [`HubEngine::Auto`]:
-    /// `hub_threads` decides). The CLI `--hub-engine` flag sets this.
+    /// Which settle engine drives the hub (default [`HubEngine::Auto`]).
+    /// The CLI `--hub-engine` flag sets this.
     pub hub_engine: HubEngine,
-    /// Target relative error ε for confidence-driven adaptive sampling
-    /// (default 0 = disabled). Any value in `(0, 1)` makes the streaming
-    /// pipeline stop capture once the estimate's relative error bound
-    /// reaches ε (DESIGN.md §15). The CLI `--target-error` flag sets
-    /// this.
-    pub target_error: f64,
-    /// Minimum replayed samples before the adaptive stopping rule may
-    /// fire (default 30, eq. 8's CLT floor). Ignored when `target_error`
-    /// is 0. The CLI `--min-samples` flag sets this.
-    pub min_samples: usize,
 }
 
 impl Default for PlatformConfig {
@@ -216,10 +193,7 @@ impl Default for PlatformConfig {
             sync_penalty_cycles: 3020,
             record_fixed_seconds: 1.3,
             tape_opt: true,
-            hub_threads: 1,
             hub_engine: HubEngine::Auto,
-            target_error: 0.0,
-            min_samples: 30,
         }
     }
 }
@@ -287,37 +261,23 @@ pub struct ZynqHost {
     records: u64,
 }
 
-/// Applies [`PlatformConfig::hub_engine`] to a hub simulator — the one
-/// place engine selection happens.
+/// Applies a [`HubEngine`] choice to a hub simulator — the one place
+/// engine selection happens.
 ///
 /// `Jit` keeps a native engine the flow pre-attached (the store-backed
-/// warm path); otherwise it compiles into the temp cache here. Failures
-/// walk the fallback ladder — partitioned when `hub_threads > 1`, else
-/// the sequential walk — and count `strober.jit.fallback`, so a missing
-/// `rustc` degrades a run's speed, never its results.
-fn apply_engine(sim: &mut Simulator, cfg: &PlatformConfig) {
-    match cfg.hub_engine {
-        HubEngine::Auto => {
-            // PR8-compatible: thread count decides. A pre-attached native
-            // engine (which dispatches ahead of both) is left in place.
-            sim.set_threads(cfg.hub_threads.max(1));
-        }
-        HubEngine::Interp => {
-            sim.detach_jit();
-            sim.set_threads(1);
-        }
-        HubEngine::Partitioned => {
-            sim.detach_jit();
-            sim.set_threads(cfg.hub_threads.max(2));
-        }
+/// warm path); otherwise it compiles into the temp cache here. A failure
+/// falls back to the tape walk and counts `strober.jit.fallback`, so a
+/// missing `rustc` degrades a run's speed, never its results.
+fn apply_engine(sim: &mut Simulator, engine: HubEngine) {
+    match engine {
+        HubEngine::Auto => {}
+        HubEngine::Interp => sim.detach_jit(),
         HubEngine::Jit => {
-            sim.set_threads(cfg.hub_threads.max(1));
             if sim.has_jit() {
                 return;
             }
-            match strober_jit::JitCompiler::in_temp().attach(sim) {
-                Ok(_) => {}
-                Err(e) => strober_jit::record_fallback(&e.to_string()),
+            if let Err(e) = strober_jit::JitCompiler::in_temp().attach(sim) {
+                strober_jit::record_fallback(&e.to_string());
             }
         }
     }
@@ -374,7 +334,7 @@ impl ZynqHost {
             .collect();
         // Single choke point for the engine selection: both the flow's
         // cached-simulator path and `ZynqHost::new` funnel through here.
-        apply_engine(&mut sim, &cfg);
+        apply_engine(&mut sim, cfg.hub_engine);
         ctl.set_fire(&mut sim, true)?;
         Ok(ZynqHost {
             sim,
@@ -390,7 +350,7 @@ impl ZynqHost {
     }
 
     /// The settle engine actually in effect after selection and any
-    /// fallback (`"tape"`, `"tape-partitioned"` or `"tape-jit"`).
+    /// fallback (`"tape"` or `"tape-jit"`).
     pub fn engine_name(&self) -> &'static str {
         self.sim.active_engine_name()
     }
@@ -614,6 +574,53 @@ mod tests {
         assert!(
             (3.5e6..4.3e6).contains(&effective),
             "effective rate {effective} outside the Table III band"
+        );
+    }
+
+    /// A native engine that carries the right signature and computes
+    /// nothing: enough to observe what `apply_engine` attaches and
+    /// detaches without needing `rustc`.
+    #[derive(Debug)]
+    struct Inert(u64);
+
+    impl strober_sim::NativeSettle for Inert {
+        fn settle(&self, _: &mut [u64], _: &[u64], _: &[u64], _: &[Vec<u64>]) {}
+
+        fn signature(&self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn apply_engine_has_three_arms() {
+        let hub = Simulator::new(&fame().hub).unwrap();
+        let attached = || {
+            let mut sim = hub.clone();
+            let sig = sim.jit_source().sig;
+            sim.attach_jit(std::sync::Arc::new(Inert(sig))).unwrap();
+            sim
+        };
+
+        let mut sim = attached();
+        apply_engine(&mut sim, HubEngine::Auto);
+        assert!(sim.has_jit(), "auto keeps a pre-attached native engine");
+        let mut sim = hub.clone();
+        apply_engine(&mut sim, HubEngine::Auto);
+        assert!(!sim.has_jit(), "auto never compiles on its own");
+
+        let mut sim = attached();
+        apply_engine(&mut sim, HubEngine::Interp);
+        assert_eq!(sim.active_engine_name(), "tape", "interp detaches");
+
+        let mut sim = attached();
+        apply_engine(&mut sim, HubEngine::Jit);
+        assert!(sim.has_jit(), "jit keeps a pre-attached native engine");
+        let mut sim = hub.clone();
+        apply_engine(&mut sim, HubEngine::Jit);
+        assert_eq!(
+            sim.has_jit(),
+            strober_jit::rustc_version().is_some(),
+            "jit attaches when it can compile, else falls back to the tape"
         );
     }
 

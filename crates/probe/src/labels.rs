@@ -59,8 +59,8 @@ impl Labels {
         self.set("design", design.to_owned())
     }
 
-    /// Sets the `engine` label (the hub settle engine, e.g. `tape`,
-    /// `tape-partitioned`, `tape-jit`).
+    /// Sets the `engine` label (the hub settle engine: `tape` or
+    /// `tape-jit`).
     #[must_use]
     pub fn engine(self, engine: &str) -> Labels {
         self.set("engine", engine.to_owned())

@@ -17,17 +17,15 @@ use crate::queue::JobEntry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use strober::{
-    HubEngine, Progress, ReplayResult, RunControl, StoppingRule, StroberConfig, StroberError,
-    StroberFlow,
-};
+use strober::{Progress, ReplayResult, RunControl, StroberConfig, StroberError, StroberFlow};
 use strober_cores::build_core;
 use strober_dram::{DramConfig, DramModel, LpddrPowerParams};
 use strober_fuzz::{run_fuzz_cancellable, FuzzOptions, OracleConfig};
 use strober_isa::programs;
 use strober_rtl::Design;
 use strober_store::{
-    CodegenProvenance, Fingerprint, Fnv1a, JobProvenance, RunManifest, SamplingOutcome, Store,
+    fingerprint_parts, CodegenProvenance, Fingerprint, Fnv1a, JobProvenance, RunManifest,
+    SamplingOutcome, Store,
 };
 
 /// How a job ended without producing a result.
@@ -57,46 +55,8 @@ pub(crate) fn validate(spec: &JobSpec) -> Result<(), WireError> {
     let bad = |m: String| Err(WireError::new(ErrorKind::BadSpec, m));
     match spec {
         JobSpec::Estimate(e) | JobSpec::Replay(e) => {
-            if let Err(m) = catalog::core_config(&e.core) {
+            if let Err(m) = e.validate() {
                 return bad(m);
-            }
-            if e.asm.is_none() && catalog::workload_source(&e.workload).is_none() {
-                return bad(format!("unknown workload `{}`", e.workload));
-            }
-            if e.samples < 2 {
-                return bad("samples: need at least 2 for a variance estimate".to_owned());
-            }
-            if e.replay_length == 0 {
-                return bad("replay_length: must be at least 1".to_owned());
-            }
-            if e.batch_lanes == 0 || e.batch_lanes > 64 {
-                return bad("batch_lanes: must be in 1..=64".to_owned());
-            }
-            if e.hub_threads == 0 || e.hub_threads > 64 {
-                return bad("hub_threads: must be in 1..=64".to_owned());
-            }
-            if HubEngine::from_name(&e.hub_engine).is_none() {
-                return bad(format!(
-                    "hub_engine: unknown engine `{}` (must be one of auto|interp|partitioned|jit)",
-                    e.hub_engine
-                ));
-            }
-            if e.max_cycles == 0 {
-                return bad("max_cycles: must be at least 1".to_owned());
-            }
-            if e.target_error != 0.0 {
-                if !(e.target_error > 0.0 && e.target_error < 1.0) {
-                    return bad("target_error: must be 0 (disabled) or in (0, 1)".to_owned());
-                }
-                if e.min_samples < 2 {
-                    return bad("min_samples: need at least 2 for a variance estimate".to_owned());
-                }
-                if e.min_samples > e.samples {
-                    return bad(format!(
-                        "min_samples: floor {} exceeds the sample size {} — the stopping rule could never fire",
-                        e.min_samples, e.samples
-                    ));
-                }
             }
         }
         JobSpec::Fuzz(f) => {
@@ -127,7 +87,10 @@ pub fn replay_fingerprint(results: &[ReplayResult]) -> String {
 }
 
 /// The server's warm flow cache: one prepared [`StroberFlow`] per design
-/// fingerprint, held for the daemon's lifetime. The flow itself caches
+/// and session configuration, held for the daemon's lifetime. The key
+/// covers the run knobs too — unlike the artifact-store key — because a
+/// flow bakes its seed and sample size in: sharing one across seeds
+/// would return the first seed's answer. The flow itself caches
 /// its lowered hub simulator and compiled gate tape, so a warm hit skips
 /// *all* per-design work. Hits and misses are observable as the
 /// `strober.server.prepare_{warm,store,cold}` counters.
@@ -146,7 +109,7 @@ impl FlowCache {
         config: StroberConfig,
         store: Option<&Mutex<Store>>,
     ) -> Result<(Arc<StroberFlow>, &'static str), StroberError> {
-        let key = StroberFlow::prepare_fingerprint(design, &config).to_hex();
+        let key = fingerprint_parts(&[design, &config]).to_hex();
         if let Some(flow) = self.flows.lock().expect("flow cache lock").get(&key) {
             strober_probe::counter_add("strober.server.prepare_warm", 1);
             return Ok((flow.clone(), "warm"));
@@ -226,17 +189,7 @@ fn run_estimate(
     let core = catalog::core_config(&spec.core).map_err(bad_spec)?;
     let image = catalog::image_for(&spec.workload, &spec.asm).map_err(bad_spec)?;
     let design = build_core(&core);
-    let mut session = StroberConfig {
-        replay_length: spec.replay_length,
-        sample_size: spec.samples,
-        seed: spec.seed,
-        ..StroberConfig::default()
-    };
-    session.platform.tape_opt = spec.tape_opt;
-    session.platform.hub_threads = spec.hub_threads.max(1);
-    session.platform.hub_engine = HubEngine::from_name(&spec.hub_engine).unwrap_or(HubEngine::Auto);
-    session.platform.target_error = spec.target_error;
-    session.platform.min_samples = spec.min_samples;
+    let session = spec.session_config().map_err(bad_spec)?;
 
     let workload_desc = if spec.asm.is_some() {
         "inline-asm".to_owned()
@@ -328,24 +281,19 @@ fn run_estimate(
     } else {
         spec.parallel
     };
-    let (run, results) = if spec.target_error > 0.0 {
+    let rule = spec.stopping_rule(flow.config()).map_err(bad_spec)?;
+    let (run, results) = if rule.is_some() {
         // Adaptive runs take the streaming pipeline: capture and replay
         // overlap as one stage, and the rule may stop the run before the
         // workload halts — that is the point, so the halt check only
         // applies when the rule did *not* fire.
-        let rule = StoppingRule::new(
-            spec.target_error,
-            flow.config().confidence,
-            spec.min_samples,
-        )
-        .map_err(|e| bad_spec(e.to_string()))?;
         let t = Instant::now();
         let (run, results) = flow.replay_streaming(
             &mut dram,
             spec.max_cycles,
             parallel,
             spec.batch_lanes,
-            Some(rule),
+            rule,
             &ctl,
         )?;
         stage(job, &mut manifest, "stream", t);
@@ -380,7 +328,7 @@ fn run_estimate(
     };
     manifest.sampling = Some(SamplingOutcome {
         stop_reason: run.stop.as_str().to_owned(),
-        target_epsilon: (spec.target_error > 0.0).then_some(spec.target_error),
+        target_epsilon: rule.map(|r| r.target_epsilon()),
         achieved_epsilon,
     });
 

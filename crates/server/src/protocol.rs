@@ -8,6 +8,8 @@
 //! externally-tagged JSON with every field always present; see
 //! [`crate::frame`] for how messages are framed on the socket.
 
+use crate::catalog;
+use strober::{HubEngine, StoppingRule, StroberConfig};
 use strober_probe::MetricsSnapshot;
 use strober_store::RunManifest;
 
@@ -17,8 +19,8 @@ use strober_store::RunManifest;
 ///
 /// Revision 2 added the telemetry surface: [`Request::Watch`],
 /// [`Request::Scrape`], and the [`ServerMsg::Watch`] frame.
-/// Revision 3 added [`EstimateSpec::hub_threads`] (the partitioned
-/// multi-threaded hub engine); every field is always present on the
+/// Revision 3 added a settle-thread count to [`EstimateSpec`] for a
+/// multi-threaded hub engine; every field is always present on the
 /// wire, so older clients cannot interoperate and the revision bumps.
 /// Revision 4 added the adaptive sampling surface:
 /// [`EstimateSpec::target_error`] and [`EstimateSpec::min_samples`]
@@ -29,7 +31,12 @@ use strober_store::RunManifest;
 /// engine selection, including the JIT-compiled native engine) and the
 /// manifest carried in [`EstimateOutcome`] moved to schema v6 with
 /// codegen provenance.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// Revision 6 removed revision 3's thread count and that engine's
+/// [`EstimateSpec::hub_engine`] value together with the engine itself
+/// (DESIGN.md §14). Unknown fields are ignored on decode, so a
+/// revision-5 spec still parses; an engine name off the
+/// `auto|interp|jit` ladder is rejected, never remapped.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Scheduling class of a job. Higher classes are always dequeued before
 /// lower ones; within a class jobs run in submission order.
@@ -91,10 +98,15 @@ impl JobState {
     }
 }
 
-/// Parameters of an estimate (or replay) job — the server-side mirror of
-/// `strober estimate`'s knobs. Designs and workloads are referenced by
-/// catalog name so the server rebuilds them deterministically; custom
-/// programs travel inline as assembly text in `asm`.
+/// Parameters of an estimate (or replay) job, and the one declaration of
+/// the run knobs: `strober estimate` and `strober submit` parse their
+/// flags into this struct, the wire carries it, and
+/// [`validate`](EstimateSpec::validate) /
+/// [`session_config`](EstimateSpec::session_config) are the only bounds
+/// check and the only mapping into a [`StroberConfig`]. Designs and
+/// workloads are referenced by catalog name so the server rebuilds them
+/// deterministically; custom programs travel inline as assembly text in
+/// `asm`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EstimateSpec {
     /// Core configuration name (see [`crate::catalog::CORES`]).
@@ -111,19 +123,16 @@ pub struct EstimateSpec {
     pub seed: u64,
     /// Cycle budget for the fast simulation.
     pub max_cycles: u64,
-    /// Replay worker threads; 0 = the server's default parallelism.
+    /// Replay worker threads; 0 = every hardware thread of the machine
+    /// that runs the job.
     pub parallel: usize,
     /// Bit-parallel replay lanes per worker (1..=64).
     pub batch_lanes: usize,
     /// Run the hub simulator's optimizing tape compiler.
     pub tape_opt: bool,
-    /// Hub-simulator settle worker threads (1 = sequential; 2..=64
-    /// selects the partitioned parallel engine, bit-identical results).
-    pub hub_threads: usize,
-    /// Hub settle engine: `auto` (threads decide), `interp` (sequential
-    /// interpreter), `partitioned` (multi-threaded interpreter) or `jit`
-    /// (native code compiled from the op tape; falls back to the
-    /// interpreter when no `rustc` is available). All engines are
+    /// Hub settle engine: `auto` or `interp` (the interpreted tape walk)
+    /// or `jit` (native code compiled from the op tape; falls back to
+    /// the interpreter when no `rustc` is available). All engines are
     /// bit-identical.
     pub hub_engine: String,
     /// Target relative error ε for the adaptive stopping rule; 0 disables
@@ -150,11 +159,89 @@ impl Default for EstimateSpec {
             parallel: 0,
             batch_lanes: 64,
             tape_opt: true,
-            hub_threads: 1,
             hub_engine: "auto".to_owned(),
             target_error: 0.0,
             min_samples: 30,
         }
+    }
+}
+
+impl EstimateSpec {
+    /// The one bounds check of the run knobs, applied where a spec enters
+    /// the program: by the CLI parser after the flags are read and by the
+    /// server before a job costs a queue slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        catalog::core_config(&self.core)?;
+        if self.asm.is_none() && !catalog::WORKLOADS.iter().any(|(n, _)| *n == self.workload) {
+            return Err(format!("unknown workload `{}`", self.workload));
+        }
+        if self.samples < 2 {
+            return Err("samples: need at least 2 for a variance estimate".to_owned());
+        }
+        if self.replay_length == 0 {
+            return Err("replay_length: must be at least 1".to_owned());
+        }
+        if self.batch_lanes == 0 || self.batch_lanes > 64 {
+            return Err("batch_lanes: must be in 1..=64".to_owned());
+        }
+        if self.max_cycles == 0 {
+            return Err("max_cycles: must be at least 1".to_owned());
+        }
+        let config = self.session_config()?;
+        if self.stopping_rule(&config)?.is_some() && self.min_samples > self.samples {
+            return Err(format!(
+                "min_samples: floor {} exceeds the sample size {} — the stopping rule could never fire",
+                self.min_samples, self.samples
+            ));
+        }
+        Ok(())
+    }
+
+    /// The one mapping from the run knobs into a session configuration,
+    /// shared by `strober estimate` and the server's workers — the root
+    /// of the served-vs-one-shot bit-identity guarantee.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted engines when `hub_engine` is
+    /// not one of them; an unknown engine is never mapped to another.
+    pub fn session_config(&self) -> Result<StroberConfig, String> {
+        let hub_engine = HubEngine::from_name(&self.hub_engine).ok_or_else(|| {
+            format!(
+                "hub_engine: unknown engine `{}` (must be one of auto|interp|jit)",
+                self.hub_engine
+            )
+        })?;
+        let mut config = StroberConfig {
+            replay_length: self.replay_length,
+            sample_size: self.samples,
+            seed: self.seed,
+            ..StroberConfig::default()
+        };
+        config.platform.tape_opt = self.tape_opt;
+        config.platform.hub_engine = hub_engine;
+        Ok(config)
+    }
+
+    /// The adaptive stopping rule this spec asks for, evaluated at the
+    /// session's confidence level; `None` when `target_error` is 0
+    /// (fixed-size run).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `target_error` is outside `(0, 1)` or
+    /// `min_samples` is below 2.
+    pub fn stopping_rule(&self, session: &StroberConfig) -> Result<Option<StoppingRule>, String> {
+        if self.target_error == 0.0 {
+            return Ok(None);
+        }
+        StoppingRule::new(self.target_error, session.confidence, self.min_samples)
+            .map(Some)
+            .map_err(|e| format!("stopping rule: {e}"))
     }
 }
 

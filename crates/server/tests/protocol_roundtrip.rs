@@ -83,7 +83,7 @@ fn every_request_variant_round_trips() {
                 parallel: 3,
                 batch_lanes: 8,
                 tape_opt: false,
-                hub_threads: 4,
+                hub_engine: "jit".to_owned(),
                 ..EstimateSpec::default()
             }),
             priority: Priority::Low,
@@ -103,6 +103,38 @@ fn every_request_variant_round_trips() {
     ];
     for req in &requests {
         round_trip(req);
+    }
+}
+
+/// Revision 6 dropped a field from `EstimateSpec`. Decoding ignores
+/// fields it does not know, so a spec shaped like revision 5's still
+/// parses; a spec that lacks a field this revision needs does not.
+#[test]
+fn older_spec_shapes_decode_or_fail_typed() {
+    let current = serde_json::to_string(&EstimateSpec::default()).unwrap();
+    let older = current.replacen('{', "{\"retired_knob\":4,", 1);
+    let back: EstimateSpec = serde_json::from_str(&older).expect("unknown fields are ignored");
+    assert_eq!(back, EstimateSpec::default());
+
+    let without_engine = current.replace("\"hub_engine\":\"auto\",", "");
+    assert_ne!(without_engine, current, "the field must have been cut");
+    let err = serde_json::from_str::<EstimateSpec>(&without_engine).unwrap_err();
+    assert!(
+        err.to_string().contains("missing field `hub_engine`"),
+        "{err}"
+    );
+
+    // An engine name off the ladder parses (it is a string on the wire)
+    // and is then rejected by the one validator, naming the legal set.
+    let spec = EstimateSpec {
+        hub_engine: "turbo".to_owned(),
+        ..EstimateSpec::default()
+    };
+    for message in [
+        spec.validate().unwrap_err(),
+        spec.session_config().unwrap_err(),
+    ] {
+        assert!(message.contains("auto|interp|jit"), "{message}");
     }
 }
 

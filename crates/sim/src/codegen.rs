@@ -147,8 +147,8 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
     let mut reads = Vec::new();
     for op in tape {
         reads.clear();
-        crate::partition::operands(op, &mut reads);
-        reads.push(crate::partition::dst(op));
+        op.operands(&mut reads);
+        reads.push(op.dst());
         for &slot in &reads {
             assert!(
                 (slot as usize) < n_values,

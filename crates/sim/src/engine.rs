@@ -1,8 +1,8 @@
 //! The engine interface shared by every simulator variant.
 //!
 //! All engines in this crate — the tree-walking [`NaiveInterpreter`],
-//! the sequential compiled tape, the partitioned multi-threaded settle
-//! and the JIT-compiled native settle — implement identical semantics:
+//! the compiled tape and the JIT-compiled native settle — implement
+//! identical semantics:
 //! combinational *settle*, then *clock edge* (registers capture, memory
 //! writes commit). The [`Engine`] trait makes that implicit contract
 //! explicit so callers can select an engine dynamically and benchmark
@@ -52,17 +52,15 @@ pub trait Engine {
     }
 
     /// A short static label for this engine variant, as used by
-    /// `strober bench report` rows (e.g. `"naive"`, `"tape"`,
-    /// `"tape-partitioned"`, `"tape-jit"`).
+    /// `strober bench report` rows (`"naive"`, `"tape"`, `"tape-jit"`).
     fn engine_name(&self) -> &'static str;
 }
 
 /// A native (JIT-compiled) replacement for the tape settle loop.
 ///
 /// Implementations evaluate exactly the same op tape the sequential
-/// interpreter would walk, writing every slot of `values`. The contract
-/// mirrors the partitioned engine's settle entry point: `values` is the
-/// dense slot slab, `inputs` the per-port input latches, `regs` the
+/// interpreter would walk, writing every externally observed slot of
+/// `values`: `values` is the dense slot slab, `inputs` the per-port input latches, `regs` the
 /// current register file and `mems` the memory arrays. The callee must
 /// not retain pointers past the call.
 ///

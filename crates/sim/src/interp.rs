@@ -6,11 +6,11 @@
 //! register input, memory port and output each cycle, memoising per cycle.
 //!
 //! This is the slowest rung of the engine ladder and the trust anchor for
-//! the faster ones: the optimized tape (DESIGN.md §11) and the partitioned
-//! multi-threaded settle ([`crate::partition`], selected via
-//! [`crate::Simulator::set_threads`]) are both held bit-identical to this
-//! interpreter by the golden equivalence suites and by the fuzz oracle
-//! matrix, which uses it as the reference lane for every other engine.
+//! the faster ones: the optimized tape (DESIGN.md §11) and the native
+//! settle compiled from it ([`crate::Simulator::attach_jit`], DESIGN.md
+//! §16) are both held bit-identical to this interpreter by the golden
+//! equivalence suites and by the fuzz oracle matrix, which uses it as the
+//! reference lane for every other engine.
 
 use crate::engine::Engine;
 use crate::error::SimError;

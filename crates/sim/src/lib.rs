@@ -13,15 +13,9 @@
 //! design, which is precisely the speed differential the sample-based
 //! methodology exploits.
 //!
-//! Four engines are provided:
+//! Three engines are provided:
 //!
 //! * [`Simulator`] — the compiled-tape engine used everywhere.
-//! * [`Simulator::set_threads`] with `threads > 1` switches the same
-//!   simulator to the partitioned multi-threaded settle engine: the tape
-//!   is cut into balanced partitions (with a min-cut refinement pass on
-//!   cross-partition edges) and executed on a persistent worker pool with
-//!   phase barriers, bit-identical to the sequential walk. See
-//!   [`PartitionStats`] and DESIGN.md §14.
 //! * [`Simulator::attach_jit`] replaces the settle loop with native code
 //!   compiled from the tape by `strober-jit`: [`Simulator::jit_source`]
 //!   lowers the tape to one straight-line Rust function (constants,
@@ -75,7 +69,6 @@ mod engine;
 mod error;
 mod interp;
 mod opt;
-mod partition;
 pub mod rand_design;
 mod state;
 mod tape;
@@ -86,7 +79,6 @@ pub use engine::{Engine, NativeSettle};
 pub use error::SimError;
 pub use interp::NaiveInterpreter;
 pub use opt::{PassStats, TapeOptions};
-pub use partition::PartitionStats;
 pub use state::SimState;
 // The id types the peek/poke/resolve APIs traffic in, re-exported so
 // callers holding pre-resolved handles need not depend on `strober-rtl`.

@@ -27,11 +27,9 @@
 //! Beyond the dense `values` layout, slot renumbering leaves the emitted
 //! tape in *single-assignment* form: constants are materialized before
 //! the first op runs and every surviving op writes exactly one slot no
-//! other op writes. The [`crate::partition`] engine
-//! ([`crate::Simulator::set_threads`]) depends on that shape — it lets
-//! disjoint tape chunks execute from different worker threads with no
-//! write conflicts, so the only synchronization the parallel settle needs
-//! is a barrier per dependency *phase*, not per op.
+//! other op writes. The code generator ([`crate::Simulator::jit_source`])
+//! depends on that shape — each op becomes one SSA local, and only the
+//! externally observed slots are stored back to the slab.
 
 use crate::tape::{RegPlan, TapeOp, WritePlan, DEAD};
 use std::collections::HashMap;

@@ -8,25 +8,22 @@
 //! leading block of slots and then exactly one fresh slot per surviving
 //! op, so each op writes a unique `dst` and reads only slots produced
 //! earlier in the tape (or constants). That single-assignment shape is
-//! what the multi-threaded engine in [`crate::partition`] relies on: ops
-//! can be reordered across workers as long as producer-before-consumer
-//! order is preserved, because no two ops ever race on a slot.
+//! what the code generator ([`crate::codegen`]) relies on: every op
+//! becomes one SSA local.
 //!
 //! # Execution
 //!
 //! Each [`Simulator::step`] settles the combinational tape, captures
 //! register next-values, commits memory writes and advances the clock.
-//! `settle` runs sequentially by default; after
-//! [`Simulator::set_threads`] with `threads > 1` it dispatches to the
-//! partitioned parallel engine instead, which is bit-identical by
-//! construction (the sequential state-update epilogue in `step` is
-//! shared by both paths).
+//! `settle` walks the tape by default; after [`Simulator::attach_jit`]
+//! it calls the native code compiled from the same tape instead, which
+//! is bit-identical by construction (the state-update epilogue in
+//! `clock_edge` is shared by both paths).
 
 use crate::codegen::JitSource;
 use crate::engine::{Engine, NativeSettle};
 use crate::error::SimError;
 use crate::opt::{PassStats, TapeOptions};
-use crate::partition::{self, PartitionStats};
 use crate::state::SimState;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -161,6 +158,84 @@ pub(crate) enum TapeOp {
     },
 }
 
+impl TapeOp {
+    /// The `values` slots this op reads, appended to `out`.
+    pub(crate) fn operands(&self, out: &mut Vec<u32>) {
+        match *self {
+            TapeOp::Input { .. } | TapeOp::RegOut { .. } => {}
+            TapeOp::Unary { a, .. }
+            | TapeOp::Slice { a, .. }
+            | TapeOp::NotMask { a, .. }
+            | TapeOp::MemRead { addr: a, .. }
+            | TapeOp::Wire { src: a, .. } => out.push(a),
+            TapeOp::Binary { a, b, .. }
+            | TapeOp::BitAnd { a, b, .. }
+            | TapeOp::BitOr { a, b, .. }
+            | TapeOp::BitXor { a, b, .. }
+            | TapeOp::CmpEq { a, b, .. } => {
+                out.push(a);
+                out.push(b);
+            }
+            TapeOp::Mux { sel, t, f, .. } => {
+                out.push(sel);
+                out.push(t);
+                out.push(f);
+            }
+            TapeOp::Cat { hi, lo, .. } => {
+                out.push(hi);
+                out.push(lo);
+            }
+            TapeOp::SliceBin { src, other, .. } => {
+                out.push(src);
+                out.push(other);
+            }
+            TapeOp::BinMux { a, b, t, f, .. } => {
+                out.push(a);
+                out.push(b);
+                out.push(t);
+                out.push(f);
+            }
+            TapeOp::MuxMux {
+                sel,
+                other,
+                inner_sel,
+                inner_t,
+                inner_f,
+                ..
+            } => {
+                out.push(sel);
+                out.push(other);
+                out.push(inner_sel);
+                out.push(inner_t);
+                out.push(inner_f);
+            }
+        }
+    }
+
+    /// The `values` slot this op writes.
+    pub(crate) fn dst(&self) -> u32 {
+        match *self {
+            TapeOp::Input { dst, .. }
+            | TapeOp::Unary { dst, .. }
+            | TapeOp::Binary { dst, .. }
+            | TapeOp::Mux { dst, .. }
+            | TapeOp::Slice { dst, .. }
+            | TapeOp::Cat { dst, .. }
+            | TapeOp::RegOut { dst, .. }
+            | TapeOp::MemRead { dst, .. }
+            | TapeOp::Wire { dst, .. }
+            | TapeOp::SliceBin { dst, .. }
+            | TapeOp::BinMux { dst, .. }
+            | TapeOp::MuxMux { dst, .. }
+            | TapeOp::BitAnd { dst, .. }
+            | TapeOp::BitOr { dst, .. }
+            | TapeOp::BitXor { dst, .. }
+            | TapeOp::CmpEq { dst, .. }
+            | TapeOp::NotMask { dst, .. } => dst,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RegPlan {
     pub(crate) next: u32,
@@ -184,7 +259,7 @@ pub(crate) struct WritePlan {
 /// [crate documentation](crate) for an example.
 ///
 /// [`step`]: Simulator::step
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Simulator {
     design: Arc<Design>,
     tape: Vec<TapeOp>,
@@ -201,15 +276,9 @@ pub struct Simulator {
     stats: PassStats,
     output_index: HashMap<String, NodeId>,
     port_index: HashMap<String, (u32, Width)>,
-    /// Worker count for `settle`; 1 = sequential (the default).
-    threads: usize,
-    /// Lazily built partitioned engine, present only while `threads > 1`.
-    /// Never cloned: each clone rebuilds its own worker pool on first use.
-    engine: Option<Box<partition::Engine>>,
     /// Native settle engine attached by `strober-jit`, taking priority
-    /// over both the sequential walk and the partitioned engine. Shared
-    /// across clones: the compiled code is immutable and thread-safe, so
-    /// unlike the partitioned worker pool it travels with the clone.
+    /// over the tape walk. Shared across clones: the compiled code is
+    /// immutable and thread-safe.
     jit: Option<Arc<dyn NativeSettle>>,
     /// Per-slot "the native engine materializes this slot" mask, present
     /// while a JIT engine is attached. The generated code keeps internal
@@ -217,32 +286,6 @@ pub struct Simulator {
     /// (outputs, register next/enable, memory ports); peeks of any other
     /// live slot reroute to the tree-walking recompute, like `DEAD` ones.
     jit_stored: Option<Arc<[bool]>>,
-}
-
-impl Clone for Simulator {
-    fn clone(&self) -> Self {
-        Simulator {
-            design: self.design.clone(),
-            tape: self.tape.clone(),
-            reg_plans: self.reg_plans.clone(),
-            write_plans: self.write_plans.clone(),
-            values: self.values.clone(),
-            node_slot: self.node_slot.clone(),
-            regs: self.regs.clone(),
-            reg_next: self.reg_next.clone(),
-            mems: self.mems.clone(),
-            inputs: self.inputs.clone(),
-            cycle: self.cycle,
-            dirty: self.dirty,
-            stats: self.stats,
-            output_index: self.output_index.clone(),
-            port_index: self.port_index.clone(),
-            threads: self.threads,
-            engine: None,
-            jit: self.jit.clone(),
-            jit_stored: self.jit_stored.clone(),
-        }
-    }
 }
 
 impl Simulator {
@@ -321,54 +364,9 @@ impl Simulator {
             stats: plan.stats,
             output_index,
             port_index,
-            threads: 1,
-            engine: None,
             jit: None,
             jit_stored: None,
         })
-    }
-
-    /// Selects the settle engine: `1` (the default) keeps the sequential
-    /// tape walk, anything larger dispatches combinational evaluation to
-    /// the partitioned parallel engine (`partition` module, DESIGN.md
-    /// §14) with that many workers. Values are clamped to at least 1.
-    /// Changing the count drops any existing worker pool; the new one is
-    /// built lazily on the next settle.
-    ///
-    /// Register capture and memory commit stay sequential on the calling
-    /// thread either way, so results are bit-identical across settings.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.threads {
-            self.threads = threads;
-            self.engine = None;
-        }
-    }
-
-    /// The configured settle worker count (1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The partition plan shape of the parallel engine, or `None` while
-    /// running sequentially. Builds the engine if it has not run yet.
-    pub fn partition_stats(&mut self) -> Option<PartitionStats> {
-        if self.threads <= 1 {
-            return None;
-        }
-        self.ensure_engine();
-        self.engine.as_ref().map(|e| e.stats())
-    }
-
-    /// Builds the worker pool for the current tape if it is not yet built.
-    fn ensure_engine(&mut self) {
-        if self.engine.is_none() {
-            self.engine = Some(Box::new(partition::Engine::new(
-                &self.tape,
-                self.values.len(),
-                self.threads,
-            )));
-        }
     }
 
     /// What the optimizer did to this simulator's tape. All-zero pass
@@ -466,7 +464,7 @@ impl Simulator {
     /// own tape generates. From then on `settle` calls into the native
     /// code instead of walking the tape; register capture and memory
     /// commit stay on the interpreted epilogue, so results are
-    /// bit-identical by the same argument as the partitioned engine.
+    /// bit-identical to the tape walk.
     ///
     /// The engine is shared by reference across [`Clone`]s.
     ///
@@ -488,10 +486,9 @@ impl Simulator {
     }
 
     /// Drops any attached native settle engine, reverting to the
-    /// interpreted tape walk (sequential or partitioned per
-    /// [`set_threads`](Simulator::set_threads)). Marks the simulator
-    /// dirty so the next settle rebuilds the full value slab — the
-    /// native engine only materializes observed slots.
+    /// interpreted tape walk. Marks the simulator dirty so the next
+    /// settle rebuilds the full value slab — the native engine only
+    /// materializes observed slots.
     pub fn detach_jit(&mut self) {
         self.jit = None;
         self.jit_stored = None;
@@ -547,13 +544,10 @@ impl Simulator {
     }
 
     /// The label of the settle engine currently in effect, as used for
-    /// benchmark rows and manifests: `"tape-jit"`, `"tape-partitioned"`
-    /// or `"tape"` in priority order.
+    /// benchmark rows and manifests: `"tape-jit"` or `"tape"`.
     pub fn active_engine_name(&self) -> &'static str {
         if self.jit.is_some() {
             "tape-jit"
-        } else if self.threads > 1 {
-            "tape-partitioned"
         } else {
             "tape"
         }
@@ -562,22 +556,14 @@ impl Simulator {
     /// Evaluates the combinational tape with the current inputs and state.
     /// Idempotent until the next poke, state change or clock edge.
     ///
-    /// Dispatches to the native JIT engine when one is attached, else the
-    /// partitioned engine when `threads > 1`, else the sequential walk —
-    /// all bit-identical.
+    /// Dispatches to the native JIT engine when one is attached, else
+    /// walks the tape — bit-identical either way.
     pub fn settle(&mut self) {
         if !self.dirty {
             return;
         }
         if let Some(jit) = &self.jit {
             jit.settle(&mut self.values, &self.inputs, &self.regs, &self.mems);
-            self.dirty = false;
-            return;
-        }
-        if self.threads > 1 && !self.tape.is_empty() {
-            self.ensure_engine();
-            let engine = self.engine.as_ref().expect("just built");
-            engine.settle(&mut self.values, &self.inputs, &self.regs, &self.mems);
             self.dirty = false;
             return;
         }
@@ -1118,52 +1104,6 @@ mod tests {
         let mut sim = Simulator::new(&design).unwrap();
         sim.step_n(2);
         assert_eq!(sim.peek_output("o").unwrap(), 7);
-    }
-
-    #[test]
-    fn threaded_counter_matches_sequential() {
-        let mut seq = Simulator::new(&counter()).unwrap();
-        let mut par = Simulator::new(&counter()).unwrap();
-        par.set_threads(3);
-        assert_eq!(par.threads(), 3);
-        for sim in [&mut seq, &mut par] {
-            sim.poke_by_name("en", 1).unwrap();
-            sim.step_n(37);
-        }
-        assert_eq!(
-            seq.peek_output("value").unwrap(),
-            par.peek_output("value").unwrap()
-        );
-        assert!(par.partition_stats().is_some());
-        assert!(seq.partition_stats().is_none());
-    }
-
-    #[test]
-    fn clone_with_threads_rebuilds_its_own_pool() {
-        let mut sim = Simulator::new(&counter()).unwrap();
-        sim.set_threads(2);
-        sim.poke_by_name("en", 1).unwrap();
-        sim.step_n(5);
-        let mut twin = sim.clone();
-        assert_eq!(twin.threads(), 2);
-        sim.step_n(5);
-        twin.step_n(5);
-        assert_eq!(
-            sim.peek_output("value").unwrap(),
-            twin.peek_output("value").unwrap()
-        );
-    }
-
-    #[test]
-    fn set_threads_back_to_one_restores_sequential() {
-        let mut sim = Simulator::new(&counter()).unwrap();
-        sim.set_threads(4);
-        sim.poke_by_name("en", 1).unwrap();
-        sim.step_n(3);
-        sim.set_threads(1);
-        sim.step_n(3);
-        assert_eq!(sim.peek_output("value").unwrap(), 6);
-        assert!(sim.partition_stats().is_none());
     }
 
     #[test]

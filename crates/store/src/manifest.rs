@@ -105,7 +105,7 @@ pub struct RunManifest {
     /// sampled simulation (e.g. failed during prepare).
     pub sampling: Option<SamplingOutcome>,
     /// The hub settle engine the sampled simulation ran under, after any
-    /// fallback: `tape`, `tape-partitioned` or `tape-jit`.
+    /// fallback: `tape` or `tape-jit`.
     pub hub_engine: String,
     /// Codegen provenance, for runs on the JIT engine.
     pub jit: Option<CodegenProvenance>,

@@ -32,7 +32,6 @@ fn spec() -> EstimateSpec {
         parallel: 2,
         batch_lanes: 8,
         tape_opt: true,
-        hub_threads: 1,
         hub_engine: "auto".to_owned(),
         target_error: 0.0,
         min_samples: 30,
@@ -97,9 +96,16 @@ fn direct_run() -> DirectRun {
 }
 
 fn start_server(workers: usize) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
+    start_server_with_store(workers, None)
+}
+
+fn start_server_with_store(
+    workers: usize,
+    store_dir: Option<String>,
+) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
     let server = Server::bind(ServerConfig {
         workers,
-        store_dir: None,
+        store_dir,
         drain_ms: 10_000,
         ..ServerConfig::default()
     })
@@ -252,6 +258,33 @@ fn served_estimates_are_bit_identical_and_warm_on_the_second_job() {
     }
     assert!(handle.is_finished(), "shutdown must complete");
     join.join().unwrap();
+}
+
+/// The artifact store is keyed on what preparation consumes, so a job
+/// that differs from an earlier one only in its seed skips
+/// FAME/synthesis/formal matching (`store`) — but still gets a flow of
+/// its own, because a flow bakes the seed in: the sample must differ.
+#[test]
+fn a_new_seed_hits_the_store_but_draws_a_new_sample() {
+    let dir = std::env::temp_dir().join(format!("strober-e2e-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle, join) = start_server_with_store(1, Some(dir.to_string_lossy().into_owned()));
+    let mut client = connect(addr, "seeds");
+
+    let first = submit_and_wait(&mut client, JobSpec::Estimate(spec()), &mut Vec::new());
+    assert_eq!(first.provenance, "cold");
+    let reseeded = EstimateSpec { seed: 2, ..spec() };
+    let second = submit_and_wait(&mut client, JobSpec::Estimate(reseeded), &mut Vec::new());
+    assert_eq!(second.provenance, "store", "only the seed changed");
+    assert_eq!(second.manifest.fingerprint, first.manifest.fingerprint);
+    assert_ne!(
+        second.snapshot_fingerprint, first.snapshot_fingerprint,
+        "a warm flow shared across seeds would repeat the first sample"
+    );
+
+    handle.shutdown(false);
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Event-stream contract for followed jobs: the `Started` event arrives
