@@ -39,9 +39,6 @@ pub enum Command {
     Cancel(CancelArgs),
     /// `strober top …` — live telemetry view of a running server.
     Top(TopArgs),
-    /// `strober bench report …` — run the micro-benchmark suite and
-    /// emit a JSON report.
-    Bench(BenchArgs),
     /// `strober help` or `--help`.
     Help,
 }
@@ -112,21 +109,6 @@ impl Default for TopArgs {
             interval_ms: 1_000,
             frames: 0,
             plain: false,
-        }
-    }
-}
-
-/// Arguments of the `bench report` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Where to write the JSON report.
-    pub out: String,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            out: "BENCH_10.json".to_owned(),
         }
     }
 }
@@ -791,25 +773,6 @@ fn parse_command<'a>(
             }
             Ok(Command::Top(a))
         }
-        "bench" => {
-            match it.next() {
-                Some("report") => {}
-                Some(other) => {
-                    return Err(ArgError(format!(
-                        "unknown bench action `{other}` (expected report)"
-                    )))
-                }
-                None => return Err(ArgError("bench expects an action: report".to_owned())),
-            }
-            let mut a = BenchArgs::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--out" => a.out = take_value(flag, &mut it)?,
-                    other => return Err(ArgError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Bench(a))
-        }
         other => Err(ArgError(format!(
             "unknown subcommand `{other}` (try `strober help`)"
         ))),
@@ -836,9 +799,12 @@ USAGE:
       average power with a 99% confidence interval. Prepared artifacts
       (FAME hub, netlist, name map) are cached content-addressed under
       the cache dir, so repeated runs over the same design start warm;
-      a JSON run manifest with span-derived per-stage timings and the
-      full metrics snapshot is written next to the cache (or to
-      --manifest FILE). --trace-out writes a chrome://tracing JSON
+      a JSON run manifest with per-stage wall-clock timings (prepare,
+      sim, replay, estimate; a streamed run has one overlapped
+      `stream` stage in place of sim and replay, and --json then
+      reports its wall clock under both timings_ms.sim and
+      timings_ms.replay) and the full metrics snapshot is written
+      next to the cache (or to --manifest FILE). --trace-out writes a chrome://tracing JSON
       trace of the run (open it in Perfetto or chrome://tracing);
       --metrics prints the metrics table after the results. Replay
       uses every hardware thread unless --jobs (alias --parallel)
@@ -945,13 +911,6 @@ USAGE:
       frame and exits (for scripts and CI); --frames N stops after N
       frames; --plain skips ANSI screen clearing.
 
-  strober bench    report [--out FILE]
-      Run the in-process micro-benchmark suite (probe overhead on/off,
-      labeled-metric overhead, end-to-end flow timing on a small core,
-      sequential vs streaming vs adaptive pipeline modes with achieved
-      relative error, and a hub-engine sweep of the interpreted vs
-      JIT-compiled settle engines) and write a JSON report (default
-      BENCH_10.json).
 ";
 
 #[cfg(test)]
@@ -1418,29 +1377,6 @@ mod tests {
             .unwrap_err()
             .0
             .contains("at least 1"));
-    }
-
-    #[test]
-    fn parses_bench_report() {
-        let Command::Bench(a) = parse(&["bench", "report"]).unwrap().command else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.out, "BENCH_10.json");
-        let Command::Bench(a) = parse(&["bench", "report", "--out", "/tmp/b.json"])
-            .unwrap()
-            .command
-        else {
-            panic!("wrong command")
-        };
-        assert_eq!(a.out, "/tmp/b.json");
-        assert!(parse(&["bench"])
-            .unwrap_err()
-            .0
-            .contains("expects an action"));
-        assert!(parse(&["bench", "race"])
-            .unwrap_err()
-            .0
-            .contains("unknown bench action"));
     }
 
     #[test]

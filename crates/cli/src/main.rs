@@ -4,18 +4,18 @@
 mod args;
 
 use args::{
-    default_cache_dir, BenchArgs, CacheAction, CacheArgs, CancelArgs, Command, EstimateArgs,
-    ExportArgs, FuzzArgs, JobsArgs, ProbeArgs, RunArgs, ServeArgs, SubmitArgs, TopArgs, HELP,
+    default_cache_dir, CacheAction, CacheArgs, CancelArgs, Command, EstimateArgs, ExportArgs,
+    FuzzArgs, JobsArgs, ProbeArgs, RunArgs, ServeArgs, SubmitArgs, TopArgs, HELP,
 };
 use std::process::ExitCode;
-use strober::{RunControl, StroberConfig, StroberFlow};
+use strober::{RunControl, StroberFlow};
 use strober_cores::build_core;
-use strober_dram::{DramConfig, DramModel, LpddrPowerParams};
+use strober_dram::{DramConfig, DramModel};
 use strober_isa::programs;
 use strober_server::catalog::{self, core_config};
 use strober_server::protocol::{Event, FuzzSpec, JobResult, JobSpec, Priority, Request, Response};
-use strober_server::{Client, Server, ServerConfig};
-use strober_store::{CodegenProvenance, RunManifest, SamplingOutcome, Store};
+use strober_server::{driver, Client, Server, ServerConfig};
+use strober_store::{RunManifest, Store};
 
 /// Resolves a workload reference the way the CLI spells it: `--asm` is a
 /// *path* read from disk, then assembled via the same catalog the server
@@ -104,7 +104,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     );
     manifest.fingerprint = StroberFlow::prepare_fingerprint(&design, &session).to_hex();
 
-    // The estimate flow always records: the manifest's stage timings,
+    // The estimate flow always records: the manifest's metrics,
     // --trace-out and --metrics all read from the recorder, and at CLI
     // granularity its cost is far below measurement noise.
     strober_probe::reset();
@@ -114,6 +114,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
         "[1/4] instrumenting, synthesizing and formally matching {} ...",
         config.name
     );
+    let prepare_started = std::time::Instant::now();
     let mut store = open_store(a);
     let (flow, cache_hit) = match store.as_mut() {
         Some(store) => StroberFlow::prepare_cached(&design, session, store)
@@ -123,7 +124,6 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             false,
         ),
     };
-    manifest.set_prepare(if cache_hit { "store" } else { "cold" });
     if cache_hit {
         strober_probe::info!("      (prepared artifacts served from the store)");
     }
@@ -136,91 +136,50 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
         );
     }
 
-    let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
-    dram.load(&image, 0);
-    let rule = spec.stopping_rule(flow.config())?;
-    let (run, results) = if a.stream || rule.is_some() {
-        strober_probe::info!(
-            "[2/4] streaming simulation with overlapped gate-level replay \
-             ({parallel} workers x {} bit-lanes) ...",
-            spec.batch_lanes
-        );
-        let (run, results) = flow
-            .replay_streaming(
-                &mut dram,
-                spec.max_cycles,
-                parallel,
-                spec.batch_lanes,
-                rule,
-                &RunControl::default(),
-            )
-            .map_err(|e| format!("streaming run failed: {e}"))?;
-        if dram.exit_code().is_none() && !run.stop.is_converged() {
-            return Err(format!(
-                "workload did not halt within {} cycles",
-                spec.max_cycles
-            ));
-        }
-        strober_probe::info!(
-            "[3/4] replay of {} snapshots already overlapped with simulation ({})",
-            results.len(),
-            run.stop.as_str()
-        );
-        (run, results)
-    } else {
-        strober_probe::info!("[2/4] fast simulation with reservoir sampling ...");
-        let run = flow
-            .run_sampled(&mut dram, spec.max_cycles)
-            .map_err(|e| format!("sampled run failed: {e}"))?;
-        if dram.exit_code().is_none() {
-            return Err(format!(
-                "workload did not halt within {} cycles",
-                spec.max_cycles
-            ));
-        }
+    let shape = format!("{parallel} workers x {} bit-lanes", spec.batch_lanes);
+    let out = driver::drive(
+        driver::Inputs {
+            flow: &flow,
+            provenance: if cache_hit { "store" } else { "cold" },
+            prepare_started,
+            manifest,
+            image: &image,
+            spec,
+            parallel,
+            stream: a.stream,
+            want_estimate: true,
+        },
+        &RunControl::default(),
+        &|stage, elapsed| match (stage, elapsed) {
+            ("sim", None) => {
+                strober_probe::info!("[2/4] fast simulation with reservoir sampling ...");
+            }
+            ("stream", None) => strober_probe::info!(
+                "[2/4] streaming simulation with overlapped gate-level replay ({shape}) ..."
+            ),
+            ("replay", None) => strober_probe::info!(
+                "[3/4] replaying the kept snapshots on gate-level simulation ({shape}) ..."
+            ),
+            ("stream", Some(_)) => {
+                strober_probe::info!("[3/4] replay already overlapped with simulation");
+            }
+            ("estimate", None) => strober_probe::info!("[4/4] estimating ..."),
+            _ => {}
+        },
+    )
+    .map_err(|e| match e {
+        driver::Failure::Cancelled => "cancelled".to_owned(),
+        driver::Failure::Error(e) => e.message,
+    })?;
+    let achieved_epsilon = out.achieved_epsilon();
+    let (run, results, instret, manifest) = (out.run, out.results, out.instret, out.manifest);
+    let energy = out.energy.expect("an estimate was asked for");
+    let (estimate, dram_power) = (energy.estimate, energy.dram_power_mw);
+    // A streamed run has one overlapped stage; its wall clock is
+    // reported as both the `sim` and the `replay` timing.
+    let stream_ms = manifest.stage_millis("stream");
 
-        strober_probe::info!(
-            "[3/4] replaying {} snapshots on gate-level simulation ({parallel} workers x {} bit-lanes) ...",
-            run.snapshots.len(),
-            spec.batch_lanes
-        );
-        let results = flow
-            .replay_all_batched(&run.snapshots, parallel, spec.batch_lanes)
-            .map_err(|e| format!("replay failed: {e}"))?;
-        (run, results)
-    };
-
-    strober_probe::info!("[4/4] estimating ...");
-    let estimate = flow
-        .estimate(&run, &results)
-        .map_err(|e| format!("estimate failed: {e}"))?;
-    let instret = dram.instret();
-    let dram_power = LpddrPowerParams::lpddr2_s4()
-        .average_power_mw(dram.counters(), run.target_cycles, flow.config().freq_hz)
-        .total_mw();
-    let achieved_epsilon = match run.stop {
-        strober::StopReason::Converged { achieved, .. } => Some(achieved),
-        _ => None,
-    };
-    manifest.sampling = Some(SamplingOutcome {
-        stop_reason: run.stop.as_str().to_owned(),
-        target_epsilon: rule.map(|r| r.target_epsilon()),
-        achieved_epsilon,
-    });
-    manifest.hub_engine = flow.hub_engine_name().to_owned();
-    manifest.jit = flow
-        .jit_info()
-        .map(|(provenance, compile_ms)| CodegenProvenance {
-            provenance: provenance.to_owned(),
-            compile_ms,
-        });
-
-    // Fold everything the recorder captured into the manifest: stage
-    // timings come from the spans themselves, so they agree exactly with
-    // the exported trace.
     let events = strober_probe::take_events();
-    manifest.record_spans(&events);
-    manifest.metrics = strober_probe::snapshot();
     strober_probe::disable();
 
     if let Some(path) = &a.trace_out {
@@ -266,17 +225,15 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             "jit_compile_ms": manifest.jit.as_ref().map(|j| j.compile_ms),
             "timings_ms": serde_json::json!({
                 "prepare": manifest.stage_millis("prepare"),
-                "sim": manifest.stage_millis("run_sampled"),
-                "replay": manifest.stage_millis("replay"),
+                "sim": manifest.stage_millis("sim").or(stream_ms),
+                "replay": manifest.stage_millis("replay").or(stream_ms),
                 "estimate": manifest.stage_millis("estimate"),
             }),
             "core_power_mw": estimate.mean_power_mw(),
             "core_power_bound_mw": estimate.interval().half_width(),
             "confidence": estimate.interval().confidence(),
             "dram_power_mw": dram_power,
-            "epi_nj": (estimate.mean_power_mw() + dram_power) * 1e-3
-                * (run.target_cycles as f64 / flow.config().freq_hz)
-                / instret as f64 * 1e9,
+            "epi_nj": energy.epi_nj,
             "regions": regions,
         });
         println!(
@@ -310,11 +267,12 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
         "  {:<24} {dram_power:>9.3} mW  (counter-based model)",
         "DRAM"
     );
-    let total = estimate.mean_power_mw() + dram_power;
-    let epi =
-        total * 1e-3 * (run.target_cycles as f64 / flow.config().freq_hz) / instret as f64 * 1e9;
     println!();
-    println!("total (core + DRAM): {total:.3} mW;  EPI: {epi:.3} nJ/instruction");
+    println!(
+        "total (core + DRAM): {:.3} mW;  EPI: {:.3} nJ/instruction",
+        estimate.mean_power_mw() + dram_power,
+        energy.epi_nj
+    );
     if a.metrics {
         println!();
         print!("{}", manifest.metrics);
@@ -790,314 +748,6 @@ fn cmd_top(a: &TopArgs) -> Result<(), String> {
     }
 }
 
-fn cmd_bench(a: &BenchArgs) -> Result<(), String> {
-    use std::hint::black_box;
-    use std::time::Instant;
-    use strober_bench::overhead::{run_plain, run_probed};
-
-    // Mirror tests/probe_overhead.rs: compare minima over interleaved
-    // trials so the report is stable on a noisy machine.
-    const ITERS: u64 = 2_000;
-    const TRIALS: usize = 9;
-    let min_nanos = |f: &dyn Fn() -> u64| -> u128 {
-        let mut best = u128::MAX;
-        for _ in 0..TRIALS {
-            let t0 = Instant::now();
-            black_box(f());
-            best = best.min(t0.elapsed().as_nanos());
-        }
-        best
-    };
-
-    strober_probe::disable();
-    strober_probe::reset();
-    black_box(run_plain(ITERS));
-    black_box(run_probed(ITERS));
-    let plain_ns = min_nanos(&|| run_plain(ITERS));
-    let disabled_ns = min_nanos(&|| run_probed(ITERS));
-    let disabled_pct = (disabled_ns as f64 / plain_ns as f64 - 1.0) * 100.0;
-
-    // One enabled run to report the live cost and the series the labeled
-    // instrumentation actually produces.
-    strober_probe::enable();
-    let enabled_ns = min_nanos(&|| run_probed(ITERS));
-    let enabled_pct = (enabled_ns as f64 / plain_ns as f64 - 1.0) * 100.0;
-    let snap = strober_probe::snapshot();
-    let labeled_series = snap
-        .counters
-        .iter()
-        .filter(|c| c.name.contains('{'))
-        .count();
-    strober_probe::disable();
-    strober_probe::reset();
-
-    // One end-to-end simulator-speed scenario so the report tracks the
-    // flow itself, not just the probe: vvadd on the smallest core, the
-    // same pairing the bench crate's smoke test uses.
-    let design = build_core(&strober_cores::CoreConfig::rok_tiny());
-    let (outcome, _) = strober_bench::run_on_rtl(
-        &design,
-        &strober_bench::Workload::Vvadd.image(),
-        DramConfig::default(),
-        10_000_000,
-    );
-    let sim_cycles_per_sec = outcome.cycles as f64 / outcome.wall_seconds;
-
-    const SWEEP_CYCLES: u64 = 4096;
-    let fame = strober_fame::transform(&design, &strober_fame::FameConfig::default())
-        .map_err(|e| format!("fame transform failed: {e}"))?;
-
-    // Hub-engine sweep: the interpreted tape vs the JIT-compiled native
-    // settle code over the same FAME1-transformed hub. Rows are
-    // labeled by the simulator's own engine name; omitted (with a
-    // warning) when no rustc is on PATH to compile the dylib.
-    let mut engine_sweep: Vec<(&'static str, f64)> = Vec::new();
-    if strober_jit::rustc_version().is_some() {
-        for jit in [false, true] {
-            let mut hub = strober_sim::Simulator::new(&fame.hub)
-                .map_err(|e| format!("hub lowering failed: {e}"))?;
-            if jit {
-                strober_jit::JitCompiler::in_temp()
-                    .attach(&mut hub)
-                    .map_err(|e| format!("jit compile failed: {e}"))?;
-            }
-            let fire = hub
-                .resolve_port(&fame.meta.control.fire)
-                .map_err(|e| format!("hub fire port: {e}"))?;
-            hub.poke(fire, 1);
-            hub.step_n(SWEEP_CYCLES); // warm: page in the dylib
-            let mut ns = u128::MAX;
-            for _ in 0..TRIALS {
-                let t0 = Instant::now();
-                hub.step_n(SWEEP_CYCLES);
-                black_box(hub.cycle());
-                ns = ns.min(t0.elapsed().as_nanos());
-            }
-            let rate = SWEEP_CYCLES as f64 / (ns as f64 / 1e9);
-            engine_sweep.push((hub.active_engine_name(), rate));
-        }
-    } else {
-        strober_probe::warn!("no rustc on PATH; hub_engine_sweep omitted from the report");
-    }
-
-    // Pipeline-mode rows: one small estimate flow (vvadd on rok-tiny) run
-    // through each capture→replay pipeline, so the report tracks the
-    // sim/replay overlap and the adaptive stop alongside the raw engine
-    // numbers. Wall times here are single-shot trend indicators; the
-    // enforced overlap gate lives in crates/bench/tests/stream_overlap.rs.
-    const PIPE_CYCLES: u64 = 60_000;
-    const PIPE_TARGET: f64 = 0.25;
-    let pipe_flow = StroberFlow::new(
-        &design,
-        StroberConfig {
-            sample_size: 12,
-            replay_length: 64,
-            ..StroberConfig::default()
-        },
-    )
-    .map_err(|e| format!("flow setup failed: {e}"))?;
-    let pipe_image = strober_bench::Workload::Vvadd.image();
-    let pipe_dram = || {
-        let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
-        dram.load(&pipe_image, 0);
-        dram
-    };
-    struct PipeRow {
-        mode: &'static str,
-        samples: usize,
-        windows: u64,
-        wall_seconds: f64,
-        stop_reason: &'static str,
-        achieved_epsilon: f64,
-        target_error: Option<f64>,
-    }
-    let pipe_row = |mode: &'static str,
-                    wall: f64,
-                    run: &strober::SampledRun,
-                    results: &[strober::ReplayResult]|
-     -> Result<PipeRow, String> {
-        let est = pipe_flow
-            .estimate(run, results)
-            .map_err(|e| format!("estimate failed: {e}"))?;
-        Ok(PipeRow {
-            mode,
-            samples: results.len(),
-            windows: run.windows,
-            wall_seconds: wall,
-            stop_reason: run.stop.as_str(),
-            achieved_epsilon: est.interval().relative_error_bound(),
-            target_error: None,
-        })
-    };
-    let mut pipeline_rows: Vec<PipeRow> = Vec::new();
-    {
-        let mut dram = pipe_dram();
-        let t0 = Instant::now();
-        let run = pipe_flow
-            .run_sampled(&mut dram, PIPE_CYCLES)
-            .map_err(|e| format!("sampled run failed: {e}"))?;
-        let results = pipe_flow
-            .replay_all_batched(&run.snapshots, 2, 2)
-            .map_err(|e| format!("replay failed: {e}"))?;
-        pipeline_rows.push(pipe_row(
-            "sequential",
-            t0.elapsed().as_secs_f64(),
-            &run,
-            &results,
-        )?);
-    }
-    {
-        let mut dram = pipe_dram();
-        let t0 = Instant::now();
-        let (run, results) = pipe_flow
-            .replay_streaming(
-                &mut dram,
-                PIPE_CYCLES,
-                2,
-                2,
-                None,
-                &strober::RunControl::default(),
-            )
-            .map_err(|e| format!("streaming run failed: {e}"))?;
-        pipeline_rows.push(pipe_row(
-            "streaming",
-            t0.elapsed().as_secs_f64(),
-            &run,
-            &results,
-        )?);
-    }
-    {
-        let rule = strober::StoppingRule::new(PIPE_TARGET, pipe_flow.config().confidence, 4)
-            .map_err(|e| format!("invalid stopping rule: {e}"))?;
-        let mut dram = pipe_dram();
-        let t0 = Instant::now();
-        let (run, results) = pipe_flow
-            .replay_streaming(
-                &mut dram,
-                PIPE_CYCLES,
-                2,
-                2,
-                Some(rule),
-                &strober::RunControl::default(),
-            )
-            .map_err(|e| format!("streaming run failed: {e}"))?;
-        let mut row = pipe_row("adaptive", t0.elapsed().as_secs_f64(), &run, &results)?;
-        row.target_error = Some(PIPE_TARGET);
-        pipeline_rows.push(row);
-    }
-
-    let mut report = serde_json::Map::new();
-    report.insert("bench".to_owned(), serde_json::json!("telemetry_overhead"));
-    report.insert("iters".to_owned(), serde_json::json!(ITERS));
-    report.insert("trials".to_owned(), serde_json::json!(TRIALS));
-    report.insert("plain_ns".to_owned(), serde_json::json!(plain_ns as u64));
-    report.insert(
-        "disabled_probed_ns".to_owned(),
-        serde_json::json!(disabled_ns as u64),
-    );
-    report.insert(
-        "disabled_overhead_pct".to_owned(),
-        serde_json::json!(disabled_pct),
-    );
-    report.insert(
-        "enabled_probed_ns".to_owned(),
-        serde_json::json!(enabled_ns as u64),
-    );
-    report.insert(
-        "enabled_overhead_pct".to_owned(),
-        serde_json::json!(enabled_pct),
-    );
-    report.insert(
-        "labeled_series".to_owned(),
-        serde_json::json!(labeled_series as u64),
-    );
-    report.insert("budget_pct".to_owned(), serde_json::json!(2.0));
-    report.insert(
-        "within_budget".to_owned(),
-        serde_json::json!(disabled_pct < 2.0),
-    );
-    report.insert(
-        "sim_workload".to_owned(),
-        serde_json::json!("vvadd/rok-tiny"),
-    );
-    report.insert("sim_cycles".to_owned(), serde_json::json!(outcome.cycles));
-    report.insert(
-        "sim_cycles_per_sec".to_owned(),
-        serde_json::json!(sim_cycles_per_sec),
-    );
-    // The engine variant behind `sim_cycles_per_sec`, so BENCH_*.json
-    // entries are comparable across PRs.
-    report.insert("sim_engine".to_owned(), serde_json::json!("tape"));
-    report.insert(
-        "hub_engine_sweep".to_owned(),
-        serde_json::Value::Array(
-            engine_sweep
-                .iter()
-                .map(|&(engine, rate)| {
-                    serde_json::json!({
-                        "engine": engine,
-                        "sim_cycles_per_sec": rate,
-                    })
-                })
-                .collect(),
-        ),
-    );
-    report.insert(
-        "pipeline_modes".to_owned(),
-        serde_json::Value::Array(
-            pipeline_rows
-                .iter()
-                .map(|r| {
-                    serde_json::json!({
-                        "mode": r.mode,
-                        "samples": r.samples,
-                        "windows": r.windows,
-                        "wall_seconds": r.wall_seconds,
-                        "stop_reason": r.stop_reason,
-                        "achieved_epsilon": r.achieved_epsilon,
-                        "target_error": r.target_error,
-                    })
-                })
-                .collect(),
-        ),
-    );
-    let text = serde_json::to_string_pretty(&serde_json::Value::Object(report))
-        .map_err(|e| format!("cannot serialize report: {e}"))?;
-    std::fs::write(&a.out, text + "\n").map_err(|e| format!("cannot write `{}`: {e}", a.out))?;
-
-    println!("probe overhead ({ITERS} chunks, best of {TRIALS}):");
-    println!("  plain:            {plain_ns} ns");
-    println!("  probed, disabled: {disabled_ns} ns ({disabled_pct:+.2}%)");
-    println!("  probed, enabled:  {enabled_ns} ns ({enabled_pct:+.2}%)");
-    println!("  labeled series:   {labeled_series}");
-    println!(
-        "sim speed (vvadd/rok-tiny): {} cycles in {:.2} s ({} cycles/s)",
-        strober_bench::fmt_u64(outcome.cycles),
-        outcome.wall_seconds,
-        strober_bench::fmt_u64(sim_cycles_per_sec as u64)
-    );
-    if engine_sweep.is_empty() {
-        println!("hub engine sweep: skipped (no rustc on PATH)");
-    } else {
-        println!("hub engine sweep (rok-tiny fame1 hub, best of {TRIALS}):");
-        for &(engine, rate) in &engine_sweep {
-            println!(
-                "  [{engine}]: {} cycles/s",
-                strober_bench::fmt_u64(rate as u64),
-            );
-        }
-    }
-    println!("pipeline modes (vvadd/rok-tiny, {PIPE_CYCLES} cycles):");
-    for row in &pipeline_rows {
-        println!(
-            "  {:<10} {:>2} samples in {:.2} s  (stop: {}, epsilon {:.3})",
-            row.mode, row.samples, row.wall_seconds, row.stop_reason, row.achieved_epsilon,
-        );
-    }
-    println!("report written to {}", a.out);
-    Ok(())
-}
-
 /// Dials the server and introduces this process.
 fn dial(addr: &str) -> Result<Client, String> {
     let mut client =
@@ -1322,7 +972,6 @@ fn main() -> ExitCode {
         Command::Jobs(a) => cmd_jobs(a),
         Command::Cancel(a) => cmd_cancel(a),
         Command::Top(a) => cmd_top(a),
-        Command::Bench(a) => cmd_bench(a),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

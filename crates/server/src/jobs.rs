@@ -1,14 +1,14 @@
 //! Worker-side job execution: from a [`JobSpec`] to a [`JobResult`].
 //!
-//! The bit-identity contract with the one-shot CLI lives here: a job
-//! resolves its design and image through the same [`crate::catalog`],
-//! builds the same [`StroberConfig`], and drives the same
-//! [`StroberFlow`] entry points — the only differences are the warm
-//! in-memory flow cache (which changes *where* the prepared artifacts
-//! come from, never what they contain) and the cancellation/progress
-//! control threaded through the run.
+//! The bit-identity contract with the one-shot CLI: a job resolves its
+//! design and image through the same [`crate::catalog`], builds the same
+//! [`StroberConfig`] and runs the same [`driver::drive`] — the only
+//! differences are the warm in-memory flow cache (which changes *where*
+//! the prepared artifacts come from, never what they contain) and the
+//! cancellation/progress control threaded through the run.
 
 use crate::catalog;
+use crate::driver::{self, Failure};
 use crate::protocol::{
     ErrorKind, EstimateOutcome, EstimateSpec, Event, FuzzJobOutcome, FuzzSpec, JobResult, JobSpec,
     ReplayOutcome, WireError,
@@ -19,35 +19,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use strober::{Progress, ReplayResult, RunControl, StroberConfig, StroberError, StroberFlow};
 use strober_cores::build_core;
-use strober_dram::{DramConfig, DramModel, LpddrPowerParams};
 use strober_fuzz::{run_fuzz_cancellable, FuzzOptions, OracleConfig};
-use strober_isa::programs;
 use strober_rtl::Design;
-use strober_store::{
-    fingerprint_parts, CodegenProvenance, Fingerprint, Fnv1a, JobProvenance, RunManifest,
-    SamplingOutcome, Store,
-};
+use strober_store::{fingerprint_parts, Fingerprint, Fnv1a, JobProvenance, RunManifest, Store};
 
-/// How a job ended without producing a result.
-#[derive(Debug)]
-pub(crate) enum JobFailure {
-    /// The job's cancel token tripped; not an error.
-    Cancelled,
-    /// A real failure, reported to followers as [`Event::Failed`].
-    Error(WireError),
-}
-
-impl From<StroberError> for JobFailure {
-    fn from(e: StroberError) -> Self {
-        match e {
-            StroberError::Cancelled => JobFailure::Cancelled,
-            other => JobFailure::Error(WireError::new(ErrorKind::Internal, other.to_string())),
-        }
-    }
-}
-
-fn bad_spec(message: String) -> JobFailure {
-    JobFailure::Error(WireError::new(ErrorKind::BadSpec, message))
+fn bad_spec(message: String) -> Failure {
+    Failure::Error(WireError::new(ErrorKind::BadSpec, message))
 }
 
 /// Checks a spec at submission time, before it costs a queue slot.
@@ -116,13 +93,21 @@ impl FlowCache {
         }
         // Prepare outside the cache lock — it can take seconds, and
         // other designs' warm hits must not wait behind it.
+        // With the JIT engine selected, the native settle dylib is
+        // compiled (or fetched) under the same store lock, so its cost
+        // lands in the prepare stage; other engines make that a no-op.
         let (flow, provenance) = match store {
             Some(store) => {
                 let mut store = store.lock().expect("store lock");
                 let (flow, hit) = StroberFlow::prepare_cached(design, config, &mut store)?;
+                flow.prepare_jit(Some(&mut store));
                 (flow, if hit { "store" } else { "cold" })
             }
-            None => (StroberFlow::new(design, config)?, "cold"),
+            None => {
+                let flow = StroberFlow::new(design, config)?;
+                flow.prepare_jit(None);
+                (flow, "cold")
+            }
         };
         strober_probe::counter_add(
             match provenance {
@@ -158,24 +143,12 @@ pub(crate) fn run_job(
     flows: &FlowCache,
     store: Option<&Mutex<Store>>,
     default_parallelism: usize,
-) -> Result<JobResult, JobFailure> {
+) -> Result<JobResult, Failure> {
     match &job.spec {
         JobSpec::Estimate(spec) => run_estimate(job, spec, flows, store, default_parallelism, true),
         JobSpec::Replay(spec) => run_estimate(job, spec, flows, store, default_parallelism, false),
         JobSpec::Fuzz(spec) => run_fuzz_job(job, spec),
     }
-}
-
-/// Publishes a finished stage to followers and records it in the
-/// manifest.
-fn stage(job: &JobEntry, manifest: &mut RunManifest, name: &str, since: Instant) {
-    let elapsed = since.elapsed();
-    manifest.record(name, elapsed);
-    job.publish(Event::Stage {
-        job: job.id,
-        stage: name.to_owned(),
-        millis: elapsed.as_secs_f64() * 1e3,
-    });
 }
 
 fn run_estimate(
@@ -185,7 +158,7 @@ fn run_estimate(
     store: Option<&Mutex<Store>>,
     default_parallelism: usize,
     want_estimate: bool,
-) -> Result<JobResult, JobFailure> {
+) -> Result<JobResult, Failure> {
     let core = catalog::core_config(&spec.core).map_err(bad_spec)?;
     let image = catalog::image_for(&spec.workload, &spec.asm).map_err(bad_spec)?;
     let design = build_core(&core);
@@ -211,28 +184,8 @@ fn run_estimate(
         worker: worker.clone(),
     });
 
-    let t = Instant::now();
+    let prepare_started = Instant::now();
     let (flow, provenance) = flows.obtain(&design, session, store)?;
-    // With the JIT engine selected, compile (or fetch) the native settle
-    // dylib now so its cost lands in the prepare stage and the manifest
-    // can attribute provenance; other engines make this a no-op.
-    match store {
-        Some(store) => {
-            let mut store = store.lock().expect("store lock");
-            flow.prepare_jit(Some(&mut store));
-        }
-        None => {
-            flow.prepare_jit(None);
-        }
-    }
-    manifest.set_prepare(provenance);
-    manifest.hub_engine = flow.hub_engine_name().to_owned();
-    manifest.jit = flow
-        .jit_info()
-        .map(|(provenance, compile_ms)| CodegenProvenance {
-            provenance: provenance.to_owned(),
-            compile_ms,
-        });
     strober_probe::counter_add_labeled(
         "strober.server.job_prepare",
         &labels.clone().provenance(provenance),
@@ -243,7 +196,6 @@ fn run_estimate(
     // their first progress tick (`strober top` reads the label).
     let labels = labels.engine(flow.hub_engine_name());
     strober_probe::counter_add_labeled("strober.server.job_engine", &labels, 1);
-    stage(job, &mut manifest, "prepare", t);
 
     let progress_hook = |p: Progress| {
         let (phase, done, total) = match p {
@@ -273,69 +225,37 @@ fn run_estimate(
         progress_window_stride: 0,
         labels: Some(&labels),
     };
+    let out = driver::drive(
+        driver::Inputs {
+            flow: &flow,
+            provenance,
+            prepare_started,
+            manifest,
+            image: &image,
+            spec,
+            parallel: match spec.parallel {
+                0 => default_parallelism,
+                n => n,
+            },
+            stream: false,
+            want_estimate,
+        },
+        &ctl,
+        &|stage, elapsed| {
+            if let Some(elapsed) = elapsed {
+                job.publish(Event::Stage {
+                    job: job.id,
+                    stage: stage.to_owned(),
+                    millis: elapsed.as_secs_f64() * 1e3,
+                });
+            }
+        },
+    )?;
 
-    let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
-    dram.load(&image, 0);
-    let parallel = if spec.parallel == 0 {
-        default_parallelism
-    } else {
-        spec.parallel
-    };
-    let rule = spec.stopping_rule(flow.config()).map_err(bad_spec)?;
-    let (run, results) = if rule.is_some() {
-        // Adaptive runs take the streaming pipeline: capture and replay
-        // overlap as one stage, and the rule may stop the run before the
-        // workload halts — that is the point, so the halt check only
-        // applies when the rule did *not* fire.
-        let t = Instant::now();
-        let (run, results) = flow.replay_streaming(
-            &mut dram,
-            spec.max_cycles,
-            parallel,
-            spec.batch_lanes,
-            rule,
-            &ctl,
-        )?;
-        stage(job, &mut manifest, "stream", t);
-        if dram.exit_code().is_none() && !run.stop.is_converged() {
-            return Err(JobFailure::Error(WireError::new(
-                ErrorKind::Internal,
-                format!("workload did not halt within {} cycles", spec.max_cycles),
-            )));
-        }
-        (run, results)
-    } else {
-        let t = Instant::now();
-        let run = flow.run_sampled_controlled(&mut dram, spec.max_cycles, &ctl)?;
-        if dram.exit_code().is_none() {
-            return Err(JobFailure::Error(WireError::new(
-                ErrorKind::Internal,
-                format!("workload did not halt within {} cycles", spec.max_cycles),
-            )));
-        }
-        stage(job, &mut manifest, "sim", t);
-
-        let t = Instant::now();
-        let results =
-            flow.replay_all_controlled(&run.snapshots, parallel, spec.batch_lanes, &ctl)?;
-        stage(job, &mut manifest, "replay", t);
-        (run, results)
-    };
-
-    let achieved_epsilon = match run.stop {
-        strober::StopReason::Converged { achieved, .. } => Some(achieved),
-        _ => None,
-    };
-    manifest.sampling = Some(SamplingOutcome {
-        stop_reason: run.stop.as_str().to_owned(),
-        target_epsilon: rule.map(|r| r.target_epsilon()),
-        achieved_epsilon,
-    });
-
-    let snapshot_fingerprint = replay_fingerprint(&results);
-    let outputs_checked: u64 = results.iter().map(|r| r.outputs_checked).sum();
-
-    if !want_estimate {
+    let snapshot_fingerprint = replay_fingerprint(&out.results);
+    let achieved_epsilon = out.achieved_epsilon();
+    let (run, results, manifest) = (out.run, out.results, out.manifest);
+    let Some(energy) = out.energy else {
         let mean_power_mw = if results.is_empty() {
             0.0
         } else {
@@ -344,21 +264,12 @@ fn run_estimate(
         return Ok(JobResult::Replay(ReplayOutcome {
             samples: results.len(),
             mean_power_mw,
-            outputs_checked,
+            outputs_checked: results.iter().map(|r| r.outputs_checked).sum(),
             snapshot_fingerprint,
             provenance: provenance.to_owned(),
         }));
-    }
+    };
 
-    let t = Instant::now();
-    let estimate = flow.estimate(&run, &results)?;
-    let instret = dram.instret();
-    let dram_power_mw = LpddrPowerParams::lpddr2_s4()
-        .average_power_mw(dram.counters(), run.target_cycles, flow.config().freq_hz)
-        .total_mw();
-    stage(job, &mut manifest, "estimate", t);
-
-    manifest.metrics = strober_probe::snapshot();
     if let Some(store) = store {
         let store = store.lock().expect("store lock");
         let path = store.root().join(format!("job-{}.json", job.id));
@@ -367,24 +278,19 @@ fn run_estimate(
         }
     }
 
-    let epi_nj = (estimate.mean_power_mw() + dram_power_mw)
-        * 1e-3
-        * (run.target_cycles as f64 / flow.config().freq_hz)
-        / instret as f64
-        * 1e9;
     Ok(JobResult::Estimate(EstimateOutcome {
         core: core.name.clone(),
         workload: workload_desc,
         cycles: run.target_cycles,
-        instret,
+        instret: out.instret,
         windows: run.windows,
         records: run.records,
         samples: results.len(),
-        core_power_mw: estimate.mean_power_mw(),
-        half_width_mw: estimate.interval().half_width(),
-        confidence: estimate.interval().confidence(),
-        dram_power_mw,
-        epi_nj,
+        core_power_mw: energy.estimate.mean_power_mw(),
+        half_width_mw: energy.estimate.interval().half_width(),
+        confidence: energy.estimate.interval().confidence(),
+        dram_power_mw: energy.dram_power_mw,
+        epi_nj: energy.epi_nj,
         provenance: provenance.to_owned(),
         snapshot_fingerprint,
         stop_reason: run.stop.as_str().to_owned(),
@@ -393,7 +299,7 @@ fn run_estimate(
     }))
 }
 
-fn run_fuzz_job(job: &JobEntry, spec: &FuzzSpec) -> Result<JobResult, JobFailure> {
+fn run_fuzz_job(job: &JobEntry, spec: &FuzzSpec) -> Result<JobResult, Failure> {
     let opts = FuzzOptions {
         seed_start: spec.seed_start,
         seed_end: spec.seed_end,
@@ -419,9 +325,9 @@ fn run_fuzz_job(job: &JobEntry, spec: &FuzzSpec) -> Result<JobResult, JobFailure
             }
         },
     )
-    .map_err(|e| JobFailure::Error(WireError::new(ErrorKind::Internal, e)))?;
+    .map_err(|e| Failure::Error(WireError::new(ErrorKind::Internal, e)))?;
     if outcome.cancelled {
-        return Err(JobFailure::Cancelled);
+        return Err(Failure::Cancelled);
     }
     if let Some(f) = &outcome.failure {
         job.publish(Event::Log {

@@ -16,6 +16,8 @@
 //! * [`protocol`] — the typed [`Request`]/[`Response`]/[`Event`] schema.
 //! * [`frame`] — length-prefixed JSON framing with typed errors.
 //! * [`catalog`] — the design/workload catalog shared with the CLI.
+//! * [`driver`] — the one spec→estimate sequence, run in-process by
+//!   `strober estimate` and by every served estimate/replay job.
 //! * [`server`] — the daemon: listeners, job queue, worker pool,
 //!   graceful shutdown.
 //! * [`client`] — a blocking client used by `strober submit`/`jobs`/
@@ -37,6 +39,7 @@
 
 pub mod catalog;
 pub mod client;
+pub mod driver;
 pub mod frame;
 mod jobs;
 pub mod protocol;

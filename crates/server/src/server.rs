@@ -14,8 +14,9 @@
 //!
 //! [`Event`]: crate::protocol::Event
 
+use crate::driver::Failure;
 use crate::frame::{decode, read_frame_bytes_while, FrameError};
-use crate::jobs::{self, FlowCache, JobFailure};
+use crate::jobs::{self, FlowCache};
 use crate::protocol::{
     ErrorKind, Event, JobState, Request, Response, ServerMsg, WatchFrame, WireError,
     PROTOCOL_VERSION,
@@ -366,7 +367,7 @@ impl Server {
         );
         for id in shared.queue.close(drain) {
             if let Some(job) = shared.table.get(id) {
-                finish_job(&job, Err(JobFailure::Cancelled));
+                finish_job(&job, Err(Failure::Cancelled));
             }
         }
         if !drain {
@@ -490,7 +491,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 /// the job's labeled series from the registry (its manifest already
 /// captured them), so watch streams and scrapes only carry live jobs
 /// and registry cardinality stays bounded by concurrency, not history.
-fn finish_job(job: &JobEntry, result: Result<crate::protocol::JobResult, JobFailure>) {
+fn finish_job(job: &JobEntry, result: Result<crate::protocol::JobResult, Failure>) {
     let waited = job.waited();
     match result {
         Ok(res) => {
@@ -501,12 +502,12 @@ fn finish_job(job: &JobEntry, result: Result<crate::protocol::JobResult, JobFail
                 result: res,
             });
         }
-        Err(JobFailure::Cancelled) => {
+        Err(Failure::Cancelled) => {
             *job.phase.lock().expect("phase lock") = JobPhase::Cancelled { waited };
             strober_probe::counter_add("strober.server.jobs_cancelled", 1);
             job.publish(Event::Cancelled { job: job.id });
         }
-        Err(JobFailure::Error(e)) => {
+        Err(Failure::Error(e)) => {
             *job.phase.lock().expect("phase lock") = JobPhase::Failed { waited };
             strober_probe::counter_add("strober.server.jobs_failed", 1);
             strober_probe::warn!("job {} failed: {e}", job.id);
@@ -658,7 +659,7 @@ fn handle_request(
         Request::Cancel { job } => match shared.table.get(job) {
             Some(entry) => {
                 if shared.queue.remove(job) {
-                    finish_job(&entry, Err(JobFailure::Cancelled));
+                    finish_job(&entry, Err(Failure::Cancelled));
                     respond(Response::Cancelled {
                         job,
                         state: JobState::Cancelled,

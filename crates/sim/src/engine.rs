@@ -51,8 +51,8 @@ pub trait Engine {
         self.clock_edge();
     }
 
-    /// A short static label for this engine variant, as used by
-    /// `strober bench report` rows (`"naive"`, `"tape"`, `"tape-jit"`).
+    /// A short static label for this engine variant, as used by run
+    /// manifests and metric labels (`"naive"`, `"tape"`, `"tape-jit"`).
     fn engine_name(&self) -> &'static str;
 }
 

@@ -11,9 +11,10 @@ use strober_cores::build_core;
 use strober_dram::{DramConfig, DramModel, LpddrPowerParams};
 use strober_isa::programs;
 use strober_server::catalog;
+use strober_server::driver::{self, Failure, Products};
 use strober_server::protocol::{
-    EstimateOutcome, EstimateSpec, Event, FuzzSpec, JobResult, JobSpec, JobState, Priority,
-    Request, Response,
+    ErrorKind, EstimateOutcome, EstimateSpec, Event, FuzzSpec, JobResult, JobSpec, JobState,
+    Priority, Request, Response,
 };
 use strober_server::{replay_fingerprint, Client, Server, ServerConfig, ServerHandle};
 
@@ -130,7 +131,12 @@ fn connect(addr: SocketAddr, name: &str) -> Client {
     client
 }
 
-fn submit_and_wait(client: &mut Client, spec: JobSpec, seen: &mut Vec<Event>) -> EstimateOutcome {
+/// Submits a followed job and waits for its terminal event.
+fn submit_job(
+    client: &mut Client,
+    spec: JobSpec,
+    seen: &mut Vec<Event>,
+) -> Result<JobResult, String> {
     let resp = client
         .request(&Request::Submit {
             spec,
@@ -141,11 +147,49 @@ fn submit_and_wait(client: &mut Client, spec: JobSpec, seen: &mut Vec<Event>) ->
     let Response::Submitted { job } = resp else {
         panic!("submit rejected: {resp:?}");
     };
-    let result = client.wait_result(job, |ev| seen.push(ev.clone())).unwrap();
-    let JobResult::Estimate(outcome) = result else {
+    client.wait_result(job, |ev| seen.push(ev.clone()))
+}
+
+fn submit_and_wait(client: &mut Client, spec: JobSpec, seen: &mut Vec<Event>) -> EstimateOutcome {
+    let JobResult::Estimate(outcome) = submit_job(client, spec, seen).unwrap() else {
         panic!("wrong result kind");
     };
     outcome
+}
+
+/// Runs `spec` through the driver directly — the one-shot shape
+/// `strober estimate` has: a flow of its own, no daemon, no run control.
+/// Also returns the stage names the sink heard end, in order.
+fn drive_direct(spec: &EstimateSpec, stream: bool) -> (Result<Products, Failure>, Vec<String>) {
+    let core = catalog::core_config(&spec.core).unwrap();
+    let image = catalog::image_for(&spec.workload, &spec.asm).unwrap();
+    let prepare_started = Instant::now();
+    let flow = StroberFlow::new(&build_core(&core), spec.session_config().unwrap()).unwrap();
+    let stages = std::cell::RefCell::new(Vec::new());
+    let out = driver::drive(
+        driver::Inputs {
+            flow: &flow,
+            provenance: "cold",
+            prepare_started,
+            manifest: strober_store::RunManifest::new(core.name, "inline-asm"),
+            image: &image,
+            spec,
+            parallel: spec.parallel,
+            stream,
+            want_estimate: true,
+        },
+        &strober::RunControl::default(),
+        &|stage, elapsed| {
+            if elapsed.is_some() {
+                stages.borrow_mut().push(stage.to_owned());
+            }
+        },
+    );
+    (out, stages.into_inner())
+}
+
+fn stage_names(manifest: &strober_store::RunManifest) -> Vec<String> {
+    manifest.stages.iter().map(|s| s.name.clone()).collect()
 }
 
 fn assert_bit_identical(outcome: &EstimateOutcome, direct: &DirectRun) {
@@ -260,6 +304,127 @@ fn served_estimates_are_bit_identical_and_warm_on_the_second_job() {
     join.join().unwrap();
 }
 
+/// One driver behind both front ends: called directly (as `strober
+/// estimate` does) and through a served job it must replay the same
+/// snapshots to the same bits, stop for the same reason and name the
+/// same stages — for a phased run, a streamed one and one that carries
+/// a stopping rule.
+#[test]
+fn the_driver_and_a_served_job_agree_bit_for_bit() {
+    let oracle = direct_run();
+    let (addr, handle, join) = start_server(2);
+    let mut client = connect(addr, "driver-parity");
+
+    // A rule the workload's power cannot meet: the run takes the
+    // streaming pipeline, re-tests after every batch and still ends with
+    // the workload, so the comparison stays exact. (When the rule *does*
+    // fire, the window it fires in depends on thread timing.)
+    let ruled = EstimateSpec {
+        target_error: 1e-6,
+        min_samples: 4,
+        ..spec()
+    };
+    for (label, spec, stream, stages) in [
+        ("phased", spec(), false, "prepare sim replay estimate"),
+        ("streamed", spec(), true, "prepare stream estimate"),
+        ("ruled", ruled, false, "prepare stream estimate"),
+    ] {
+        let (out, heard) = drive_direct(&spec, stream);
+        let out = out.unwrap_or_else(|e| panic!("{label}: direct run failed: {e:?}"));
+        let energy = out.energy.as_ref().expect("asked for an estimate");
+        let served = submit_and_wait(&mut client, JobSpec::Estimate(spec), &mut Vec::new());
+
+        assert_eq!(heard.join(" "), stages, "{label}: stages the sink heard");
+        assert_eq!(
+            stage_names(&out.manifest),
+            heard,
+            "{label}: manifest stages"
+        );
+        if !stream {
+            // `--stream` is not a spec field, so only these two runs
+            // are the same spec on both sides.
+            assert_eq!(stage_names(&served.manifest), heard, "{label}");
+        }
+        assert_eq!(
+            replay_fingerprint(&out.results),
+            served.snapshot_fingerprint,
+            "{label}"
+        );
+        assert_eq!(
+            energy.estimate.mean_power_mw().to_bits(),
+            served.core_power_mw.to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            energy.estimate.interval().half_width().to_bits(),
+            served.half_width_mw.to_bits(),
+            "{label}"
+        );
+        assert_eq!(energy.epi_nj.to_bits(), served.epi_nj.to_bits(), "{label}");
+        assert_eq!(out.run.stop.as_str(), served.stop_reason, "{label}");
+        assert_eq!(served.stop_reason, "workload-done", "{label}");
+        // And all of them against the raw flow API, which shares no
+        // code with the driver.
+        assert_bit_identical(&served, &oracle);
+    }
+
+    // A rule that does fire, on a workload long enough that it fires
+    // well before the end: both front ends stop early on it.
+    let loose = EstimateSpec {
+        workload: "vvadd".to_owned(),
+        asm: None,
+        target_error: 0.5,
+        min_samples: 4,
+        ..spec()
+    };
+    let (out, _) = drive_direct(&loose, false);
+    let out = out.unwrap();
+    let served = submit_and_wait(&mut client, JobSpec::Estimate(loose), &mut Vec::new());
+    assert_eq!(out.run.stop.as_str(), "converged");
+    assert_eq!(served.stop_reason, "converged");
+    assert!(out.achieved_epsilon().unwrap() <= 0.5);
+    assert!(served.achieved_epsilon.unwrap() <= 0.5);
+    assert_eq!(stage_names(&served.manifest), stage_names(&out.manifest));
+
+    // A replay-only job replays the same sample and never estimates.
+    let mut events = Vec::new();
+    let result = submit_job(&mut client, JobSpec::Replay(spec()), &mut events).unwrap();
+    let JobResult::Replay(replayed) = result else {
+        panic!("wrong result kind: {result:?}");
+    };
+    assert_eq!(replayed.snapshot_fingerprint, oracle.snapshot_fingerprint);
+    assert_eq!(replayed.samples, oracle.samples);
+    let heard: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Stage { stage, .. } => Some(stage.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(heard, ["prepare", "sim", "replay"]);
+
+    // A cycle budget too small to halt in: one message, both front ends.
+    let starved = EstimateSpec {
+        max_cycles: 1_000,
+        ..spec()
+    };
+    let (out, _) = drive_direct(&starved, false);
+    let Err(Failure::Error(direct)) = out else {
+        panic!("a starved run must fail: {out:?}");
+    };
+    assert_eq!(direct.message, "workload did not halt within 1000 cycles");
+    let mut events = Vec::new();
+    submit_job(&mut client, JobSpec::Estimate(starved), &mut events).unwrap_err();
+    let Some(Event::Failed { error, .. }) = events.last() else {
+        panic!("a starved job must fail: {events:?}");
+    };
+    assert_eq!(error.kind, ErrorKind::Internal);
+    assert_eq!(error.message, direct.message);
+
+    handle.shutdown(false);
+    join.join().unwrap();
+}
+
 /// The artifact store is keyed on what preparation consumes, so a job
 /// that differs from an earlier one only in its seed skips
 /// FAME/synthesis/formal matching (`store`) — but still gets a flow of
@@ -362,13 +527,23 @@ fn watch_streams_stay_consistent_under_concurrent_jobs() {
     };
     let baseline = completed_of(&session);
 
-    // Two concurrent followed jobs on their own connections.
+    // Two concurrent followed jobs on their own connections. They must
+    // outlive several watch intervals *after* their first progress tick
+    // (window 4096), or an optimized build retires the per-job series
+    // between two frames: dhrystone in 32-cycle windows has ~11.6k.
+    let long = EstimateSpec {
+        workload: "dhrystone".to_owned(),
+        asm: None,
+        replay_length: 32,
+        ..spec()
+    };
     let mut threads = Vec::new();
     for i in 0..2 {
+        let long = long.clone();
         threads.push(std::thread::spawn(move || {
             let mut client = connect(addr, &format!("watched-{i}"));
             let mut events = Vec::new();
-            let outcome = submit_and_wait(&mut client, JobSpec::Estimate(spec()), &mut events);
+            let outcome = submit_and_wait(&mut client, JobSpec::Estimate(long), &mut events);
             (outcome, events)
         }));
     }
