@@ -581,8 +581,9 @@ impl StroberFlow {
     /// streaming pipeline: captured snapshots flow through a bounded
     /// queue to `parallelism` persistent replay workers (each batching up
     /// to `batch_lanes` same-length snapshots onto the bit-parallel
-    /// engine) while simulation continues on the calling thread — replay
-    /// overlaps capture instead of waiting for it.
+    /// engine, and never more than its `1/parallelism` share of the
+    /// reservoir) while simulation continues on the calling thread —
+    /// replay overlaps capture instead of waiting for it.
     ///
     /// A reservoir eviction invalidates any queued or completed replay of
     /// the evicted snapshot (per-slot epochs; see `pipeline.rs`), so the
@@ -614,6 +615,32 @@ impl StroberFlow {
         stopping: Option<StoppingRule>,
         ctl: &RunControl<'_>,
     ) -> Result<(SampledRun, Vec<ReplayResult>), StroberError> {
+        self.stream(
+            model,
+            max_cycles,
+            parallelism,
+            batch_lanes,
+            stopping,
+            ctl,
+            |_| {},
+        )
+    }
+
+    /// [`StroberFlow::replay_streaming`] with a tap: `captured` sees
+    /// every snapshot on the producer thread, after it is placed in the
+    /// reservoir and before it is queued for replay. The live-snapshot
+    /// bound test counts through it.
+    #[allow(clippy::too_many_arguments)]
+    fn stream(
+        &self,
+        model: &mut dyn HostModel,
+        max_cycles: u64,
+        parallelism: usize,
+        batch_lanes: usize,
+        stopping: Option<StoppingRule>,
+        ctl: &RunControl<'_>,
+        mut captured: impl FnMut(&Arc<FameSnapshot>),
+    ) -> Result<(SampledRun, Vec<ReplayResult>), StroberError> {
         let _span = strober_probe::span("strober.core.replay_streaming");
         if batch_lanes == 0 || batch_lanes > MAX_LANES {
             return Err(GateSimError::BadLaneCount { lanes: batch_lanes }.into());
@@ -624,6 +651,14 @@ impl StroberFlow {
         // Enough queue depth to keep every lane of every worker fed, with
         // backpressure well before capture can run away from replay.
         let queue_capacity = (parallelism * batch_lanes).max(2);
+        // Capture is much cheaper than replay, so workers always find the
+        // queue full and would each take `batch_lanes` snapshots at a
+        // time, most of them already evicted. A batch's working set grows
+        // with its lanes (one word per lane per SRAM address), so a worker
+        // takes no more than its share of the reservoir: the lanes in
+        // flight then never exceed what the phased flow replays at once,
+        // and what waits in the queue can still go stale unreplayed.
+        let worker_lanes = batch_lanes.min(self.config.sample_size.div_ceil(parallelism));
         let shared = StreamShared::new(self.config.sample_size, queue_capacity);
 
         let sampled = std::thread::scope(|scope| {
@@ -632,7 +667,7 @@ impl StroberFlow {
                 let rule = stopping.as_ref();
                 scope.spawn(move || {
                     let _span = strober_probe::span(format!("strober.core.stream_worker.{wi}"));
-                    replay_worker(self, shared, batch_lanes, rule, ctl);
+                    replay_worker(self, shared, worker_lanes, rule, ctl);
                 });
             }
             // The producer: the sequential sampling loop, with each
@@ -642,6 +677,7 @@ impl StroberFlow {
                 max_cycles,
                 ctl,
                 |slot, snap| {
+                    captured(snap);
                     let epoch = shared.advance_epoch(slot);
                     strober_probe::counter_add("strober.core.pipeline.streamed", 1);
                     let item = WorkItem {
@@ -1376,6 +1412,43 @@ mod tests {
             assert_eq!(run.records, seq_run.records);
             assert_eq!(run.stop, seq_run.stop);
             assert_eq!(results, seq_results, "{parallelism}x{lanes} diverged");
+        }
+    }
+
+    #[test]
+    fn streaming_holds_a_bounded_number_of_snapshots() {
+        // Capture is far cheaper than gate replay, so the producer keeps
+        // the queue full for the whole run. Even so the snapshots alive at
+        // once are the queue, one batch per worker and the reservoir.
+        let sample_size = 16;
+        let config = StroberConfig {
+            sample_size,
+            ..small_config()
+        };
+        let flow = StroberFlow::new(&counter_design(), config).unwrap();
+        for (workers, lanes) in [(1, 1), (2, 4), (2, 64)] {
+            let in_hands = workers * lanes.min(sample_size.div_ceil(workers));
+            let bound = (workers * lanes).max(2) + in_hands + sample_size;
+            let mut seen: Vec<std::sync::Weak<FameSnapshot>> = Vec::new();
+            let mut peak = 0;
+            flow.stream(
+                &mut NoIo,
+                40_000,
+                workers,
+                lanes,
+                None,
+                &RunControl::default(),
+                |snap| {
+                    seen.retain(|s| s.strong_count() > 0);
+                    seen.push(Arc::downgrade(snap));
+                    peak = peak.max(seen.len());
+                },
+            )
+            .unwrap();
+            assert!(
+                peak > sample_size && peak <= bound,
+                "{workers}x{lanes}: {peak} live snapshots, expected {sample_size}..={bound}"
+            );
         }
     }
 

@@ -1,8 +1,11 @@
-//! The host-side snapshot capture protocol.
+//! The host-side snapshot capture: the shifted scan/trace protocol (the
+//! reference that proves the transform's instrumentation) and the direct
+//! read of the same data out of simulator storage (what production runs).
 
-use crate::meta::FameMeta;
+use crate::meta::{FameMeta, TraceMeta};
 use serde::{Deserialize, Serialize};
-use strober_rtl::Width;
+use std::collections::HashMap;
+use strober_rtl::{Design, MemId, Node, RegId, Width};
 use strober_sim::{SimError, Simulator};
 
 /// A fully assembled replayable RTL snapshot (§III-B of the paper): all
@@ -49,8 +52,108 @@ pub struct PendingSnapshot {
     pub mems: Vec<(String, Vec<u64>)>,
 }
 
-/// Executes the scan/trace protocol over a hub simulator and accounts the
-/// extra host cycles spent (the sampling overhead `T_rec` of §IV-E).
+/// Where a snapshot's contents sit in the hub simulator's own storage:
+/// the id of every register, memory and trace ring a capture reads,
+/// resolved from the metadata once per session so that
+/// [`SnapshotController::read_state`] / [`read_traces`] do no name lookup
+/// per record.
+///
+/// [`read_traces`]: SnapshotController::read_traces
+#[derive(Debug, Clone)]
+pub struct HubLayout {
+    cycle: RegId,
+    /// `(register, width mask)` in scan-chain order.
+    regs: Vec<(RegId, u64)>,
+    /// In `mem_scans` order.
+    mems: Vec<MemId>,
+    traces_in: Vec<MemId>,
+    traces_out: Vec<MemId>,
+}
+
+impl HubLayout {
+    /// Resolves `meta` against the hub design it describes
+    /// (`sim.design()` of the session's simulator).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownName`] when `hub` is not the design
+    /// `meta` was dumped for.
+    pub fn resolve(meta: &FameMeta, hub: &Design) -> Result<Self, SimError> {
+        let unknown = |kind: &'static str, name: &str| SimError::UnknownName {
+            kind,
+            name: name.to_owned(),
+        };
+        // What a hub output reads, looked through to the storage behind it.
+        let behind = |port: &str| {
+            hub.output_by_name(port)
+                .map(|id| hub.node(id))
+                .ok_or_else(|| unknown("output", port))
+        };
+        // Depths are checked here so the per-record reads can index freely.
+        let mem_behind = |port: &str, depth: usize| match behind(port)? {
+            Node::MemRead { mem, .. } if hub.memory(*mem).depth() == depth => Ok(*mem),
+            _ => Err(unknown("memory output", port)),
+        };
+        let cycle = match behind(&meta.control.cycle)? {
+            Node::RegOut(reg) => *reg,
+            _ => return Err(unknown("cycle counter output", &meta.control.cycle)),
+        };
+        let by_name: HashMap<&str, RegId> = hub.registers().map(|(id, r)| (r.name(), id)).collect();
+        let regs = meta
+            .scan_chain
+            .iter()
+            .map(|elem| {
+                let id = *by_name
+                    .get(elem.rtl_name.as_str())
+                    .ok_or_else(|| unknown("register", &elem.rtl_name))?;
+                let mask = Width::new(elem.width)
+                    .expect("meta widths are valid")
+                    .mask();
+                Ok((id, mask))
+            })
+            .collect::<Result<_, SimError>>()?;
+        let rings = |traces: &[TraceMeta]| {
+            traces
+                .iter()
+                .map(|t| mem_behind(&t.out_port, meta.trace_depth))
+                .collect::<Result<_, SimError>>()
+        };
+        Ok(HubLayout {
+            cycle,
+            regs,
+            mems: meta
+                .mem_scans
+                .iter()
+                .map(|m| mem_behind(&m.out_port, m.depth))
+                .collect::<Result<_, SimError>>()?,
+            traces_in: rings(&meta.traces_in)?,
+            traces_out: rings(&meta.traces_out)?,
+        })
+    }
+}
+
+/// Captures snapshots from a hub simulator and keeps the ledger of hub
+/// cycles a capture costs on the modelled platform (the sampling overhead
+/// `T_rec` of §IV-E).
+///
+/// There are two ways to take the same snapshot, and they charge the same
+/// cycles:
+///
+/// * [`read_state`] / [`read_traces`] — **production**. The values are
+///   read straight out of the simulator's register and memory arrays and
+///   the cost is booked by arithmetic
+///   ([`FameMeta::snapshot_capture_cycles`] plus one cycle per traced
+///   target cycle). This is the paper's own accounting: a record is
+///   charged to the FPGA's clock, not to whoever simulates the FPGA.
+/// * [`begin_snapshot`] / [`finish_snapshot`] — **reference**. The scan
+///   chains, memory scanners and trace read port the transform built are
+///   driven cycle by cycle, which is what proves that instrumentation
+///   correct and what the arithmetic is checked against.
+///
+/// [`read_state`]: SnapshotController::read_state
+/// [`read_traces`]: SnapshotController::read_traces
+/// [`begin_snapshot`]: SnapshotController::begin_snapshot
+/// [`finish_snapshot`]: SnapshotController::finish_snapshot
 #[derive(Debug, Clone)]
 pub struct SnapshotController {
     meta: FameMeta,
@@ -96,8 +199,91 @@ impl SnapshotController {
         sim.peek_output(&self.meta.control.cycle)
     }
 
-    /// Captures register and memory state through the scan chains. The
-    /// target must already be stalled (`fire = 0`); it is left stalled.
+    /// Production capture, first half: reads register and memory state
+    /// out of simulator storage and books
+    /// [`FameMeta::snapshot_capture_cycles`]. Nothing is poked or stepped,
+    /// so the target need not be stalled and cannot be perturbed. Returns
+    /// exactly what [`begin_snapshot`](SnapshotController::begin_snapshot)
+    /// would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` was resolved against a different design.
+    pub fn read_state(&mut self, sim: &Simulator, layout: &HubLayout) -> PendingSnapshot {
+        let regs = self
+            .meta
+            .scan_chain
+            .iter()
+            .zip(&layout.regs)
+            .map(|(elem, &(id, mask))| (elem.rtl_name.clone(), sim.reg_value(id) & mask))
+            .collect();
+        let mems = self
+            .meta
+            .mem_scans
+            .iter()
+            .zip(&layout.mems)
+            .map(|(m, &id)| {
+                let words = (0..m.depth).map(|addr| sim.mem_value(id, addr)).collect();
+                (m.rtl_name.clone(), words)
+            })
+            .collect();
+        self.overhead_cycles += self.meta.snapshot_capture_cycles();
+        PendingSnapshot {
+            cycle: sim.reg_value(layout.cycle),
+            regs,
+            mems,
+        }
+    }
+
+    /// Production capture, second half: reads the traced window
+    /// `[cycle − warmup, cycle + replay_length)` out of the trace ring
+    /// memories and books one cycle per traced target cycle. Returns
+    /// exactly what [`finish_snapshot`](SnapshotController::finish_snapshot)
+    /// would, under the same precondition: `replay_length` target cycles
+    /// have fired since [`read_state`](SnapshotController::read_state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` was resolved against a different design.
+    pub fn read_traces(
+        &mut self,
+        sim: &Simulator,
+        layout: &HubLayout,
+        pending: PendingSnapshot,
+    ) -> FameSnapshot {
+        let window = u64::from(self.meta.replay_length + self.meta.warmup);
+        let depth = self.meta.trace_depth as u64;
+        let trace_start = pending.cycle.saturating_sub(u64::from(self.meta.warmup));
+        // Trace entry for target cycle t lives at index t mod depth.
+        let read = |traces: &[TraceMeta], rings: &[MemId]| {
+            traces
+                .iter()
+                .zip(rings)
+                .map(|(t, &ring)| {
+                    let values = (0..window)
+                        .map(|k| sim.mem_value(ring, ((trace_start + k) % depth) as usize))
+                        .collect();
+                    (t.port.clone(), values)
+                })
+                .collect()
+        };
+        let inputs = read(&self.meta.traces_in, &layout.traces_in);
+        let outputs = read(&self.meta.traces_out, &layout.traces_out);
+        self.overhead_cycles += window;
+        FameSnapshot {
+            cycle: pending.cycle,
+            regs: pending.regs,
+            mems: pending.mems,
+            inputs,
+            outputs,
+        }
+    }
+
+    /// Reference capture, first half: captures register and memory state
+    /// through the scan chains, one hub cycle per chain element and per
+    /// streamed memory word. The target must already be stalled
+    /// (`fire = 0`); it is left stalled. Production sessions use
+    /// [`read_state`](SnapshotController::read_state).
     ///
     /// # Errors
     ///
@@ -181,7 +367,10 @@ impl SnapshotController {
         Ok(PendingSnapshot { cycle, regs, mems })
     }
 
-    /// Reads the I/O trace buffers and assembles the snapshot.
+    /// Reference capture, second half: reads the I/O trace buffers
+    /// through the hub's trace read port and assembles the snapshot.
+    /// Production sessions use
+    /// [`read_traces`](SnapshotController::read_traces).
     ///
     /// The traced window is `[cycle − warmup, cycle + replay_length)`: the
     /// `warmup` prefix was recorded *before* the state scan (§IV-C3 — the
@@ -373,6 +562,78 @@ mod tests {
         };
 
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn direct_read_matches_the_shifted_protocol_and_does_not_perturb_execution() {
+        // Same capture points, including one that wraps the ring, through
+        // both paths: equal snapshots, equal cost, and the same target
+        // trajectory as a run with no capture at all.
+        let config = FameConfig {
+            replay_length: 8,
+            warmup: 2,
+        };
+        let fame = transform(&build(), &config).unwrap();
+        let layout = HubLayout::resolve(&fame.meta, &fame.hub).unwrap();
+        let (window, warmup) = (u64::from(config.replay_length), u64::from(config.warmup));
+
+        let run = |capture_at: &[u64], direct: bool| {
+            let mut sim = Simulator::new(&fame.hub).unwrap();
+            let mut ctl = SnapshotController::new(&fame.meta);
+            ctl.set_fire(&mut sim, true).unwrap();
+            let mut t = 0u64;
+            let mut advance = |sim: &mut Simulator, n: u64| {
+                for _ in 0..n {
+                    sim.poke_by_name("x", t % 256).unwrap();
+                    sim.step();
+                    t += 1;
+                }
+            };
+            let mut snaps = Vec::new();
+            let mut at = 0;
+            for &c in capture_at {
+                advance(&mut sim, c - at);
+                let snap = if direct {
+                    let pending = ctl.read_state(&sim, &layout);
+                    advance(&mut sim, window);
+                    ctl.read_traces(&sim, &layout, pending)
+                } else {
+                    ctl.set_fire(&mut sim, false).unwrap();
+                    let pending = ctl.begin_snapshot(&mut sim).unwrap();
+                    ctl.set_fire(&mut sim, true).unwrap();
+                    advance(&mut sim, window);
+                    ctl.set_fire(&mut sim, false).unwrap();
+                    let snap = ctl.finish_snapshot(&mut sim, pending).unwrap();
+                    ctl.set_fire(&mut sim, true).unwrap();
+                    snap
+                };
+                assert_eq!(snap.cycle, c);
+                assert_eq!(snap.trace_len() as u64, window + warmup);
+                snaps.push(snap);
+                at = c + window;
+            }
+            advance(&mut sim, 60 - at);
+            (
+                snaps,
+                ctl.overhead_cycles(),
+                sim.peek_output("sum").unwrap(),
+            )
+        };
+
+        let points = [2, 10, 29];
+        let (direct, direct_cost, direct_sum) = run(&points, true);
+        let (shifted, shifted_cost, shifted_sum) = run(&points, false);
+        let (_, _, straight_sum) = run(&[], true);
+        assert_eq!(direct, shifted);
+        assert_eq!(direct_cost, shifted_cost);
+        assert_eq!(direct_sum, straight_sum);
+        assert_eq!(shifted_sum, straight_sum);
+    }
+
+    #[test]
+    fn layout_rejects_a_hub_the_metadata_does_not_describe() {
+        let fame = transform(&build(), &FameConfig::default()).unwrap();
+        assert!(HubLayout::resolve(&fame.meta, &build()).is_err());
     }
 
     #[test]

@@ -24,8 +24,12 @@
 //!   the "simulation metadata dump" of Fig. 4, consumed by the host
 //!   driver.
 //!
-//! [`SnapshotController`] implements the host-side capture protocol over a
-//! `strober-sim` simulator of the hub and produces [`FameSnapshot`]s.
+//! [`SnapshotController`] produces [`FameSnapshot`]s from a `strober-sim`
+//! simulator of the hub, two ways that must agree bit for bit: the
+//! shifted scan/trace protocol shown below — the reference that proves
+//! the instrumentation — and a direct read of simulator storage through
+//! a [`HubLayout`], which is what a production session runs, charging the
+//! scan's hub cycles by arithmetic instead of stepping them.
 //!
 //! # Examples
 //!
@@ -68,6 +72,6 @@ mod controller;
 mod meta;
 mod transform;
 
-pub use controller::{FameSnapshot, PendingSnapshot, SnapshotController};
+pub use controller::{FameSnapshot, HubLayout, PendingSnapshot, SnapshotController};
 pub use meta::{ControlPorts, FameMeta, MemScanMeta, ScanElem, TraceMeta};
 pub use transform::{transform, FameConfig, FameResult};

@@ -108,15 +108,22 @@ impl FameMeta {
         serde_json::from_str(s)
     }
 
-    /// Number of hub cycles one full snapshot capture costs (scan chain
-    /// shifts plus memory streaming plus capture strobes) — the `T_rec`
-    /// term of the §IV-E performance model, in cycles.
+    /// Number of hub cycles one state capture costs on the hub the
+    /// transform builds — the scan part of the §IV-E `T_rec` term: one
+    /// capture strobe, one shift per chain element and, when the target
+    /// has memories, one counter reset plus one cycle per word of the
+    /// *deepest* memory (every memory streams in parallel through its own
+    /// `fame/mem_scan_out_<i>`). This is what the shifted reference
+    /// protocol spends and what the direct capture path books by
+    /// arithmetic; trace readout adds one cycle per traced target cycle
+    /// on top.
     pub fn snapshot_capture_cycles(&self) -> u64 {
         let regs = self.scan_chain.len() as u64;
-        let mem_words: u64 = self.mem_scans.iter().map(|m| m.depth as u64).sum();
-        // 1 capture strobe + one shift per chain element + 1 counter reset
-        // + one cycle per streamed memory word.
-        1 + regs + 1 + mem_words
+        let mem_stream = match self.mem_scans.iter().map(|m| m.depth as u64).max() {
+            Some(deepest) => 1 + deepest,
+            None => 0,
+        };
+        1 + regs + mem_stream
     }
 }
 
@@ -166,9 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn capture_cycles_counts_chain_and_mems() {
-        let meta = sample();
+    fn capture_cycles_counts_chain_and_deepest_mem() {
+        let mut meta = sample();
         // 1 capture + 1 reg shift + 1 reset + 16 words = 19.
         assert_eq!(meta.snapshot_capture_cycles(), 19);
+        // A second, shallower memory streams alongside the first.
+        meta.mem_scans.push(MemScanMeta {
+            rtl_name: "rom".to_owned(),
+            width: 8,
+            depth: 4,
+            out_port: "fame/mem_scan_out_1".to_owned(),
+        });
+        assert_eq!(meta.snapshot_capture_cycles(), 19);
+        // No memories: no counter reset either.
+        meta.mem_scans.clear();
+        assert_eq!(meta.snapshot_capture_cycles(), 2);
     }
 }

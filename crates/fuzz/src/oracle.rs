@@ -13,20 +13,23 @@
 //! | `gate`      | scalar gate-level sim of the netlist     | `naive`/`tape`   |
 //! | `batch@L`   | L-lane bit-parallel gate-level sim       | `gate`           |
 //! | `flow`      | sample → snapshot → replay round trip    | itself, 1 vs 64 lanes |
+//! | `capture-direct` | snapshots read out of hub simulator storage | `capture-scan` (shifted through the scan chains) |
 //!
 //! Agreement covers per-cycle outputs, final architectural state, per-net
-//! toggle counts, and power totals — the quantities Strober's energy
+//! toggle counts, power totals, and — for the two capture paths —
+//! snapshots and platform statistics: the quantities Strober's energy
 //! numbers are built from. The optional [`InjectedBug`] mutates the
 //! synthesized netlist the way a buggy gate lowering would, letting the
 //! corpus tests prove the harness catches (and the shrinker minimizes)
 //! real divergences.
 
 use crate::genome::{stimulus, Genome};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use strober::{StroberConfig, StroberFlow};
 use strober_fame::{transform, FameConfig};
 use strober_gates::{CellKind, CellLibrary, Gate, Netlist};
 use strober_gatesim::{ActivityReport, BatchSim, GateSim};
-use strober_platform::{HostModel, OutputView, TargetInput};
+use strober_platform::{HostModel, OutputView, PlatformConfig, TargetInput, ZynqHost};
 use strober_power::PowerAnalyzer;
 use strober_sim::{NaiveInterpreter, Simulator, TapeOptions};
 use strober_synth::{synthesize, SynthOptions};
@@ -464,6 +467,9 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
         }
     }
 
+    // --- Oracle: direct snapshot capture against the shifted reference. ---
+    check_capture(genome, &design, &ports)?;
+
     // --- Synthesize (optionally with the injected bug). ---
     let synth =
         synthesize(&design, &SynthOptions::default()).map_err(|e| err("synth", e.to_string()))?;
@@ -654,6 +660,81 @@ impl HostModel for StimDriver {
     }
 }
 
+impl StimDriver {
+    fn new(genome: &Genome, ports: &[(String, u64)]) -> Self {
+        StimDriver {
+            inputs: ports.iter().map(|(n, _)| n.clone()).collect(),
+            masks: ports.iter().map(|(_, m)| *m).collect(),
+            stream: lane_stream(genome, 0),
+            handles: None,
+        }
+    }
+}
+
+/// `capture-direct` vs `capture-scan`: two host sessions over one FAME
+/// hub, fed the same stimulus, capture at the same seed-chosen cycles —
+/// one by reading simulator storage (the production path), one by
+/// shifting the scan chains (the reference). Snapshots, platform
+/// statistics and the target state left behind must all be equal.
+fn check_capture(
+    genome: &Genome,
+    design: &strober_rtl::Design,
+    ports: &[(String, u64)],
+) -> Result<(), Divergence> {
+    let cerr = |detail: String| Divergence::Flow {
+        detail: format!("capture-direct vs capture-scan: {detail}"),
+    };
+    let mut rng = StdRng::seed_from_u64(genome.stim_seed);
+    // A window of 8–11 cycles in an 8- or 16-deep ring: most captures wrap.
+    let config = FameConfig {
+        replay_length: 8,
+        warmup: rng.gen_range(0..4),
+    };
+    let fame = transform(design, &config).map_err(|e| cerr(format!("transform: {e}")))?;
+    let session = || {
+        ZynqHost::new(&fame, PlatformConfig::default())
+            .map(|host| (host, StimDriver::new(genome, ports)))
+            .map_err(|e| cerr(format!("host: {e}")))
+    };
+    let (mut direct, mut direct_model) = session()?;
+    let (mut scan, mut scan_model) = session()?;
+    for capture in 0..4 {
+        let gap = rng.gen_range(0..24);
+        let a = direct
+            .run(&mut direct_model, gap)
+            .and_then(|_| direct.capture_snapshot(&mut direct_model))
+            .map_err(|e| cerr(format!("direct: {e}")))?;
+        let b = scan
+            .run(&mut scan_model, gap)
+            .and_then(|_| scan.capture_snapshot_shifted(&mut scan_model))
+            .map_err(|e| cerr(format!("scan: {e}")))?;
+        if a != b {
+            return Err(cerr(format!(
+                "capture {capture} at cycle {} (warmup {}): {a:?} vs {b:?}",
+                b.cycle, config.warmup
+            )));
+        }
+    }
+    let (sa, sb) = (direct.stats(), scan.stats());
+    if sa != sb || sa.modeled_seconds.to_bits() != sb.modeled_seconds.to_bits() {
+        return Err(cerr(format!("platform stats {sa:?} vs {sb:?}")));
+    }
+    // The reference readout of both sessions, one more stretch on: the
+    // direct path must have left the target exactly where the scan did.
+    let a = direct
+        .run(&mut direct_model, 5)
+        .and_then(|_| direct.capture_snapshot_shifted(&mut direct_model))
+        .map_err(|e| cerr(format!("direct readout: {e}")))?;
+    let b = scan
+        .run(&mut scan_model, 5)
+        .and_then(|_| scan.capture_snapshot_shifted(&mut scan_model))
+        .map_err(|e| cerr(format!("scan readout: {e}")))?;
+    if a != b {
+        return Err(cerr(format!("final target state: {a:?} vs {b:?}")));
+    }
+    Ok(())
+}
+
 fn check_flow(
     genome: &Genome,
     design: &strober_rtl::Design,
@@ -668,12 +749,7 @@ fn check_flow(
         ..StroberConfig::default()
     };
     let flow = StroberFlow::new(design, config).map_err(|e| ferr(format!("prepare: {e}")))?;
-    let mut driver = StimDriver {
-        inputs: ports.iter().map(|(n, _)| n.clone()).collect(),
-        masks: ports.iter().map(|(_, m)| *m).collect(),
-        stream: lane_stream(genome, 0),
-        handles: None,
-    };
+    let mut driver = StimDriver::new(genome, ports);
     let max_cycles = u64::from(genome.cycles).max(64) * 4;
     let run = flow
         .run_sampled(&mut driver, max_cycles)
