@@ -226,9 +226,6 @@ pub struct EstimateArgs {
     pub trace_out: Option<String>,
     /// Print the metrics snapshot table after the results.
     pub metrics: bool,
-    /// Use the streaming capture→replay pipeline even without a stopping
-    /// rule (replay overlaps capture; results stay bit-identical).
-    pub stream: bool,
 }
 
 /// Arguments of the `run` subcommand.
@@ -465,7 +462,6 @@ fn parse_command<'a>(
                     "--manifest" => a.manifest = Some(take_value(flag, &mut it)?),
                     "--trace-out" => a.trace_out = Some(take_value(flag, &mut it)?),
                     "--metrics" => a.metrics = true,
-                    "--stream" => a.stream = true,
                     other => return Err(ArgError(format!("unknown flag `{other}`"))),
                 }
             }
@@ -794,16 +790,13 @@ USAGE:
                    [--cache-dir DIR] [--no-cache] [--manifest FILE]
                    [--trace-out FILE] [--metrics] [--no-tape-opt]
                    [--hub-engine auto|interp|jit] [--target-error E]
-                   [--min-samples M] [--stream]
+                   [--min-samples M]
       Run the full flow: fast sampled simulation, gate-level replay,
       average power with a 99% confidence interval. Prepared artifacts
       (FAME hub, netlist, name map) are cached content-addressed under
       the cache dir, so repeated runs over the same design start warm;
       a JSON run manifest with per-stage wall-clock timings (prepare,
-      sim, replay, estimate; a streamed run has one overlapped
-      `stream` stage in place of sim and replay, and --json then
-      reports its wall clock under both timings_ms.sim and
-      timings_ms.replay) and the full metrics snapshot is written
+      sim, replay, estimate) and the full metrics snapshot is written
       next to the cache (or to --manifest FILE). --trace-out writes a chrome://tracing JSON
       trace of the run (open it in Perfetto or chrome://tracing);
       --metrics prints the metrics table after the results. Replay
@@ -821,15 +814,15 @@ USAGE:
       design + tape options + rustc version in the artifact store, so
       warm runs skip rustc entirely, and the engine falls back to the
       interpreter (bit-identically) when rustc is unavailable.
-      --stream pipelines capture and replay: snapshots flow through a
-      bounded queue to persistent replay workers while simulation
-      continues, with bit-identical results. --target-error E (in
-      (0, 1)) additionally enables confidence-driven adaptive stopping
-      on that pipeline: the run stops capturing as soon as the
-      confidence interval's relative error bound reaches E, after at
-      least --min-samples M (default 30) replayed samples — fewer
-      simulated cycles and fewer replays when the workload's power
-      converges early.
+      --target-error E (in (0, 1)) enables confidence-driven adaptive
+      stopping: at fixed checkpoints (--min-samples M windows, default
+      30, then each 1.5x the last) the snapshots placed since the
+      previous checkpoint are replayed and the run stops if the
+      confidence interval's relative error bound is within E. Options
+      and seed fix the window it stops at, whatever --jobs and
+      --batch-lanes are. A run stopped this way did not see the rest of
+      the workload: every figure it reports is the mean over target
+      cycles 0..K (W windows); the workload had not halted.
 
   strober run      [--core NAME] [--workload NAME | --asm FILE] [--max-cycles N]
       Fast performance-only simulation (cycles, CPI, exit code).
@@ -951,7 +944,6 @@ mod tests {
             "--trace-out",
             "trace.json",
             "--metrics",
-            "--stream",
         ])
         .unwrap();
         assert_eq!(cli.log_level, None);
@@ -971,7 +963,6 @@ mod tests {
         assert!(a.json);
         assert_eq!(a.trace_out.as_deref(), Some("trace.json"));
         assert!(a.metrics);
-        assert!(a.stream);
     }
 
     /// A legal value for each value-taking shared flag, keyed by its

@@ -88,6 +88,22 @@ fn open_store(a: &EstimateArgs) -> Option<Store> {
     }
 }
 
+/// What a run that the stopping rule ended measured: a prefix of the
+/// workload, which must never read as the workload's number.
+fn prefix_note(cycles: u64, windows: u64) -> String {
+    format!(
+        "the mean over target cycles 0..{cycles} ({windows} windows); \
+         the workload had not halted"
+    )
+}
+
+fn warn_prefix(cycles: u64, windows: u64) {
+    strober_probe::warn!(
+        "stopped at the target error: every figure reported is {}",
+        prefix_note(cycles, windows)
+    );
+}
+
 fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     let spec = &a.spec;
     let config = core_config(&spec.core)?;
@@ -111,7 +127,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     strober_probe::enable();
 
     strober_probe::info!(
-        "[1/4] instrumenting, synthesizing and formally matching {} ...",
+        "[1/3] instrumenting, synthesizing and formally matching {} ...",
         config.name
     );
     let prepare_started = std::time::Instant::now();
@@ -136,7 +152,6 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
         );
     }
 
-    let shape = format!("{parallel} workers x {} bit-lanes", spec.batch_lanes);
     let out = driver::drive(
         driver::Inputs {
             flow: &flow,
@@ -146,24 +161,16 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             image: &image,
             spec,
             parallel,
-            stream: a.stream,
             want_estimate: true,
         },
         &RunControl::default(),
         &|stage, elapsed| match (stage, elapsed) {
-            ("sim", None) => {
-                strober_probe::info!("[2/4] fast simulation with reservoir sampling ...");
-            }
-            ("stream", None) => strober_probe::info!(
-                "[2/4] streaming simulation with overlapped gate-level replay ({shape}) ..."
+            ("sim", None) => strober_probe::info!(
+                "[2/3] fast simulation with reservoir sampling, then gate-level replay of \
+                 the kept snapshots ({parallel} workers x {} bit-lanes) ...",
+                spec.batch_lanes
             ),
-            ("replay", None) => strober_probe::info!(
-                "[3/4] replaying the kept snapshots on gate-level simulation ({shape}) ..."
-            ),
-            ("stream", Some(_)) => {
-                strober_probe::info!("[3/4] replay already overlapped with simulation");
-            }
-            ("estimate", None) => strober_probe::info!("[4/4] estimating ..."),
+            ("estimate", None) => strober_probe::info!("[3/3] estimating ..."),
             _ => {}
         },
     )
@@ -175,9 +182,9 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     let (run, results, instret, manifest) = (out.run, out.results, out.instret, out.manifest);
     let energy = out.energy.expect("an estimate was asked for");
     let (estimate, dram_power) = (energy.estimate, energy.dram_power_mw);
-    // A streamed run has one overlapped stage; its wall clock is
-    // reported as both the `sim` and the `replay` timing.
-    let stream_ms = manifest.stage_millis("stream");
+    if achieved_epsilon.is_some() {
+        warn_prefix(run.target_cycles, run.windows);
+    }
 
     let events = strober_probe::take_events();
     strober_probe::disable();
@@ -225,8 +232,8 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             "jit_compile_ms": manifest.jit.as_ref().map(|j| j.compile_ms),
             "timings_ms": serde_json::json!({
                 "prepare": manifest.stage_millis("prepare"),
-                "sim": manifest.stage_millis("sim").or(stream_ms),
-                "replay": manifest.stage_millis("replay").or(stream_ms),
+                "sim": manifest.stage_millis("sim"),
+                "replay": manifest.stage_millis("replay"),
                 "estimate": manifest.stage_millis("estimate"),
             }),
             "core_power_mw": estimate.mean_power_mw(),
@@ -259,6 +266,10 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             "stopping:    converged at epsilon {eps:.4} (target {:.4}, {} samples)",
             spec.target_error,
             results.len()
+        );
+        println!(
+            "             the figures below are {}",
+            prefix_note(run.target_cycles, run.windows)
         );
     }
     println!();
@@ -788,6 +799,11 @@ fn submit_spec(a: &SubmitArgs) -> Result<JobSpec, String> {
 }
 
 fn print_job_result(result: &JobResult, json: bool) {
+    if let JobResult::Estimate(o) = result {
+        if o.achieved_epsilon.is_some() {
+            warn_prefix(o.cycles, o.windows);
+        }
+    }
     if json {
         println!(
             "{}",
@@ -815,6 +831,10 @@ fn print_job_result(result: &JobResult, json: bool) {
             );
             if let Some(eps) = o.achieved_epsilon {
                 println!("stopping:    {} at epsilon {eps:.4}", o.stop_reason);
+                println!(
+                    "             these figures are {}",
+                    prefix_note(o.cycles, o.windows)
+                );
             }
             println!("DRAM power:  {:.3} mW", o.dram_power_mw);
             println!(

@@ -58,13 +58,14 @@ pub enum Progress {
     ReplayBatches {
         /// Batches finished so far (across all workers).
         done: u64,
-        /// Total batches in this replay (0 when streaming — the total is
-        /// unknown while capture is still running).
+        /// Total batches in this replay. An adaptive run replays at
+        /// every checkpoint and once more at the end; each replay counts
+        /// from 1 to its own total.
         total: u64,
     },
-    /// The adaptive stopping rule re-evaluated the running estimate after
-    /// a replayed batch (streaming pipeline only) — `strober top` and
-    /// `watch` render these as live convergence.
+    /// The adaptive stopping rule evaluated the running estimate at a
+    /// checkpoint — `strober top` and `watch` render these as live
+    /// convergence.
     IntervalUpdate {
         /// Samples contributing to the estimate so far.
         samples: u64,

@@ -18,9 +18,10 @@ pub enum StroberError {
     /// A statistics problem: an invalid confidence level in the
     /// configuration, or too few replay results to estimate a variance.
     Stats(strober_sampling::StatsError),
-    /// A batch of snapshots handed to [`crate::StroberFlow::replay_batch`]
-    /// mixed trace lengths — lanes share one instruction stream, so one
-    /// cycle count.
+    /// One bit-parallel replay batch mixed trace lengths — lanes share
+    /// one instruction stream, so one cycle count.
+    /// [`crate::StroberFlow::replay_all_batched`] groups snapshots by
+    /// length before it batches them.
     BatchTraceLengthMismatch {
         /// Trace length of the batch's first snapshot.
         expected: usize,

@@ -1,6 +1,7 @@
 //! Run results and the statistical energy estimate.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 use strober_fame::FameSnapshot;
 use strober_platform::PlatformStats;
 use strober_power::PowerReport;
@@ -13,11 +14,12 @@ pub enum StopReason {
     WorkloadDone,
     /// The cycle budget (`max_cycles`) was exhausted first.
     MaxCycles,
-    /// The adaptive stopping rule converged before the workload ended
-    /// (streaming pipeline only): the estimate covers the executed prefix
-    /// at the requested relative error.
+    /// The adaptive stopping rule converged at one of its checkpoints,
+    /// before the workload ended: the estimate covers the executed
+    /// prefix — not the workload — at the requested relative error.
     Converged {
-        /// The relative error bound achieved over the final sample.
+        /// The relative error bound of the sample the run ended with —
+        /// the same bits the estimate's interval reports, `≤ target`.
         achieved: f64,
         /// The requested target ε.
         target: f64,
@@ -58,6 +60,11 @@ pub struct SampledRun {
     pub stats: PlatformStats,
     /// Why the simulation stopped.
     pub stop: StopReason,
+    /// Wall clock the run spent in gate-level replay — the checkpoint
+    /// replays of an adaptive run plus the replay of what was kept at the
+    /// end. Zero from [`crate::StroberFlow::run_sampled`], which replays
+    /// nothing.
+    pub replay_wall: Duration,
 }
 
 /// The product of replaying one snapshot on gate-level simulation.

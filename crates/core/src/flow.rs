@@ -3,20 +3,20 @@
 use crate::control::{Progress, RunControl};
 use crate::error::StroberError;
 use crate::estimate::{EnergyEstimate, ReplayResult, SampledRun, StopReason};
-use crate::pipeline::{replay_worker, StreamShared, WorkItem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 use strober_fame::{transform, FameConfig, FameResult, FameSnapshot};
 use strober_formal::{match_designs, MatchOptions, NameMap};
 use strober_gates::CellLibrary;
 use strober_gatesim::{BatchSim, GateSim, GateSimError, Tape, VpiLoader, MAX_LANES};
 use strober_jit::{JitArtifact, JitCompiler, JitProvenance};
-use strober_platform::{HostModel, HubEngine, PlatformConfig, PlatformStats, ZynqHost};
+use strober_platform::{HostModel, HubEngine, PlatformConfig, ZynqHost};
 use strober_power::PowerAnalyzer;
 use strober_rtl::Design;
-use strober_sampling::{Confidence, Reservoir, SampleStats, StoppingRule};
+use strober_sampling::{Confidence, Reservoir, SampleStats, StopDecision, StoppingRule};
 use strober_sim::{Simulator, TapeOptions};
 use strober_store::{fingerprint_parts, Fingerprint, Store};
 use strober_synth::{synthesize, SynthOptions, SynthResult};
@@ -459,61 +459,45 @@ impl StroberFlow {
         model: &mut dyn HostModel,
         max_cycles: u64,
     ) -> Result<SampledRun, StroberError> {
-        self.run_sampled_controlled(model, max_cycles, &RunControl::default())
+        let (run, _) = self.sample_windows(model, max_cycles, None, &RunControl::default())?;
+        Ok(run)
     }
 
-    /// [`StroberFlow::run_sampled`] with cooperative run control: the
-    /// cancellation token is checked at every sample-window boundary
-    /// (returning [`StroberError::Cancelled`] when tripped), and
-    /// [`Progress::SimWindows`] is reported every
-    /// [`RunControl::window_stride`] windows. The default control
-    /// reproduces [`StroberFlow::run_sampled`] exactly.
+    /// The one sampling loop, and the one place replay is scheduled:
+    /// every `L`-cycle window is offered to the reservoir, selected
+    /// windows are captured and the rest run free. Cancellation is
+    /// checked at every window boundary and [`Progress::SimWindows`]
+    /// reported every [`RunControl::window_stride`] windows.
     ///
-    /// # Errors
-    ///
-    /// Returns [`StroberError::Cancelled`] when the token trips, and the
-    /// same errors as [`StroberFlow::run_sampled`] otherwise.
-    pub fn run_sampled_controlled(
-        &self,
-        model: &mut dyn HostModel,
-        max_cycles: u64,
-        ctl: &RunControl<'_>,
-    ) -> Result<SampledRun, StroberError> {
-        let _span = strober_probe::span("strober.core.run_sampled");
-        let sampled = self.sample_windows(model, max_cycles, ctl, |_, _| true, |_| false)?;
-        let stop = if model.is_done() {
-            StopReason::WorkloadDone
-        } else {
-            StopReason::MaxCycles
-        };
-        Ok(sampled.into_run(stop))
-    }
-
-    /// The sampling loop behind both [`StroberFlow::run_sampled_controlled`]
-    /// and [`StroberFlow::replay_streaming`]: every `L`-cycle window is
-    /// offered to the reservoir, selected windows are captured and the
-    /// rest run free. One loop, so the RNG sequence — and therefore the
-    /// selected sample — cannot differ between the two flows.
-    ///
-    /// `placed(slot, snapshot)` sees every reservoir placement and
-    /// `stop_after(windows)` runs after every window; either ends the
-    /// loop early by returning `false` / `true`. Cancellation is checked
-    /// at every window boundary and [`Progress::SimWindows`] reported
-    /// every [`RunControl::window_stride`] windows.
+    /// With a `replay` plan, whatever the reservoir holds when the loop
+    /// ends is replayed and the results come back in slot order; a plan
+    /// with a [`StoppingRule`] also replays and evaluates the rule at its
+    /// checkpoints ([`StroberFlow::replay_streaming`] has the contract).
+    /// Without a plan nothing is replayed and the results are empty.
     fn sample_windows(
         &self,
         model: &mut dyn HostModel,
         max_cycles: u64,
+        replay: Option<&ReplayPlan>,
         ctl: &RunControl<'_>,
-        mut placed: impl FnMut(usize, &Arc<FameSnapshot>) -> bool,
-        mut stop_after: impl FnMut(u64) -> bool,
-    ) -> Result<Sampled, StroberError> {
+    ) -> Result<(SampledRun, Vec<ReplayResult>), StroberError> {
+        let span = strober_probe::span("strober.core.run_sampled");
         let t0 = std::time::Instant::now();
         let mut host =
             ZynqHost::with_sim(&self.fame, self.config.platform.clone(), self.hub_sim()?)?;
         let window = host.trace_window();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut reservoir: Reservoir<Arc<FameSnapshot>> = Reservoir::new(self.config.sample_size);
+        let mut reservoir: Reservoir<FameSnapshot> = Reservoir::new(self.config.sample_size);
+        // One result per reservoir slot; `None` marks a slot placed since
+        // it was last replayed.
+        let mut results: Vec<Option<ReplayResult>> = Vec::new();
+        let mut replay_wall = Duration::ZERO;
+        // The rule's schedule, when the plan carries a rule.
+        let mut schedule = replay.and_then(|plan| {
+            let rule = plan.stopping?;
+            Some((plan, rule, rule.checkpoints().peekable()))
+        });
+        let mut converged = None;
 
         let stride = ctl.window_stride();
         let mut windows = 0u64;
@@ -527,10 +511,9 @@ impl StroberFlow {
             }
             match reservoir.decide(&mut rng) {
                 Some(slot) => {
-                    let snap = Arc::new(host.capture_snapshot(model)?);
-                    reservoir.place(slot, snap.clone())?;
-                    if !placed(slot, &snap) {
-                        break;
+                    reservoir.place(slot, host.capture_snapshot(model)?)?;
+                    if let Some(stale) = results.get_mut(slot) {
+                        *stale = None;
                     }
                 }
                 None => {
@@ -545,8 +528,20 @@ impl StroberFlow {
                     target_cycles: host.target_cycles(),
                 });
             }
-            if stop_after(windows) {
-                break;
+            if let Some((plan, rule, checkpoints)) = &mut schedule {
+                // While the reservoir still holds every window the
+                // "sample" is a census: eq. 6's finite-population
+                // correction is exactly zero and any ε is met trivially.
+                // Such a checkpoint is passed over; the rule is first
+                // consulted once there is something left to infer.
+                let sample = reservoir.sample();
+                if checkpoints.next_if_eq(&windows).is_some() && windows as usize > sample.len() {
+                    replay_wall += self.replay_pending(sample, &mut results, plan, ctl)?;
+                    converged = evaluate_stop(rule, &results, windows, ctl);
+                    if converged.is_some() {
+                        break;
+                    }
+                }
             }
         }
         if last_report != windows {
@@ -557,55 +552,95 @@ impl StroberFlow {
         }
 
         if strober_probe::enabled() {
-            let elapsed = t0.elapsed().as_secs_f64();
+            let elapsed = t0.elapsed().saturating_sub(replay_wall).as_secs_f64();
             if elapsed > 0.0 {
                 let rate = host.target_cycles() as f64 / elapsed;
-                strober_probe::gauge_set("strober.core.sim_cycles_per_sec", rate);
-                if let Some(labels) = ctl.labels {
-                    strober_probe::gauge_set_labeled(
-                        "strober.core.sim_cycles_per_sec",
-                        labels,
-                        rate,
-                    );
-                }
+                gauge_set("strober.core.sim_cycles_per_sec", ctl, rate);
             }
         }
-        Ok(Sampled {
-            stats: host.stats(),
-            reservoir,
+        drop(span);
+        if let Some(plan) = replay {
+            replay_wall += self.replay_pending(reservoir.sample(), &mut results, plan, ctl)?;
+        }
+
+        let stats = host.stats();
+        let run = SampledRun {
+            records: reservoir.records(),
+            snapshots: reservoir.into_sample(),
+            target_cycles: stats.target_cycles,
             windows,
-        })
+            stats,
+            // A rule that fires in the workload's last window stopped
+            // nothing: the run covers the whole workload and says so.
+            stop: match converged {
+                _ if model.is_done() => StopReason::WorkloadDone,
+                Some(stop) => stop,
+                None => StopReason::MaxCycles,
+            },
+            replay_wall,
+        };
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("every kept snapshot replayed"))
+            .collect();
+        Ok((run, results))
     }
 
-    /// Runs the sampled fast simulation and gate-level replay as one
-    /// streaming pipeline: captured snapshots flow through a bounded
-    /// queue to `parallelism` persistent replay workers (each batching up
-    /// to `batch_lanes` same-length snapshots onto the bit-parallel
-    /// engine, and never more than its `1/parallelism` share of the
-    /// reservoir) while simulation continues on the calling thread —
-    /// replay overlaps capture instead of waiting for it.
+    /// Replays the slots of `sample` that hold no result yet — those
+    /// placed since the last call — and files each result under its slot.
+    /// Returns the wall clock this took.
+    fn replay_pending(
+        &self,
+        sample: &[FameSnapshot],
+        results: &mut Vec<Option<ReplayResult>>,
+        plan: &ReplayPlan,
+        ctl: &RunControl<'_>,
+    ) -> Result<Duration, StroberError> {
+        let t0 = std::time::Instant::now();
+        results.resize_with(sample.len(), || None);
+        let pending: Vec<usize> = (0..sample.len())
+            .filter(|&slot| results[slot].is_none())
+            .collect();
+        if !pending.is_empty() {
+            let snapshots: Vec<&FameSnapshot> = pending.iter().map(|&slot| &sample[slot]).collect();
+            let replayed =
+                self.replay_all_controlled(&snapshots, plan.parallelism, plan.batch_lanes, ctl)?;
+            for (slot, result) in pending.into_iter().zip(replayed) {
+                results[slot] = Some(result);
+            }
+        }
+        Ok(t0.elapsed())
+    }
+
+    /// Runs the sampled fast simulation and the gate-level replay of the
+    /// kept snapshots as one call: `parallelism` worker threads, each
+    /// batching up to `batch_lanes` same-length snapshots onto the
+    /// bit-parallel engine.
     ///
-    /// A reservoir eviction invalidates any queued or completed replay of
-    /// the evicted snapshot (per-slot epochs; see `pipeline.rs`), so the
-    /// final results correspond exactly to the surviving uniform sample.
+    /// With `stopping = None` this *is* [`StroberFlow::run_sampled`]
+    /// followed by [`StroberFlow::replay_all_batched`] — one loop, one
+    /// replay once it ends. With a [`StoppingRule`] the loop also stops
+    /// at the rule's [checkpoints](StoppingRule::checkpoints), replays
+    /// what was placed since the last one, evaluates the rule over the
+    /// current sample (reporting [`Progress::IntervalUpdate`]) and ends
+    /// the run as soon as the target relative error is met. The run then
+    /// reports [`StopReason::Converged`] with the ε of exactly the sample
+    /// [`StroberFlow::estimate`] will see, and the estimate covers the
+    /// executed prefix of the workload — not the workload.
     ///
-    /// With `stopping = None` the returned run and results are
-    /// bit-identical to [`StroberFlow::run_sampled_controlled`] followed
-    /// by [`StroberFlow::replay_all_controlled`] — same RNG sequence,
-    /// same snapshots, same slot-ordered results. With a
-    /// [`StoppingRule`], workers re-evaluate the confidence interval
-    /// after every replayed batch (reporting
-    /// [`Progress::IntervalUpdate`]) and capture stops as soon as the
-    /// target relative error is met — the run then reports
-    /// [`StopReason::Converged`] and the estimate covers the executed
-    /// prefix of the workload.
+    /// A configuration and seed fix the result, adaptive or not, on any
+    /// `parallelism` and `batch_lanes`. [`SampledRun::replay_wall`] says
+    /// how much of the call was replay.
+    ///
+    /// (The name is historical: an earlier pipeline overlapped replay
+    /// with capture — DESIGN.md §15.)
     ///
     /// # Errors
     ///
     /// Returns [`StroberError::Cancelled`] when the control's token
     /// trips, [`StroberError::GateSim`] for a `batch_lanes` outside
-    /// `1..=64`, and otherwise the first simulation or replay error
-    /// encountered on any thread.
+    /// `1..=64` (before anything is simulated), and otherwise the first
+    /// simulation or replay error.
     pub fn replay_streaming(
         &self,
         model: &mut dyn HostModel,
@@ -615,128 +650,13 @@ impl StroberFlow {
         stopping: Option<StoppingRule>,
         ctl: &RunControl<'_>,
     ) -> Result<(SampledRun, Vec<ReplayResult>), StroberError> {
-        self.stream(
-            model,
-            max_cycles,
+        check_lanes(batch_lanes)?;
+        let plan = ReplayPlan {
             parallelism,
             batch_lanes,
             stopping,
-            ctl,
-            |_| {},
-        )
-    }
-
-    /// [`StroberFlow::replay_streaming`] with a tap: `captured` sees
-    /// every snapshot on the producer thread, after it is placed in the
-    /// reservoir and before it is queued for replay. The live-snapshot
-    /// bound test counts through it.
-    #[allow(clippy::too_many_arguments)]
-    fn stream(
-        &self,
-        model: &mut dyn HostModel,
-        max_cycles: u64,
-        parallelism: usize,
-        batch_lanes: usize,
-        stopping: Option<StoppingRule>,
-        ctl: &RunControl<'_>,
-        mut captured: impl FnMut(&Arc<FameSnapshot>),
-    ) -> Result<(SampledRun, Vec<ReplayResult>), StroberError> {
-        let _span = strober_probe::span("strober.core.replay_streaming");
-        if batch_lanes == 0 || batch_lanes > MAX_LANES {
-            return Err(GateSimError::BadLaneCount { lanes: batch_lanes }.into());
-        }
-        let parallelism = parallelism.max(1);
-        let t0 = std::time::Instant::now();
-
-        // Enough queue depth to keep every lane of every worker fed, with
-        // backpressure well before capture can run away from replay.
-        let queue_capacity = (parallelism * batch_lanes).max(2);
-        // Capture is much cheaper than replay, so workers always find the
-        // queue full and would each take `batch_lanes` snapshots at a
-        // time, most of them already evicted. A batch's working set grows
-        // with its lanes (one word per lane per SRAM address), so a worker
-        // takes no more than its share of the reservoir: the lanes in
-        // flight then never exceed what the phased flow replays at once,
-        // and what waits in the queue can still go stale unreplayed.
-        let worker_lanes = batch_lanes.min(self.config.sample_size.div_ceil(parallelism));
-        let shared = StreamShared::new(self.config.sample_size, queue_capacity);
-
-        let sampled = std::thread::scope(|scope| {
-            for wi in 0..parallelism {
-                let shared = &shared;
-                let rule = stopping.as_ref();
-                scope.spawn(move || {
-                    let _span = strober_probe::span(format!("strober.core.stream_worker.{wi}"));
-                    replay_worker(self, shared, worker_lanes, rule, ctl);
-                });
-            }
-            // The producer: the sequential sampling loop, with each
-            // placement also queued for streaming replay.
-            let sampled = self.sample_windows(
-                model,
-                max_cycles,
-                ctl,
-                |slot, snap| {
-                    captured(snap);
-                    let epoch = shared.advance_epoch(slot);
-                    strober_probe::counter_add("strober.core.pipeline.streamed", 1);
-                    let item = WorkItem {
-                        slot,
-                        epoch,
-                        snap: snap.clone(),
-                    };
-                    // A refused push means a worker hit an error and
-                    // closed the queue; its error surfaces after join.
-                    let queued = shared.queue.push(item);
-                    if queued {
-                        strober_probe::gauge_set(
-                            "strober.core.pipeline.queue_depth",
-                            shared.queue.len() as f64,
-                        );
-                    }
-                    queued
-                },
-                |windows| {
-                    shared.windows.store(windows, Ordering::Relaxed);
-                    shared.aborted() || shared.stop_requested()
-                },
-            );
-            // Capture is over (or failed): close the queue so workers
-            // drain the backlog and exit. On abort they bail immediately.
-            shared.queue.close();
-            sampled
-        })?;
-        if let Some(e) = shared.take_error() {
-            return Err(e);
-        }
-        if ctl.is_cancelled() {
-            return Err(StroberError::Cancelled);
-        }
-        let filled = sampled.reservoir.sample().len();
-        let results = shared.into_results(filled);
-        record_replay_rate(results.len(), t0, ctl);
-
-        // The stop reason, with the achieved ε recomputed over the final
-        // drained sample (the in-flight trigger evaluated a subset).
-        let stop = match stopping {
-            Some(rule) if !model.is_done() && sampled.stats.target_cycles < max_cycles => {
-                let powers: Vec<f64> = results.iter().map(|r| r.power.total_mw()).collect();
-                let achieved = SampleStats::from_measurements(&powers)
-                    .map(|stats| {
-                        stats
-                            .confidence_interval(sampled.windows as usize, rule.confidence())
-                            .relative_error_bound()
-                    })
-                    .unwrap_or(f64::INFINITY);
-                StopReason::Converged {
-                    achieved,
-                    target: rule.target_epsilon(),
-                }
-            }
-            _ if model.is_done() => StopReason::WorkloadDone,
-            _ => StopReason::MaxCycles,
         };
-        Ok((sampled.into_run(stop), results))
+        self.sample_windows(model, max_cycles, Some(&plan), ctl)
     }
 
     /// Assembles one snapshot's bulk-load state through the verified name
@@ -787,7 +707,7 @@ impl StroberFlow {
     /// Returns [`StroberError::ReplayMismatch`] when gate-level outputs
     /// diverge from the trace, [`StroberError::UnmappedState`] for
     /// snapshot state with no mapping, and loader errors otherwise.
-    pub fn replay(&self, snapshot: &FameSnapshot) -> Result<ReplayResult, StroberError> {
+    fn replay(&self, snapshot: &FameSnapshot) -> Result<ReplayResult, StroberError> {
         let _span = strober_probe::span("strober.core.replay_sample");
         let t0 = strober_probe::enabled().then(std::time::Instant::now);
         let mut sim = GateSim::with_tape(self.replay_tape()?, &self.synth.netlist);
@@ -856,10 +776,7 @@ impl StroberFlow {
     /// lengths differ ([`StroberFlow::replay_all_batched`] groups by
     /// length for you), and the same errors as [`StroberFlow::replay`]
     /// otherwise; a mismatch on any lane fails the whole batch.
-    pub fn replay_batch(
-        &self,
-        snapshots: &[&FameSnapshot],
-    ) -> Result<Vec<ReplayResult>, StroberError> {
+    fn replay_batch(&self, snapshots: &[&FameSnapshot]) -> Result<Vec<ReplayResult>, StroberError> {
         let _span = strober_probe::span("strober.core.replay_batch");
         let t0 = strober_probe::enabled().then(std::time::Instant::now);
         let lanes = snapshots.len();
@@ -967,8 +884,8 @@ impl StroberFlow {
     /// concurrent replays). Results come back in snapshot order and are
     /// bit-identical to the scalar path.
     ///
-    /// `batch_lanes == 1` selects the scalar [`StroberFlow::replay`]
-    /// reference path.
+    /// `batch_lanes == 1` selects the scalar `GateSim` replay, the
+    /// reference the batched path is tested bit-identical against.
     ///
     /// # Errors
     ///
@@ -980,7 +897,8 @@ impl StroberFlow {
         parallelism: usize,
         batch_lanes: usize,
     ) -> Result<Vec<ReplayResult>, StroberError> {
-        self.replay_all_controlled(snapshots, parallelism, batch_lanes, &RunControl::default())
+        let snapshots: Vec<&FameSnapshot> = snapshots.iter().collect();
+        self.replay_all_controlled(&snapshots, parallelism, batch_lanes, &RunControl::default())
     }
 
     /// [`StroberFlow::replay_all_batched`] with cooperative run control:
@@ -994,17 +912,15 @@ impl StroberFlow {
     ///
     /// Returns [`StroberError::Cancelled`] when the token trips, and the
     /// same errors as [`StroberFlow::replay_all_batched`] otherwise.
-    pub fn replay_all_controlled(
+    fn replay_all_controlled(
         &self,
-        snapshots: &[FameSnapshot],
+        snapshots: &[&FameSnapshot],
         parallelism: usize,
         batch_lanes: usize,
         ctl: &RunControl<'_>,
     ) -> Result<Vec<ReplayResult>, StroberError> {
         let _span = strober_probe::span("strober.core.replay");
-        if batch_lanes == 0 || batch_lanes > MAX_LANES {
-            return Err(GateSimError::BadLaneCount { lanes: batch_lanes }.into());
-        }
+        check_lanes(batch_lanes)?;
         let parallelism = parallelism.max(1);
         let replay_t0 = std::time::Instant::now();
 
@@ -1033,9 +949,9 @@ impl StroberFlow {
                 return Err(StroberError::Cancelled);
             }
             let results = if batch_lanes == 1 {
-                vec![self.replay(&snapshots[batch[0]])?]
+                vec![self.replay(snapshots[batch[0]])?]
             } else {
-                let refs: Vec<&FameSnapshot> = batch.iter().map(|&i| &snapshots[i]).collect();
+                let refs: Vec<&FameSnapshot> = batch.iter().map(|&i| snapshots[i]).collect();
                 self.replay_batch(&refs)?
             };
             ctl.report(Progress::ReplayBatches {
@@ -1127,38 +1043,75 @@ impl StroberFlow {
     }
 }
 
-/// What [`StroberFlow::sample_windows`] leaves behind: the host session's
-/// counters, the filled reservoir and the window count.
-struct Sampled {
-    stats: PlatformStats,
-    reservoir: Reservoir<Arc<FameSnapshot>>,
-    windows: u64,
+/// How [`StroberFlow::sample_windows`] replays what it keeps: the worker
+/// and lane shape of every replay, and the rule (if any) whose
+/// checkpoints it stops at.
+struct ReplayPlan {
+    parallelism: usize,
+    batch_lanes: usize,
+    stopping: Option<StoppingRule>,
 }
 
-impl Sampled {
-    fn into_run(self, stop: StopReason) -> SampledRun {
-        let records = self.reservoir.records();
-        SampledRun {
-            // Replay workers drop their references before the pipeline
-            // joins, so the unwrap only clones if one is still alive.
-            snapshots: self
-                .reservoir
-                .into_sample()
-                .into_iter()
-                .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
-                .collect(),
-            target_cycles: self.stats.target_cycles,
-            windows: self.windows,
-            records,
-            stats: self.stats,
-            stop,
+fn check_lanes(batch_lanes: usize) -> Result<(), StroberError> {
+    if batch_lanes == 0 || batch_lanes > MAX_LANES {
+        return Err(GateSimError::BadLaneCount { lanes: batch_lanes }.into());
+    }
+    Ok(())
+}
+
+/// Evaluates `rule` at a checkpoint, over exactly the sample the
+/// reservoir holds (every slot has a result) with the `windows` simulated
+/// so far as the population: reports [`Progress::IntervalUpdate`] and the
+/// `strober.sampling.stop.*` series, and returns the stop reason when the
+/// rule converged. Its ε is the ε [`StroberFlow::estimate`] computes from
+/// the same results — nothing is placed after the decision.
+fn evaluate_stop(
+    rule: &StoppingRule,
+    results: &[Option<ReplayResult>],
+    windows: u64,
+    ctl: &RunControl<'_>,
+) -> Option<StopReason> {
+    let powers: Vec<f64> = results
+        .iter()
+        .flatten()
+        .map(|r| r.power.total_mw())
+        .collect();
+    // Fewer than two kept snapshots: no variance, nothing to evaluate.
+    let stats = SampleStats::from_measurements(&powers).ok()?;
+    let interval = stats.confidence_interval(windows as usize, rule.confidence());
+    let relative_error = interval.relative_error_bound();
+    strober_probe::counter_add("strober.sampling.stop.evaluations", 1);
+    if relative_error.is_finite() {
+        gauge_set("strober.sampling.stop.relative_error", ctl, relative_error);
+    }
+    ctl.report(Progress::IntervalUpdate {
+        samples: stats.size() as u64,
+        mean_mw: interval.mean(),
+        half_width_mw: interval.half_width(),
+        relative_error,
+    });
+    match rule.evaluate(&stats, windows as usize) {
+        StopDecision::Converged { achieved } => {
+            strober_probe::counter_add("strober.sampling.stop.converged", 1);
+            Some(StopReason::Converged {
+                achieved,
+                target: rule.target_epsilon(),
+            })
         }
+        StopDecision::Continue { .. } => None,
     }
 }
 
-/// Records replay throughput (`strober.core.replay_samples_per_sec`) —
-/// globally, and as a labeled series when the control carries run
-/// labels — so live telemetry can attribute a replay to its job.
+/// Sets a gauge globally and, when the control carries run labels, as a
+/// labeled series too, so live telemetry can attribute it to its job.
+fn gauge_set(name: &str, ctl: &RunControl<'_>, value: f64) {
+    strober_probe::gauge_set(name, value);
+    if let Some(labels) = ctl.labels {
+        strober_probe::gauge_set_labeled(name, labels, value);
+    }
+}
+
+/// Records replay throughput (`strober.core.replay_samples_per_sec`).
 fn record_replay_rate(samples: usize, since: std::time::Instant, ctl: &RunControl<'_>) {
     if !strober_probe::enabled() {
         return;
@@ -1167,11 +1120,11 @@ fn record_replay_rate(samples: usize, since: std::time::Instant, ctl: &RunContro
     if elapsed <= 0.0 {
         return;
     }
-    let rate = samples as f64 / elapsed;
-    strober_probe::gauge_set("strober.core.replay_samples_per_sec", rate);
-    if let Some(labels) = ctl.labels {
-        strober_probe::gauge_set_labeled("strober.core.replay_samples_per_sec", labels, rate);
-    }
+    gauge_set(
+        "strober.core.replay_samples_per_sec",
+        ctl,
+        samples as f64 / elapsed,
+    );
 }
 
 #[cfg(test)]
@@ -1326,15 +1279,16 @@ mod tests {
         token.cancel();
         let ctl = RunControl::cancellable(&token);
         let err = flow
-            .run_sampled_controlled(&mut NoIo, 2_000, &ctl)
+            .sample_windows(&mut NoIo, 2_000, None, &ctl)
             .unwrap_err();
         assert!(matches!(err, StroberError::Cancelled), "{err}");
 
         // Capture a run with an inert control, then cancel its replay.
         let run = flow.run_sampled(&mut NoIo, 2_000).unwrap();
+        let snapshots: Vec<&FameSnapshot> = run.snapshots.iter().collect();
         for (parallelism, lanes) in [(1, 64), (2, 64), (1, 1), (2, 1)] {
             let err = flow
-                .replay_all_controlled(&run.snapshots, parallelism, lanes, &ctl)
+                .replay_all_controlled(&snapshots, parallelism, lanes, &ctl)
                 .unwrap_err();
             assert!(matches!(err, StroberError::Cancelled), "{err}");
         }
@@ -1356,9 +1310,8 @@ mod tests {
             progress_window_stride: 0,
             labels: None,
         };
-        let controlled = flow
-            .replay_all_controlled(&run.snapshots, 2, 2, &ctl)
-            .unwrap();
+        let snapshots: Vec<&FameSnapshot> = run.snapshots.iter().collect();
+        let controlled = flow.replay_all_controlled(&snapshots, 2, 2, &ctl).unwrap();
         assert_eq!(controlled, baseline, "control must not change results");
         let seen = seen.lock().unwrap();
         let batches: Vec<_> = seen
@@ -1415,48 +1368,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_holds_a_bounded_number_of_snapshots() {
-        // Capture is far cheaper than gate replay, so the producer keeps
-        // the queue full for the whole run. Even so the snapshots alive at
-        // once are the queue, one batch per worker and the reservoir.
-        let sample_size = 16;
-        let config = StroberConfig {
-            sample_size,
-            ..small_config()
-        };
-        let flow = StroberFlow::new(&counter_design(), config).unwrap();
-        for (workers, lanes) in [(1, 1), (2, 4), (2, 64)] {
-            let in_hands = workers * lanes.min(sample_size.div_ceil(workers));
-            let bound = (workers * lanes).max(2) + in_hands + sample_size;
-            let mut seen: Vec<std::sync::Weak<FameSnapshot>> = Vec::new();
-            let mut peak = 0;
-            flow.stream(
-                &mut NoIo,
-                40_000,
-                workers,
-                lanes,
-                None,
-                &RunControl::default(),
-                |snap| {
-                    seen.retain(|s| s.strong_count() > 0);
-                    seen.push(Arc::downgrade(snap));
-                    peak = peak.max(seen.len());
-                },
-            )
-            .unwrap();
-            assert!(
-                peak > sample_size && peak <= bound,
-                "{workers}x{lanes}: {peak} live snapshots, expected {sample_size}..={bound}"
-            );
+    /// A counter that gates a multiplier on for 16 cycles in every 64:
+    /// unlike [`counter_design`]'s, its 16-cycle windows differ
+    /// several-fold in power, so an interval over them is not tight at
+    /// once.
+    fn bursty_design() -> Design {
+        let ctx = Ctx::new("bursty");
+        let (w16, w32) = (Width::new(16).unwrap(), Width::new(32).unwrap());
+        let count = ctx.scope("core", |c| c.reg("count", w16, 0));
+        count.set(&count.out().add_lit(1));
+        let work = ctx.scope("core", |c| c.reg("work", w32, 0x1234_5678));
+        let busy = count.out().bits(5, 4).eq_lit(3);
+        work.set_en(&work.out().mul(&work.out().add_lit(0x9E37_79B9)), &busy);
+        ctx.output("value", &(work.out().bits(15, 0) ^ count.out()));
+        ctx.finish().unwrap()
+    }
+
+    /// A control that carries only a progress hook.
+    fn recording<'a>(hook: &'a (dyn Fn(Progress) + Sync)) -> RunControl<'a> {
+        RunControl {
+            progress: Some(hook),
+            ..RunControl::default()
         }
     }
 
     #[test]
+    fn streaming_holds_a_bounded_number_of_snapshots() {
+        // Snapshots live in the reservoir and nowhere else, so no replay
+        // — checkpoint or final — can be handed more of them than the
+        // reservoir holds, and none is replayed that was not recorded.
+        // One lane per batch makes `total` a snapshot count.
+        use std::sync::Mutex;
+        let sample_size = 8;
+        let config = StroberConfig {
+            sample_size,
+            ..small_config()
+        };
+        let flow = StroberFlow::new(&bursty_design(), config).unwrap();
+        let rule = StoppingRule::new(1e-9, Confidence::C99, 4).unwrap();
+        let seen = Mutex::new(Vec::new());
+        let hook = |p: Progress| seen.lock().unwrap().push(p);
+        let (run, results) = flow
+            .replay_streaming(&mut NoIo, 40_000, 2, 1, Some(rule), &recording(&hook))
+            .unwrap();
+        assert_eq!(run.stop, StopReason::MaxCycles, "ε = 1e-9 cannot be met");
+        assert_eq!(results.len(), sample_size);
+
+        let mut replays = 0;
+        let mut replayed = 0;
+        for p in seen.lock().unwrap().iter() {
+            match *p {
+                Progress::ReplayBatches { done, total } => {
+                    assert!(
+                        total as usize <= sample_size,
+                        "{total} snapshots in one replay"
+                    );
+                    if done == total {
+                        replays += 1;
+                        replayed += total;
+                    }
+                }
+                Progress::IntervalUpdate { samples, .. } => {
+                    assert_eq!(samples as usize, sample_size, "evaluated a partial sample");
+                }
+                Progress::SimWindows { .. } => {}
+            }
+        }
+        assert!(replays > 3, "only {replays} replays: no checkpoint ran");
+        assert!(
+            replayed as usize >= sample_size && replayed <= run.records,
+            "{replayed} snapshots replayed of {} recorded",
+            run.records
+        );
+    }
+
+    #[test]
     fn streaming_with_a_loose_rule_converges_early() {
-        // The counter's windows are near-identical in power, so a loose ε
-        // converges as soon as the sample floor is met — well before the
-        // full reservoir would have been replayed.
         let config = StroberConfig {
             replay_length: 16,
             sample_size: 8,
@@ -1467,36 +1454,32 @@ mod tests {
         use std::sync::Mutex;
         let seen = Mutex::new(Vec::new());
         let hook = |p: Progress| seen.lock().unwrap().push(p);
-        let ctl = RunControl {
-            progress: Some(&hook),
-            ..RunControl::default()
-        };
         let (run, results) = flow
-            .replay_streaming(&mut NoIo, 200_000, 1, 1, Some(rule), &ctl)
+            .replay_streaming(&mut NoIo, 200_000, 1, 1, Some(rule), &recording(&hook))
             .unwrap();
-        assert!(
-            run.stop.is_converged(),
-            "expected convergence: {:?}",
-            run.stop
-        );
         let StopReason::Converged { achieved, target } = run.stop else {
-            unreachable!()
+            panic!("expected convergence: {:?}", run.stop);
         };
         assert!(achieved <= target, "achieved {achieved} > target {target}");
+        // The checkpoints at 4 and 6 windows are a census of a reservoir
+        // still filling and are passed over; 9 is the first real one, and
+        // the counter's near-identical windows meet a loose ε there.
+        assert_eq!(run.windows, 9);
+        assert_eq!(results.len(), flow.config().sample_size);
+        let updates: Vec<Progress> = seen
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|p| matches!(p, Progress::IntervalUpdate { .. }))
+            .copied()
+            .collect();
         assert!(
-            results.len() < flow.config().sample_size,
-            "stopped with {} of {} samples — no early stop happened",
-            results.len(),
-            flow.config().sample_size
-        );
-        assert!(results.len() >= rule.min_samples());
-        assert!(run.windows < 200_000 / u64::from(flow.config().replay_length));
-        assert!(
-            seen.lock()
-                .unwrap()
-                .iter()
-                .any(|p| matches!(p, Progress::IntervalUpdate { .. })),
-            "no IntervalUpdate reported"
+            matches!(
+                updates[..],
+                [Progress::IntervalUpdate { samples: 8, relative_error, .. }]
+                    if relative_error == achieved
+            ),
+            "{updates:?}"
         );
         // The estimate over the executed prefix is still well-formed.
         let estimate = flow.estimate(&run, &results).unwrap();
@@ -1504,23 +1487,93 @@ mod tests {
     }
 
     #[test]
+    fn a_converged_run_reports_the_epsilon_of_the_sample_it_estimates() {
+        // The decision and the report are one evaluation. Over sixteen
+        // seeds of a design whose windows differ in power, a converged
+        // run's ε is within the target and is, to the bit, the relative
+        // error of the estimate built from what the run returned — on
+        // any worker/lane shape, which cannot move the stop window either.
+        let mut stops = std::collections::BTreeMap::new();
+        for seed in 0..16u64 {
+            let config = StroberConfig {
+                sample_size: 6,
+                seed,
+                ..small_config()
+            };
+            let flow = StroberFlow::new(&bursty_design(), config).unwrap();
+            let rule = StoppingRule::new(0.7, flow.config().confidence, 4).unwrap();
+            let mut reference = None;
+            for (parallelism, lanes) in [(1, 1), (2, 4), (3, 64)] {
+                let (run, results) = flow
+                    .replay_streaming(
+                        &mut NoIo,
+                        20_000,
+                        parallelism,
+                        lanes,
+                        Some(rule),
+                        &RunControl::default(),
+                    )
+                    .unwrap();
+                if let StopReason::Converged { achieved, target } = run.stop {
+                    assert!(achieved <= target, "seed {seed}: {achieved} > {target}");
+                    let estimate = flow.estimate(&run, &results).unwrap();
+                    assert_eq!(
+                        estimate.interval().relative_error_bound().to_bits(),
+                        achieved.to_bits(),
+                        "seed {seed}: the reported ε is not the estimate's"
+                    );
+                }
+                let outcome = (run.windows, run.records, run.stop, results);
+                match &reference {
+                    None => reference = Some(outcome),
+                    Some(first) => assert_eq!(
+                        &outcome, first,
+                        "seed {seed}: {parallelism}x{lanes} moved the stop"
+                    ),
+                }
+            }
+            let (windows, _, stop, _) = reference.unwrap();
+            if stop.is_converged() {
+                *stops.entry(windows).or_insert(0) += 1;
+            }
+        }
+        // The rule is doing work, not rubber-stamping the first real
+        // checkpoint (9 windows): most seeds converge, at several windows.
+        assert!(
+            stops.values().sum::<u32>() >= 8 && stops.len() >= 3,
+            "stop windows and their seed counts: {stops:?}"
+        );
+    }
+
+    #[test]
     fn streaming_cancellation_is_clean() {
-        let flow = StroberFlow::new(&counter_design(), small_config()).unwrap();
-        let token = crate::control::CancelToken::new();
-        token.cancel();
-        let ctl = RunControl::cancellable(&token);
-        let err = flow
-            .replay_streaming(&mut NoIo, 2_000, 2, 2, None, &ctl)
-            .unwrap_err();
-        assert!(matches!(err, StroberError::Cancelled), "{err}");
+        let flow = StroberFlow::new(&bursty_design(), small_config()).unwrap();
+        // Tripped from inside a checkpoint's replay, after its first
+        // batch: the remaining batches are skipped and the run ends
+        // cancelled, not converged and not with a partial sample.
+        let rule = StoppingRule::new(1e-9, Confidence::C99, 4).unwrap();
+        for parallelism in [1, 2] {
+            let token = crate::control::CancelToken::new();
+            let hook = |p: Progress| {
+                if matches!(p, Progress::ReplayBatches { .. }) {
+                    token.cancel();
+                }
+            };
+            let ctl = RunControl {
+                cancel: Some(&token),
+                ..recording(&hook)
+            };
+            let err = flow
+                .replay_streaming(&mut NoIo, 40_000, parallelism, 1, Some(rule), &ctl)
+                .unwrap_err();
+            assert!(matches!(err, StroberError::Cancelled), "{err}");
+        }
     }
 
     #[test]
     fn streaming_surfaces_replay_errors() {
-        // Force a replay mismatch by giving replay a different design's
-        // netlist: impossible through the public API, so instead corrupt
-        // the run by making gate-level replay impossible — an over-wide
-        // lane count is the cheapest injectable error.
+        // An over-wide lane count is the cheapest injectable replay
+        // error; it is refused before anything is simulated.
         let flow = StroberFlow::new(&counter_design(), small_config()).unwrap();
         let err = flow
             .replay_streaming(&mut NoIo, 2_000, 1, 65, None, &RunControl::default())
@@ -1545,7 +1598,7 @@ mod tests {
             progress_window_stride: stride,
             ..RunControl::default()
         };
-        flow.run_sampled_controlled(&mut NoIo, 2_000, &ctl).unwrap();
+        flow.sample_windows(&mut NoIo, 2_000, None, &ctl).unwrap();
         let sim_reports: Vec<_> = seen
             .lock()
             .unwrap()

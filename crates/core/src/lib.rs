@@ -68,7 +68,6 @@ mod error;
 mod estimate;
 mod flow;
 mod perf_model;
-mod pipeline;
 
 pub use control::{CancelToken, Progress, RunControl};
 pub use error::StroberError;

@@ -39,4 +39,4 @@ pub use model::{expected_record_count, paper_record_count_model, RecordCountSim}
 pub use normal::{inverse_normal_cdf, normal_cdf, z_quantile};
 pub use reservoir::{Reservoir, ReservoirEvent};
 pub use stats::{Confidence, ConfidenceInterval, PopulationStats, SampleStats};
-pub use stop::{StopDecision, StoppingRule};
+pub use stop::{StopDecision, StoppingRule, CHECKPOINT_GROWTH};

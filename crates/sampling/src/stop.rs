@@ -3,14 +3,28 @@
 //! The paper's minimum-sample-size rule (eq. 8) answers "how many samples
 //! will I need?" from a pilot sample; a [`StoppingRule`] answers the dual
 //! online question "do the samples I already replayed suffice?". The flow
-//! re-evaluates the rule after every replayed batch: once the normal-theory
-//! interval (eq. 7, with finite-population correction per eq. 6) is tighter
-//! than the requested relative error ε — and the sample has reached the
-//! configured minimum floor — capture and replay both cease, making
-//! estimation latency rather than simulated cycles the contract.
+//! asks it at [checkpoints](StoppingRule::checkpoints) — window counts
+//! fixed by the rule alone, so the answer never depends on how fast
+//! replay ran: once the normal-theory interval (eq. 7, with
+//! finite-population correction per eq. 6) is tighter than the requested
+//! relative error ε — and the sample has reached the configured minimum
+//! floor — capture and replay both cease, making estimation latency
+//! rather than simulated cycles the contract.
 
 use crate::error::StatsError;
 use crate::stats::{Confidence, SampleStats};
+
+/// Ratio between consecutive [checkpoints](StoppingRule::checkpoints).
+///
+/// The price of a checkpoint is one replay of the reservoir slots placed
+/// since the previous one — about `n·(1 − 1/g)` of a full reservoir of
+/// `n` — and a run of `N` windows takes `log_g(N / min_samples)` of them,
+/// so a run whose rule never fires replays roughly `n·(g − 1)/g ·
+/// log_g(N/n)` snapshots more than a fixed-size run. A larger `g` checks
+/// less often (stops later, costs less); at 1.5 that worst case measures
+/// 1.6× the fixed-size run on rok/dhrystone (EXPERIMENTS.md, "Adaptive
+/// stopping").
+pub const CHECKPOINT_GROWTH: f64 = 1.5;
 
 /// The outcome of one [`StoppingRule::evaluate`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +133,19 @@ impl StoppingRule {
         self.min_samples
     }
 
+    /// The window counts at which the flow may evaluate this rule: the
+    /// floor itself, then each [`CHECKPOINT_GROWTH`] times the last,
+    /// rounded up. The schedule depends on nothing but the rule, which is
+    /// what makes the window a run stops at a function of its
+    /// configuration and seed. (The flow passes over a checkpoint that
+    /// lands while its reservoir still holds every window: a census meets
+    /// any ε trivially.)
+    pub fn checkpoints(&self) -> impl Iterator<Item = u64> {
+        std::iter::successors(Some(self.min_samples as u64), |&c| {
+            Some((c as f64 * CHECKPOINT_GROWTH).ceil() as u64)
+        })
+    }
+
     /// Evaluates the rule against the samples replayed so far.
     ///
     /// `population_size` is the number of disjoint replay windows the
@@ -178,6 +205,20 @@ mod tests {
         assert_eq!(rule.target_epsilon(), 0.05);
         assert_eq!(rule.confidence(), Confidence::C999);
         assert_eq!(rule.min_samples(), 30);
+    }
+
+    #[test]
+    fn checkpoints_start_at_the_floor_and_grow_geometrically() {
+        let rule = StoppingRule::new(0.05, Confidence::C99, 4).unwrap();
+        let first: Vec<u64> = rule.checkpoints().take(8).collect();
+        assert_eq!(first, [4, 6, 9, 14, 21, 32, 48, 72]);
+        // Even the smallest legal floor advances: ⌈2 × 1.5⌉ = 3.
+        let rule = StoppingRule::new(0.05, Confidence::C99, 2).unwrap();
+        let mut last = 0;
+        for c in rule.checkpoints().take(40) {
+            assert!(c > last, "schedule stalled at {c}");
+            last = c;
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! Stages are timed here, not derived from probe spans — the recorder
 //! is process-global, so a multi-worker daemon's spans mix jobs — under
-//! one vocabulary: `prepare`, then `sim` and `replay` (phased) or
-//! `stream` (capture and replay overlapped), then `estimate`.
+//! one vocabulary: `prepare`, `sim`, `replay`, `estimate`. Simulation
+//! and replay are one flow call; the flow says how much of it was replay
+//! (all of it after the last window, unless a stopping rule also
+//! replayed at its checkpoints) and `sim` is the rest.
 
 use crate::protocol::{ErrorKind, EstimateSpec, WireError};
 use std::time::{Duration, Instant};
@@ -35,8 +37,6 @@ pub struct Inputs<'a> {
     pub spec: &'a EstimateSpec,
     /// Replay worker threads, with `spec.parallel == 0` already resolved.
     pub parallel: usize,
-    /// Overlap capture and replay even without a stopping rule.
-    pub stream: bool,
     /// Compute the energy estimate (a replay-only job does not).
     pub want_estimate: bool,
 }
@@ -98,7 +98,8 @@ impl From<StroberError> for Failure {
 
 /// Runs `inputs.spec` on the prepared flow. `on_stage` hears each stage
 /// begin (`None`) and end (`Some(elapsed)`); `prepare` began in the
-/// caller, so it only ends here.
+/// caller, so it only ends here, and `replay` runs inside the call that
+/// `sim` began, so it only ends too.
 ///
 /// # Errors
 ///
@@ -116,8 +117,7 @@ pub fn drive(
         on_stage(name, None);
         Instant::now()
     };
-    let end = |manifest: &mut RunManifest, name, since: Instant| {
-        let elapsed = since.elapsed();
+    let end = |manifest: &mut RunManifest, name, elapsed: Duration| {
         manifest.record(name, elapsed);
         on_stage(name, Some(elapsed));
     };
@@ -130,42 +130,37 @@ pub fn drive(
             provenance: provenance.to_owned(),
             compile_ms,
         });
-    end(&mut manifest, "prepare", inputs.prepare_started);
+    end(&mut manifest, "prepare", inputs.prepare_started.elapsed());
 
     let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
     dram.load(inputs.image, 0);
     let rule = spec
         .stopping_rule(flow.config())
         .map_err(|m| Failure::Error(WireError::new(ErrorKind::BadSpec, m)))?;
+    let t = begin("sim");
+    let (run, results) = flow.replay_streaming(
+        &mut dram,
+        spec.max_cycles,
+        parallel,
+        spec.batch_lanes,
+        rule,
+        ctl,
+    )?;
+    let elapsed = t.elapsed();
     // The stopping rule may end a run before the workload halts — that
     // is the point — so only a run it did not end must have halted.
-    let halted = |dram: &DramModel, run: &SampledRun| {
-        if dram.exit_code().is_some() || run.stop.is_converged() {
-            return Ok(());
-        }
-        Err(Failure::Error(WireError::new(
+    if dram.exit_code().is_none() && !run.stop.is_converged() {
+        return Err(Failure::Error(WireError::new(
             ErrorKind::Internal,
             format!("workload did not halt within {} cycles", spec.max_cycles),
-        )))
-    };
-    let lanes = spec.batch_lanes;
-    let (run, results) = if inputs.stream || rule.is_some() {
-        let t = begin("stream");
-        let (run, results) =
-            flow.replay_streaming(&mut dram, spec.max_cycles, parallel, lanes, rule, ctl)?;
-        end(&mut manifest, "stream", t);
-        halted(&dram, &run)?;
-        (run, results)
-    } else {
-        let t = begin("sim");
-        let run = flow.run_sampled_controlled(&mut dram, spec.max_cycles, ctl)?;
-        end(&mut manifest, "sim", t);
-        halted(&dram, &run)?;
-        let t = begin("replay");
-        let results = flow.replay_all_controlled(&run.snapshots, parallel, lanes, ctl)?;
-        end(&mut manifest, "replay", t);
-        (run, results)
-    };
+        )));
+    }
+    end(
+        &mut manifest,
+        "sim",
+        elapsed.saturating_sub(run.replay_wall),
+    );
+    end(&mut manifest, "replay", run.replay_wall);
 
     let mut out = Products {
         instret: dram.instret(),
@@ -189,7 +184,7 @@ pub fn drive(
         let epi_nj = (estimate.mean_power_mw() + dram_power_mw) * 1e-3 * (cycles as f64 / freq_hz)
             / out.instret as f64
             * 1e9;
-        end(&mut out.manifest, "estimate", t);
+        end(&mut out.manifest, "estimate", t.elapsed());
         out.manifest.metrics = strober_probe::snapshot();
         out.energy = Some(Energy {
             estimate,

@@ -201,9 +201,9 @@ fn run_estimate(
         let (phase, done, total) = match p {
             Progress::SimWindows { windows, .. } => ("sim", windows, 0),
             Progress::ReplayBatches { done, total } => ("replay", done, total),
-            // The stopping rule re-evaluated the running interval; the ε
-            // itself flows through the labeled
-            // `strober.sampling.stop.relative_error` gauge the pipeline
+            // The stopping rule evaluated the running interval at a
+            // checkpoint; the ε itself flows through the labeled
+            // `strober.sampling.stop.relative_error` gauge the flow
             // maintains (watch/`strober top` read it from there).
             Progress::IntervalUpdate { samples, .. } => ("interval", samples, 0),
         };
@@ -237,7 +237,6 @@ fn run_estimate(
                 0 => default_parallelism,
                 n => n,
             },
-            stream: false,
             want_estimate,
         },
         &ctl,

@@ -24,9 +24,8 @@ use strober_store::RunManifest;
 /// wire, so older clients cannot interoperate and the revision bumps.
 /// Revision 4 added the adaptive sampling surface:
 /// [`EstimateSpec::target_error`] and [`EstimateSpec::min_samples`]
-/// select the streaming capture→replay pipeline with a confidence-driven
-/// stopping rule, and [`EstimateOutcome`] reports `stop_reason` and
-/// `achieved_epsilon`.
+/// set a confidence-driven stopping rule, and [`EstimateOutcome`]
+/// reports `stop_reason` and `achieved_epsilon`.
 /// Revision 5 added [`EstimateSpec::hub_engine`] (explicit hub settle
 /// engine selection, including the JIT-compiled native engine) and the
 /// manifest carried in [`EstimateOutcome`] moved to schema v6 with
@@ -136,13 +135,15 @@ pub struct EstimateSpec {
     /// bit-identical.
     pub hub_engine: String,
     /// Target relative error ε for the adaptive stopping rule; 0 disables
-    /// adaptive stopping and runs the sequential capture-then-replay
-    /// flow. Any value in `(0, 1)` selects the streaming pipeline, which
-    /// stops capture as soon as the confidence interval's relative error
-    /// bound reaches ε.
+    /// it and the run ends with the workload. With a value in `(0, 1)`
+    /// the run stops at the rule's checkpoints, replays what it placed
+    /// since the last one and ends as soon as the confidence interval's
+    /// relative error bound is within ε — its figures then describe the
+    /// executed prefix, not the workload.
     pub target_error: f64,
-    /// Minimum replayed samples before the stopping rule may fire
-    /// (ignored when `target_error` is 0).
+    /// Minimum replayed samples before the stopping rule may fire, and
+    /// the window count of its first checkpoint (ignored when
+    /// `target_error` is 0).
     pub min_samples: usize,
 }
 
@@ -571,11 +572,14 @@ pub enum Event {
         /// Milliseconds the job waited in the queue.
         queue_wait_ms: f64,
     },
-    /// A pipeline stage finished.
+    /// A stage of the flow finished.
     Stage {
         /// Job id.
         job: u64,
-        /// Stage name (`prepare`, `sim`, `replay`, `estimate`).
+        /// Stage name: `prepare`, `sim`, `replay`, `estimate`, in that
+        /// order for every estimate job (a replay job has no `estimate`).
+        /// `sim` and `replay` are reported together, when the last
+        /// replay ends.
         stage: String,
         /// Wall-clock milliseconds the stage took.
         millis: f64,

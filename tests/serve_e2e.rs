@@ -160,7 +160,7 @@ fn submit_and_wait(client: &mut Client, spec: JobSpec, seen: &mut Vec<Event>) ->
 /// Runs `spec` through the driver directly — the one-shot shape
 /// `strober estimate` has: a flow of its own, no daemon, no run control.
 /// Also returns the stage names the sink heard end, in order.
-fn drive_direct(spec: &EstimateSpec, stream: bool) -> (Result<Products, Failure>, Vec<String>) {
+fn drive_direct(spec: &EstimateSpec) -> (Result<Products, Failure>, Vec<String>) {
     let core = catalog::core_config(&spec.core).unwrap();
     let image = catalog::image_for(&spec.workload, &spec.asm).unwrap();
     let prepare_started = Instant::now();
@@ -175,7 +175,6 @@ fn drive_direct(spec: &EstimateSpec, stream: bool) -> (Result<Products, Failure>
             image: &image,
             spec,
             parallel: spec.parallel,
-            stream,
             want_estimate: true,
         },
         &strober::RunControl::default(),
@@ -306,45 +305,53 @@ fn served_estimates_are_bit_identical_and_warm_on_the_second_job() {
 
 /// One driver behind both front ends: called directly (as `strober
 /// estimate` does) and through a served job it must replay the same
-/// snapshots to the same bits, stop for the same reason and name the
-/// same stages — for a phased run, a streamed one and one that carries
-/// a stopping rule.
+/// snapshots to the same bits, stop for the same reason in the same
+/// window and name the same stages — for a fixed-size run, one whose
+/// stopping rule never fires and one whose rule does.
 #[test]
 fn the_driver_and_a_served_job_agree_bit_for_bit() {
     let oracle = direct_run();
     let (addr, handle, join) = start_server(2);
     let mut client = connect(addr, "driver-parity");
 
-    // A rule the workload's power cannot meet: the run takes the
-    // streaming pipeline, re-tests after every batch and still ends with
-    // the workload, so the comparison stays exact. (When the rule *does*
-    // fire, the window it fires in depends on thread timing.)
+    // A rule the workload's power cannot meet: every checkpoint replays
+    // and evaluates, and the run still ends with the workload on the
+    // sample a fixed-size run keeps.
     let ruled = EstimateSpec {
         target_error: 1e-6,
         min_samples: 4,
         ..spec()
     };
-    for (label, spec, stream, stages) in [
-        ("phased", spec(), false, "prepare sim replay estimate"),
-        ("streamed", spec(), true, "prepare stream estimate"),
-        ("ruled", ruled, false, "prepare stream estimate"),
+    // A rule that fires, on a workload long enough that it fires well
+    // before the end.
+    let loose = EstimateSpec {
+        workload: "vvadd".to_owned(),
+        asm: None,
+        target_error: 0.5,
+        min_samples: 4,
+        ..spec()
+    };
+    for (label, spec, stop) in [
+        ("fixed", spec(), "workload-done"),
+        ("ruled", ruled, "workload-done"),
+        ("loose", loose, "converged"),
     ] {
-        let (out, heard) = drive_direct(&spec, stream);
+        let (out, heard) = drive_direct(&spec);
         let out = out.unwrap_or_else(|e| panic!("{label}: direct run failed: {e:?}"));
         let energy = out.energy.as_ref().expect("asked for an estimate");
         let served = submit_and_wait(&mut client, JobSpec::Estimate(spec), &mut Vec::new());
 
-        assert_eq!(heard.join(" "), stages, "{label}: stages the sink heard");
+        assert_eq!(
+            heard.join(" "),
+            "prepare sim replay estimate",
+            "{label}: stages the sink heard"
+        );
         assert_eq!(
             stage_names(&out.manifest),
             heard,
             "{label}: manifest stages"
         );
-        if !stream {
-            // `--stream` is not a spec field, so only these two runs
-            // are the same spec on both sides.
-            assert_eq!(stage_names(&served.manifest), heard, "{label}");
-        }
+        assert_eq!(stage_names(&served.manifest), heard, "{label}");
         assert_eq!(
             replay_fingerprint(&out.results),
             served.snapshot_fingerprint,
@@ -361,30 +368,22 @@ fn the_driver_and_a_served_job_agree_bit_for_bit() {
             "{label}"
         );
         assert_eq!(energy.epi_nj.to_bits(), served.epi_nj.to_bits(), "{label}");
+        assert_eq!(out.run.windows, served.windows, "{label}");
         assert_eq!(out.run.stop.as_str(), served.stop_reason, "{label}");
-        assert_eq!(served.stop_reason, "workload-done", "{label}");
-        // And all of them against the raw flow API, which shares no
-        // code with the driver.
-        assert_bit_identical(&served, &oracle);
+        assert_eq!(served.stop_reason, stop, "{label}");
+        assert_eq!(
+            out.achieved_epsilon().map(f64::to_bits),
+            served.achieved_epsilon.map(f64::to_bits),
+            "{label}"
+        );
+        if stop == "converged" {
+            assert!(served.achieved_epsilon.unwrap() <= 0.5, "{label}");
+        } else {
+            // And against the raw flow API, which shares no code with
+            // the driver.
+            assert_bit_identical(&served, &oracle);
+        }
     }
-
-    // A rule that does fire, on a workload long enough that it fires
-    // well before the end: both front ends stop early on it.
-    let loose = EstimateSpec {
-        workload: "vvadd".to_owned(),
-        asm: None,
-        target_error: 0.5,
-        min_samples: 4,
-        ..spec()
-    };
-    let (out, _) = drive_direct(&loose, false);
-    let out = out.unwrap();
-    let served = submit_and_wait(&mut client, JobSpec::Estimate(loose), &mut Vec::new());
-    assert_eq!(out.run.stop.as_str(), "converged");
-    assert_eq!(served.stop_reason, "converged");
-    assert!(out.achieved_epsilon().unwrap() <= 0.5);
-    assert!(served.achieved_epsilon.unwrap() <= 0.5);
-    assert_eq!(stage_names(&served.manifest), stage_names(&out.manifest));
 
     // A replay-only job replays the same sample and never estimates.
     let mut events = Vec::new();
@@ -408,7 +407,7 @@ fn the_driver_and_a_served_job_agree_bit_for_bit() {
         max_cycles: 1_000,
         ..spec()
     };
-    let (out, _) = drive_direct(&starved, false);
+    let (out, _) = drive_direct(&starved);
     let Err(Failure::Error(direct)) = out else {
         panic!("a starved run must fail: {out:?}");
     };
