@@ -2,7 +2,7 @@
 //! processor cores and their FAME1 hubs.
 //!
 //! The randomized sweep lives in `strober-sim`'s own test suite; this one
-//! drives the actual workloads `--hub-engine jit` compiles — a bundled
+//! drives the actual workloads the native engine compiles — a bundled
 //! core design and its FAME1-transformed hub (scan chains, trace buffers,
 //! fire gating) — checking bit-identical step behavior against the
 //! interpreted tape. A flow-level run proves the whole sampled pipeline
@@ -83,8 +83,12 @@ fn assert_jit_transparent(label: &str, design: &Design) {
     let golden_state = golden.state();
 
     let mut sim = Simulator::new(design).expect("valid");
-    JitCompiler::in_temp().attach(&mut sim).expect("jit attach");
+    let outcome = JitCompiler::in_temp().attach(&mut sim).expect("jit attach");
     assert_eq!(sim.active_engine_name(), "tape-jit");
+    // The generated crate is `#![no_std]`: the dylib is its own code and
+    // a seal, 13-20 KB for the bundled hubs. 4.3 MB means std is back.
+    let bytes = std::fs::metadata(&outcome.dylib_path).expect("dylib").len();
+    assert!(bytes < 64 * 1024, "{label}: settle dylib is {bytes} bytes");
     for cycle in 0..CYCLES {
         for (i, (name, mask)) in ports.iter().enumerate() {
             sim.poke_by_name(name, stim(i, cycle) & mask).expect("port");
@@ -126,11 +130,27 @@ fn jit_is_transparent_on_the_fame1_hub() {
     if skip() {
         return;
     }
-    // The hub is the workload `--hub-engine jit` targets: scan-chain
+    // The hub is what the native engine is for: scan-chain
     // padding cats, capture/shift mux cascades, fire gating.
     let design = build_core(&CoreConfig::rok_tiny());
     let fame = transform(&design, &FameConfig::default()).expect("transform");
     assert_jit_transparent("rok_tiny fame1 hub", &fame.hub);
+}
+
+#[test]
+fn jit_is_transparent_and_small_on_the_full_size_hubs() {
+    if skip() {
+        return;
+    }
+    // The two hubs the ledger runs: what `auto` compiles for `--core rok`
+    // and `--core boum-2w` at the default window.
+    for (label, core) in [
+        ("rok fame1 hub", CoreConfig::rok()),
+        ("boum-2w fame1 hub", CoreConfig::boum_2w()),
+    ] {
+        let fame = transform(&build_core(&core), &FameConfig::default()).expect("transform");
+        assert_jit_transparent(label, &fame.hub);
+    }
 }
 
 struct NoIo;
@@ -155,22 +175,27 @@ fn sampled_config(hub_engine: HubEngine) -> StroberConfig {
 fn sampled_flow_is_identical_across_hub_engines() {
     // End-to-end regression for `--hub-engine`: the full sampled run —
     // reservoir draws, scanned snapshots, traced windows — must not
-    // change with the settle engine. (The `auto` baseline runs even
-    // without rustc; the jit arm is the skippable part.)
+    // change with the settle engine. (The `interp` baseline runs even
+    // without rustc; the native arms are the skippable part.)
     let design = build_core(&CoreConfig::rok_tiny());
     let run_with = |hub_engine: HubEngine| {
         let flow = StroberFlow::new(&design, sampled_config(hub_engine)).expect("prepare");
-        flow.run_sampled(&mut NoIo, 20_000).expect("sampled run")
+        let run = flow.run_sampled(&mut NoIo, 20_000).expect("sampled run");
+        (run, flow.hub_engine_name())
     };
-    let interpreted = run_with(HubEngine::Auto);
+    let (interpreted, engine) = run_with(HubEngine::Interp);
+    assert_eq!(engine, "tape");
     if skip() {
         return;
     }
-    let jit = run_with(HubEngine::Jit);
-    assert_eq!(
-        interpreted.snapshots, jit.snapshots,
-        "the jit settle engine changed the sampled snapshots"
-    );
+    for native in [HubEngine::Auto, HubEngine::Jit] {
+        let (run, engine) = run_with(native);
+        assert_eq!(engine, "tape-jit", "`{native}` runs native code");
+        assert_eq!(
+            interpreted.snapshots, run.snapshots,
+            "the `{native}` settle engine changed the sampled snapshots"
+        );
+    }
 }
 
 #[test]

@@ -807,13 +807,19 @@ USAGE:
       disables the hub simulator's optimizing tape compiler (constant
       folding, copy propagation, dead code elimination, fusion) — an
       escape hatch for isolating a suspected optimizer miscompile.
-      --hub-engine picks the hub simulator's settle engine: auto
-      (default) and interp walk the op tape; with jit the op tape is
-      lowered to Rust, compiled once with rustc into a cached dylib,
-      and attached as a native settle function; compiles are keyed by
-      design + tape options + rustc version in the artifact store, so
-      warm runs skip rustc entirely, and the engine falls back to the
-      interpreter (bit-identically) when rustc is unavailable.
+      --hub-engine picks the hub simulator's settle engine; all three
+      give the same bits. auto (default) runs native code: the op tape
+      is lowered to Rust, compiled once with rustc (~0.2 s, the first
+      run per core configuration per machine) into a ~15 KB dylib and
+      attached as the settle function; the dylib is kept in the
+      artifact store (cache dir, under jit/) or, with --no-cache, in
+      $TMPDIR/strober-jit, keyed by tape + rustc version, so later runs
+      skip rustc. Without rustc on PATH auto interprets the tape and
+      says so; it is not an error. interp always walks the op tape: the
+      reference. jit is auto that warns (and counts
+      strober.jit.fallback) when it ends up interpreting. The output's
+      `engine:` line names the engine that ran (tape-jit or tape) and
+      why.
       --target-error E (in (0, 1)) enables confidence-driven adaptive
       stopping: at fixed checkpoints (--min-samples M windows, default
       30, then each 1.5x the last) the snapshots placed since the

@@ -143,9 +143,9 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
     if cache_hit {
         strober_probe::info!("      (prepared artifacts served from the store)");
     }
-    // With --hub-engine jit, compile (or fetch) the native settle dylib
-    // up front so the cost is attributed to preparation, not the first
-    // simulated window; a no-op for every other engine.
+    // Unless --hub-engine interp, compile (or fetch) the native settle
+    // dylib up front, through the store, so the cost is attributed to
+    // preparation, not the first simulated window.
     if let Some((provenance, compile_ms)) = flow.prepare_jit(store.as_mut()) {
         strober_probe::info!(
             "      (native settle engine ready: {provenance}, compile {compile_ms} ms)"
@@ -229,6 +229,7 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
             "achieved_epsilon": achieved_epsilon,
             "cache_hit": cache_hit,
             "hub_engine": manifest.hub_engine,
+            "hub_engine_reason": manifest.hub_engine_reason,
             "jit_compile_ms": manifest.jit.as_ref().map(|j| j.compile_ms),
             "timings_ms": serde_json::json!({
                 "prepare": manifest.stage_millis("prepare"),
@@ -252,7 +253,10 @@ fn cmd_estimate(a: &EstimateArgs) -> Result<(), String> {
 
     println!("core:        {}", config.name);
     println!("workload:    {}", spec.workload);
-    println!("engine:      {}", manifest.hub_engine);
+    println!(
+        "engine:      {} ({})",
+        manifest.hub_engine, manifest.hub_engine_reason
+    );
     println!(
         "cycles:      {} ({} windows of {}; {} records)",
         run.target_cycles, run.windows, spec.replay_length, run.records
@@ -815,7 +819,10 @@ fn print_job_result(result: &JobResult, json: bool) {
         JobResult::Estimate(o) => {
             println!("core:        {}", o.core);
             println!("workload:    {}", o.workload);
-            println!("engine:      {}", o.manifest.hub_engine);
+            println!(
+                "engine:      {} ({})",
+                o.manifest.hub_engine, o.manifest.hub_engine_reason
+            );
             println!(
                 "cycles:      {} ({} windows; {} records)",
                 o.cycles, o.windows, o.records

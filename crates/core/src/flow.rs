@@ -93,16 +93,29 @@ pub struct StroberFlow {
     hub: OnceLock<Simulator>,
     /// Compiled gate-level op tape, shared by every replay engine.
     gate_tape: OnceLock<Arc<Tape>>,
-    /// Prepared native settle engine (hub_engine = jit only); `None`
-    /// inside means preparation was attempted and fell back.
-    jit: OnceLock<Option<JitPrep>>,
+    /// The settle engine every hub simulator of this session runs under,
+    /// resolved once — by [`StroberFlow::prepare_jit`] or by the first
+    /// run, whichever comes first — and never revisited.
+    engine: OnceLock<EngineChoice>,
 }
 
-/// A prepared native settle engine plus its provenance, shared (via
-/// `Arc`) by every hub simulator clone of the session.
+/// The outcome of resolving [`PlatformConfig::hub_engine`] for a session.
+#[derive(Debug)]
+struct EngineChoice {
+    /// The native settle engine, unless the session walks the tape.
+    native: Option<JitPrep>,
+    /// Why this engine, for manifests and the CLI (see
+    /// [`StroberFlow::hub_engine_reason`]).
+    reason: String,
+}
+
+/// The session's native settle engine plus its provenance.
 #[derive(Debug)]
 struct JitPrep {
-    engine: Arc<strober_jit::DylibEngine>,
+    /// The pristine hub simulator with the engine attached: the template
+    /// every run clones, so all of them share one loaded dylib (via
+    /// `Arc`) and none repeats the attach-time signature check.
+    hub: Simulator,
     provenance: JitProvenance,
     compile_ms: u64,
 }
@@ -148,7 +161,7 @@ impl StroberFlow {
             analyzer,
             hub: OnceLock::new(),
             gate_tape: OnceLock::new(),
-            jit: OnceLock::new(),
+            engine: OnceLock::new(),
         })
     }
 
@@ -167,7 +180,7 @@ impl StroberFlow {
             analyzer,
             hub: OnceLock::new(),
             gate_tape: OnceLock::new(),
-            jit: OnceLock::new(),
+            engine: OnceLock::new(),
         }
     }
 
@@ -259,18 +272,17 @@ impl StroberFlow {
     /// use, cloned from the pristine cached copy afterwards. Cloning
     /// reproduces the fresh-lowering state exactly (cycle 0, reset
     /// registers/memories), so reuse is bit-invisible.
+    ///
+    /// Every clone shares the session's native settle code. If nothing
+    /// resolved the engine yet (no [`prepare_jit`](Self::prepare_jit)),
+    /// the first call does, through the temp cache — and that fixes it
+    /// for the session however short this run is: a compile put off until
+    /// a run "proves long" would land in the middle of one.
     fn hub_sim(&self) -> Result<Simulator, StroberError> {
-        let mut sim = self.pristine_hub()?.clone();
-        // With the JIT engine selected, share the session's prepared
-        // native settle code with every clone; compile it now (through
-        // the temp cache) if no store-backed preparation ran first.
-        if self.config.platform.hub_engine == HubEngine::Jit {
-            if let Some(prep) = self.jit_prep(None) {
-                sim.attach_jit(prep)
-                    .expect("session engine was prepared from this very tape");
-            }
+        match self.native_hub(None) {
+            Some(native) => Ok(native.clone()),
+            None => Ok(self.pristine_hub()?.clone()),
         }
-        Ok(sim)
     }
 
     /// The pristine lowered hub simulator (never stepped, no engine
@@ -306,30 +318,34 @@ impl StroberFlow {
         fingerprint_parts(&[&"strober-jit", &sig, &tape_opt, &rustc])
     }
 
-    /// Prepares the native settle engine through the artifact store,
-    /// mirroring [`prepare_cached`](Self::prepare_cached)'s ladder: a
-    /// stored dylib attaches without invoking `rustc` (provenance
-    /// `store`), a fresh compile is persisted for next time (`cold`), and
-    /// the in-between case — compiled earlier into the same cache
-    /// directory — is `warm`. No-op unless the session's
-    /// [`HubEngine::Jit`] is selected; on any failure the engines fall
-    /// back (see `strober.jit.fallback`) and results are unaffected.
+    /// Resolves the session's settle engine now, through the artifact
+    /// store, so the cost lands in preparation instead of the first run.
+    /// [`HubEngine::Auto`] and [`HubEngine::Jit`] both want native code
+    /// and take the same ladder, mirroring
+    /// [`prepare_cached`](Self::prepare_cached)'s: a stored dylib attaches
+    /// without invoking `rustc` (provenance `store`), so does one compiled
+    /// earlier into the same cache directory (`warm`), and otherwise one
+    /// synchronous `rustc` run compiles it and persists it for next time
+    /// (`cold`). They differ only when no native engine can be had: `auto`
+    /// asked for the fastest engine *available* and walks the tape
+    /// without complaint, `jit` asked for native code by name and says so
+    /// (a warning, `strober.jit.fallback`). Results are bit-identical
+    /// either way. [`HubEngine::Interp`] never compiles or attaches.
     ///
     /// Returns `(provenance, compile_ms)` when a native engine is ready.
     /// Without a store the compile still runs (and dedupes) through the
     /// on-disk temp cache; only the artifact-store round-trip is skipped.
+    /// A session that never calls this resolves the same way, storeless,
+    /// on its first run.
     pub fn prepare_jit(&self, store: Option<&mut Store>) -> Option<(&'static str, u64)> {
-        if self.config.platform.hub_engine != HubEngine::Jit {
-            return None;
-        }
-        self.jit_prep(store);
+        self.native_hub(store);
         self.jit_info()
     }
 
     /// The settle engine this session's hub simulators run under, after
     /// fallback: `tape-jit` only when a compiled engine is actually
-    /// prepared, `tape` otherwise. For run manifests and the `engine`
-    /// metric label.
+    /// prepared, `tape` otherwise (and until `prepare_jit` or a first run
+    /// has resolved it). For run manifests and the `engine` metric label.
     pub fn hub_engine_name(&self) -> &'static str {
         if self.jit_info().is_some() {
             "tape-jit"
@@ -338,96 +354,139 @@ impl StroberFlow {
         }
     }
 
+    /// Why the session runs under [`hub_engine_name`](Self::hub_engine_name):
+    /// `requested` when the configured engine was named and delivered
+    /// (`interp`, or `jit` with native code attached); for `auto`, how
+    /// the native engine was had — `auto: store hit`, `auto: cache hit`,
+    /// `auto: compiled in 209 ms` — or why it was not —
+    /// `auto: no rustc on PATH, interpreted`; the same `jit: …,
+    /// interpreted` form when a named `jit` fell back. `unresolved`
+    /// before `prepare_jit` or a first run.
+    pub fn hub_engine_reason(&self) -> &str {
+        self.engine.get().map_or("unresolved", |c| &c.reason)
+    }
+
     /// The prepared native engine's `(provenance, compile_ms)`, if one is
     /// attached to this session. For run manifests.
     pub fn jit_info(&self) -> Option<(&'static str, u64)> {
-        self.jit
-            .get()
-            .and_then(|p| p.as_ref())
-            .map(|p| (p.provenance.as_str(), p.compile_ms))
+        let native = self.engine.get()?.native.as_ref()?;
+        Some((native.provenance.as_str(), native.compile_ms))
     }
 
-    /// Builds (once) and returns the shared native settle engine. With a
-    /// store, compiled dylibs round-trip through it as [`JitArtifact`]s;
-    /// without one, the temp-directory file cache still dedupes compiles
-    /// across sessions. `None` means preparation failed and interpreted
-    /// engines take over.
-    fn jit_prep(&self, store: Option<&mut Store>) -> Option<Arc<strober_jit::DylibEngine>> {
-        let prep = self.jit.get_or_init(|| {
-            let _span = strober_probe::span("strober.core.jit_prepare");
-            let source = match self.pristine_hub() {
-                Ok(sim) => sim.jit_source(),
-                Err(e) => {
-                    strober_jit::record_fallback(&e.to_string());
-                    return None;
-                }
+    /// The pristine hub simulator with the session's native settle engine
+    /// attached, resolving the engine choice on first use; `None` means
+    /// the session walks the tape.
+    fn native_hub(&self, store: Option<&mut Store>) -> Option<&Simulator> {
+        let choice = self.engine.get_or_init(|| self.resolve_engine(store));
+        choice.native.as_ref().map(|p| &p.hub)
+    }
+
+    /// Turns the configured [`HubEngine`] into what the session runs.
+    fn resolve_engine(&self, store: Option<&mut Store>) -> EngineChoice {
+        let requested = self.config.platform.hub_engine;
+        if requested == HubEngine::Interp {
+            return EngineChoice {
+                native: None,
+                reason: "requested".to_owned(),
             };
-            let Some(rustc) = strober_jit::rustc_version() else {
-                strober_jit::record_fallback("no rustc on PATH");
-                return None;
-            };
-            let (compiler, store) = match store {
-                Some(store) => (JitCompiler::new(store.root().join("jit")), Some(store)),
-                None => (JitCompiler::in_temp(), None),
-            };
-            let key = Self::jit_fingerprint(source.sig, self.config.platform.tape_opt, rustc);
-            let mut store = store;
-            // Store hit: materialize the cached bytes, skip rustc.
-            let stored = store.as_deref_mut().and_then(|s| s.get::<JitArtifact>(key));
-            if let Some(artifact) = stored {
-                match compiler.prepare_artifact(&source, &artifact) {
-                    Ok((engine, outcome)) => {
-                        strober_probe::counter_add("strober.jit.prepare_store", 1);
-                        return Some(JitPrep {
-                            engine: Arc::new(engine),
-                            provenance: outcome.provenance,
-                            compile_ms: artifact.compile_ms,
-                        });
+        }
+        let _span = strober_probe::span("strober.core.jit_prepare");
+        match self.build_native(store) {
+            Ok(native) => {
+                let reason = match (requested, native.provenance) {
+                    (HubEngine::Jit, _) => "requested".to_owned(),
+                    (_, JitProvenance::Store) => "auto: store hit".to_owned(),
+                    (_, JitProvenance::Warm) => "auto: cache hit".to_owned(),
+                    (_, JitProvenance::Cold) => {
+                        format!("auto: compiled in {} ms", native.compile_ms)
                     }
-                    Err(e) => {
-                        // A stale store entry under a content key should
-                        // not happen; recompile below rather than fail.
-                        strober_probe::warn!("stored jit artifact unusable: {e}");
-                    }
+                };
+                EngineChoice {
+                    native: Some(native),
+                    reason,
                 }
             }
-            match compiler.prepare(&source) {
-                Ok((engine, outcome)) => {
-                    strober_probe::counter_add(
-                        match outcome.provenance {
-                            JitProvenance::Cold => "strober.jit.prepare_cold",
-                            _ => "strober.jit.prepare_warm",
-                        },
-                        1,
+            Err(why) => {
+                if requested == HubEngine::Jit {
+                    strober_jit::record_fallback(&why);
+                } else {
+                    strober_probe::info!(
+                        "no native settle engine ({why}); interpreting the hub tape"
                     );
-                    if outcome.provenance == JitProvenance::Cold {
-                        if let Some(store) = store {
-                            if let Ok(dylib) = std::fs::read(&outcome.dylib_path) {
-                                store.put(
-                                    key,
-                                    &JitArtifact {
-                                        rustc: rustc.to_owned(),
-                                        sig: source.sig,
-                                        dylib,
-                                        compile_ms: outcome.compile_ms,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    Some(JitPrep {
-                        engine: Arc::new(engine),
-                        provenance: outcome.provenance,
-                        compile_ms: outcome.compile_ms,
-                    })
                 }
-                Err(e) => {
-                    strober_jit::record_fallback(&e.to_string());
-                    None
+                EngineChoice {
+                    native: None,
+                    reason: format!("{requested}: {why}, interpreted"),
                 }
             }
-        });
-        prep.as_ref().map(|p| p.engine.clone())
+        }
+    }
+
+    /// Builds the shared native settle engine: store hit, else file-cache
+    /// hit, else one `rustc` run. With a store, compiled dylibs round-trip
+    /// through it as [`JitArtifact`]s; without one, the temp-directory
+    /// file cache still dedupes compiles across sessions. The error says
+    /// why the session has to walk the tape instead.
+    fn build_native(&self, store: Option<&mut Store>) -> Result<JitPrep, String> {
+        let pristine = self.pristine_hub().map_err(|e| e.to_string())?;
+        let source = pristine.jit_source();
+        let ready = |engine: strober_jit::DylibEngine, provenance, compile_ms| {
+            let mut hub = pristine.clone();
+            hub.attach_jit(Arc::new(engine))
+                .map_err(|e| e.to_string())?;
+            Ok(JitPrep {
+                hub,
+                provenance,
+                compile_ms,
+            })
+        };
+        let rustc = strober_jit::rustc_version().ok_or("no rustc on PATH")?;
+        let (compiler, mut store) = match store {
+            Some(store) => (JitCompiler::new(store.root().join("jit")), Some(store)),
+            None => (JitCompiler::in_temp(), None),
+        };
+        let key = Self::jit_fingerprint(source.sig, self.config.platform.tape_opt, rustc);
+        // Store hit: materialize the cached bytes, skip rustc.
+        let stored = store.as_deref_mut().and_then(|s| s.get::<JitArtifact>(key));
+        let mut restock = false;
+        if let Some(artifact) = stored {
+            match compiler.prepare_artifact(&source, &artifact) {
+                Ok((engine, outcome)) => {
+                    strober_probe::counter_add("strober.jit.prepare_store", 1);
+                    return ready(engine, outcome.provenance, artifact.compile_ms);
+                }
+                Err(e) => {
+                    // Bytes that fail their seal, or a stale entry under
+                    // a content key: replace it with what is built below.
+                    strober_probe::warn!("stored jit artifact unusable: {e}");
+                    restock = true;
+                }
+            }
+        }
+        let (engine, outcome) = compiler.prepare(&source).map_err(|e| e.to_string())?;
+        let cold = outcome.provenance == JitProvenance::Cold;
+        strober_probe::counter_add(
+            if cold {
+                "strober.jit.prepare_cold"
+            } else {
+                "strober.jit.prepare_warm"
+            },
+            1,
+        );
+        if let (Some(store), true) = (store, cold || restock) {
+            if let Ok(dylib) = std::fs::read(&outcome.dylib_path) {
+                store.put(
+                    key,
+                    &JitArtifact {
+                        rustc: rustc.to_owned(),
+                        sig: source.sig,
+                        dylib,
+                        compile_ms: outcome.compile_ms,
+                    },
+                );
+            }
+        }
+        ready(engine, outcome.provenance, outcome.compile_ms)
     }
 
     /// The compiled gate-level op tape, built from the synthesized
@@ -1148,12 +1207,17 @@ mod tests {
         ctx.finish().unwrap()
     }
 
+    /// The designs in this module are throwaways: they walk the tape
+    /// rather than pay one `rustc` run each. The native default is tested
+    /// where it matters, on the bundled cores (`tests/engine_default.rs`).
     fn small_config() -> StroberConfig {
-        StroberConfig {
+        let mut config = StroberConfig {
             replay_length: 16,
             sample_size: 5,
             ..StroberConfig::default()
-        }
+        };
+        config.platform.hub_engine = HubEngine::Interp;
+        config
     }
 
     #[test]
@@ -1445,9 +1509,8 @@ mod tests {
     #[test]
     fn streaming_with_a_loose_rule_converges_early() {
         let config = StroberConfig {
-            replay_length: 16,
             sample_size: 8,
-            ..StroberConfig::default()
+            ..small_config()
         };
         let flow = StroberFlow::new(&counter_design(), config).unwrap();
         let rule = StoppingRule::new(0.5, Confidence::C99, 4).unwrap();
@@ -1652,7 +1715,7 @@ mod tests {
                 retime_prefixes: vec!["fpu/".to_owned()],
                 ..SynthOptions::default()
             },
-            ..StroberConfig::default()
+            ..small_config()
         };
         let flow = StroberFlow::new(&design, config).unwrap();
         assert!(!flow.name_map().retimed.is_empty());

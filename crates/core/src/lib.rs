@@ -28,7 +28,7 @@
 //! End-to-end on a small design:
 //!
 //! ```
-//! use strober::{StroberConfig, StroberFlow};
+//! use strober::{HubEngine, StroberConfig, StroberFlow};
 //! use strober_dsl::Ctx;
 //! use strober_platform::{HostModel, OutputView};
 //! use strober_rtl::Width;
@@ -46,11 +46,15 @@
 //!     ctx.output("value", &count.out());
 //!     let design = ctx.finish().unwrap();
 //!
-//!     let config = StroberConfig {
+//!     let mut config = StroberConfig {
 //!         replay_length: 16,
 //!         sample_size: 5,
 //!         ..StroberConfig::default()
 //!     };
+//!     // The default engine (`auto`) compiles the hub to native code: one
+//!     // `rustc` run (~0.2 s) the first time a design is seen, cached
+//!     // from then on. A 2,000-cycle throwaway is quicker interpreted.
+//!     config.platform.hub_engine = HubEngine::Interp;
 //!     let flow = StroberFlow::new(&design, config)?;
 //!     let run = flow.run_sampled(&mut NoIo, 2_000)?;
 //!     let results = flow.replay_all(&run.snapshots, 2)?;

@@ -25,7 +25,7 @@
 
 use crate::genome::{stimulus, Genome};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use strober::{StroberConfig, StroberFlow};
+use strober::{HubEngine, StroberConfig, StroberFlow};
 use strober_fame::{transform, FameConfig};
 use strober_gates::{CellKind, CellLibrary, Gate, Netlist};
 use strober_gatesim::{ActivityReport, BatchSim, GateSim};
@@ -741,13 +741,17 @@ fn check_flow(
     ports: &[(String, u64)],
 ) -> Result<(), Divergence> {
     let ferr = |detail: String| Divergence::Flow { detail };
-    let config = StroberConfig {
+    let mut config = StroberConfig {
         replay_length: 16,
         warmup: 0,
         sample_size: 4,
         seed: genome.stim_seed,
         ..StroberConfig::default()
     };
+    // One flow per genome: the default engine would run `rustc` once per
+    // random hub. The `tape-jit` lane above already holds native code to
+    // the reference; this lane is about capture and replay.
+    config.platform.hub_engine = HubEngine::Interp;
     let flow = StroberFlow::new(design, config).map_err(|e| ferr(format!("prepare: {e}")))?;
     let mut driver = StimDriver::new(genome, ports);
     let max_cycles = u64::from(genome.cycles).max(64) * 4;

@@ -22,12 +22,26 @@
 //! version, making codegen a warm-start artifact exactly like prepare
 //! outputs.
 //!
-//! # Safety and identity
+//! Two callers that want the same dylib at once — two server workers on
+//! a cold daemon, two test threads — are single-flighted inside the
+//! process: the second waits for the first compile and then loads its
+//! result. Across processes every writer lands its file by atomic rename
+//! from a temp name of its own, so the worst case is one redundant
+//! compile, never a torn file.
 //!
-//! Every loaded dylib must export `strober_jit_sig`, whose value is
-//! checked against the hash of the source the simulator would generate
-//! for its own tape ([`Simulator::attach_jit`] refuses a mismatch). A
-//! stale or foreign dylib is therefore rejected before its code can run.
+//! # Integrity, safety and identity
+//!
+//! `dlopen` maps and runs foreign code, so nothing is loaded on trust.
+//! Every dylib this crate writes ends in a 24-byte seal (magic, length
+//! and FNV-1a hash of the bytes before it — ELF loaders ignore trailing
+//! bytes), and the seal is verified over the file's bytes *before*
+//! `dlopen`: a truncated, zero-length or bit-flipped cache file or store
+//! artifact is counted (`strober.jit.cache_corrupt`) and recompiled
+//! over, never mapped. Every loaded dylib must then export
+//! `strober_jit_sig`, whose value is checked against the hash of the
+//! source the simulator would generate for its own tape
+//! ([`Simulator::attach_jit`] refuses a mismatch), so a stale or foreign
+//! dylib is rejected before its settle code can run.
 //! Bit-identity with the interpreted tape is enforced by the golden
 //! suites (`sim/tests/jit_equivalence.rs`, `bench/tests/jit_golden.rs`)
 //! and the fuzz oracle's `tape-jit` lane.
@@ -36,8 +50,9 @@
 //!
 //! Everything here degrades gracefully: no `rustc` on `PATH`, a failed
 //! compile or a failed `dlopen` all surface as a [`JitError`] that
-//! callers (the platform layer) turn into a logged fallback to the
-//! interpreted engines, counted by `strober.jit.fallback`.
+//! callers turn into a fallback to the interpreted tape walk: loud and
+//! counted by `strober.jit.fallback` where the JIT was asked for by name
+//! ([`record_fallback`]), quiet where `auto` merely preferred it.
 //!
 //! [`Simulator::attach_jit`]: strober_sim::Simulator::attach_jit
 
@@ -48,9 +63,11 @@ mod dylib;
 
 pub use dylib::DylibEngine;
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use strober_sim::{JitSource, NativeSettle, Simulator};
 
@@ -76,6 +93,9 @@ pub enum JitError {
         /// Hash the dylib reports.
         actual: u64,
     },
+    /// The dylib's bytes do not carry a valid integrity seal: truncated,
+    /// altered, or not written by this crate. It was not loaded.
+    Corrupt,
     /// Filesystem trouble around the cache directory.
     Io(std::io::Error),
 }
@@ -95,6 +115,7 @@ impl std::fmt::Display for JitError {
                 f,
                 "settle dylib signature {actual:#x} does not match tape source ({expected:#x})"
             ),
+            JitError::Corrupt => write!(f, "settle dylib failed its integrity check"),
             JitError::Io(e) => write!(f, "jit cache i/o error: {e}"),
         }
     }
@@ -208,11 +229,7 @@ impl JitCompiler {
     /// the source text and the rustc version, so either changing
     /// invalidates the entry.
     fn dylib_path(&self, source: &JitSource, rustc: &str) -> PathBuf {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in source.source.as_bytes().iter().chain(rustc.as_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a(source.source.bytes().chain(rustc.bytes()));
         self.cache_dir.join(format!("strober_jit_{h:016x}.so"))
     }
 
@@ -221,9 +238,14 @@ impl JitCompiler {
     /// layer uses this to build one engine and share it across every
     /// simulator clone of a run.
     ///
-    /// Emits `strober.jit.compile_ms` and `strober.jit.cache_hit` probe
-    /// metrics; callers are expected to count `strober.jit.fallback`
-    /// when they downgrade on error (see [`record_fallback`]).
+    /// Concurrent calls for one source compile once: the rest wait, then
+    /// load the winner's file. A cache file that fails its integrity or
+    /// identity check is recompiled over (`strober.jit.cache_corrupt`).
+    ///
+    /// Emits `strober.jit.compile_ms`, `strober.jit.compiled` and
+    /// `strober.jit.cache_hit` probe metrics; callers count
+    /// `strober.jit.fallback` where a downgrade on error should be loud
+    /// (see [`record_fallback`]).
     ///
     /// # Errors
     ///
@@ -232,18 +254,21 @@ impl JitCompiler {
     pub fn prepare(&self, source: &JitSource) -> Result<(DylibEngine, JitOutcome), JitError> {
         let rustc = rustc_version().ok_or(JitError::NoRustc)?;
         let path = self.dylib_path(source, rustc);
-        if path.exists() {
-            if let Ok(found) = self.load_existing(&path, source) {
-                return Ok(found);
+        let _flight = Flight::enter(&path);
+        let (engine, provenance, compile_ms) = match load_cached(&path, source) {
+            Some(engine) => (engine, JitProvenance::Warm, 0),
+            None => {
+                let compile_ms = self.compile(source, &path)?;
+                strober_probe::histogram_record("strober.jit.compile_ms", compile_ms as f64);
+                (
+                    load_verified(&path, source)?,
+                    JitProvenance::Cold,
+                    compile_ms,
+                )
             }
-            // A corrupt or stale file under a content-addressed name:
-            // recompile over it rather than failing the attach.
-        }
-        let compile_ms = self.compile(source, &path)?;
-        strober_probe::histogram_record("strober.jit.compile_ms", compile_ms as f64);
-        let engine = DylibEngine::load(&path)?;
+        };
         let outcome = JitOutcome {
-            provenance: JitProvenance::Cold,
+            provenance,
             compile_ms,
             dylib_path: path,
             sig: source.sig,
@@ -251,36 +276,16 @@ impl JitCompiler {
         Ok((engine, outcome))
     }
 
-    /// Loads an already-present cache file, verifying identity.
-    fn load_existing(
-        &self,
-        path: &Path,
-        source: &JitSource,
-    ) -> Result<(DylibEngine, JitOutcome), JitError> {
-        let engine = DylibEngine::load(path)?;
-        if engine.signature() != source.sig {
-            return Err(JitError::SignatureMismatch {
-                expected: source.sig,
-                actual: engine.signature(),
-            });
-        }
-        strober_probe::counter_add("strober.jit.cache_hit", 1);
-        let outcome = JitOutcome {
-            provenance: JitProvenance::Warm,
-            compile_ms: 0,
-            dylib_path: path.to_path_buf(),
-            sig: source.sig,
-        };
-        Ok((engine, outcome))
-    }
-
     /// Materializes a store-loaded [`JitArtifact`] into the file cache
-    /// (if not already present) and loads it. Never invokes `rustc`.
+    /// (if a good copy is not already there) and loads it. Never invokes
+    /// `rustc`.
     ///
     /// # Errors
     ///
     /// [`JitError::SignatureMismatch`] when the artifact was generated
-    /// from a different tape than `source`, or any load failure.
+    /// from a different tape than `source`, [`JitError::Corrupt`]
+    /// (counted in `strober.jit.cache_corrupt`) when its bytes fail their
+    /// seal, or any load failure.
     pub fn prepare_artifact(
         &self,
         source: &JitSource,
@@ -292,19 +297,27 @@ impl JitCompiler {
                 actual: artifact.sig,
             });
         }
-        let path = self.dylib_path(source, &artifact.rustc);
-        if !path.exists() {
-            std::fs::create_dir_all(&self.cache_dir)?;
-            write_atomic(&path, &artifact.dylib)?;
+        if !seal_holds(&artifact.dylib) {
+            strober_probe::counter_add("strober.jit.cache_corrupt", 1);
+            return Err(JitError::Corrupt);
         }
-        let (engine, outcome) = self.load_existing(&path, source)?;
-        Ok((
-            engine,
-            JitOutcome {
-                provenance: JitProvenance::Store,
-                ..outcome
-            },
-        ))
+        let path = self.dylib_path(source, &artifact.rustc);
+        let _flight = Flight::enter(&path);
+        let engine = match load_cached(&path, source) {
+            Some(engine) => engine,
+            None => {
+                std::fs::create_dir_all(&self.cache_dir)?;
+                write_atomic(&path, &artifact.dylib)?;
+                load_verified(&path, source)?
+            }
+        };
+        let outcome = JitOutcome {
+            provenance: JitProvenance::Store,
+            compile_ms: 0,
+            dylib_path: path,
+            sig: source.sig,
+        };
+        Ok((engine, outcome))
     }
 
     /// Compiles (or reuses) the native settle engine for `sim`'s tape and
@@ -336,13 +349,13 @@ impl JitCompiler {
         Ok(outcome)
     }
 
-    /// Runs `rustc` on the generated source, landing the dylib at `out`
-    /// atomically. Returns the compile wall-time in milliseconds.
+    /// Runs `rustc` on the generated source, landing the sealed dylib at
+    /// `out` atomically. Returns the compile wall-time in milliseconds.
     fn compile(&self, source: &JitSource, out: &Path) -> Result<u64, JitError> {
         std::fs::create_dir_all(&self.cache_dir)?;
         let src_path = out.with_extension("rs");
-        std::fs::write(&src_path, &source.source)?;
-        let tmp = out.with_extension(format!("so.tmp.{}", std::process::id()));
+        write_atomic(&src_path, source.source.as_bytes())?;
+        let tmp = temp_sibling(out);
         let started = Instant::now();
         let result = Command::new("rustc")
             .arg("--edition")
@@ -358,16 +371,149 @@ impl JitCompiler {
             .output()
             .map_err(|_| JitError::NoRustc)?;
         let compile_ms = started.elapsed().as_millis() as u64;
-        if !result.status.success() {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(JitError::Compile {
+        let landed = if result.status.success() {
+            std::fs::read(&tmp)
+                .and_then(|dylib| std::fs::write(&tmp, seal(dylib)))
+                .and_then(|()| std::fs::rename(&tmp, out))
+                .map_err(JitError::Io)
+        } else {
+            Err(JitError::Compile {
                 stderr: String::from_utf8_lossy(&result.stderr).into_owned(),
-            });
+            })
+        };
+        if landed.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        std::fs::rename(&tmp, out)?;
+        landed?;
         strober_probe::counter_add("strober.jit.compiled", 1);
         Ok(compile_ms)
     }
+}
+
+/// FNV-1a, the hash behind both the content-addressed file names and the
+/// integrity seal.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// First field of the seal: tells a sealed dylib from any other file.
+const SEAL_MAGIC: [u8; 8] = *b"STRBJIT\x01";
+/// Magic, dylib length and dylib hash, 8 bytes each.
+const SEAL_LEN: usize = 24;
+
+/// Appends the integrity seal to a freshly compiled dylib: everything
+/// [`seal_holds`] needs to tell, from the bytes alone, that they are the
+/// bytes `rustc` produced.
+fn seal(mut dylib: Vec<u8>) -> Vec<u8> {
+    let (len, hash) = (dylib.len() as u64, fnv1a(dylib.iter().copied()));
+    dylib.extend_from_slice(&SEAL_MAGIC);
+    dylib.extend_from_slice(&len.to_le_bytes());
+    dylib.extend_from_slice(&hash.to_le_bytes());
+    dylib
+}
+
+/// Whether `bytes` end in a seal that matches everything before it.
+/// Truncation moves or removes the seal, a flipped bit breaks the hash
+/// (FNV-1a's steps are invertible, so no single-byte change survives),
+/// and a zero-length file has no seal at all.
+fn seal_holds(bytes: &[u8]) -> bool {
+    let Some(split) = bytes.len().checked_sub(SEAL_LEN) else {
+        return false;
+    };
+    let (dylib, seal) = bytes.split_at(split);
+    seal[..8] == SEAL_MAGIC
+        && seal[8..16] == (dylib.len() as u64).to_le_bytes()
+        && seal[16..] == fnv1a(dylib.iter().copied()).to_le_bytes()
+}
+
+/// Loads the cache file at `path` if there is a usable one: `None` when
+/// it is missing, and also — counted and logged — when it is there but
+/// fails its seal, `dlopen` or the signature check, so that the caller
+/// writes a good file over it.
+fn load_cached(path: &Path, source: &JitSource) -> Option<DylibEngine> {
+    if !path.exists() {
+        return None;
+    }
+    match load_verified(path, source) {
+        Ok(engine) => {
+            strober_probe::counter_add("strober.jit.cache_hit", 1);
+            Some(engine)
+        }
+        Err(e) => {
+            strober_probe::counter_add("strober.jit.cache_corrupt", 1);
+            strober_probe::warn!(
+                "cached settle dylib {} is unusable ({e}); replacing it",
+                path.display()
+            );
+            None
+        }
+    }
+}
+
+/// The only way this crate maps a dylib: seal first, over the file's
+/// bytes, then `dlopen`, then the identity check against `source`.
+///
+/// The loader dedupes by path: while an engine loaded from `path` is
+/// alive in this process, `dlopen` hands back that mapping, whatever is
+/// in the file by now. That mapping passed these checks when it was
+/// made, and a path names one source, so it is the right code.
+fn load_verified(path: &Path, source: &JitSource) -> Result<DylibEngine, JitError> {
+    if !seal_holds(&std::fs::read(path)?) {
+        return Err(JitError::Corrupt);
+    }
+    let engine = DylibEngine::load(path)?;
+    if engine.signature() != source.sig {
+        return Err(JitError::SignatureMismatch {
+            expected: source.sig,
+            actual: engine.signature(),
+        });
+    }
+    Ok(engine)
+}
+
+/// Holds, for as long as it lives, this process's exclusive right to
+/// create the dylib at one path. Whoever enters second blocks until the
+/// first is done and then finds the file in place, so one tape is
+/// compiled once however many threads ask for it together.
+struct Flight(PathBuf);
+
+static IN_FLIGHT: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
+static LANDED: Condvar = Condvar::new();
+
+impl Flight {
+    fn enter(path: &Path) -> Flight {
+        // The set is valid after every statement that touches it, so a
+        // panic elsewhere under the lock leaves nothing to repair.
+        let mut paths = IN_FLIGHT.lock().unwrap_or_else(PoisonError::into_inner);
+        while paths.contains(path) {
+            paths = LANDED.wait(paths).unwrap_or_else(PoisonError::into_inner);
+        }
+        paths.insert(path.to_path_buf());
+        Flight(path.to_path_buf())
+    }
+}
+
+impl Drop for Flight {
+    fn drop(&mut self) {
+        IN_FLIGHT
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.0);
+        LANDED.notify_all();
+    }
+}
+
+/// A name next to `path` that no other call, thread or process uses:
+/// writers fill it and rename it over `path`.
+fn temp_sibling(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp.{}.{seq}", std::process::id()))
 }
 
 /// Shared attach tail: map the simulator's signature check into
@@ -381,20 +527,24 @@ fn attach_engine(sim: &mut Simulator, engine: DylibEngine) -> Result<(), JitErro
         })
 }
 
-/// Counts a downgrade from the JIT engine to an interpreted one and logs
-/// why. The platform layer calls this wherever its fallback ladder fires
-/// so `strober.jit.fallback` tells operators codegen is not engaged.
+/// Counts a downgrade from the JIT engine to the interpreted one and logs
+/// why. The flow and platform layers call this where `jit` was asked for
+/// by name, so `strober.jit.fallback` tells operators a request for
+/// native code was not met; `auto` degrading to the tape walk is not a
+/// fallback and is not counted here.
 pub fn record_fallback(reason: &str) {
     strober_probe::counter_add("strober.jit.fallback", 1);
     strober_probe::warn!("jit engine unavailable, falling back to interpreter: {reason}");
 }
 
 /// Writes `bytes` to `path` via a same-directory temp file and rename,
-/// so concurrent processes never observe a torn dylib.
+/// so concurrent readers never observe a torn file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = temp_sibling(path);
     std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]
@@ -489,6 +639,22 @@ mod tests {
         warm.poke_by_name("en", 1).unwrap();
         warm.step_n(5);
         assert_eq!(warm.peek_output("value").unwrap(), 5);
+    }
+
+    #[test]
+    fn seal_catches_truncation_bit_flips_and_empty_files() {
+        let sealed = seal(vec![0x7f, b'E', b'L', b'F', 1, 2, 3]);
+        assert!(seal_holds(&sealed));
+        assert!(!seal_holds(&[]), "a zero-length file has no seal");
+        assert!(!seal_holds(&sealed[..SEAL_LEN]), "a bare seal of 7 bytes");
+        for cut in 1..sealed.len() {
+            assert!(!seal_holds(&sealed[..cut]), "truncated to {cut} bytes");
+        }
+        for bit in 0..sealed.len() * 8 {
+            let mut flipped = sealed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(!seal_holds(&flipped), "bit {bit} flipped");
+        }
     }
 
     #[test]

@@ -117,17 +117,30 @@ impl OutputView<'_> {
 /// through [`PlatformConfig::hub_engine`]. All variants are bit-identical
 /// — they differ only in how the combinational settle is evaluated (see
 /// DESIGN.md §16's which-engine-when table).
+///
+/// Who compiles: a `strober` session (`StroberFlow`) resolves the choice
+/// once, on `prepare_jit` or its first run, and hands this layer hub
+/// simulators with the native engine already attached. A bare
+/// [`ZynqHost`] or `Simulator` built by hand is a throwaway as far as
+/// this layer can tell, so under `Auto` it never spawns a compiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum HubEngine {
-    /// The interpreted tape walk. Never JIT-compiles on its own, but
-    /// keeps a pre-attached native engine if the flow installed one.
+    /// The fastest correct engine available: native code compiled from
+    /// the tape when the session can get it (artifact store, dylib cache,
+    /// or one `rustc` run, ~0.2 s once per core configuration per
+    /// machine), the interpreted tape walk when it cannot — no `rustc`
+    /// on `PATH`, a failed compile — which is not an error and is not
+    /// counted as a fallback. At this layer: keep what the session
+    /// attached.
     #[default]
     Auto,
-    /// Force the interpreted tape walk, detaching any native engine.
+    /// Force the interpreted tape walk, detaching any native engine: the
+    /// reference the native engine is held bit-identical to.
     Interp,
-    /// JIT-compile the tape to native code via `strober-jit`. Falls back
-    /// to the tape walk when no `rustc` is on `PATH` or compilation
-    /// fails, counting `strober.jit.fallback`.
+    /// Native code, asked for by name: the same ladder as `Auto`, but
+    /// ending up on the tape walk (no `rustc` on `PATH`, a failed
+    /// compile) is a logged warning counted by `strober.jit.fallback`,
+    /// and a bare host compiles into the temp cache by itself.
     Jit,
 }
 
@@ -180,8 +193,9 @@ pub struct PlatformConfig {
     /// Whether the hub simulator runs the optimizing tape compiler
     /// (default `true`); the CLI `--no-tape-opt` escape hatch clears it.
     pub tape_opt: bool,
-    /// Which settle engine drives the hub (default [`HubEngine::Auto`]).
-    /// The CLI `--hub-engine` flag sets this.
+    /// Which settle engine drives the hub (default [`HubEngine::Auto`]:
+    /// native when the session can get it). The CLI `--hub-engine` flag
+    /// sets this.
     pub hub_engine: HubEngine,
 }
 
@@ -262,13 +276,14 @@ pub struct ZynqHost {
     records: u64,
 }
 
-/// Applies a [`HubEngine`] choice to a hub simulator — the one place
-/// engine selection happens.
+/// Applies a [`HubEngine`] choice to a hub simulator handed to a host.
 ///
-/// `Jit` keeps a native engine the flow pre-attached (the store-backed
-/// warm path); otherwise it compiles into the temp cache here. A failure
-/// falls back to the tape walk and counts `strober.jit.fallback`, so a
-/// missing `rustc` degrades a run's speed, never its results.
+/// `Auto` keeps what the session attached and never compiles here (the
+/// session already resolved it — see [`HubEngine`]); `Interp` detaches;
+/// `Jit` keeps a pre-attached native engine (the store-backed warm path)
+/// and otherwise compiles into the temp cache here. A failure falls back
+/// to the tape walk and counts `strober.jit.fallback`, so a missing
+/// `rustc` degrades a run's speed, never its results.
 fn apply_engine(sim: &mut Simulator, engine: HubEngine) {
     match engine {
         HubEngine::Auto => {}
@@ -677,7 +692,10 @@ mod tests {
         assert!(sim.has_jit(), "auto keeps a pre-attached native engine");
         let mut sim = hub.clone();
         apply_engine(&mut sim, HubEngine::Auto);
-        assert!(!sim.has_jit(), "auto never compiles on its own");
+        assert!(
+            !sim.has_jit(),
+            "auto on a bare host spawns no compiler: resolving it is the session's job"
+        );
 
         let mut sim = attached();
         apply_engine(&mut sim, HubEngine::Interp);

@@ -22,7 +22,9 @@ use strober_store::{CodegenProvenance, RunManifest, SamplingOutcome};
 /// What [`drive`] runs.
 #[derive(Debug)]
 pub struct Inputs<'a> {
-    /// The prepared session (native settle engine included, if selected).
+    /// The prepared session. A caller that wants the native engine's
+    /// compile (or fetch) timed under `prepare`, and served from its
+    /// store, runs `prepare_jit` first; otherwise the run resolves it.
     pub flow: &'a StroberFlow,
     /// How `flow` was obtained: `cold`, `store` or `warm`.
     pub provenance: &'a str,
@@ -123,13 +125,6 @@ pub fn drive(
     };
 
     manifest.set_prepare(inputs.provenance);
-    manifest.hub_engine = flow.hub_engine_name().to_owned();
-    manifest.jit = flow
-        .jit_info()
-        .map(|(provenance, compile_ms)| CodegenProvenance {
-            provenance: provenance.to_owned(),
-            compile_ms,
-        });
     end(&mut manifest, "prepare", inputs.prepare_started.elapsed());
 
     let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
@@ -161,6 +156,16 @@ pub fn drive(
         elapsed.saturating_sub(run.replay_wall),
     );
     end(&mut manifest, "replay", run.replay_wall);
+    // Read after the run: a caller that skipped `prepare_jit` had its
+    // engine resolved by the run's first hub simulator.
+    manifest.hub_engine = flow.hub_engine_name().to_owned();
+    manifest.hub_engine_reason = flow.hub_engine_reason().to_owned();
+    manifest.jit = flow
+        .jit_info()
+        .map(|(provenance, compile_ms)| CodegenProvenance {
+            provenance: provenance.to_owned(),
+            compile_ms,
+        });
 
     let mut out = Products {
         instret: dram.instret(),

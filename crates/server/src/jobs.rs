@@ -93,9 +93,9 @@ impl FlowCache {
         }
         // Prepare outside the cache lock — it can take seconds, and
         // other designs' warm hits must not wait behind it.
-        // With the JIT engine selected, the native settle dylib is
+        // Unless the spec says `interp`, the native settle dylib is
         // compiled (or fetched) under the same store lock, so its cost
-        // lands in the prepare stage; other engines make that a no-op.
+        // lands in the prepare stage of the job that first needs it.
         let (flow, provenance) = match store {
             Some(store) => {
                 let mut store = store.lock().expect("store lock");

@@ -35,7 +35,12 @@ use strober_store::RunManifest;
 /// (DESIGN.md §14). Unknown fields are ignored on decode, so a
 /// revision-5 spec still parses; an engine name off the
 /// `auto|interp|jit` ladder is rejected, never remapped.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Revision 7 moved the manifest carried in [`EstimateOutcome`] to
+/// schema v7 (`hub_engine_reason`: which engine ran and why); a
+/// revision-6 server's results lack the field, so the revision bumps.
+/// The spec is unchanged — `hub_engine: "auto"` now resolves to native
+/// code server-side.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Scheduling class of a job. Higher classes are always dequeued before
 /// lower ones; within a class jobs run in submission order.
@@ -129,10 +134,11 @@ pub struct EstimateSpec {
     pub batch_lanes: usize,
     /// Run the hub simulator's optimizing tape compiler.
     pub tape_opt: bool,
-    /// Hub settle engine: `auto` or `interp` (the interpreted tape walk)
-    /// or `jit` (native code compiled from the op tape; falls back to
-    /// the interpreter when no `rustc` is available). All engines are
-    /// bit-identical.
+    /// Hub settle engine: `auto` (native code compiled from the op tape,
+    /// or the interpreted tape walk where no `rustc` is available),
+    /// `interp` (always the tape walk) or `jit` (`auto`, but ending up
+    /// interpreted is a counted, logged fallback). All engines are
+    /// bit-identical; the outcome's manifest says which ran and why.
     pub hub_engine: String,
     /// Target relative error ε for the adaptive stopping rule; 0 disables
     /// it and the run ends with the workload. With a value in `(0, 1)`
@@ -512,7 +518,7 @@ pub struct EstimateOutcome {
     /// The relative error bound achieved by the adaptive stopping rule;
     /// `None` for non-adaptive runs.
     pub achieved_epsilon: Option<f64>,
-    /// The run manifest (schema v6, with job, worker, sampling and
+    /// The run manifest (schema v7, with job, worker, sampling and
     /// codegen provenance).
     pub manifest: RunManifest,
 }

@@ -21,8 +21,10 @@
 //! semantics included. The golden suites and the fuzz oracle's `tape-jit`
 //! lane hold this invariant under test.
 //!
-//! The emitted source also exports `strober_jit_sig() -> u64`, an FNV-1a
-//! hash of the settle body. The simulator checks that hash against the
+//! The emitted crate is `#![no_std]` (the body needs nothing but `core`
+//! integer ops, and a dylib that links std is 4.3 MB instead of ~15 KB).
+//! It also exports `strober_jit_sig() -> u64`, an FNV-1a hash of the crate
+//! header and settle body. The simulator checks that hash against the
 //! source it would generate for its own tape before attaching a native
 //! engine, so a stale dylib (different design, different optimizer
 //! options, different codegen revision) is rejected instead of silently
@@ -38,15 +40,15 @@ pub struct JitSource {
     /// Complete Rust source for a `cdylib` crate exporting
     /// `strober_jit_settle` and `strober_jit_sig`.
     pub source: String,
-    /// FNV-1a hash of the settle body, also returned by the compiled
-    /// dylib's `strober_jit_sig`.
+    /// FNV-1a hash of the crate header, settle body and slab length, also
+    /// returned by the compiled dylib's `strober_jit_sig`.
     pub sig: u64,
 }
 
-/// FNV-1a over the generated body; must match the dylib-side constant.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over the generated source; must match the dylib-side constant.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -135,6 +137,43 @@ fn mem_read(mem: u32, addr_expr: &str) -> String {
     )
 }
 
+/// Everything the generated crate holds ahead of the settle body. The
+/// body is integer arithmetic on `core` types only, so the crate is
+/// `#![no_std]`: a dylib then carries its own code and nothing else
+/// (13–20 KB for the bundled hubs, against 4.3 MB with std linked in).
+/// `core` still wants a panic handler to exist; with `-C panic=abort` and
+/// every division guarded in the emitted expressions it is unreachable.
+const HEADER: &str = "\
+// Generated by strober-sim codegen; do not edit.
+#![no_std]
+#![allow(unused_variables, unused_parens, clippy::all)]
+
+#[panic_handler]
+fn panic(_: &core::panic::PanicInfo<'_>) -> ! {
+    loop {}
+}
+
+/// One memory array, passed as a raw span across the C ABI.
+#[repr(C)]
+pub struct MemSpan {
+    pub ptr: *const u64,
+    pub len: usize,
+}
+
+/// # Safety
+/// `v` must point at the value slab this tape was compiled for
+/// (length checked via `strober_jit_sig` at attach time); `inp`,
+/// `regs` and `mems` must match the design's port/register/memory
+/// counts.
+#[no_mangle]
+pub unsafe extern \"C\" fn strober_jit_settle(
+    v: *mut u64,
+    inp: *const u64,
+    regs: *const u64,
+    mems: *const MemSpan,
+) {
+";
+
 /// Lowers a tape to the source of a `cdylib` crate exporting the native
 /// settle entry point. `n_values` is the slot slab length; every slot
 /// index the tape references is asserted to lie below it here, which is
@@ -162,7 +201,7 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
     // correct where the clock edge and peeks read it. `defined` tracks
     // which slots already have a local this settle.
     let mut defined = vec![false; n_values];
-    let mut body = String::new();
+    let mut source = String::from(HEADER);
     for op in tape {
         let d = &defined;
         let (dst, expr) = match *op {
@@ -255,46 +294,24 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
             }
         };
         if stored[dst as usize] {
-            let _ = writeln!(body, "    let t{dst} = {expr}; {} = t{dst};", v(dst));
+            let _ = writeln!(source, "    let t{dst} = {expr}; {} = t{dst};", v(dst));
         } else {
-            let _ = writeln!(body, "    let t{dst} = {expr};");
+            let _ = writeln!(source, "    let t{dst} = {expr};");
         }
         defined[dst as usize] = true;
     }
 
-    // The hash covers the settle body plus the slab length, so two tapes
-    // that happen to emit the same ops over different slab sizes (never
-    // expected, but cheap to defend against) still get distinct ids.
-    let mut hashed = body.clone();
-    let _ = write!(hashed, "n_values={n_values}");
-    let sig = fnv1a(hashed.as_bytes());
-
-    let mut source = String::with_capacity(body.len() + 1024);
-    source.push_str(
-        "// Generated by strober-sim codegen; do not edit.\n\
-         #![allow(unused_variables, unused_parens, clippy::all)]\n\
-         \n\
-         /// One memory array, passed as a raw span across the C ABI.\n\
-         #[repr(C)]\n\
-         pub struct MemSpan {\n\
-         \x20   pub ptr: *const u64,\n\
-         \x20   pub len: usize,\n\
-         }\n\
-         \n\
-         /// # Safety\n\
-         /// `v` must point at the value slab this tape was compiled for\n\
-         /// (length checked via `strober_jit_sig` at attach time); `inp`,\n\
-         /// `regs` and `mems` must match the design's port/register/memory\n\
-         /// counts.\n\
-         #[no_mangle]\n\
-         pub unsafe extern \"C\" fn strober_jit_settle(\n\
-         \x20   v: *mut u64,\n\
-         \x20   inp: *const u64,\n\
-         \x20   regs: *const u64,\n\
-         \x20   mems: *const MemSpan,\n\
-         ) {\n",
+    // The hash covers the crate header, the settle body and the slab
+    // length: a codegen revision that changes only the header (as the
+    // move to `#![no_std]` did) still retires every dylib built before
+    // it, and two tapes that happen to emit the same ops over different
+    // slab sizes (never expected, but cheap to defend against) still get
+    // distinct ids.
+    let sig = fnv1a(
+        source
+            .bytes()
+            .chain(format!("n_values={n_values}").into_bytes()),
     );
-    source.push_str(&body);
     source.push_str("}\n\n#[no_mangle]\npub extern \"C\" fn strober_jit_sig() -> u64 {\n");
     let _ = writeln!(source, "    {sig:#x}");
     source.push_str("}\n");
@@ -346,6 +363,7 @@ mod tests {
         assert_eq!(one.sig, two.sig, "emission must be deterministic");
         assert!(one.source.contains("strober_jit_settle"));
         assert!(one.source.contains("strober_jit_sig"));
+        assert!(one.source.contains("#![no_std]") && one.source.contains("#[panic_handler]"));
         assert!(one.source.contains(&format!("{:#x}", one.sig)));
         // Different slab length => different identity.
         assert_ne!(emit(&tape, 4, &[true; 4]).sig, one.sig);

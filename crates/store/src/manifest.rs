@@ -22,9 +22,11 @@ use std::time::Duration;
 /// grew the `sampling` outcome (stop reason, target and achieved ε);
 /// bumped to 6 when tape-to-native codegen landed and manifests grew
 /// the `hub_engine` name plus the `jit` codegen provenance
-/// (cold/warm/store, compile wall-time).
+/// (cold/warm/store, compile wall-time); bumped to 7 when `auto` began
+/// selecting the native engine and manifests grew `hub_engine_reason`
+/// (which engine ran *and why*).
 /// Older documents no longer parse: every field is required.
-pub const MANIFEST_VERSION: u32 = 6;
+pub const MANIFEST_VERSION: u32 = 7;
 
 /// Which job a served run belonged to — absent for one-shot CLI runs.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -107,6 +109,12 @@ pub struct RunManifest {
     /// The hub settle engine the sampled simulation ran under, after any
     /// fallback: `tape` or `tape-jit`.
     pub hub_engine: String,
+    /// Why that engine: `requested` when `--hub-engine interp|jit` named
+    /// it and got it; under `auto`, how native code was had (`auto: store
+    /// hit`, `auto: cache hit`, `auto: compiled in 209 ms`) or why it was
+    /// not (`auto: no rustc on PATH, interpreted`); `jit: …, interpreted`
+    /// when a named `jit` fell back.
+    pub hub_engine_reason: String,
     /// Codegen provenance, for runs on the JIT engine.
     pub jit: Option<CodegenProvenance>,
     /// Per-stage wall-clock timings, in execution order.
@@ -233,7 +241,7 @@ mod tests {
     fn schema_version_is_bumped_and_enforced() {
         let manifest = RunManifest::new("rok", "vvadd");
         assert_eq!(manifest.version, MANIFEST_VERSION);
-        assert_eq!(MANIFEST_VERSION, 6, "bump this test with the schema");
+        assert_eq!(MANIFEST_VERSION, 7, "bump this test with the schema");
         let text = manifest.to_json();
         assert!(text.contains("\"version\""));
         assert!(text.contains("\"metrics\""));
@@ -304,6 +312,22 @@ mod tests {
             "metrics": {"counters": [], "gauges": [], "histograms": []}
         }"#;
         assert!(RunManifest::from_json(v5).is_err());
+        // A version-6 document names the engine but not why.
+        let v6 = r#"{
+            "version": 6,
+            "design": "rok",
+            "workload": "vvadd",
+            "fingerprint": "00117a5e57a0be55",
+            "cache_hit": false,
+            "prepare": "cold",
+            "job": null,
+            "sampling": null,
+            "hub_engine": "tape",
+            "jit": null,
+            "stages": [],
+            "metrics": {"counters": [], "gauges": [], "histograms": []}
+        }"#;
+        assert!(RunManifest::from_json(v6).is_err());
     }
 
     #[test]
@@ -312,6 +336,7 @@ mod tests {
         assert_eq!(manifest.hub_engine, "tape");
         assert_eq!(manifest.jit, None);
         manifest.hub_engine = "tape-jit".to_owned();
+        manifest.hub_engine_reason = "auto: store hit".to_owned();
         manifest.jit = Some(CodegenProvenance {
             provenance: "store".to_owned(),
             compile_ms: 412,
@@ -319,6 +344,7 @@ mod tests {
         let back = RunManifest::from_json(&manifest.to_json()).unwrap();
         assert_eq!(back, manifest);
         assert_eq!(back.hub_engine, "tape-jit");
+        assert_eq!(back.hub_engine_reason, "auto: store hit");
         assert_eq!(back.jit.unwrap().compile_ms, 412);
     }
 

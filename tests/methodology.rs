@@ -1,7 +1,7 @@
 //! Statistical-soundness integration tests: the estimator behaves like
 //! §III-A promises when the experiment is repeated.
 
-use strober::{StroberConfig, StroberFlow};
+use strober::{HubEngine, StroberConfig, StroberFlow};
 use strober_dsl::Ctx;
 use strober_platform::{HostModel, OutputView};
 use strober_rtl::{Design, Width};
@@ -25,6 +25,19 @@ fn phased_design() -> Design {
     ctx.finish().unwrap()
 }
 
+/// A 32-cycle-window session on [`phased_design`] — a throwaway design,
+/// so it walks the tape instead of compiling a native engine for it.
+fn session(sample_size: usize, seed: u64) -> StroberConfig {
+    let mut config = StroberConfig {
+        replay_length: 32,
+        sample_size,
+        seed,
+        ..StroberConfig::default()
+    };
+    config.platform.hub_engine = HubEngine::Interp;
+    config
+}
+
 struct PhaseDriver {
     period: u64,
 }
@@ -40,16 +53,7 @@ fn repeated_estimates_scatter_around_a_common_mean() {
     let design = phased_design();
     let mut estimates = Vec::new();
     for seed in 0..6 {
-        let flow = StroberFlow::new(
-            &design,
-            StroberConfig {
-                replay_length: 32,
-                sample_size: 24,
-                seed: 1000 + seed,
-                ..StroberConfig::default()
-            },
-        )
-        .unwrap();
+        let flow = StroberFlow::new(&design, session(24, 1000 + seed)).unwrap();
         let mut driver = PhaseDriver { period: 160 };
         let run = flow.run_sampled(&mut driver, 40_000).unwrap();
         let results = flow.replay_all(&run.snapshots, 4).unwrap();
@@ -78,16 +82,7 @@ fn larger_samples_give_tighter_intervals() {
     let design = phased_design();
     let mut widths = Vec::new();
     for &n in &[8usize, 32] {
-        let flow = StroberFlow::new(
-            &design,
-            StroberConfig {
-                replay_length: 32,
-                sample_size: n,
-                seed: 7,
-                ..StroberConfig::default()
-            },
-        )
-        .unwrap();
+        let flow = StroberFlow::new(&design, session(n, 7)).unwrap();
         let mut driver = PhaseDriver { period: 160 };
         let run = flow.run_sampled(&mut driver, 60_000).unwrap();
         let results = flow.replay_all(&run.snapshots, 4).unwrap();
@@ -107,16 +102,7 @@ fn phase_power_difference_is_visible_per_snapshot() {
     // Individual snapshot timestamps land in either phase; their measured
     // powers must be bimodal (the LFSR bank churns in one phase only).
     let design = phased_design();
-    let flow = StroberFlow::new(
-        &design,
-        StroberConfig {
-            replay_length: 32,
-            sample_size: 30,
-            seed: 99,
-            ..StroberConfig::default()
-        },
-    )
-    .unwrap();
+    let flow = StroberFlow::new(&design, session(30, 99)).unwrap();
     let mut driver = PhaseDriver { period: 512 };
     let run = flow.run_sampled(&mut driver, 50_000).unwrap();
     let results = flow.replay_all(&run.snapshots, 4).unwrap();

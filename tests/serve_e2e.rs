@@ -165,6 +165,7 @@ fn drive_direct(spec: &EstimateSpec) -> (Result<Products, Failure>, Vec<String>)
     let image = catalog::image_for(&spec.workload, &spec.asm).unwrap();
     let prepare_started = Instant::now();
     let flow = StroberFlow::new(&build_core(&core), spec.session_config().unwrap()).unwrap();
+    flow.prepare_jit(None);
     let stages = std::cell::RefCell::new(Vec::new());
     let out = driver::drive(
         driver::Inputs {
@@ -331,6 +332,18 @@ fn the_driver_and_a_served_job_agree_bit_for_bit() {
         min_samples: 4,
         ..spec()
     };
+    // Which engine every run below must report, and why: `direct_run`
+    // above left the hub's dylib in the temp cache, so both sides find it
+    // there — or both find no compiler.
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .is_ok_and(|o| o.status.success());
+    let expected = if rustc {
+        ("tape-jit", "auto: cache hit")
+    } else {
+        ("tape", "auto: no rustc on PATH, interpreted")
+    };
     for (label, spec, stop) in [
         ("fixed", spec(), "workload-done"),
         ("ruled", ruled, "workload-done"),
@@ -352,6 +365,13 @@ fn the_driver_and_a_served_job_agree_bit_for_bit() {
             "{label}: manifest stages"
         );
         assert_eq!(stage_names(&served.manifest), heard, "{label}");
+        for side in [&out.manifest, &served.manifest] {
+            assert_eq!(
+                (side.hub_engine.as_str(), side.hub_engine_reason.as_str()),
+                expected,
+                "{label}"
+            );
+        }
         assert_eq!(
             replay_fingerprint(&out.results),
             served.snapshot_fingerprint,
