@@ -205,7 +205,7 @@ fn second_flow_for_the_same_fingerprint_skips_rustc() {
     }
     // Warm-start through the artifact store: the first session compiles
     // (provenance `cold`) and persists the dylib; a second session for
-    // the same design fingerprint + tape options + rustc version attaches
+    // the same tape signature + rustc version attaches
     // from the stored bytes (`store`) without ever invoking rustc — even
     // with the compiler's own file cache wiped.
     let design = build_core(&CoreConfig::rok_tiny());

@@ -1,18 +1,17 @@
-//! Per-pass golden equivalence of the optimizing tape compiler on real
-//! processor cores and their FAME1 hubs.
+//! Golden equivalence of the optimizing tape compiler on real processor
+//! cores and their FAME1 hubs.
 //!
 //! The randomized sweep lives in `strober-sim`'s own test suite; this one
-//! drives the actual workloads the flow runs — a bundled core design and
-//! its FAME1-transformed hub (scan chains, trace buffers, fire gating) —
-//! through every single-pass configuration, checking bit-identical step
-//! behavior against the unoptimized identity lowering.
+//! drives the actual workloads the flow runs — bundled core designs and
+//! their FAME1-transformed hubs (scan chains, trace buffers, fire gating),
+//! including the full-size `rok` and `boum_2w` hubs the ledger steps —
+//! through the one pass pipeline, checking bit-identical step behavior
+//! against the naive tree-walking reference.
 
-use strober::{StroberConfig, StroberFlow};
 use strober_cores::{build_core, CoreConfig};
 use strober_fame::{transform, FameConfig};
-use strober_platform::{HostModel, OutputView, PlatformConfig};
 use strober_rtl::Design;
-use strober_sim::{Simulator, TapeOptions};
+use strober_sim::{NaiveInterpreter, Simulator};
 
 const CYCLES: u64 = 256;
 
@@ -26,36 +25,8 @@ fn stim(port: usize, cycle: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn pass_matrix() -> Vec<(&'static str, TapeOptions)> {
-    let off = TapeOptions {
-        const_fold: false,
-        copy_prop: false,
-        dce: false,
-        fuse: false,
-    };
-    vec![
-        (
-            "const_fold",
-            TapeOptions {
-                const_fold: true,
-                ..off
-            },
-        ),
-        (
-            "copy_prop",
-            TapeOptions {
-                copy_prop: true,
-                ..off
-            },
-        ),
-        ("dce", TapeOptions { dce: true, ..off }),
-        ("fuse", TapeOptions { fuse: true, ..off }),
-        ("all", TapeOptions::all()),
-    ]
-}
-
-/// Steps the design for [`CYCLES`] under the identity lowering and under
-/// each pass subset, comparing every output every cycle plus the final
+/// Steps the design for [`CYCLES`] on the naive reference and on the
+/// optimized tape, comparing every output every cycle plus the final
 /// architectural state.
 fn assert_passes_transparent(label: &str, design: &Design) {
     let ports: Vec<(String, u64)> = design
@@ -65,45 +36,33 @@ fn assert_passes_transparent(label: &str, design: &Design) {
         .collect();
     let outputs: Vec<String> = design.outputs().iter().map(|(n, _)| n.clone()).collect();
 
-    let mut golden = Simulator::with_options(design, &TapeOptions::none()).expect("valid");
-    let mut trace: Vec<Vec<u64>> = Vec::new();
+    let mut naive = NaiveInterpreter::new(design).expect("valid");
+    let mut sim = Simulator::new(design).expect("valid");
     for cycle in 0..CYCLES {
         for (i, (name, mask)) in ports.iter().enumerate() {
-            golden
-                .poke_by_name(name, stim(i, cycle) & mask)
-                .expect("port");
+            let v = stim(i, cycle) & mask;
+            naive.poke_by_name(name, v).expect("port");
+            sim.poke_by_name(name, v).expect("port");
         }
-        trace.push(
-            outputs
-                .iter()
-                .map(|o| golden.peek_output(o).expect("output"))
-                .collect(),
-        );
-        golden.step();
+        for o in &outputs {
+            assert_eq!(
+                sim.peek_output(o).expect("output"),
+                naive.peek_output(o).expect("output"),
+                "{label}: output `{o}` diverged at cycle {cycle}"
+            );
+        }
+        naive.step();
+        sim.step();
     }
-    let golden_state = golden.state();
+    assert_eq!(sim.state(), naive.state(), "{label}: final state diverged");
+}
 
-    for (pass, options) in pass_matrix() {
-        let mut sim = Simulator::with_options(design, &options).expect("valid");
-        for cycle in 0..CYCLES {
-            for (i, (name, mask)) in ports.iter().enumerate() {
-                sim.poke_by_name(name, stim(i, cycle) & mask).expect("port");
-            }
-            for (oi, o) in outputs.iter().enumerate() {
-                assert_eq!(
-                    sim.peek_output(o).expect("output"),
-                    trace[cycle as usize][oi],
-                    "{label}, pass `{pass}`: output `{o}` diverged at cycle {cycle}"
-                );
-            }
-            sim.step();
-        }
-        assert_eq!(
-            sim.state(),
-            golden_state,
-            "{label}, pass `{pass}`: final state diverged"
-        );
-    }
+/// The FAME1 hub of a bundled core: the workload the optimizer was built
+/// for — scan-chain padding cats, capture/shift mux cascades, fire gating.
+fn hub(core: &CoreConfig) -> Design {
+    transform(&build_core(core), &FameConfig::default())
+        .expect("transform")
+        .hub
 }
 
 #[test]
@@ -113,12 +72,7 @@ fn passes_are_transparent_on_the_rok_core() {
 
 #[test]
 fn passes_are_transparent_on_the_fame1_hub() {
-    // The hub is the workload the optimizer was built for: scan-chain
-    // padding cats, capture/shift mux cascades, fire gating. Drive it
-    // with fire held high plus stimulus on the pass-through target ports.
-    let design = build_core(&CoreConfig::rok_tiny());
-    let fame = transform(&design, &FameConfig::default()).expect("transform");
-    assert_passes_transparent("rok_tiny fame1 hub", &fame.hub);
+    assert_passes_transparent("rok_tiny fame1 hub", &hub(&CoreConfig::rok_tiny()));
 }
 
 #[test]
@@ -126,32 +80,12 @@ fn passes_are_transparent_on_the_boum_core() {
     assert_passes_transparent("boum_tiny", &build_core(&CoreConfig::boum_tiny(1)));
 }
 
-struct NoIo;
-impl HostModel for NoIo {
-    fn tick(&mut self, _c: u64, _io: &mut OutputView<'_>) {}
+#[test]
+fn passes_are_transparent_on_the_full_rok_hub() {
+    assert_passes_transparent("rok fame1 hub", &hub(&CoreConfig::rok()));
 }
 
 #[test]
-fn sampled_flow_is_identical_with_and_without_the_optimizer() {
-    // End-to-end regression for `--no-tape-opt`: the full sampled run —
-    // reservoir draws, scanned snapshots, traced windows — must not
-    // change when the optimizer is turned off.
-    let design = build_core(&CoreConfig::rok_tiny());
-    let run_with = |tape_opt: bool| {
-        let config = StroberConfig {
-            sample_size: 4,
-            replay_length: 16,
-            warmup: 0,
-            platform: PlatformConfig {
-                tape_opt,
-                ..PlatformConfig::default()
-            },
-            ..StroberConfig::default()
-        };
-        let flow = StroberFlow::new(&design, config).expect("prepare");
-        flow.run_sampled(&mut NoIo, 20_000).expect("sampled run")
-    };
-    let optimized = run_with(true);
-    let raw = run_with(false);
-    assert_eq!(optimized.snapshots, raw.snapshots);
+fn passes_are_transparent_on_the_full_boum_2w_hub() {
+    assert_passes_transparent("boum_2w fame1 hub", &hub(&CoreConfig::boum_2w()));
 }

@@ -325,8 +325,6 @@ fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<
 /// How a shared run-knob flag lands in the [`EstimateSpec`].
 #[derive(Clone, Copy)]
 enum SpecSetter {
-    /// A bare switch.
-    Switch(fn(&mut EstimateSpec)),
     /// A flag whose value is taken as is.
     Text(fn(&mut EstimateSpec, String)),
     /// A flag whose value is parsed; the error says what is wrong with it.
@@ -342,7 +340,7 @@ fn number<T: std::str::FromStr>(value: &str) -> Result<T, String> {
 /// [`EstimateSpec::validate`], which both commands run once the flags
 /// are read.
 const SPEC_FLAGS: &[(&[&str], SpecSetter)] = {
-    use SpecSetter::{Parsed, Switch, Text};
+    use SpecSetter::{Parsed, Text};
     &[
         (&["--core"], Text(|s, v| s.core = v)),
         (&["--workload"], Text(|s, v| s.workload = v)),
@@ -376,7 +374,6 @@ const SPEC_FLAGS: &[(&[&str], SpecSetter)] = {
             &["--max-cycles"],
             Parsed(|s, v| number(v).map(|n| s.max_cycles = n)),
         ),
-        (&["--no-tape-opt"], Switch(|s| s.tape_opt = false)),
         (&["--hub-engine"], Text(|s, v| s.hub_engine = v)),
         (
             &["--target-error"],
@@ -400,7 +397,6 @@ fn parse_spec_flag<'a>(
         return Ok(false);
     };
     match *setter {
-        SpecSetter::Switch(set) => set(spec),
         SpecSetter::Text(set) => set(spec, take_value(flag, it)?),
         SpecSetter::Parsed(set) => {
             set(spec, &take_value(flag, it)?).map_err(|m| ArgError(format!("{flag}: {m}")))?;
@@ -788,7 +784,7 @@ USAGE:
                    [-n N] [-L CYCLES] [--seed S] [--jobs P]
                    [--batch-lanes K] [--max-cycles N] [--json]
                    [--cache-dir DIR] [--no-cache] [--manifest FILE]
-                   [--trace-out FILE] [--metrics] [--no-tape-opt]
+                   [--trace-out FILE] [--metrics]
                    [--hub-engine auto|interp|jit] [--target-error E]
                    [--min-samples M]
       Run the full flow: fast sampled simulation, gate-level replay,
@@ -803,10 +799,7 @@ USAGE:
       uses every hardware thread unless --jobs (alias --parallel)
       says otherwise, and packs up to --batch-lanes snapshots (default
       64, max 64) into the bit-lanes of each gate-level pass; set
-      --batch-lanes 1 for the scalar reference replay. --no-tape-opt
-      disables the hub simulator's optimizing tape compiler (constant
-      folding, copy propagation, dead code elimination, fusion) — an
-      escape hatch for isolating a suspected optimizer miscompile.
+      --batch-lanes 1 for the scalar reference replay.
       --hub-engine picks the hub simulator's settle engine; all three
       give the same bits. auto (default) runs native code: the op tape
       is lowered to Rust, compiled once with rustc (~0.2 s, the first
@@ -884,7 +877,7 @@ USAGE:
                    [--priority high|normal|low] [--detach] [--json]
                    [estimate/replay: --core NAME, --workload NAME | --asm FILE,
                     -n N, -L CYCLES, --seed S, --jobs P, --batch-lanes K,
-                    --max-cycles N, --no-tape-opt, --hub-engine E,
+                    --max-cycles N, --hub-engine E,
                     --target-error E, --min-samples M]
                    [fuzz: --seeds A..B, --cycles N]
       Submit a job to a running server. By default the client follows
@@ -995,12 +988,9 @@ mod tests {
     fn every_shared_flag_parses_the_same_under_estimate_and_submit() {
         assert_eq!(estimate(&[]).unwrap().spec, EstimateSpec::default());
         assert_eq!(submit(&[]).unwrap().spec, EstimateSpec::default());
-        for (names, setter) in SPEC_FLAGS {
+        for (names, _) in SPEC_FLAGS {
             for &name in *names {
-                let argv = match setter {
-                    SpecSetter::Switch(_) => vec![name],
-                    _ => vec![name, sample_value(names[0])],
-                };
+                let argv = [name, sample_value(names[0])];
                 let one_shot = estimate(&argv).unwrap().spec;
                 let served = submit(&argv).unwrap().spec;
                 assert_eq!(one_shot, served, "{argv:?}");
@@ -1042,6 +1032,14 @@ mod tests {
             for err in [estimate(argv).unwrap_err(), submit(argv).unwrap_err()] {
                 assert!(err.0.contains(needle), "{argv:?}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn the_retired_no_tape_opt_flag_is_unknown_under_both_commands() {
+        let argv: &[&str] = &["--no-tape-opt"];
+        for err in [estimate(argv).unwrap_err(), submit(argv).unwrap_err()] {
+            assert_eq!(err.0, "unknown flag `--no-tape-opt`");
         }
     }
 

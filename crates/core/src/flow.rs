@@ -17,7 +17,7 @@ use strober_platform::{HostModel, HubEngine, PlatformConfig, ZynqHost};
 use strober_power::PowerAnalyzer;
 use strober_rtl::Design;
 use strober_sampling::{Confidence, Reservoir, SampleStats, StopDecision, StoppingRule};
-use strober_sim::{Simulator, TapeOptions};
+use strober_sim::Simulator;
 use strober_store::{fingerprint_parts, Fingerprint, Store};
 use strober_synth::{synthesize, SynthOptions, SynthResult};
 
@@ -292,17 +292,11 @@ impl StroberFlow {
             strober_probe::counter_add("strober.core.hub_tape_reused", 1);
             return Ok(sim);
         }
-        let options = if self.config.platform.tape_opt {
-            TapeOptions::all()
-        } else {
-            TapeOptions::none()
-        };
-        let sim = Simulator::with_options(&self.fame.hub, &options).map_err(|e| {
-            strober_sim::SimError::UnknownName {
+        let sim =
+            Simulator::new(&self.fame.hub).map_err(|e| strober_sim::SimError::UnknownName {
                 kind: "hub design",
                 name: e.to_string(),
-            }
-        })?;
+            })?;
         strober_probe::counter_add("strober.core.hub_tape_lowered", 1);
         // A concurrent first run may have won the race; either copy is
         // equivalent, so the loser's work is merely discarded.
@@ -312,10 +306,10 @@ impl StroberFlow {
 
     /// The artifact-store key for this session's compiled settle dylib:
     /// generated-source signature (a content hash of the design's
-    /// optimized tape and the codegen revision) + tape options + rustc
-    /// version, so any of the three changing misses cleanly.
-    fn jit_fingerprint(sig: u64, tape_opt: bool, rustc: &str) -> Fingerprint {
-        fingerprint_parts(&[&"strober-jit", &sig, &tape_opt, &rustc])
+    /// optimized tape and the codegen revision) + rustc version, so either
+    /// changing misses cleanly.
+    fn jit_fingerprint(sig: u64, rustc: &str) -> Fingerprint {
+        fingerprint_parts(&[&"strober-jit", &sig, &rustc])
     }
 
     /// Resolves the session's settle engine now, through the artifact
@@ -445,7 +439,7 @@ impl StroberFlow {
             Some(store) => (JitCompiler::new(store.root().join("jit")), Some(store)),
             None => (JitCompiler::in_temp(), None),
         };
-        let key = Self::jit_fingerprint(source.sig, self.config.platform.tape_opt, rustc);
+        let key = Self::jit_fingerprint(source.sig, rustc);
         // Store hit: materialize the cached bytes, skip rustc.
         let stored = store.as_deref_mut().and_then(|s| s.get::<JitArtifact>(key));
         let mut restock = false;

@@ -152,7 +152,6 @@ fn run_only_variant() -> StroberConfig {
         ..small_config()
     };
     config.platform.hub_engine = HubEngine::Jit;
-    config.platform.tape_opt = false;
     config
 }
 

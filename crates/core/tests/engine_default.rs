@@ -6,7 +6,8 @@
 //! on a machine with no compiler it must interpret, say why, and stay
 //! quiet about it — wanting the fastest engine *available* and getting
 //! the interpreter is not a failure, asking for `jit` by name and not
-//! getting it still is.
+//! getting it still is. A compiler that dies mid-compile is the same
+//! case, and must leave nothing half-written behind.
 
 use std::process::Command;
 use strober::{HubEngine, ReplayResult, SampledRun, StroberConfig, StroberFlow};
@@ -231,4 +232,120 @@ fn without_rustc_auto_degrades_quietly_and_jit_loudly() {
         loud.contains("warning: jit engine unavailable"),
         "a named jit without rustc warns:\n{loud}"
     );
+}
+
+/// A `rustc` that answers `--version` and then, asked to compile, writes
+/// a partial dylib where `-o` points and is killed by `SIGKILL`.
+const DYING_RUSTC: &str = r#"#!/bin/sh
+if [ "$1" = "--version" ]; then
+    echo "rustc 0.0.0-dying"
+    exit 0
+fi
+prev=""
+for arg in "$@"; do
+    if [ "$prev" = "-o" ]; then printf 'half a dylib' > "$arg"; fi
+    prev="$arg"
+done
+kill -9 $$
+"#;
+
+/// What a process whose `rustc` dies mid-compile must do; the test below
+/// starts this binary again with [`DYING_RUSTC`] first on `PATH` and a
+/// `TMPDIR` of its own, which holds every cache directory used here.
+fn with_dying_rustc() {
+    assert_eq!(strober_jit::rustc_version(), Some("rustc 0.0.0-dying"));
+    strober_probe::enable();
+    let fallbacks = || {
+        strober_probe::snapshot()
+            .counter("strober.jit.fallback")
+            .unwrap_or(0)
+    };
+    let (design, image) = target();
+    let reference = estimate(
+        &StroberFlow::new(&design, config(HubEngine::Interp)).unwrap(),
+        &image,
+    );
+
+    let mut store = Store::open(std::env::temp_dir().join("store")).unwrap();
+    let auto = StroberFlow::new(&design, config(HubEngine::Auto)).unwrap();
+    assert_eq!(auto.prepare_jit(Some(&mut store)), None);
+    assert_same_bits("auto vs interp", &estimate(&auto, &image), &reference);
+    assert_eq!(auto.hub_engine_name(), "tape");
+    let reason = auto.hub_engine_reason();
+    assert!(
+        reason.starts_with("auto: rustc failed on generated settle source (signal: 9")
+            && reason.ends_with(", interpreted"),
+        "the reason names the failed compile: `{reason}`"
+    );
+    assert_eq!(fallbacks(), 0, "auto degrading is not a fallback");
+
+    let jit = StroberFlow::new(&design, config(HubEngine::Jit)).unwrap();
+    assert_same_bits("jit vs interp", &estimate(&jit, &image), &reference);
+    assert_eq!(jit.hub_engine_name(), "tape");
+    assert!(jit.hub_engine_reason().starts_with("jit: rustc failed"));
+    assert!(fallbacks() >= 1, "a named jit that interprets is counted");
+}
+
+#[test]
+fn a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits() {
+    if std::env::var_os("STROBER_TEST_DYING_RUSTC").is_some() {
+        return with_dying_rustc();
+    }
+    let root = std::env::temp_dir().join(format!("strober-core-dying-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (bin, tmp) = (root.join("bin"), root.join("tmp"));
+    std::fs::create_dir_all(&bin).unwrap();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let rustc = bin.join("rustc");
+    std::fs::write(&rustc, DYING_RUSTC).unwrap();
+    let mut perms = std::fs::metadata(&rustc).unwrap().permissions();
+    std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
+    std::fs::set_permissions(&rustc, perms).unwrap();
+    let path = std::env::join_paths(
+        std::iter::once(bin).chain(std::env::split_paths(&std::env::var_os("PATH").unwrap())),
+    )
+    .unwrap();
+
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits",
+            "--nocapture",
+        ])
+        .env("PATH", path)
+        .env("TMPDIR", &tmp)
+        .env("STROBER_TEST_DYING_RUSTC", "1")
+        .output()
+        .expect("re-run this test binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child failed:\n{stderr}");
+    assert!(
+        stderr.contains("warning: jit engine unavailable"),
+        "the named jit warns:\n{stderr}"
+    );
+
+    // The store's jit/ dir and the temp cache both saw a compile die.
+    let mut compiles = 0;
+    let mut dirs = vec![tmp];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            assert!(
+                !name.contains(".tmp.") && !name.ends_with(".so"),
+                "{} was left behind",
+                path.display()
+            );
+            compiles += usize::from(name.ends_with(".rs"));
+        }
+    }
+    assert!(
+        compiles >= 2,
+        "expected sources in both caches, found {compiles}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

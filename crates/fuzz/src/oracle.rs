@@ -7,7 +7,6 @@
 //! |-------------|------------------------------------------|------------------|
 //! | `naive`     | tree-walking interpreter                 | (reference)      |
 //! | `tape`      | compiled op-tape, optimizing compiler    | `naive`          |
-//! | `tape-raw`  | compiled op-tape, optimizer disabled     | `naive`          |
 //! | `tape-jit`  | rustc-compiled native settle dylib       | `naive`          |
 //! | `fame`      | FAME1 hub with `fire` held high          | `naive`          |
 //! | `gate`      | scalar gate-level sim of the netlist     | `naive`/`tape`   |
@@ -31,7 +30,7 @@ use strober_gates::{CellKind, CellLibrary, Gate, Netlist};
 use strober_gatesim::{ActivityReport, BatchSim, GateSim};
 use strober_platform::{HostModel, OutputView, PlatformConfig, TargetInput, ZynqHost};
 use strober_power::PowerAnalyzer;
-use strober_sim::{NaiveInterpreter, Simulator, TapeOptions};
+use strober_sim::{NaiveInterpreter, Simulator};
 use strober_synth::{synthesize, SynthOptions};
 
 /// A deliberately-introduced netlist bug, applied after synthesis to
@@ -361,32 +360,26 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
         refs.push(run);
     }
 
-    // --- Oracle: compiled tape simulator, both streams, with the
-    // optimizing tape compiler both enabled (the default) and disabled.
-    // Running both lanes over the same stimulus makes every fuzz seed a
-    // differential test of the optimizer passes themselves.
-    for (oracle, options) in [
-        ("tape", TapeOptions::all()),
-        ("tape-raw", TapeOptions::none()),
-    ] {
-        for (stream_lane, reference) in refs.iter().enumerate() {
-            let stream = lane_stream(genome, stream_lane);
-            let mut tape = Simulator::with_options(&design, &options)
-                .map_err(|e| err(oracle, e.to_string()))?;
-            let run = run_rtl(
-                &mut tape,
-                &ports,
-                &outputs,
-                stream,
-                cycles,
-                |e, n, v| e.poke_by_name(n, v).map_err(|e| e.to_string()),
-                |e, n| e.peek_output(n).map_err(|e| e.to_string()),
-                |e| e.step(),
-                |e| e.state(),
-            )
-            .map_err(|d| err(oracle, d))?;
-            compare_rtl(oracle, &run, reference, &outputs)?;
-        }
+    // --- Oracle: optimized, interpreted tape simulator, both streams.
+    // Every fuzz seed is a differential test of the optimizer passes
+    // against the tree-walking reference.
+    let oracle = "tape";
+    for (stream_lane, reference) in refs.iter().enumerate() {
+        let stream = lane_stream(genome, stream_lane);
+        let mut tape = Simulator::new(&design).map_err(|e| err(oracle, e.to_string()))?;
+        let run = run_rtl(
+            &mut tape,
+            &ports,
+            &outputs,
+            stream,
+            cycles,
+            |e, n, v| e.poke_by_name(n, v).map_err(|e| e.to_string()),
+            |e, n| e.peek_output(n).map_err(|e| e.to_string()),
+            |e| e.step(),
+            |e| e.state(),
+        )
+        .map_err(|d| err(oracle, d))?;
+        compare_rtl(oracle, &run, reference, &outputs)?;
     }
 
     // --- Oracle: JIT-compiled native settle code, both streams. The

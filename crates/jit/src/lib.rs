@@ -15,12 +15,11 @@
 //!
 //! Compiled dylibs are content-addressed: the file name is the FNV-1a
 //! hash of the generated source plus the `rustc` version, so a second
-//! simulator built for the same design and optimizer options loads the
-//! existing artifact without invoking `rustc` at all. `strober-core`
-//! additionally persists the dylib bytes in the artifact store as a
-//! [`JitArtifact`] keyed by design fingerprint + tape options + rustc
-//! version, making codegen a warm-start artifact exactly like prepare
-//! outputs.
+//! simulator built for the same design loads the existing artifact
+//! without invoking `rustc` at all. `strober-core` additionally persists
+//! the dylib bytes in the artifact store as a [`JitArtifact`] keyed by
+//! the generated source's signature + rustc version, making codegen a
+//! warm-start artifact exactly like prepare outputs.
 //!
 //! Two callers that want the same dylib at once — two server workers on
 //! a cold daemon, two test threads — are single-flighted inside the
@@ -77,8 +76,11 @@ use strober_sim::{JitSource, NativeSettle, Simulator};
 pub enum JitError {
     /// No usable `rustc` was found on `PATH`.
     NoRustc,
-    /// `rustc` ran but rejected the generated source.
+    /// `rustc` ran but did not produce a dylib: it rejected the generated
+    /// source, or it died.
     Compile {
+        /// How the compiler exited (`exit status: 1`, `signal: 9 (SIGKILL)`).
+        status: String,
         /// The compiler's stderr.
         stderr: String,
     },
@@ -104,8 +106,12 @@ impl std::fmt::Display for JitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JitError::NoRustc => write!(f, "no rustc on PATH"),
-            JitError::Compile { stderr } => {
-                write!(f, "rustc rejected generated settle source: {stderr}")
+            JitError::Compile { status, stderr } => {
+                write!(f, "rustc failed on generated settle source ({status})")?;
+                match stderr.trim() {
+                    "" => Ok(()),
+                    stderr => write!(f, ": {stderr}"),
+                }
             }
             JitError::Dlopen(msg) => write!(f, "cannot load settle dylib: {msg}"),
             JitError::MissingSymbol(name) => {
@@ -184,7 +190,7 @@ pub struct JitOutcome {
 
 /// A compiled settle dylib plus enough provenance to rebuild the cache
 /// entry on another machine: the artifact-store payload for warm-started
-/// codegen. Keyed in the store by design fingerprint + tape options +
+/// codegen. Keyed in the store by the generated source's signature +
 /// rustc version (see `strober-core`).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize, serde::Blob)]
 pub struct JitArtifact {
@@ -378,6 +384,7 @@ impl JitCompiler {
                 .map_err(JitError::Io)
         } else {
             Err(JitError::Compile {
+                status: result.status.to_string(),
                 stderr: String::from_utf8_lossy(&result.stderr).into_owned(),
             })
         };

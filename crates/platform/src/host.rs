@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use strober_fame::{FameResult, FameSnapshot, HubLayout, SnapshotController};
 use strober_rtl::{NodeId, PortId};
-use strober_sim::{SimError, Simulator, TapeOptions};
+use strober_sim::{SimError, Simulator};
 
 /// Host-side models of the target's environment (main memory, I/O
 /// devices), serviced once per target cycle — the software half of the
@@ -171,8 +171,8 @@ impl std::fmt::Display for HubEngine {
     }
 }
 
-/// Cost-model parameters for the simulated platform, plus the two
-/// switches that pick how the hub simulator is built and settled.
+/// Cost-model parameters for the simulated platform, plus the switch
+/// that picks how the hub simulator is settled.
 ///
 /// Defaults reproduce the paper's measured environment: a ~50 MHz fabric
 /// clock, a host synchronisation stall every 256 target cycles costing a
@@ -190,9 +190,6 @@ pub struct PlatformConfig {
     /// Fixed host-side seconds per snapshot record (the paper's measured
     /// 1.3 s per replayable RTL snapshot readout).
     pub record_fixed_seconds: f64,
-    /// Whether the hub simulator runs the optimizing tape compiler
-    /// (default `true`); the CLI `--no-tape-opt` escape hatch clears it.
-    pub tape_opt: bool,
     /// Which settle engine drives the hub (default [`HubEngine::Auto`]:
     /// native when the session can get it). The CLI `--hub-engine` flag
     /// sets this.
@@ -206,7 +203,6 @@ impl Default for PlatformConfig {
             sync_period: 256,
             sync_penalty_cycles: 3020,
             record_fixed_seconds: 1.3,
-            tape_opt: true,
             hub_engine: HubEngine::Auto,
         }
     }
@@ -307,16 +303,10 @@ impl ZynqHost {
     /// Returns [`SimError`] when the hub design is malformed, or the hub's
     /// validation error via `strober-sim`.
     pub fn new(fame: &FameResult, cfg: PlatformConfig) -> Result<Self, SimError> {
-        let options = if cfg.tape_opt {
-            TapeOptions::all()
-        } else {
-            TapeOptions::none()
-        };
-        let sim =
-            Simulator::with_options(&fame.hub, &options).map_err(|e| SimError::UnknownName {
-                kind: "hub design",
-                name: e.to_string(),
-            })?;
+        let sim = Simulator::new(&fame.hub).map_err(|e| SimError::UnknownName {
+            kind: "hub design",
+            name: e.to_string(),
+        })?;
         Self::with_sim(fame, cfg, sim)
     }
 

@@ -40,7 +40,10 @@ use strober_store::RunManifest;
 /// revision-6 server's results lack the field, so the revision bumps.
 /// The spec is unchanged — `hub_engine: "auto"` now resolves to native
 /// code server-side.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// Revision 8 removed the optimizer on/off switch from [`EstimateSpec`]
+/// together with the unoptimized tape it selected (DESIGN.md §11); a
+/// revision-7 spec carrying it still decodes and the field is ignored.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Scheduling class of a job. Higher classes are always dequeued before
 /// lower ones; within a class jobs run in submission order.
@@ -132,8 +135,6 @@ pub struct EstimateSpec {
     pub parallel: usize,
     /// Bit-parallel replay lanes per worker (1..=64).
     pub batch_lanes: usize,
-    /// Run the hub simulator's optimizing tape compiler.
-    pub tape_opt: bool,
     /// Hub settle engine: `auto` (native code compiled from the op tape,
     /// or the interpreted tape walk where no `rustc` is available),
     /// `interp` (always the tape walk) or `jit` (`auto`, but ending up
@@ -165,7 +166,6 @@ impl Default for EstimateSpec {
             max_cycles: 200_000_000,
             parallel: 0,
             batch_lanes: 64,
-            tape_opt: true,
             hub_engine: "auto".to_owned(),
             target_error: 0.0,
             min_samples: 30,
@@ -229,7 +229,6 @@ impl EstimateSpec {
             seed: self.seed,
             ..StroberConfig::default()
         };
-        config.platform.tape_opt = self.tape_opt;
         config.platform.hub_engine = hub_engine;
         Ok(config)
     }

@@ -82,7 +82,6 @@ fn every_request_variant_round_trips() {
                 asm: Some("addi x1, x0, 1\nebreak 0".to_owned()),
                 parallel: 3,
                 batch_lanes: 8,
-                tape_opt: false,
                 hub_engine: "jit".to_owned(),
                 ..EstimateSpec::default()
             }),
@@ -106,15 +105,28 @@ fn every_request_variant_round_trips() {
     }
 }
 
-/// Revision 6 dropped a field from `EstimateSpec`. Decoding ignores
-/// fields it does not know, so a spec shaped like revision 5's still
-/// parses; a spec that lacks a field this revision needs does not.
+/// Revisions 6 and 8 dropped fields from `EstimateSpec`. Decoding
+/// ignores fields it does not know, so a spec shaped like revision 5's
+/// or 7's still parses; a spec that lacks a field this revision needs
+/// does not.
 #[test]
 fn older_spec_shapes_decode_or_fail_typed() {
     let current = serde_json::to_string(&EstimateSpec::default()).unwrap();
     let older = current.replacen('{', "{\"retired_knob\":4,", 1);
     let back: EstimateSpec = serde_json::from_str(&older).expect("unknown fields are ignored");
     assert_eq!(back, EstimateSpec::default());
+
+    // Revision 7 carried `tape_opt` next to `batch_lanes`; a v7 client
+    // turning the optimizer off still gets the one tape there is.
+    let v7 = current.replace("\"hub_engine\":", "\"tape_opt\":false,\"hub_engine\":");
+    assert!(v7.contains("\"tape_opt\":false"), "{v7}");
+    let back: EstimateSpec = serde_json::from_str(&v7).expect("the retired field is ignored");
+    assert_eq!(back, EstimateSpec::default());
+    assert_eq!(
+        serde_json::to_string(&back).unwrap(),
+        current,
+        "and not re-encoded"
+    );
 
     let without_engine = current.replace("\"hub_engine\":\"auto\",", "");
     assert_ne!(without_engine, current, "the field must have been cut");

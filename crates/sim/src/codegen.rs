@@ -26,9 +26,9 @@
 //! It also exports `strober_jit_sig() -> u64`, an FNV-1a hash of the crate
 //! header and settle body. The simulator checks that hash against the
 //! source it would generate for its own tape before attaching a native
-//! engine, so a stale dylib (different design, different optimizer
-//! options, different codegen revision) is rejected instead of silently
-//! producing wrong bits.
+//! engine, so a stale dylib (different design, different optimizer or
+//! codegen revision) is rejected instead of silently producing wrong
+//! bits.
 
 use crate::tape::TapeOp;
 use std::fmt::Write;
@@ -207,9 +207,7 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
         let (dst, expr) = match *op {
             TapeOp::Input { dst, port } => (dst, format!("*inp.add({port})")),
             TapeOp::Unary { dst, op, a, w } => (dst, un_expr(op, &r(a, d), w)),
-            TapeOp::Binary { dst, op, a, b, w } => {
-                (dst, bin_expr(op, &r(a, d), &r(b, d), w))
-            }
+            TapeOp::Binary { dst, op, a, b, w } => (dst, bin_expr(op, &r(a, d), &r(b, d), w)),
             TapeOp::Mux { dst, sel, t, f } => (
                 dst,
                 format!(
@@ -225,73 +223,16 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
                 shift,
                 mask,
             } => (dst, format!("({} >> {shift}) & {mask:#x}", r(a, d))),
-            TapeOp::Cat { dst, hi, lo, shift } => (
-                dst,
-                format!("({} << {shift}) | {}", r(hi, d), r(lo, d)),
-            ),
+            TapeOp::Cat { dst, hi, lo, shift } => {
+                (dst, format!("({} << {shift}) | {}", r(hi, d), r(lo, d)))
+            }
             TapeOp::RegOut { dst, reg } => (dst, format!("*regs.add({reg})")),
             TapeOp::MemRead { dst, mem, addr } => (dst, mem_read(mem, &r(addr, d))),
-            TapeOp::Wire { dst, src } => (dst, r(src, d)),
-            TapeOp::SliceBin {
-                dst,
-                op,
-                src,
-                shift,
-                mask,
-                other,
-                w,
-                slice_lhs,
-            } => {
-                let sv = format!("({} >> {shift}) & {mask:#x}", r(src, d));
-                let ov = r(other, d);
-                let (a, b) = if slice_lhs { (sv, ov) } else { (ov, sv) };
-                (dst, bin_expr(op, &a, &b, w))
-            }
-            TapeOp::BinMux {
-                dst,
-                op,
-                a,
-                b,
-                w,
-                t,
-                f,
-            } => (
-                dst,
-                format!(
-                    "if {} != 0 {{ {} }} else {{ {} }}",
-                    bin_expr(op, &r(a, d), &r(b, d), w),
-                    r(t, d),
-                    r(f, d)
-                ),
-            ),
-            TapeOp::MuxMux {
-                dst,
-                sel,
-                other,
-                inner_sel,
-                inner_t,
-                inner_f,
-                inner_in_true,
-            } => (
-                dst,
-                format!(
-                    "if ({} != 0) == {inner_in_true} {{ if {} != 0 {{ {} }} else {{ {} }} }} else {{ {} }}",
-                    r(sel, d),
-                    r(inner_sel, d),
-                    r(inner_t, d),
-                    r(inner_f, d),
-                    r(other, d)
-                ),
-            ),
             TapeOp::BitAnd { dst, a, b } => (dst, format!("{} & {}", r(a, d), r(b, d))),
             TapeOp::BitOr { dst, a, b } => (dst, format!("{} | {}", r(a, d), r(b, d))),
             TapeOp::BitXor { dst, a, b } => (dst, format!("{} ^ {}", r(a, d), r(b, d))),
-            TapeOp::CmpEq { dst, a, b } => {
-                (dst, format!("({} == {}) as u64", r(a, d), r(b, d)))
-            }
-            TapeOp::NotMask { dst, a, mask } => {
-                (dst, format!("!{} & {mask:#x}", r(a, d)))
-            }
+            TapeOp::CmpEq { dst, a, b } => (dst, format!("({} == {}) as u64", r(a, d), r(b, d))),
+            TapeOp::NotMask { dst, a, mask } => (dst, format!("!{} & {mask:#x}", r(a, d))),
         };
         if stored[dst as usize] {
             let _ = writeln!(source, "    let t{dst} = {expr}; {} = t{dst};", v(dst));

@@ -28,7 +28,7 @@ pub enum SimError {
     },
     /// A native settle engine was compiled from a different tape than the
     /// one it is being attached to (stale dylib, different design or
-    /// optimizer options).
+    /// optimizer revision).
     EngineSignatureMismatch {
         /// The signature the simulator's own tape generates.
         expected: u64,

@@ -5,10 +5,11 @@
 //! any [`strober_rtl::Design`]. Where the paper maps the FAME1-transformed
 //! design onto FPGA fabric, we compile the design's combinational graph once
 //! into a flat *op tape* — a topologically ordered array of pre-resolved
-//! operations — and evaluate it per cycle. An optimizing pass pipeline
-//! (constant folding, copy propagation, dead-code elimination, peephole
-//! fusion and dense slot renumbering — see [`TapeOptions`] and DESIGN.md
-//! §11) shrinks the tape before the first step. The tape simulator is
+//! operations — and evaluate it per cycle. One fixed optimizing pass
+//! pipeline (constant folding, copy propagation, cat-through-slice
+//! rewriting, dead-code elimination and dense slot renumbering — see
+//! [`PassStats`] and DESIGN.md §11) shrinks the tape before the first
+//! step. The tape simulator is
 //! orders of magnitude faster than gate-level simulation of the same
 //! design, which is precisely the speed differential the sample-based
 //! methodology exploits.

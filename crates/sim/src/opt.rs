@@ -1,28 +1,32 @@
 //! The optimizing tape compiler.
 //!
 //! [`crate::Simulator::new`] lowers the topo-sorted design into a flat tape
-//! and then runs the pass pipeline in this module before the first `step`:
+//! through one fixed pass pipeline, run before the first `step`:
 //!
 //! 1. **Constant folding** — operators whose operands all resolve to
 //!    constants are evaluated at compile time and become constants
 //!    themselves; folding propagates through unary/binary/mux/slice/cat
 //!    chains in one topological walk.
-//! 2. **Copy propagation** — `Wire` ops and mux-with-constant-select ops
-//!    are erased by rewriting every reader to the underlying source.
-//! 3. **Dead-code elimination** — slots never (transitively) read by an
+//! 2. **Copy propagation** — `Wire`s, mux-with-constant-select ops,
+//!    operand identities and structurally identical ops (CSE) are erased
+//!    by rewriting every reader to the underlying source.
+//! 3. **Cat-through-slice rewrite** — a slice lying entirely in one side
+//!    of a `cat` re-targets that side, so the cat can die.
+//! 4. **Dead-code elimination** — slots never (transitively) read by an
 //!    output, a register next-value/enable, a memory port or a scan-chain
-//!    probe (which are plain hub outputs) emit no tape op at all.
-//! 4. **Peephole fusion** — the hot two-op patterns slice-then-binary and
-//!    binary-then-mux become single fused superops; slice-of-cat is
-//!    rewritten to a slice of the covering side so the cat can die.
-//! 5. **Slot renumbering** — surviving ops are packed into a dense,
-//!    evaluation-ordered `values` layout (deduplicated constants first)
-//!    for cache locality.
+//!    probe (which are plain hub outputs) emit no tape op at all; this
+//!    also sweeps the cats pass 3 orphaned.
 //!
-//! Every pass preserves the cycle-accurate semantics of the unoptimized
-//! tape bit-for-bit; `Simulator::peek` falls back to a tree-walking
-//! evaluator for nodes whose slot was optimized away. See DESIGN.md §11
-//! for the per-pass invariants.
+//! Slot renumbering then packs the surviving ops into a dense,
+//! evaluation-ordered `values` layout (deduplicated constants first) and
+//! specializes the mask-free opcodes (`BitAnd`, `BitOr`, `BitXor`,
+//! `CmpEq`, `NotMask`) the interpreted tape walk dispatches fastest.
+//!
+//! Every pass preserves the cycle-accurate semantics of the design
+//! bit-for-bit — [`crate::NaiveInterpreter`] is the reference;
+//! `Simulator::peek` falls back to a tree-walking evaluator for nodes
+//! whose slot was optimized away. See DESIGN.md §11 for the per-pass
+//! invariants.
 //!
 //! Beyond the dense `values` layout, slot renumbering leaves the emitted
 //! tape in *single-assignment* form: constants are materialized before
@@ -33,59 +37,18 @@
 
 use crate::tape::{RegPlan, TapeOp, WritePlan, DEAD};
 use std::collections::HashMap;
-use strober_rtl::{BinOp, Design, Node, TopoOrder, UnOp, Width};
+use strober_rtl::{BinOp, Design, Node, NodeId, TopoOrder, UnOp, Width};
 
-/// Which optimizer passes to run when compiling a [`crate::Simulator`] tape.
-///
-/// The default ([`TapeOptions::all`]) enables the full pipeline;
-/// [`TapeOptions::none`] bypasses the optimizer entirely and reproduces the
-/// legacy one-op-per-node lowering (this is what the CLI `--no-tape-opt`
-/// escape hatch selects). Individual passes can be toggled for debugging
-/// and for the per-pass golden equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapeOptions {
-    /// Fold and propagate constants through combinational ops.
-    pub const_fold: bool,
-    /// Erase `Wire` ops and constant-select muxes by operand rewriting.
-    pub copy_prop: bool,
-    /// Drop ops whose results no output, register, memory port or probe
-    /// ever reads.
-    pub dce: bool,
-    /// Fuse slice→binary, binary→mux and cat→slice patterns.
-    pub fuse: bool,
-}
+/// Exists only for the frozen benchmark harness's `with_options` call.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct TapeOptions;
 
 impl TapeOptions {
-    /// Enables every pass (the default for [`crate::Simulator::new`]).
+    /// Exists only for the frozen benchmark harness's `with_options` call.
+    #[doc(hidden)]
     pub fn all() -> Self {
-        TapeOptions {
-            const_fold: true,
-            copy_prop: true,
-            dce: true,
-            fuse: true,
-        }
-    }
-
-    /// Disables every pass: the tape is the legacy unoptimized lowering
-    /// with one op per RTL node and slot == node index.
-    pub fn none() -> Self {
-        TapeOptions {
-            const_fold: false,
-            copy_prop: false,
-            dce: false,
-            fuse: false,
-        }
-    }
-
-    /// Whether any pass is enabled.
-    pub fn any(&self) -> bool {
-        self.const_fold || self.copy_prop || self.dce || self.fuse
-    }
-}
-
-impl Default for TapeOptions {
-    fn default() -> Self {
-        TapeOptions::all()
+        TapeOptions
     }
 }
 
@@ -96,16 +59,16 @@ impl Default for TapeOptions {
 /// aggregate numbers across a whole flow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
-    /// Tape ops the unoptimized lowering would emit (one per non-const node).
+    /// Tape ops a one-op-per-node lowering would emit (one per non-const
+    /// node).
     pub ops_initial: usize,
     /// Non-constant nodes folded to compile-time constants.
     pub const_folded: usize,
     /// Live `Wire`/alias ops erased by operand rewriting.
     pub copies_propagated: usize,
-    /// Ops dropped because nothing observable reads them.
+    /// Ops dropped because nothing observable reads them, including cats
+    /// the cat-through-slice rewrite orphaned.
     pub dead_eliminated: usize,
-    /// Fused superops emitted (each replaces a two-op pattern).
-    pub ops_fused: usize,
     /// Tape ops actually emitted.
     pub ops_final: usize,
     /// `values` slots before renumbering (== node count).
@@ -143,131 +106,6 @@ enum WOp {
     Copy(u32),
 }
 
-/// A planned superop: the keyed node absorbs one single-use producer.
-#[derive(Debug, Clone, Copy)]
-enum FusePlan {
-    /// A `Binary` node absorbing the `Slice` at `slice` as one operand.
-    SliceBin { slice: u32, slice_lhs: bool },
-    /// A `Mux` node absorbing the `Binary` at `bin` as its select.
-    BinMux { bin: u32 },
-    /// A `Mux` node absorbing the `Mux` at `inner` as one branch.
-    MuxMux { inner: u32, inner_in_true: bool },
-}
-
-/// The legacy lowering: one tape op per non-constant node, slot == node
-/// index, constants prefilled into `values`. `--no-tape-opt` and
-/// [`TapeOptions::none`] take this path without running any pass.
-pub(crate) fn lower_identity(design: &Design, topo: &TopoOrder) -> TapePlan {
-    let n = design.node_count();
-    let mut values = vec![0u64; n];
-    let mut tape = Vec::with_capacity(n);
-    for id in topo.iter() {
-        let dst = id.index() as u32;
-        match *design.node(id) {
-            Node::Const(v) => values[id.index()] = v,
-            Node::Input(p) => tape.push(TapeOp::Input {
-                dst,
-                port: p.index() as u32,
-            }),
-            Node::Unary { op, a } => tape.push(TapeOp::Unary {
-                dst,
-                op,
-                a: a.index() as u32,
-                w: design.width(a),
-            }),
-            Node::Binary { op, a, b } => tape.push(TapeOp::Binary {
-                dst,
-                op,
-                a: a.index() as u32,
-                b: b.index() as u32,
-                w: design.width(a),
-            }),
-            Node::Mux { sel, t, f } => tape.push(TapeOp::Mux {
-                dst,
-                sel: sel.index() as u32,
-                t: t.index() as u32,
-                f: f.index() as u32,
-            }),
-            Node::Slice { a, hi, lo } => tape.push(TapeOp::Slice {
-                dst,
-                a: a.index() as u32,
-                shift: lo as u8,
-                mask: Width::new(hi - lo + 1).expect("validated").mask(),
-            }),
-            Node::Cat { hi, lo } => tape.push(TapeOp::Cat {
-                dst,
-                hi: hi.index() as u32,
-                lo: lo.index() as u32,
-                shift: design.width(lo).bits() as u8,
-            }),
-            Node::RegOut(r) => tape.push(TapeOp::RegOut {
-                dst,
-                reg: r.index() as u32,
-            }),
-            Node::MemRead { mem, port } => {
-                let addr = design.memory(mem).read_ports()[port].addr();
-                tape.push(TapeOp::MemRead {
-                    dst,
-                    mem: mem.index() as u32,
-                    addr: addr.index() as u32,
-                });
-            }
-            Node::Wire(wid) => {
-                let src = design.wire_driver(wid).expect("validated");
-                tape.push(TapeOp::Wire {
-                    dst,
-                    src: src.index() as u32,
-                });
-            }
-        }
-    }
-    let ops = tape.len();
-    TapePlan {
-        tape,
-        reg_plans: reg_plans(design, &identity_slots(n)),
-        write_plans: write_plans(design, &identity_slots(n)),
-        values,
-        node_slot: identity_slots(n),
-        stats: PassStats {
-            ops_initial: ops,
-            ops_final: ops,
-            slots_initial: n,
-            slots_final: n,
-            ..PassStats::default()
-        },
-    }
-}
-
-fn identity_slots(n: usize) -> Vec<u32> {
-    (0..n as u32).collect()
-}
-
-fn reg_plans(design: &Design, node_slot: &[u32]) -> Vec<RegPlan> {
-    design
-        .registers()
-        .map(|(_, r)| RegPlan {
-            next: node_slot[r.next().expect("validated").index()],
-            enable: r.enable().map(|e| node_slot[e.index()]),
-            mask: r.width().mask(),
-        })
-        .collect()
-}
-
-fn write_plans(design: &Design, node_slot: &[u32]) -> Vec<WritePlan> {
-    let mut plans = Vec::new();
-    for (mid, m) in design.memories() {
-        for wp in m.write_ports() {
-            plans.push(WritePlan {
-                mem: mid.index() as u32,
-                addr: node_slot[wp.addr().index()],
-                data: node_slot[wp.data().index()],
-                enable: node_slot[wp.enable().index()],
-            });
-        }
-    }
-    plans
-}
-
 /// Follows `Copy` chains to the representative node.
 fn resolve(wops: &[WOp], mut i: u32) -> u32 {
     while let WOp::Copy(src) = wops[i as usize] {
@@ -285,7 +123,7 @@ fn const_of(wops: &[WOp], i: u32) -> Option<u64> {
 }
 
 /// Compiles a design through the optimizing pass pipeline.
-pub(crate) fn compile(design: &Design, topo: &TopoOrder, options: &TapeOptions) -> TapePlan {
+pub(crate) fn compile(design: &Design, topo: &TopoOrder) -> TapePlan {
     let n = design.node_count();
     let order: Vec<u32> = topo.iter().map(|id| id.index() as u32).collect();
     let mut wops = lower_wops(design, &order);
@@ -295,146 +133,20 @@ pub(crate) fn compile(design: &Design, topo: &TopoOrder, options: &TapeOptions) 
         ..PassStats::default()
     };
 
-    if options.const_fold {
-        stats.const_folded = fold_constants(&mut wops, &order);
-    }
-    if options.copy_prop {
-        let widths: Vec<Width> = (0..n)
-            .map(|i| design.width(strober_rtl::NodeId::from_index(i)))
-            .collect();
-        propagate_copies(&mut wops, &order, &widths);
-    }
+    stats.const_folded = fold_constants(&mut wops, &order);
+    let widths: Vec<Width> = (0..n)
+        .map(|i| design.width(NodeId::from_index(i)))
+        .collect();
+    propagate_copies(&mut wops, &order, &widths);
+    rewrite_cat_slices(&mut wops, &order);
+    let live = mark_live(&wops, &collect_roots(design));
 
-    let roots = collect_roots(design);
-    let mut live = mark_live(&wops, &roots, options.dce);
-    if options.fuse {
-        stats.ops_fused += rewrite_cat_slices(&mut wops, &order, options.const_fold);
-        if options.dce {
-            // Cat-of-slice rewrites can orphan the cat; sweep again.
-            live = mark_live(&wops, &roots, true);
-        }
-    }
-    let emits = |wops: &[WOp], live: &[bool], i: u32| -> bool {
-        live[i as usize]
-            && match wops[i as usize] {
-                WOp::Const(_) => false,
-                WOp::Copy(_) => !options.copy_prop,
-                _ => true,
-            }
-    };
-    let eres = |wops: &[WOp], i: u32| -> u32 {
-        if options.copy_prop {
-            resolve(wops, i)
-        } else {
-            i
-        }
-    };
-
-    stats.copies_propagated = (0..n as u32)
-        .filter(|&i| {
-            live[i as usize] && options.copy_prop && matches!(wops[i as usize], WOp::Copy(_))
-        })
+    stats.copies_propagated = (0..n)
+        .filter(|&i| live[i] && matches!(wops[i], WOp::Copy(_)))
         .count();
-    stats.dead_eliminated = (0..n as u32)
-        .filter(|&i| {
-            !(live[i as usize]
-                || matches!(wops[i as usize], WOp::Const(_))
-                || (options.copy_prop && matches!(wops[i as usize], WOp::Copy(_))))
-        })
+    stats.dead_eliminated = (0..n)
+        .filter(|&i| !live[i] && !matches!(wops[i], WOp::Const(_) | WOp::Copy(_)))
         .count();
-
-    // Peephole superop planning over the surviving graph.
-    let mut plans: Vec<Option<FusePlan>> = vec![None; n];
-    let mut consumed = vec![false; n];
-    if options.fuse {
-        let mut uses = vec![0u32; n];
-        for &i in &order {
-            if !emits(&wops, &live, i) {
-                continue;
-            }
-            for o in operands(&wops[i as usize]) {
-                uses[eres(&wops, o) as usize] += 1;
-            }
-        }
-        for &r in &roots {
-            uses[eres(&wops, r) as usize] += 1;
-        }
-        let fusable = |wops: &[WOp],
-                       live: &[bool],
-                       plans: &[Option<FusePlan>],
-                       consumed: &[bool],
-                       x: u32|
-         -> bool {
-            emits(wops, live, x)
-                && uses[x as usize] == 1
-                && !consumed[x as usize]
-                && plans[x as usize].is_none()
-        };
-        for &i in &order {
-            if !emits(&wops, &live, i) {
-                continue;
-            }
-            match wops[i as usize] {
-                WOp::Binary { a, b, .. } => {
-                    let (ea, eb) = (eres(&wops, a), eres(&wops, b));
-                    if fusable(&wops, &live, &plans, &consumed, ea)
-                        && matches!(wops[ea as usize], WOp::Slice { .. })
-                    {
-                        plans[i as usize] = Some(FusePlan::SliceBin {
-                            slice: ea,
-                            slice_lhs: true,
-                        });
-                        consumed[ea as usize] = true;
-                        stats.ops_fused += 1;
-                    } else if eb != ea
-                        && fusable(&wops, &live, &plans, &consumed, eb)
-                        && matches!(wops[eb as usize], WOp::Slice { .. })
-                    {
-                        plans[i as usize] = Some(FusePlan::SliceBin {
-                            slice: eb,
-                            slice_lhs: false,
-                        });
-                        consumed[eb as usize] = true;
-                        stats.ops_fused += 1;
-                    }
-                }
-                WOp::Mux { sel, t, f } => {
-                    let es = eres(&wops, sel);
-                    let (et, ef) = (eres(&wops, t), eres(&wops, f));
-                    if fusable(&wops, &live, &plans, &consumed, es)
-                        && matches!(wops[es as usize], WOp::Binary { .. })
-                    {
-                        plans[i as usize] = Some(FusePlan::BinMux { bin: es });
-                        consumed[es as usize] = true;
-                        stats.ops_fused += 1;
-                    } else if et != es
-                        && et != ef
-                        && fusable(&wops, &live, &plans, &consumed, et)
-                        && matches!(wops[et as usize], WOp::Mux { .. })
-                    {
-                        plans[i as usize] = Some(FusePlan::MuxMux {
-                            inner: et,
-                            inner_in_true: true,
-                        });
-                        consumed[et as usize] = true;
-                        stats.ops_fused += 1;
-                    } else if ef != es
-                        && ef != et
-                        && fusable(&wops, &live, &plans, &consumed, ef)
-                        && matches!(wops[ef as usize], WOp::Mux { .. })
-                    {
-                        plans[i as usize] = Some(FusePlan::MuxMux {
-                            inner: ef,
-                            inner_in_true: false,
-                        });
-                        consumed[ef as usize] = true;
-                        stats.ops_fused += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 
     // Slot assignment: deduplicated constants first, then computed slots in
     // evaluation order.
@@ -456,186 +168,108 @@ pub(crate) fn compile(design: &Design, topo: &TopoOrder, options: &TapeOptions) 
     let n_const_slots = values.len();
     let mut tape = Vec::new();
     for &i in &order {
-        if consumed[i as usize] || !emits(&wops, &live, i) {
-            // Live copies alias their representative's slot.
-            if live[i as usize] && matches!(wops[i as usize], WOp::Copy(_)) && options.copy_prop {
-                node_slot[i as usize] = node_slot[resolve(&wops, i) as usize];
-            }
+        if !live[i as usize] {
             continue;
         }
         let dst = values.len() as u32;
-        values.push(0);
-        node_slot[i as usize] = dst;
-        let slot = |x: u32| -> u32 { node_slot[eres(&wops, x) as usize] };
-        let op = match (wops[i as usize], plans[i as usize]) {
-            (WOp::Binary { op, a, b, w }, Some(FusePlan::SliceBin { slice, slice_lhs })) => {
-                let WOp::Slice {
-                    a: src,
-                    shift,
-                    mask,
-                } = wops[slice as usize]
-                else {
-                    unreachable!("fusion planned over a non-slice")
-                };
-                let other = if slice_lhs { b } else { a };
-                TapeOp::SliceBin {
-                    dst,
-                    op,
-                    src: slot(src),
-                    shift,
-                    mask,
-                    other: slot(other),
-                    w,
-                    slice_lhs,
-                }
+        let slot = |x: u32| -> u32 { node_slot[resolve(&wops, x) as usize] };
+        let op = match wops[i as usize] {
+            WOp::Const(_) => continue,
+            // Live copies alias their representative's slot.
+            WOp::Copy(_) => {
+                node_slot[i as usize] = slot(i);
+                continue;
             }
-            (WOp::Mux { sel: _, t, f }, Some(FusePlan::BinMux { bin })) => {
-                let WOp::Binary { op, a, b, w } = wops[bin as usize] else {
-                    unreachable!("fusion planned over a non-binary")
-                };
-                TapeOp::BinMux {
-                    dst,
-                    op,
-                    a: slot(a),
-                    b: slot(b),
-                    w,
-                    t: slot(t),
-                    f: slot(f),
-                }
-            }
-            (
-                WOp::Mux { sel, t, f },
-                Some(FusePlan::MuxMux {
-                    inner,
-                    inner_in_true,
-                }),
-            ) => {
-                let WOp::Mux {
-                    sel: isel,
-                    t: it,
-                    f: inf,
-                } = wops[inner as usize]
-                else {
-                    unreachable!("fusion planned over a non-mux")
-                };
-                TapeOp::MuxMux {
-                    dst,
-                    sel: slot(sel),
-                    other: slot(if inner_in_true { f } else { t }),
-                    inner_sel: slot(isel),
-                    inner_t: slot(it),
-                    inner_f: slot(inf),
-                    inner_in_true,
-                }
-            }
-            (WOp::Input(p), _) => TapeOp::Input { dst, port: p },
-            (
-                WOp::Unary {
-                    op: UnOp::Not,
-                    a,
-                    w,
-                },
-                _,
-            ) => TapeOp::NotMask {
+            WOp::Input(p) => TapeOp::Input { dst, port: p },
+            WOp::Unary {
+                op: UnOp::Not,
+                a,
+                w,
+            } => TapeOp::NotMask {
                 dst,
                 a: slot(a),
                 mask: w.mask(),
             },
-            (WOp::Unary { op, a, w }, _) => TapeOp::Unary {
+            WOp::Unary { op, a, w } => TapeOp::Unary {
                 dst,
                 op,
                 a: slot(a),
                 w,
             },
-            (
-                WOp::Binary {
-                    op: BinOp::And,
-                    a,
-                    b,
-                    ..
-                },
-                _,
-            ) => TapeOp::BitAnd {
+            WOp::Binary {
+                op: BinOp::And,
+                a,
+                b,
+                ..
+            } => TapeOp::BitAnd {
                 dst,
                 a: slot(a),
                 b: slot(b),
             },
-            (
-                WOp::Binary {
-                    op: BinOp::Or,
-                    a,
-                    b,
-                    ..
-                },
-                _,
-            ) => TapeOp::BitOr {
+            WOp::Binary {
+                op: BinOp::Or,
+                a,
+                b,
+                ..
+            } => TapeOp::BitOr {
                 dst,
                 a: slot(a),
                 b: slot(b),
             },
-            (
-                WOp::Binary {
-                    op: BinOp::Xor,
-                    a,
-                    b,
-                    ..
-                },
-                _,
-            ) => TapeOp::BitXor {
+            WOp::Binary {
+                op: BinOp::Xor,
+                a,
+                b,
+                ..
+            } => TapeOp::BitXor {
                 dst,
                 a: slot(a),
                 b: slot(b),
             },
-            (
-                WOp::Binary {
-                    op: BinOp::Eq,
-                    a,
-                    b,
-                    ..
-                },
-                _,
-            ) => TapeOp::CmpEq {
+            WOp::Binary {
+                op: BinOp::Eq,
+                a,
+                b,
+                ..
+            } => TapeOp::CmpEq {
                 dst,
                 a: slot(a),
                 b: slot(b),
             },
-            (WOp::Binary { op, a, b, w }, _) => TapeOp::Binary {
+            WOp::Binary { op, a, b, w } => TapeOp::Binary {
                 dst,
                 op,
                 a: slot(a),
                 b: slot(b),
                 w,
             },
-            (WOp::Mux { sel, t, f }, _) => TapeOp::Mux {
+            WOp::Mux { sel, t, f } => TapeOp::Mux {
                 dst,
                 sel: slot(sel),
                 t: slot(t),
                 f: slot(f),
             },
-            (WOp::Slice { a, shift, mask }, _) => TapeOp::Slice {
+            WOp::Slice { a, shift, mask } => TapeOp::Slice {
                 dst,
                 a: slot(a),
                 shift,
                 mask,
             },
-            (WOp::Cat { hi, lo, shift }, _) => TapeOp::Cat {
+            WOp::Cat { hi, lo, shift } => TapeOp::Cat {
                 dst,
                 hi: slot(hi),
                 lo: slot(lo),
                 shift,
             },
-            (WOp::RegOut(r), _) => TapeOp::RegOut { dst, reg: r },
-            (WOp::MemRead { mem, addr }, _) => TapeOp::MemRead {
+            WOp::RegOut(r) => TapeOp::RegOut { dst, reg: r },
+            WOp::MemRead { mem, addr } => TapeOp::MemRead {
                 dst,
                 mem,
                 addr: slot(addr),
             },
-            (WOp::Copy(src), _) => TapeOp::Wire {
-                dst,
-                src: slot(src),
-            },
-            (WOp::Const(_), _) => unreachable!("consts never emit"),
         };
+        values.push(0);
+        node_slot[i as usize] = dst;
         tape.push(op);
     }
     debug_assert_eq!(values.len(), n_const_slots + tape.len());
@@ -643,8 +277,8 @@ pub(crate) fn compile(design: &Design, topo: &TopoOrder, options: &TapeOptions) 
     stats.ops_final = tape.len();
     stats.slots_final = values.len();
     TapePlan {
-        reg_plans: reg_plans_mapped(design, &wops, &node_slot, options.copy_prop),
-        write_plans: write_plans_mapped(design, &wops, &node_slot, options.copy_prop),
+        reg_plans: reg_plans(design, &wops, &node_slot),
+        write_plans: write_plans(design, &wops, &node_slot),
         tape,
         values,
         node_slot,
@@ -652,33 +286,28 @@ pub(crate) fn compile(design: &Design, topo: &TopoOrder, options: &TapeOptions) 
     }
 }
 
-fn reg_plans_mapped(design: &Design, wops: &[WOp], node_slot: &[u32], cp: bool) -> Vec<RegPlan> {
-    let slot = |x: u32| node_slot[if cp { resolve(wops, x) } else { x } as usize];
+fn reg_plans(design: &Design, wops: &[WOp], node_slot: &[u32]) -> Vec<RegPlan> {
+    let slot = |x: NodeId| node_slot[resolve(wops, x.index() as u32) as usize];
     design
         .registers()
         .map(|(_, r)| RegPlan {
-            next: slot(r.next().expect("validated").index() as u32),
-            enable: r.enable().map(|e| slot(e.index() as u32)),
+            next: slot(r.next().expect("validated")),
+            enable: r.enable().map(slot),
             mask: r.width().mask(),
         })
         .collect()
 }
 
-fn write_plans_mapped(
-    design: &Design,
-    wops: &[WOp],
-    node_slot: &[u32],
-    cp: bool,
-) -> Vec<WritePlan> {
-    let slot = |x: u32| node_slot[if cp { resolve(wops, x) } else { x } as usize];
+fn write_plans(design: &Design, wops: &[WOp], node_slot: &[u32]) -> Vec<WritePlan> {
+    let slot = |x: NodeId| node_slot[resolve(wops, x.index() as u32) as usize];
     let mut plans = Vec::new();
     for (mid, m) in design.memories() {
         for wp in m.write_ports() {
             plans.push(WritePlan {
                 mem: mid.index() as u32,
-                addr: slot(wp.addr().index() as u32),
-                data: slot(wp.data().index() as u32),
-                enable: slot(wp.enable().index() as u32),
+                addr: slot(wp.addr()),
+                data: slot(wp.data()),
+                enable: slot(wp.enable()),
             });
         }
     }
@@ -689,7 +318,7 @@ fn write_plans_mapped(
 fn lower_wops(design: &Design, order: &[u32]) -> Vec<WOp> {
     let mut wops = vec![WOp::Const(0); design.node_count()];
     for &i in order {
-        let id = strober_rtl::NodeId::from_index(i as usize);
+        let id = NodeId::from_index(i as usize);
         wops[i as usize] = match *design.node(id) {
             Node::Const(v) => WOp::Const(v),
             Node::Input(p) => WOp::Input(p.index() as u32),
@@ -763,7 +392,6 @@ fn fold_constants(wops: &mut [WOp], order: &[u32]) -> usize {
     }
     folded
 }
-
 /// Folds a binary whose result is fixed by one constant operand alone.
 fn annihilate(op: BinOp, a: Option<u64>, b: Option<u64>, w: Width) -> Option<u64> {
     match op {
@@ -918,12 +546,9 @@ fn operands(w: &WOp) -> Vec<u32> {
     }
 }
 
-/// Pass 3: liveness from the observable roots. With `dce` disabled every
-/// node is considered live.
-fn mark_live(wops: &[WOp], roots: &[u32], dce: bool) -> Vec<bool> {
-    if !dce {
-        return vec![true; wops.len()];
-    }
+/// Pass 4: liveness from the observable roots; nodes it never reaches emit
+/// no tape op.
+fn mark_live(wops: &[WOp], roots: &[u32]) -> Vec<bool> {
     let mut live = vec![false; wops.len()];
     let mut stack: Vec<u32> = roots.to_vec();
     while let Some(i) = stack.pop() {
@@ -936,11 +561,11 @@ fn mark_live(wops: &[WOp], roots: &[u32], dce: bool) -> Vec<bool> {
     live
 }
 
-/// Pass 4a: slices that read a cat and lie entirely within one side are
+/// Pass 3: slices that read a cat and lie entirely within one side are
 /// rewritten to slice that side directly, letting the cat go dead. Repeats
-/// per node so nested cats (scan-chain padding) collapse fully.
-fn rewrite_cat_slices(wops: &mut [WOp], order: &[u32], const_fold: bool) -> usize {
-    let mut rewritten = 0;
+/// per node so nested cats (scan-chain padding) collapse fully; a slice
+/// that lands on a constant folds.
+fn rewrite_cat_slices(wops: &mut [WOp], order: &[u32]) {
     for &i in order {
         while let WOp::Slice { a, shift, mask } = wops[i as usize] {
             let src = resolve(wops, a);
@@ -950,10 +575,8 @@ fn rewrite_cat_slices(wops: &mut [WOp], order: &[u32], const_fold: bool) -> usiz
                 shift: cshift,
             } = wops[src as usize]
             else {
-                if const_fold {
-                    if let Some(av) = const_of(wops, a) {
-                        wops[i as usize] = WOp::Const((av >> shift) & mask);
-                    }
+                if let Some(av) = const_of(wops, a) {
+                    wops[i as usize] = WOp::Const((av >> shift) & mask);
                 }
                 break;
             };
@@ -969,8 +592,54 @@ fn rewrite_cat_slices(wops: &mut [WOp], order: &[u32], const_fold: bool) -> usiz
             } else {
                 break;
             }
-            rewritten += 1;
         }
     }
-    rewritten
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Simulator;
+
+    fn w(bits: u32) -> Width {
+        Width::new(bits).unwrap()
+    }
+
+    #[test]
+    fn slices_through_a_cat_retarget_its_sides_and_the_cat_dies() {
+        // lo = slice(cat(x, y), 7, 0) lies in y; hi = slice(cat, 15, 12)
+        // lies in x. Both re-target their side, nothing else reads the
+        // cat, so it leaves the tape.
+        let mut d = Design::new("cat_slice");
+        let x = d.input("x", w(8)).unwrap();
+        let y = d.input("y", w(8)).unwrap();
+        let cat = d.cat(x, y).unwrap();
+        let lo = d.slice(cat, 7, 0).unwrap();
+        let hi = d.slice(cat, 15, 12).unwrap();
+        d.output("lo", lo).unwrap();
+        d.output("hi", hi).unwrap();
+
+        let plan = compile(&d, &d.topo_order().unwrap());
+        let slot = |id: NodeId| plan.node_slot[id.index()];
+        assert_eq!(slot(cat), DEAD, "the orphaned cat has no slot");
+        assert!(!plan.tape.iter().any(|op| matches!(op, TapeOp::Cat { .. })));
+        assert!(plan.tape.iter().any(|op| matches!(
+            *op,
+            TapeOp::Slice { a, shift: 0, mask: 0xff, .. } if a == slot(y)
+        )));
+        assert!(plan.tape.iter().any(|op| matches!(
+            *op,
+            TapeOp::Slice { a, shift: 4, mask: 0xf, .. } if a == slot(x)
+        )));
+        assert_eq!(plan.stats.dead_eliminated, 1, "{:?}", plan.stats);
+        assert_eq!(plan.stats.ops_final, 4, "two inputs, two slices");
+
+        // Both the slices and the dead cat read back the right values.
+        let mut sim = Simulator::new(&d).unwrap();
+        sim.poke_by_name("x", 0xA5).unwrap();
+        sim.poke_by_name("y", 0x3C).unwrap();
+        assert_eq!(sim.peek(lo), 0x3C);
+        assert_eq!(sim.peek(hi), 0xA);
+        assert_eq!(sim.peek(cat), 0xA53C);
+    }
 }

@@ -37,8 +37,6 @@ pub(crate) const DEAD: u32 = u32::MAX;
 ///
 /// `dst`/operand fields are *value slots*, not node ids: the optimizer
 /// renumbers surviving ops into a dense evaluation-ordered layout.
-/// [`SliceBin`](TapeOp::SliceBin) and [`BinMux`](TapeOp::BinMux) are fused
-/// superops produced by the peephole pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TapeOp {
     Input {
@@ -85,45 +83,6 @@ pub(crate) enum TapeOp {
         mem: u32,
         addr: u32,
     },
-    Wire {
-        dst: u32,
-        src: u32,
-    },
-    /// Fused slice-then-binary: one operand of the binary is
-    /// `(values[src] >> shift) & mask`, inlined.
-    SliceBin {
-        dst: u32,
-        op: BinOp,
-        src: u32,
-        shift: u8,
-        mask: u64,
-        other: u32,
-        w: Width,
-        slice_lhs: bool,
-    },
-    /// Fused binary-then-mux: the mux select is the binary's result,
-    /// computed inline.
-    BinMux {
-        dst: u32,
-        op: BinOp,
-        a: u32,
-        b: u32,
-        w: Width,
-        t: u32,
-        f: u32,
-    },
-    /// Fused mux-then-mux: one branch is a single-use inner mux, computed
-    /// inline (the scan-chain capture/shift cascade shape).
-    MuxMux {
-        dst: u32,
-        sel: u32,
-        other: u32,
-        inner_sel: u32,
-        inner_t: u32,
-        inner_f: u32,
-        /// Whether the inner mux sits on the true branch of the outer mux.
-        inner_in_true: bool,
-    },
     /// Specialized `Binary { op: And, .. }`: operands are pre-masked, so
     /// no width bookkeeping or operator dispatch is needed.
     BitAnd {
@@ -166,8 +125,7 @@ impl TapeOp {
             TapeOp::Unary { a, .. }
             | TapeOp::Slice { a, .. }
             | TapeOp::NotMask { a, .. }
-            | TapeOp::MemRead { addr: a, .. }
-            | TapeOp::Wire { src: a, .. } => out.push(a),
+            | TapeOp::MemRead { addr: a, .. } => out.push(a),
             TapeOp::Binary { a, b, .. }
             | TapeOp::BitAnd { a, b, .. }
             | TapeOp::BitOr { a, b, .. }
@@ -185,30 +143,6 @@ impl TapeOp {
                 out.push(hi);
                 out.push(lo);
             }
-            TapeOp::SliceBin { src, other, .. } => {
-                out.push(src);
-                out.push(other);
-            }
-            TapeOp::BinMux { a, b, t, f, .. } => {
-                out.push(a);
-                out.push(b);
-                out.push(t);
-                out.push(f);
-            }
-            TapeOp::MuxMux {
-                sel,
-                other,
-                inner_sel,
-                inner_t,
-                inner_f,
-                ..
-            } => {
-                out.push(sel);
-                out.push(other);
-                out.push(inner_sel);
-                out.push(inner_t);
-                out.push(inner_f);
-            }
         }
     }
 
@@ -223,10 +157,6 @@ impl TapeOp {
             | TapeOp::Cat { dst, .. }
             | TapeOp::RegOut { dst, .. }
             | TapeOp::MemRead { dst, .. }
-            | TapeOp::Wire { dst, .. }
-            | TapeOp::SliceBin { dst, .. }
-            | TapeOp::BinMux { dst, .. }
-            | TapeOp::MuxMux { dst, .. }
             | TapeOp::BitAnd { dst, .. }
             | TapeOp::BitOr { dst, .. }
             | TapeOp::BitXor { dst, .. }
@@ -289,41 +219,18 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Compiles a design into a tape simulator with the full optimizing
-    /// pass pipeline ([`TapeOptions::all`]).
+    /// Compiles a design into a tape simulator through the optimizing
+    /// pass pipeline (see [`crate::PassStats`] and DESIGN.md §11).
     ///
     /// # Errors
     ///
     /// Returns the design's validation error if it is malformed (e.g.
     /// combinational loops or unconnected registers).
     pub fn new(design: &Design) -> Result<Self, strober_rtl::RtlError> {
-        Self::with_options(design, &TapeOptions::default())
-    }
-
-    /// Compiles a design with an explicit optimizer pass selection.
-    ///
-    /// [`TapeOptions::none`] bypasses the pipeline entirely and reproduces
-    /// the unoptimized one-op-per-node tape (slot == node index); this is
-    /// the `--no-tape-opt` path and the baseline for the per-pass golden
-    /// equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the design's validation error if it is malformed.
-    pub fn with_options(
-        design: &Design,
-        options: &TapeOptions,
-    ) -> Result<Self, strober_rtl::RtlError> {
         design.validate()?;
         let topo = design.topo_order()?;
-        let plan = if options.any() {
-            crate::opt::compile(design, &topo, options)
-        } else {
-            crate::opt::lower_identity(design, &topo)
-        };
-        if options.any() {
-            record_pass_stats(&plan.stats);
-        }
+        let plan = crate::opt::compile(design, &topo);
+        record_pass_stats(&plan.stats);
 
         let regs: Vec<u64> = design.registers().map(|(_, r)| r.init()).collect();
         let mems: Vec<Vec<u64>> = design
@@ -369,41 +276,19 @@ impl Simulator {
         })
     }
 
-    /// What the optimizer did to this simulator's tape. All-zero pass
-    /// counters (with `ops_final == ops_initial`) indicate the unoptimized
-    /// [`TapeOptions::none`] lowering.
-    pub fn pass_stats(&self) -> PassStats {
-        self.stats
+    /// Exists only for the frozen benchmark harness's call; forwards to
+    /// [`new`](Simulator::new).
+    #[doc(hidden)]
+    pub fn with_options(
+        design: &Design,
+        _options: &TapeOptions,
+    ) -> Result<Self, strober_rtl::RtlError> {
+        Self::new(design)
     }
 
-    /// Counts of tape ops by kind, for optimizer diagnostics.
-    pub fn tape_histogram(&self) -> Vec<(String, usize)> {
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for op in &self.tape {
-            let kind = match op {
-                TapeOp::Input { .. } => "input".to_owned(),
-                TapeOp::Unary { op, .. } => format!("unary:{op:?}"),
-                TapeOp::Binary { op, .. } => format!("binary:{op:?}"),
-                TapeOp::Mux { .. } => "mux".to_owned(),
-                TapeOp::Slice { .. } => "slice".to_owned(),
-                TapeOp::Cat { .. } => "cat".to_owned(),
-                TapeOp::RegOut { .. } => "reg_out".to_owned(),
-                TapeOp::MemRead { .. } => "mem_read".to_owned(),
-                TapeOp::Wire { .. } => "wire".to_owned(),
-                TapeOp::SliceBin { op, .. } => format!("slice_bin:{op:?}"),
-                TapeOp::BinMux { op, .. } => format!("bin_mux:{op:?}"),
-                TapeOp::MuxMux { .. } => "mux_mux".to_owned(),
-                TapeOp::BitAnd { .. } => "and".to_owned(),
-                TapeOp::BitOr { .. } => "or".to_owned(),
-                TapeOp::BitXor { .. } => "xor".to_owned(),
-                TapeOp::CmpEq { .. } => "eq".to_owned(),
-                TapeOp::NotMask { .. } => "not".to_owned(),
-            };
-            *counts.entry(kind).or_insert(0) += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
+    /// What the optimizer did to this simulator's tape.
+    pub fn pass_stats(&self) -> PassStats {
+        self.stats
     }
 
     /// The design this simulator was compiled from.
@@ -472,7 +357,7 @@ impl Simulator {
     ///
     /// Returns [`SimError::EngineSignatureMismatch`] when the engine was
     /// compiled from a different tape (stale dylib, different design or
-    /// optimizer options).
+    /// optimizer revision).
     pub fn attach_jit(&mut self, engine: Arc<dyn NativeSettle>) -> Result<(), SimError> {
         let expected = self.jit_source().sig;
         let actual = engine.signature();
@@ -604,58 +489,6 @@ impl Simulator {
                     // flow pads memories to powers of two the same way).
                     self.values[dst as usize] = m.get(a).copied().unwrap_or(0);
                 }
-                TapeOp::Wire { dst, src } => self.values[dst as usize] = self.values[src as usize],
-                TapeOp::SliceBin {
-                    dst,
-                    op,
-                    src,
-                    shift,
-                    mask,
-                    other,
-                    w,
-                    slice_lhs,
-                } => {
-                    let sv = (self.values[src as usize] >> shift) & mask;
-                    let ov = self.values[other as usize];
-                    let (a, b) = if slice_lhs { (sv, ov) } else { (ov, sv) };
-                    self.values[dst as usize] = op.eval(a, b, w);
-                }
-                TapeOp::BinMux {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    w,
-                    t,
-                    f,
-                } => {
-                    self.values[dst as usize] =
-                        if op.eval(self.values[a as usize], self.values[b as usize], w) != 0 {
-                            self.values[t as usize]
-                        } else {
-                            self.values[f as usize]
-                        }
-                }
-                TapeOp::MuxMux {
-                    dst,
-                    sel,
-                    other,
-                    inner_sel,
-                    inner_t,
-                    inner_f,
-                    inner_in_true,
-                } => {
-                    let take_inner = (self.values[sel as usize] != 0) == inner_in_true;
-                    self.values[dst as usize] = if take_inner {
-                        if self.values[inner_sel as usize] != 0 {
-                            self.values[inner_t as usize]
-                        } else {
-                            self.values[inner_f as usize]
-                        }
-                    } else {
-                        self.values[other as usize]
-                    };
-                }
                 TapeOp::BitAnd { dst, a, b } => {
                     self.values[dst as usize] = self.values[a as usize] & self.values[b as usize]
                 }
@@ -739,7 +572,7 @@ impl Simulator {
 
     /// Reads any node's settled value.
     ///
-    /// Nodes whose slot the optimizer removed (folded, dead or fused away)
+    /// Nodes whose slot the optimizer removed (folded, merged or dead)
     /// are recomputed on demand by a tree-walking fallback; outputs,
     /// register inputs and memory ports always stay on the fast path.
     pub fn peek(&mut self, node: NodeId) -> u64 {
@@ -970,7 +803,6 @@ fn record_pass_stats(stats: &PassStats) {
         "strober.sim.tape.dead_eliminated",
         stats.dead_eliminated as u64,
     );
-    strober_probe::counter_add("strober.sim.tape.ops_fused", stats.ops_fused as u64);
     strober_probe::counter_add("strober.sim.tape.slots_before", stats.slots_initial as u64);
     strober_probe::counter_add("strober.sim.tape.slots_after", stats.slots_final as u64);
 }

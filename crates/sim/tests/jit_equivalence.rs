@@ -4,10 +4,8 @@
 //! combinational settle to native code must be cycle-for-cycle,
 //! bit-for-bit identical to the naive tree-walking reference — per-cycle
 //! outputs and final architectural state. The sweep covers random
-//! designs on both the optimized and the identity-lowered tape (the two
-//! sources the codegen can be asked to lower), plus the degenerate
-//! shapes: an empty tape, a detach mid-run, and a clone mid-run sharing
-//! the loaded engine.
+//! designs, plus the degenerate shapes: an empty tape, a detach mid-run,
+//! and a clone mid-run sharing the loaded engine.
 //!
 //! Every case skips (with a printed reason) when no `rustc` is on
 //! `PATH` — the same condition under which the production fallback
@@ -16,7 +14,7 @@
 use strober_jit::{rustc_version, JitCompiler};
 use strober_rtl::{BinOp, Design, Width};
 use strober_sim::rand_design::{rand_design, RandDesignConfig};
-use strober_sim::{NaiveInterpreter, Simulator, TapeOptions};
+use strober_sim::{NaiveInterpreter, Simulator};
 
 const SEEDS: u64 = 10;
 const CYCLES: u64 = 32;
@@ -41,9 +39,9 @@ fn compiler() -> JitCompiler {
     )
 }
 
-/// Runs `design` for [`CYCLES`] with the native engine attached (on both
-/// the optimized and the identity-lowered tape) and asserts every output
-/// every cycle, and the final state, matches the naive reference.
+/// Runs `design` for [`CYCLES`] with the native engine attached and
+/// asserts every output every cycle, and the final state, matches the
+/// naive reference.
 fn assert_equivalent(design: &Design, seed: u64) {
     let ports: Vec<(String, u64)> = design
         .ports()
@@ -70,37 +68,29 @@ fn assert_equivalent(design: &Design, seed: u64) {
     }
     let golden_state = naive.state();
 
-    let compiler = compiler();
-    for (label, options) in [
-        ("opt", TapeOptions::all()),
-        ("identity", TapeOptions::none()),
-    ] {
-        let mut sim = Simulator::with_options(design, &options).expect("valid design");
-        compiler.attach(&mut sim).expect("jit attach");
-        assert_eq!(sim.active_engine_name(), "tape-jit");
-        for cycle in 0..CYCLES {
-            for (i, (name, mask)) in ports.iter().enumerate() {
-                sim.poke_by_name(name, stim(seed, i, cycle) & mask)
-                    .expect("port");
-            }
-            for (oi, o) in outputs.iter().enumerate() {
-                let got = sim.peek_output(o).expect("output");
-                let expected = trace[cycle as usize][oi];
-                assert_eq!(
-                    got, expected,
-                    "seed {seed}, tape `{label}`, jit engine: \
-                     output `{o}` diverged at cycle {cycle}"
-                );
-            }
-            sim.step();
+    let mut sim = Simulator::new(design).expect("valid design");
+    compiler().attach(&mut sim).expect("jit attach");
+    assert_eq!(sim.active_engine_name(), "tape-jit");
+    for cycle in 0..CYCLES {
+        for (i, (name, mask)) in ports.iter().enumerate() {
+            sim.poke_by_name(name, stim(seed, i, cycle) & mask)
+                .expect("port");
         }
-        assert_eq!(
-            sim.state(),
-            golden_state,
-            "seed {seed}, tape `{label}`, jit engine: \
-             final architectural state diverged"
-        );
+        for (oi, o) in outputs.iter().enumerate() {
+            let got = sim.peek_output(o).expect("output");
+            let expected = trace[cycle as usize][oi];
+            assert_eq!(
+                got, expected,
+                "seed {seed}, jit engine: output `{o}` diverged at cycle {cycle}"
+            );
+        }
+        sim.step();
     }
+    assert_eq!(
+        sim.state(),
+        golden_state,
+        "seed {seed}, jit engine: final architectural state diverged"
+    );
 }
 
 /// True (with a printed reason) when the JIT cases cannot run here.

@@ -1,15 +1,13 @@
 //! Golden equivalence tests for the optimizing tape compiler.
 //!
-//! Every pass must be transparent: a simulator built with any subset of
-//! [`TapeOptions`] enabled must be cycle-for-cycle, bit-for-bit identical
-//! to the naive tree-walking reference — per-cycle outputs, final
-//! architectural state, and peeks of nodes the optimizer deleted. The
-//! passes are exercised one at a time (so a miscompile is attributed to a
-//! single pass) and all together, over a seed sweep of random designs.
+//! The pass pipeline must be transparent: a [`Simulator`] must be
+//! cycle-for-cycle, bit-for-bit identical to the naive tree-walking
+//! reference — per-cycle outputs, final architectural state, and peeks of
+//! nodes the optimizer deleted — over a seed sweep of random designs.
 
 use strober_rtl::{BinOp, Design, UnOp, Width};
 use strober_sim::rand_design::{rand_design, RandDesignConfig};
-use strober_sim::{NaiveInterpreter, Simulator, TapeOptions};
+use strober_sim::{NaiveInterpreter, Simulator};
 
 const SEEDS: u64 = 30;
 const CYCLES: u64 = 32;
@@ -24,37 +22,7 @@ fn stim(seed: u64, port: usize, cycle: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The pass subsets under test, with the labels used in failure messages.
-fn pass_matrix() -> Vec<(&'static str, TapeOptions)> {
-    let off = TapeOptions {
-        const_fold: false,
-        copy_prop: false,
-        dce: false,
-        fuse: false,
-    };
-    vec![
-        ("none", off),
-        (
-            "const_fold",
-            TapeOptions {
-                const_fold: true,
-                ..off
-            },
-        ),
-        (
-            "copy_prop",
-            TapeOptions {
-                copy_prop: true,
-                ..off
-            },
-        ),
-        ("dce", TapeOptions { dce: true, ..off }),
-        ("fuse", TapeOptions { fuse: true, ..off }),
-        ("all", TapeOptions::all()),
-    ]
-}
-
-/// Runs `design` for [`CYCLES`] under each pass subset and asserts every
+/// Runs `design` for [`CYCLES`] on the optimized tape and asserts every
 /// output every cycle (and the final state) matches the naive reference.
 fn assert_equivalent(design: &Design, seed: u64) {
     let ports: Vec<(String, u64)> = design
@@ -82,29 +50,32 @@ fn assert_equivalent(design: &Design, seed: u64) {
     }
     let golden_state = naive.state();
 
-    for (label, options) in pass_matrix() {
-        let mut sim = Simulator::with_options(design, &options).expect("valid design");
-        for cycle in 0..CYCLES {
-            for (i, (name, mask)) in ports.iter().enumerate() {
-                sim.poke_by_name(name, stim(seed, i, cycle) & mask)
-                    .expect("port");
-            }
-            for (oi, o) in outputs.iter().enumerate() {
-                let got = sim.peek_output(o).expect("output");
-                let expected = trace[cycle as usize][oi];
-                assert_eq!(
-                    got, expected,
-                    "seed {seed}, pass `{label}`: output `{o}` diverged at cycle {cycle}"
-                );
-            }
-            sim.step();
+    let mut sim = Simulator::new(design).expect("valid design");
+    let stats = sim.pass_stats();
+    assert!(
+        stats.ops_final <= stats.ops_initial,
+        "seed {seed}: the optimizer grew the tape: {stats:?}"
+    );
+    for cycle in 0..CYCLES {
+        for (i, (name, mask)) in ports.iter().enumerate() {
+            sim.poke_by_name(name, stim(seed, i, cycle) & mask)
+                .expect("port");
         }
-        assert_eq!(
-            sim.state(),
-            golden_state,
-            "seed {seed}, pass `{label}`: final architectural state diverged"
-        );
+        for (oi, o) in outputs.iter().enumerate() {
+            let got = sim.peek_output(o).expect("output");
+            let expected = trace[cycle as usize][oi];
+            assert_eq!(
+                got, expected,
+                "seed {seed}: output `{o}` diverged at cycle {cycle}"
+            );
+        }
+        sim.step();
     }
+    assert_eq!(
+        sim.state(),
+        golden_state,
+        "seed {seed}: final architectural state diverged"
+    );
 }
 
 #[test]
@@ -126,40 +97,6 @@ fn every_pass_is_transparent_without_memories() {
     for seed in 0..SEEDS {
         assert_equivalent(&rand_design(1000 + seed, &cfg), 1000 + seed);
     }
-}
-
-#[test]
-fn no_tape_opt_bypasses_the_pipeline() {
-    // `TapeOptions::none()` is the CLI `--no-tape-opt` path: the legacy
-    // identity lowering must run instead of the optimizer, so nothing is
-    // folded, propagated, eliminated or fused and the tape keeps its
-    // original size slot-for-slot.
-    let design = rand_design(7, &RandDesignConfig::default());
-    let raw = Simulator::with_options(&design, &TapeOptions::none()).expect("valid");
-    let s = raw.pass_stats();
-    assert_eq!(
-        (
-            s.const_folded,
-            s.copies_propagated,
-            s.dead_eliminated,
-            s.ops_fused
-        ),
-        (0, 0, 0, 0),
-        "identity lowering must not transform: {s:?}"
-    );
-    assert_eq!(s.ops_final, s.ops_initial, "{s:?}");
-    assert_eq!(s.slots_final, s.slots_initial, "{s:?}");
-
-    let opt = Simulator::new(&design).expect("valid");
-    let stats = opt.pass_stats();
-    assert!(
-        stats.ops_initial > 0,
-        "optimizer must record its input size"
-    );
-    assert!(
-        stats.ops_final <= stats.ops_initial,
-        "optimizer must never grow the tape"
-    );
 }
 
 fn w(bits: u32) -> Width {

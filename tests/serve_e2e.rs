@@ -32,7 +32,6 @@ fn spec() -> EstimateSpec {
         max_cycles: 2_000_000,
         parallel: 2,
         batch_lanes: 8,
-        tape_opt: true,
         hub_engine: "auto".to_owned(),
         target_error: 0.0,
         min_samples: 30,
@@ -58,13 +57,12 @@ fn direct_run() -> DirectRun {
     let core = catalog::core_config(&s.core).unwrap();
     let image = catalog::image_for(&s.workload, &s.asm).unwrap();
     let design = build_core(&core);
-    let mut session = StroberConfig {
+    let session = StroberConfig {
         replay_length: s.replay_length,
         sample_size: s.samples,
         seed: s.seed,
         ..StroberConfig::default()
     };
-    session.platform.tape_opt = s.tape_opt;
     let flow = StroberFlow::new(&design, session).unwrap();
     let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
     dram.load(&image, 0);
