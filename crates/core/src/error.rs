@@ -33,6 +33,9 @@ pub enum StroberError {
     /// A replayed output diverged from the recorded trace — the §IV-C
     /// replay self-check failed.
     ReplayMismatch {
+        /// The target cycle of the diverging sample's snapshot, which
+        /// names the sample inside a batch.
+        cycle: u64,
         /// The output port that diverged.
         output: String,
         /// Cycle offset within the replay window.
@@ -46,6 +49,16 @@ pub enum StroberError {
     UnmappedState {
         /// The RTL state element's name.
         name: String,
+    },
+    /// A snapshot's state is not shaped like the session's scan chain: a
+    /// register or memory sits at another position, or a count or memory
+    /// depth differs. Batched replay loads state by position, so it
+    /// refuses such a snapshot instead of misloading it.
+    SnapshotLayoutMismatch {
+        /// The target cycle of the offending snapshot.
+        cycle: u64,
+        /// What differs.
+        detail: String,
     },
     /// The run was stopped by its [`crate::CancelToken`] at a sample or
     /// batch boundary — cooperative cancellation, not a failure of the
@@ -71,17 +84,22 @@ impl fmt::Display for StroberError {
                 "batched snapshots must share one trace length: lane {lane} has {got} cycles, lane 0 has {expected}"
             ),
             StroberError::ReplayMismatch {
+                cycle,
                 output,
                 offset,
                 expected,
                 got,
             } => write!(
                 f,
-                "replay mismatch on `{output}` at window offset {offset}: expected {expected:#x}, got {got:#x}"
+                "replay mismatch on `{output}` at window offset {offset} of the sample at cycle {cycle}: expected {expected:#x}, got {got:#x}"
             ),
             StroberError::UnmappedState { name } => {
                 write!(f, "snapshot state `{name}` has no netlist mapping")
             }
+            StroberError::SnapshotLayoutMismatch { cycle, detail } => write!(
+                f,
+                "the snapshot at cycle {cycle} does not match the scan chain: {detail}"
+            ),
             StroberError::Cancelled => write!(f, "run cancelled"),
         }
     }

@@ -3,6 +3,7 @@
 use crate::control::{Progress, RunControl};
 use crate::error::StroberError;
 use crate::estimate::{EnergyEstimate, ReplayResult, SampledRun, StopReason};
+use crate::load_plan::LoadPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,6 +94,9 @@ pub struct StroberFlow {
     hub: OnceLock<Simulator>,
     /// Compiled gate-level op tape, shared by every replay engine.
     gate_tape: OnceLock<Arc<Tape>>,
+    /// Where batched replay loads snapshot state, resolved against
+    /// `gate_tape` on first use.
+    load_plan: OnceLock<LoadPlan>,
     /// The settle engine every hub simulator of this session runs under,
     /// resolved once — by [`StroberFlow::prepare_jit`] or by the first
     /// run, whichever comes first — and never revisited.
@@ -161,6 +165,7 @@ impl StroberFlow {
             analyzer,
             hub: OnceLock::new(),
             gate_tape: OnceLock::new(),
+            load_plan: OnceLock::new(),
             engine: OnceLock::new(),
         })
     }
@@ -180,6 +185,7 @@ impl StroberFlow {
             analyzer,
             hub: OnceLock::new(),
             gate_tape: OnceLock::new(),
+            load_plan: OnceLock::new(),
             engine: OnceLock::new(),
         }
     }
@@ -497,6 +503,18 @@ impl StroberFlow {
         Ok(tape)
     }
 
+    /// Batched replay's state-load plan, resolved against `tape` (the
+    /// session's [`replay_tape`](Self::replay_tape)) on first use.
+    fn load_plan(&self, tape: &Tape) -> Result<&LoadPlan, StroberError> {
+        if let Some(plan) = self.load_plan.get() {
+            return Ok(plan);
+        }
+        let plan = LoadPlan::new(&self.fame.meta, &self.name_map, tape)?;
+        // As with the tape, a concurrent first batch may have won.
+        let _ = self.load_plan.set(plan);
+        Ok(self.load_plan.get().expect("just set"))
+    }
+
     /// Runs the workload on the host platform with reservoir sampling:
     /// the execution is divided into `L`-cycle windows, each window is a
     /// population element, and selected windows are captured as replayable
@@ -786,6 +804,7 @@ impl StroberFlow {
                     let got = sim.peek_port(port)?;
                     if got != values[t] {
                         return Err(StroberError::ReplayMismatch {
+                            cycle: snapshot.cycle,
                             output: port.clone(),
                             offset: t,
                             expected: values[t],
@@ -846,33 +865,11 @@ impl StroberFlow {
                 });
             }
         }
-        let mut sim = BatchSim::with_tape_lanes(self.replay_tape()?, &self.synth.netlist, lanes)?;
-
-        // Pack every lane's scanned state: one word per flop (bit l =
-        // lane l's value), one lane-vector per SRAM word.
-        let mut dff_words: Vec<(String, u64)> = Vec::new();
-        let mut dff_slots: std::collections::HashMap<String, usize> =
-            std::collections::HashMap::new();
-        let mut sram_words: Vec<(String, usize, Vec<u64>)> = Vec::new();
-        let mut sram_slots: std::collections::HashMap<(String, usize), usize> =
-            std::collections::HashMap::new();
-        for (lane, snap) in snapshots.iter().enumerate() {
-            let (dffs, srams) = self.scan_state(snap)?;
-            for (name, v) in dffs {
-                let slot = *dff_slots.entry(name.clone()).or_insert_with(|| {
-                    dff_words.push((name, 0));
-                    dff_words.len() - 1
-                });
-                dff_words[slot].1 |= u64::from(v) << lane;
-            }
-            for (name, addr, word) in srams {
-                let slot = *sram_slots.entry((name.clone(), addr)).or_insert_with(|| {
-                    sram_words.push((name, addr, vec![0; lanes]));
-                    sram_words.len() - 1
-                });
-                sram_words[slot].2[lane] = word;
-            }
-        }
+        let tape = self.replay_tape()?;
+        let plan = self.load_plan(&tape)?;
+        let mut sim = BatchSim::with_tape_lanes(tape, &self.synth.netlist, lanes)?;
+        let mut pack = Duration::ZERO;
+        let (dff_words, sram_images) = timed(&mut pack, || plan.pack(snapshots, &self.name_map))?;
 
         let warmup = self.config.warmup as usize;
         let mut checked_per_lane = 0u64;
@@ -886,7 +883,9 @@ impl StroberFlow {
                 sim.poke_port_lanes(port, &lane_vals)?;
             }
             if t == warmup {
-                VpiLoader::load_batch(&mut sim, &dff_words, &sram_words)?;
+                timed(&mut pack, || {
+                    VpiLoader::load_batch(&mut sim, &dff_words, &sram_images)
+                })?;
                 sim.reset_activity();
             }
             if t >= warmup {
@@ -897,6 +896,7 @@ impl StroberFlow {
                         let expected = snap.outputs[pi].1[t];
                         if lane_vals[lane] != expected {
                             return Err(StroberError::ReplayMismatch {
+                                cycle: snap.cycle,
                                 output: port.clone(),
                                 offset: t,
                                 expected,
@@ -910,14 +910,23 @@ impl StroberFlow {
             sim.step();
         }
 
-        let powers = self.analyzer.analyze_all(&sim.activities());
+        let mut power = Duration::ZERO;
+        let powers = timed(&mut power, || self.analyzer.analyze_all(&sim.activities()));
         strober_probe::counter_add("strober.core.replay_batches", 1);
         strober_probe::counter_add("strober.core.replay_batch_lanes", lanes as u64);
         if let Some(t0) = t0 {
-            strober_probe::histogram_record(
-                "strober.core.replay_batch_ms",
-                t0.elapsed().as_secs_f64() * 1e3,
-            );
+            let phases = sim.phase_times();
+            for (name, time) in [
+                ("strober.gatesim.batch_settle_ms", phases.settle),
+                ("strober.gatesim.batch_count_ms", phases.count),
+                ("strober.gatesim.batch_sram_ms", phases.sram),
+                ("strober.gatesim.batch_latch_ms", phases.latch),
+                ("strober.core.replay_batch_pack_ms", pack),
+                ("strober.core.replay_batch_power_ms", power),
+                ("strober.core.replay_batch_ms", t0.elapsed()),
+            ] {
+                strober_probe::histogram_record(name, time.as_secs_f64() * 1e3);
+            }
         }
         Ok(powers
             .into_iter()
@@ -1164,6 +1173,18 @@ fn gauge_set(name: &str, ctl: &RunControl<'_>, value: f64) {
     }
 }
 
+/// Runs `f`, adding its wall clock to `into` while the probe recorder is
+/// enabled.
+fn timed<T>(into: &mut Duration, f: impl FnOnce() -> T) -> T {
+    if !strober_probe::enabled() {
+        return f();
+    }
+    let t0 = std::time::Instant::now();
+    let out = f();
+    *into += t0.elapsed();
+    out
+}
+
 /// Records replay throughput (`strober.core.replay_samples_per_sec`).
 fn record_replay_rate(samples: usize, since: std::time::Instant, ctl: &RunControl<'_>) {
     if !strober_probe::enabled() {
@@ -1314,10 +1335,79 @@ mod tests {
         let flow = StroberFlow::new(&counter_design(), small_config()).unwrap();
         let run = flow.run_sampled(&mut NoIo, 1_000).unwrap();
         let mut snapshots = run.snapshots.clone();
-        // Corrupt one lane in the middle of the batch.
+        // Corrupt one lane in the middle of the batch: the error names
+        // that lane's sample.
         snapshots[2].regs[0].1 ^= 0x5A;
         let err = flow.replay_all_batched(&snapshots, 1, 64).unwrap_err();
-        assert!(matches!(err, StroberError::ReplayMismatch { .. }), "{err}");
+        assert!(
+            matches!(err, StroberError::ReplayMismatch { cycle, .. } if cycle == snapshots[2].cycle),
+            "{err}"
+        );
+    }
+
+    /// Two registers and a memory: a counter, its previous value and a
+    /// 16-word log of it, read back 15 cycles later.
+    fn logger_design() -> Design {
+        let ctx = Ctx::new("logger");
+        let w16 = Width::new(16).unwrap();
+        let (count, last, log) = ctx.scope("core", |c| {
+            (
+                c.reg("count", w16, 0),
+                c.reg("last", w16, 0),
+                c.mem("log", w16, 16),
+            )
+        });
+        count.set(&count.out().add_lit(1));
+        last.set(&count.out());
+        log.write(&count.out().bits(3, 0), &count.out(), &ctx.lit1(true));
+        let oldest = log.read(&count.out().add_lit(1).bits(3, 0));
+        ctx.output("value", &(&oldest ^ &last.out()));
+        ctx.finish().unwrap()
+    }
+
+    #[test]
+    fn batched_replay_reports_unmapped_state_as_the_scalar_replay_does() {
+        let flow = StroberFlow::new(&logger_design(), small_config()).unwrap();
+        let run = flow.run_sampled(&mut NoIo, 1_000).unwrap();
+        assert!(flow.replay_all_batched(&run.snapshots, 1, 64).is_ok());
+        let ghost_reg = |s: &mut FameSnapshot| s.regs[1].0 = "core/ghost".to_owned();
+        let ghost_mem = |s: &mut FameSnapshot| s.mems[0].0 = "core/ghost".to_owned();
+        for corrupt in [ghost_reg, ghost_mem] {
+            let mut stray = run.snapshots[1].clone();
+            corrupt(&mut stray);
+            let scalar = flow.replay(&stray).unwrap_err();
+            let batched = flow.replay_batch(&[&run.snapshots[0], &stray]).unwrap_err();
+            for err in [scalar, batched] {
+                assert!(
+                    matches!(&err, StroberError::UnmappedState { name } if name == "core/ghost"),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_replay_refuses_snapshots_off_the_scan_chain() {
+        // Batched replay loads state by scan-chain position, so a lane
+        // whose snapshot is ordered or sized differently is refused,
+        // naming that snapshot, before anything is loaded.
+        let flow = StroberFlow::new(&logger_design(), small_config()).unwrap();
+        let run = flow.run_sampled(&mut NoIo, 1_000).unwrap();
+        let swapped = |s: &mut FameSnapshot| s.regs.swap(0, 1);
+        let short_chain = |s: &mut FameSnapshot| {
+            s.regs.pop();
+        };
+        let short_memory = |s: &mut FameSnapshot| s.mems[0].1.truncate(8);
+        let no_memory = |s: &mut FameSnapshot| s.mems.clear();
+        for corrupt in [swapped, short_chain, short_memory, no_memory] {
+            let mut stray = run.snapshots[2].clone();
+            corrupt(&mut stray);
+            let err = flow.replay_batch(&[&run.snapshots[0], &stray]).unwrap_err();
+            assert!(
+                matches!(err, StroberError::SnapshotLayoutMismatch { cycle, .. } if cycle == stray.cycle),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -71,6 +71,7 @@ mod control;
 mod error;
 mod estimate;
 mod flow;
+mod load_plan;
 mod perf_model;
 
 pub use control::{CancelToken, Progress, RunControl};

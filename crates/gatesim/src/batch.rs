@@ -9,14 +9,18 @@
 //! stage where every snapshot runs the *same* netlist for the *same*
 //! number of cycles and only the data differs.
 //!
-//! What stays lane-wise (scalar per lane):
+//! Activity counting is word-wide too. Each net's 64 per-lane toggle
+//! counters live as eight bit planes — bit `l` of plane `k` is bit `k`
+//! of lane `l`'s count — and every cycle adds the toggle word
+//! `(new ^ old) & lane_mask` into them through a chain of AND/XOR, one
+//! pass over the nets that does no per-lane work and takes no per-net
+//! branch, whatever the activity. Every 255 counted cycles the planes are
+//! flushed into per-lane `u32` counters, and the activity readers add
+//! both.
 //!
-//! * SRAM read/write ports — each lane addresses its own copy of the
-//!   macro contents, so addresses and data are gathered/scattered per
-//!   lane. Ports are rare relative to gates, so this does not dominate.
-//! * Activity counting — per-net toggle counters are kept per lane for
-//!   the power model; the per-cycle cost is proportional to the number
-//!   of *toggling* lanes (`diff.count_ones()`), not to the lane count.
+//! What stays lane-wise (scalar per lane) is the SRAM read/write ports:
+//! each lane addresses its own copy of the macro contents, so addresses
+//! and data are gathered/scattered per lane.
 //!
 //! The result is bit-identical to running 64 separate [`crate::GateSim`]
 //! replays (a property enforced by the `batch_equiv` differential test),
@@ -53,11 +57,40 @@ use crate::activity::ActivityReport;
 use crate::compile::{Step, Tape};
 use crate::sim::GateSimError;
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use strober_gates::{CellKind, Netlist};
 
 /// The maximum number of bit-lanes a [`BatchSim`] can carry: one sample
 /// per bit of a `u64`.
 pub const MAX_LANES: usize = 64;
+
+/// Bit planes per net in the live toggle counters.
+const PLANES: usize = 8;
+
+/// Counted cycles between flushes of the bit planes: the largest count
+/// [`PLANES`] bits hold, so a plane never overflows.
+const FLUSH_EVERY: u32 = (1 << PLANES) - 1;
+
+/// Nets per block of the counting pass: the block's carry words stay in
+/// L1 while each plane's row streams past.
+const COUNT_BLOCK: usize = 512;
+
+/// Byte `i` of `SPREAD[b]` is bit `i` of `b`: spreads eight lanes' bits
+/// of one plane into eight byte-wide counters.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 #[derive(Debug, Clone)]
 struct BatchSramState {
@@ -80,16 +113,21 @@ struct BatchSramState {
 /// [`BatchSim::step`] advances every lane by one cycle.
 #[derive(Debug, Clone)]
 pub struct BatchSim {
-    netlist: Netlist,
-    tape: std::sync::Arc<Tape>,
+    tape: Arc<Tape>,
     lanes: usize,
     /// Bits `0..lanes` set; everything lane-visible is masked with this.
     lane_mask: u64,
     /// One word per net; bit `l` = the net's value in lane `l`.
     values: Vec<u64>,
     prev_values: Vec<u64>,
-    /// Per-net, per-lane toggle counters, laid out `[net * lanes + lane]`.
-    toggles: Vec<u64>,
+    /// Toggle counts since the last flush as bit planes, laid out
+    /// `[plane * nets + net]`: bit `l` of plane `k` is bit `k` of lane
+    /// `l`'s count.
+    planes: Vec<u64>,
+    /// Cycles counted into `planes` since the last flush.
+    live_cycles: u32,
+    /// Flushed per-lane toggle counts, laid out `[net * lanes + lane]`.
+    flushed: Vec<u32>,
     /// Clock-edge scratch for DFF next-state words; reused every cycle.
     dff_scratch: Vec<u64>,
     /// Per-lane address scratch for SRAM port evaluation; reused.
@@ -100,6 +138,41 @@ pub struct BatchSim {
     cycle: u64,
     dirty: bool,
     settled_once: bool,
+    times: PhaseTimes,
+}
+
+/// Host time a [`BatchSim`] spent in each phase of its cycles since it
+/// was built. Accumulated only while the `strober-probe` recorder is
+/// enabled; all zero otherwise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Evaluating the gate tape, SRAM read ports included.
+    pub settle: Duration,
+    /// Counting toggles, flushes of the bit planes included.
+    pub count: Duration,
+    /// Charging SRAM read accesses and committing writes at the edge.
+    pub sram: Duration,
+    /// Latching flip-flops.
+    pub latch: Duration,
+}
+
+/// A stopwatch that runs only while the probe recorder is enabled: one
+/// relaxed load per phase when it is not.
+struct Lap(Option<Instant>);
+
+impl Lap {
+    fn start() -> Self {
+        Lap(strober_probe::enabled().then(Instant::now))
+    }
+
+    /// Adds the time since the last lap to `into` and starts the next.
+    fn lap(&mut self, into: &mut Duration) {
+        if let Some(last) = &mut self.0 {
+            let now = Instant::now();
+            *into += now - *last;
+            *last = now;
+        }
+    }
 }
 
 impl BatchSim {
@@ -122,20 +195,21 @@ impl BatchSim {
     /// or [`GateSimError::BadNetlist`] for an invalid netlist.
     pub fn with_lanes(netlist: &Netlist, lanes: usize) -> Result<Self, GateSimError> {
         let _span = strober_probe::span("strober.gatesim.batch_compile");
-        let tape = std::sync::Arc::new(Tape::compile(netlist)?);
+        let tape = Arc::new(Tape::compile(netlist)?);
         Self::with_tape_lanes(tape, netlist, lanes)
     }
 
     /// Builds a batched simulator from a tape compiled earlier with
     /// [`Tape::compile`], skipping compilation entirely. The tape **must**
     /// have been compiled from this exact `netlist` (see
-    /// [`GateSim::with_tape`](crate::GateSim::with_tape)).
+    /// [`GateSim::with_tape`](crate::GateSim::with_tape)); only the SRAM
+    /// macros' initial contents are read from it.
     ///
     /// # Errors
     ///
     /// Returns [`GateSimError::BadLaneCount`] unless `1 <= lanes <= 64`.
     pub fn with_tape_lanes(
-        tape: std::sync::Arc<Tape>,
+        tape: Arc<Tape>,
         netlist: &Netlist,
         lanes: usize,
     ) -> Result<Self, GateSimError> {
@@ -168,7 +242,9 @@ impl BatchSim {
 
         Ok(BatchSim {
             prev_values: values.clone(),
-            toggles: vec![0; tape.net_count * lanes],
+            planes: vec![0; PLANES * tape.net_count],
+            live_cycles: 0,
+            flushed: vec![0; tape.net_count * lanes],
             dff_scratch: vec![0; tape.dffs.len()],
             lane_addr: vec![0; lanes],
             values,
@@ -181,13 +257,8 @@ impl BatchSim {
             cycle: 0,
             dirty: true,
             settled_once: false,
-            netlist: netlist.clone(),
+            times: PhaseTimes::default(),
         })
-    }
-
-    /// The netlist being simulated.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
     }
 
     /// The number of active bit-lanes.
@@ -198,6 +269,11 @@ impl BatchSim {
     /// The current cycle count (shared by every lane).
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Host time spent per cycle phase so far (see [`PhaseTimes`]).
+    pub fn phase_times(&self) -> PhaseTimes {
+        self.times
     }
 
     fn check_lane(&self, lane: usize) -> Result<(), GateSimError> {
@@ -234,15 +310,12 @@ impl BatchSim {
                 name: name.to_owned(),
             })?;
         let width = bits.len() as u32;
-        for (lane, &v) in values.iter().enumerate() {
-            if width < 64 && v >> width != 0 {
-                let _ = lane;
-                return Err(GateSimError::ValueTooWide {
-                    port: name.to_owned(),
-                    value: v,
-                    width,
-                });
-            }
+        if let Some(&v) = values.iter().find(|&&v| width < 64 && v >> width != 0) {
+            return Err(GateSimError::ValueTooWide {
+                port: name.to_owned(),
+                value: v,
+                width,
+            });
         }
         // Transpose: for each port bit, assemble the lane word.
         for (i, &net) in bits.iter().enumerate() {
@@ -374,6 +447,7 @@ impl BatchSim {
         if !self.dirty {
             return;
         }
+        let mut lap = Lap::start();
         for &(net, word) in &self.inputs {
             self.values[net as usize] = word;
         }
@@ -403,7 +477,7 @@ impl BatchSim {
                 }
                 Step::SramRead { sram, port } => {
                     let si = sram as usize;
-                    let s = &self.netlist.srams()[si];
+                    let s = &self.tape.srams[si];
                     let rp = &s.read_ports[port as usize];
                     let depth = s.depth;
                     for lane in 0..self.lanes {
@@ -431,32 +505,25 @@ impl BatchSim {
             }
         }
         self.dirty = false;
+        lap.lap(&mut self.times.settle);
     }
 
     /// Advances one clock cycle on every lane: settle, count per-lane
     /// toggles, commit lane-wise SRAM accesses, latch flip-flops.
     pub fn step(&mut self) {
         self.settle();
+        let mut lap = Lap::start();
 
-        // Per-lane toggle counting. `diff` has one set bit per toggling
-        // lane, so the inner loop costs one counter bump per *toggle*, not
-        // per lane — idle lanes are free, exactly like the scalar path.
         if self.settled_once {
-            let lanes = self.lanes;
-            for net in 0..self.values.len() {
-                let mut diff = (self.values[net] ^ self.prev_values[net]) & self.lane_mask;
-                while diff != 0 {
-                    let lane = diff.trailing_zeros() as usize;
-                    self.toggles[net * lanes + lane] += 1;
-                    diff &= diff - 1;
-                }
-            }
+            self.count_toggles();
+        } else {
+            self.prev_values.copy_from_slice(&self.values);
+            self.settled_once = true;
         }
-        self.prev_values.copy_from_slice(&self.values);
-        self.settled_once = true;
+        lap.lap(&mut self.times.count);
 
         // SRAM access counting and writes, lane by lane.
-        for (si, s) in self.netlist.srams().iter().enumerate() {
+        for (si, s) in self.tape.srams.iter().enumerate() {
             let depth = s.depth;
             for (pi, rp) in s.read_ports.iter().enumerate() {
                 for lane in 0..self.lanes {
@@ -492,6 +559,7 @@ impl BatchSim {
                 }
             }
         }
+        lap.lap(&mut self.times.sram);
 
         // Latch flip-flops, capture-then-commit, one word per flop.
         for (slot, &(d, _)) in self.dff_scratch.iter_mut().zip(&self.tape.dffs) {
@@ -500,9 +568,77 @@ impl BatchSim {
         for (&v, &(_, q)) in self.dff_scratch.iter().zip(&self.tape.dffs) {
             self.values[q as usize] = v;
         }
+        lap.lap(&mut self.times.latch);
 
         self.cycle += 1;
         self.dirty = true;
+    }
+
+    /// Adds this cycle's toggle word `(new ^ old) & lane_mask` of every
+    /// net into its bit planes, and makes the new values the old ones.
+    ///
+    /// Per net the add is branch-free — sum `p ^ c`, carry `p & c`, plane
+    /// after plane — so the loop vectorises over nets. It runs over
+    /// blocks of [`COUNT_BLOCK`] nets, whose carries stay in L1 while each
+    /// plane's row streams past, and a block stops at the first plane no
+    /// net of it carries into: one well-predicted branch per 512 nets,
+    /// where a per-net early exit would mispredict (DESIGN.md §9).
+    fn count_toggles(&mut self) {
+        let nets = self.values.len();
+        let mask = self.lane_mask;
+        let mut carry = [0u64; COUNT_BLOCK];
+        for start in (0..nets).step_by(COUNT_BLOCK) {
+            let end = (start + COUNT_BLOCK).min(nets);
+            let carry = &mut carry[..end - start];
+            let new = &self.values[start..end];
+            let old = &mut self.prev_values[start..end];
+            for ((c, &n), o) in carry.iter_mut().zip(new).zip(old) {
+                *c = (n ^ *o) & mask;
+                *o = n;
+            }
+            for row in self.planes.chunks_exact_mut(nets) {
+                let mut carried = 0;
+                for (bit, c) in row[start..end].iter_mut().zip(carry.iter_mut()) {
+                    let b = *bit;
+                    *bit = b ^ *c;
+                    *c &= b;
+                    carried |= *c;
+                }
+                if carried == 0 {
+                    break;
+                }
+            }
+        }
+        self.live_cycles += 1;
+        if self.live_cycles == FLUSH_EVERY {
+            self.flush();
+        }
+    }
+
+    /// Adds the plane counts into the per-lane `u32` counters and clears
+    /// the planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the activity window has reached 2³² − 1 cycles: the
+    /// flushed counters could no longer be trusted not to wrap.
+    fn flush(&mut self) {
+        assert!(
+            self.cycle < u64::from(u32::MAX),
+            "activity windows must stay under 2^32 cycles; call reset_activity sooner"
+        );
+        let nets = self.values.len();
+        for (net, counts) in self.flushed.chunks_exact_mut(self.lanes).enumerate() {
+            let live = live_bytes(&self.planes, nets, net);
+            if live == [0; 8] {
+                continue;
+            }
+            for (lane, count) in counts.iter_mut().enumerate() {
+                *count += lane_byte(&live, lane);
+            }
+        }
+        self.planes.fill(0);
+        self.live_cycles = 0;
     }
 
     /// Advances `n` cycles on every lane.
@@ -512,29 +648,39 @@ impl BatchSim {
         }
     }
 
-    /// Sets a flip-flop's current value on every lane at once: bit `l` of
-    /// `packed` becomes the flop's value in lane `l`. One name lookup
-    /// serves the whole batch — the bulk snapshot-load primitive.
+    /// Sets flip-flop `dff` — an index from [`Tape::dff_index`] on this
+    /// simulator's tape — on every lane at once: bit `l` of `packed`
+    /// becomes its value in lane `l`. The bulk snapshot-load primitive:
+    /// resolve the names once, then load every batch by index.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`GateSimError::UnknownName`] for an unknown instance.
-    pub fn set_dff_lanes(&mut self, name: &str, packed: u64) -> Result<(), GateSimError> {
-        let &idx = self
-            .tape
-            .dff_by_name
-            .get(name)
+    /// Panics if `dff` is not a flip-flop index of this tape.
+    pub fn set_dff_lanes_at(&mut self, dff: usize, packed: u64) {
+        let q = self.tape.dffs[dff].1 as usize;
+        let keep = !self.lane_mask;
+        let set = packed & self.lane_mask;
+        self.values[q] = (self.values[q] & keep) | set;
+        self.prev_values[q] = (self.prev_values[q] & keep) | set;
+        self.dirty = true;
+    }
+
+    fn dff_index(&self, name: &str) -> Result<usize, GateSimError> {
+        self.tape
+            .dff_index(name)
             .ok_or_else(|| GateSimError::UnknownName {
                 kind: "flip-flop",
                 name: name.to_owned(),
-            })?;
-        let (_, q) = self.tape.dffs[idx];
-        let keep = !self.lane_mask;
-        let set = packed & self.lane_mask;
-        self.values[q as usize] = (self.values[q as usize] & keep) | set;
-        self.prev_values[q as usize] = (self.prev_values[q as usize] & keep) | set;
-        self.dirty = true;
-        Ok(())
+            })
+    }
+
+    fn sram_index(&self, name: &str) -> Result<usize, GateSimError> {
+        self.tape
+            .sram_index(name)
+            .ok_or_else(|| GateSimError::UnknownName {
+                kind: "SRAM macro",
+                name: name.to_owned(),
+            })
     }
 
     /// Sets a flip-flop's current value on one lane.
@@ -550,22 +696,14 @@ impl BatchSim {
         value: bool,
     ) -> Result<(), GateSimError> {
         self.check_lane(lane)?;
-        let &idx = self
-            .tape
-            .dff_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "flip-flop",
-                name: name.to_owned(),
-            })?;
-        let (_, q) = self.tape.dffs[idx];
+        let q = self.tape.dffs[self.dff_index(name)?].1 as usize;
         let bit = 1u64 << lane;
         if value {
-            self.values[q as usize] |= bit;
-            self.prev_values[q as usize] |= bit;
+            self.values[q] |= bit;
+            self.prev_values[q] |= bit;
         } else {
-            self.values[q as usize] &= !bit;
-            self.prev_values[q as usize] &= !bit;
+            self.values[q] &= !bit;
+            self.prev_values[q] &= !bit;
         }
         self.dirty = true;
         Ok(())
@@ -579,54 +717,47 @@ impl BatchSim {
     /// [`GateSimError::LaneOutOfRange`].
     pub fn dff_value_lane(&self, name: &str, lane: usize) -> Result<bool, GateSimError> {
         self.check_lane(lane)?;
-        let &idx = self
-            .tape
-            .dff_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "flip-flop",
-                name: name.to_owned(),
-            })?;
-        let (_, q) = self.tape.dffs[idx];
-        Ok((self.values[q as usize] >> lane) & 1 == 1)
+        let q = self.tape.dffs[self.dff_index(name)?].1 as usize;
+        Ok((self.values[q] >> lane) & 1 == 1)
     }
 
-    /// Writes one word of an SRAM macro on every lane at once
-    /// (`words[l]` goes to lane `l`; `words.len()` must equal
-    /// [`BatchSim::lanes`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`],
-    /// [`GateSimError::BadLaneCount`] for a wrong-length slice, or
-    /// [`GateSimError::AddressOutOfRange`].
-    pub fn set_sram_word_lanes(
-        &mut self,
-        name: &str,
-        addr: usize,
-        words: &[u64],
-    ) -> Result<(), GateSimError> {
-        if words.len() != self.lanes {
-            return Err(GateSimError::BadLaneCount { lanes: words.len() });
-        }
-        let &idx = self
-            .tape
-            .sram_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "SRAM macro",
-                name: name.to_owned(),
-            })?;
-        let depth = self.netlist.srams()[idx].depth;
-        if addr >= depth {
+    /// Checks `addr` against SRAM `idx`'s depth and returns the depth.
+    fn sram_depth(&self, idx: usize, addr: usize) -> Result<usize, GateSimError> {
+        let s = &self.tape.srams[idx];
+        if addr >= s.depth {
             return Err(GateSimError::AddressOutOfRange {
-                sram: name.to_owned(),
+                sram: s.name.clone(),
                 addr,
             });
         }
-        for (lane, &w) in words.iter().enumerate() {
-            self.srams[idx].contents[lane * depth + addr] = w;
+        Ok(s.depth)
+    }
+
+    /// Loads one lane's copy of SRAM `sram` — an index from
+    /// [`Tape::sram_index`] on this simulator's tape — with `words`,
+    /// from address 0 up; later addresses keep their contents.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GateSimError::LaneOutOfRange`], or
+    /// [`GateSimError::AddressOutOfRange`] (naming the first address past
+    /// the macro) if `words` is longer than the macro is deep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sram` is not an SRAM index of this tape.
+    pub fn set_sram_lane(
+        &mut self,
+        sram: usize,
+        lane: usize,
+        words: &[u64],
+    ) -> Result<(), GateSimError> {
+        self.check_lane(lane)?;
+        if words.is_empty() {
+            return Ok(());
         }
+        let depth = self.sram_depth(sram, words.len() - 1)?;
+        self.srams[sram].contents[lane * depth..][..words.len()].copy_from_slice(words);
         self.dirty = true;
         Ok(())
     }
@@ -646,21 +777,8 @@ impl BatchSim {
         value: u64,
     ) -> Result<(), GateSimError> {
         self.check_lane(lane)?;
-        let &idx = self
-            .tape
-            .sram_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "SRAM macro",
-                name: name.to_owned(),
-            })?;
-        let depth = self.netlist.srams()[idx].depth;
-        if addr >= depth {
-            return Err(GateSimError::AddressOutOfRange {
-                sram: name.to_owned(),
-                addr,
-            });
-        }
+        let idx = self.sram_index(name)?;
+        let depth = self.sram_depth(idx, addr)?;
         self.srams[idx].contents[lane * depth + addr] = value;
         self.dirty = true;
         Ok(())
@@ -680,21 +798,8 @@ impl BatchSim {
         addr: usize,
     ) -> Result<u64, GateSimError> {
         self.check_lane(lane)?;
-        let &idx = self
-            .tape
-            .sram_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "SRAM macro",
-                name: name.to_owned(),
-            })?;
-        let depth = self.netlist.srams()[idx].depth;
-        if addr >= depth {
-            return Err(GateSimError::AddressOutOfRange {
-                sram: name.to_owned(),
-                addr,
-            });
-        }
+        let idx = self.sram_index(name)?;
+        let depth = self.sram_depth(idx, addr)?;
         Ok(self.srams[idx].contents[lane * depth + addr])
     }
 
@@ -704,10 +809,12 @@ impl BatchSim {
     /// address becomes that port's baseline.
     pub fn reset_activity(&mut self) {
         self.settle();
-        self.toggles.iter_mut().for_each(|t| *t = 0);
-        for (si, s) in self.netlist.srams().iter().enumerate() {
-            self.srams[si].reads.iter_mut().for_each(|r| *r = 0);
-            self.srams[si].writes.iter_mut().for_each(|w| *w = 0);
+        self.planes.fill(0);
+        self.live_cycles = 0;
+        self.flushed.fill(0);
+        for (si, s) in self.tape.srams.iter().enumerate() {
+            self.srams[si].reads.fill(0);
+            self.srams[si].writes.fill(0);
             for (pi, rp) in s.read_ports.iter().enumerate() {
                 for lane in 0..self.lanes {
                     let mut addr = 0usize;
@@ -722,10 +829,18 @@ impl BatchSim {
         self.cycle = 0;
     }
 
+    /// `(reads, writes)` per SRAM macro on one lane.
+    fn sram_accesses(&self, lane: usize) -> Vec<(u64, u64)> {
+        self.srams
+            .iter()
+            .map(|s| (s.reads[lane], s.writes[lane]))
+            .collect()
+    }
+
     /// Produces one lane's activity report, shaped exactly like a
     /// standalone [`crate::GateSim::activity`] report for the same
     /// netlist (so [`strober_power`-style](ActivityReport) analyzers
-    /// consume it unchanged).
+    /// consume it unchanged): flushed counts plus the live planes.
     ///
     /// # Errors
     ///
@@ -733,26 +848,58 @@ impl BatchSim {
     pub fn activity_lane(&self, lane: usize) -> Result<ActivityReport, GateSimError> {
         self.check_lane(lane)?;
         let nets = self.tape.net_count;
-        let mut toggles = Vec::with_capacity(nets);
-        for net in 0..nets {
-            toggles.push(self.toggles[net * self.lanes + lane]);
-        }
+        let toggles = (0..nets)
+            .map(|net| {
+                let live = (0..PLANES).fold(0, |count, k| {
+                    count | ((self.planes[k * nets + net] >> lane) & 1) << k
+                });
+                u64::from(self.flushed[net * self.lanes + lane]) + live
+            })
+            .collect();
         Ok(ActivityReport::new(
             self.cycle,
             toggles,
-            self.srams
-                .iter()
-                .map(|s| (s.reads[lane], s.writes[lane]))
-                .collect(),
+            self.sram_accesses(lane),
         ))
     }
 
-    /// Produces every lane's activity report, in lane order.
+    /// Produces every lane's activity report, in lane order — the same
+    /// reports as [`BatchSim::activity_lane`], in one pass over the nets.
     pub fn activities(&self) -> Vec<ActivityReport> {
-        (0..self.lanes)
-            .map(|l| self.activity_lane(l).expect("lane in range"))
+        let nets = self.tape.net_count;
+        let mut toggles: Vec<Vec<u64>> =
+            (0..self.lanes).map(|_| Vec::with_capacity(nets)).collect();
+        for (net, flushed) in self.flushed.chunks_exact(self.lanes).enumerate() {
+            let live = live_bytes(&self.planes, nets, net);
+            for (lane, (lane_toggles, &count)) in toggles.iter_mut().zip(flushed).enumerate() {
+                lane_toggles.push(u64::from(count) + u64::from(lane_byte(&live, lane)));
+            }
+        }
+        toggles
+            .into_iter()
+            .enumerate()
+            .map(|(lane, t)| ActivityReport::new(self.cycle, t, self.sram_accesses(lane)))
             .collect()
     }
+}
+
+/// `net`'s live plane counts, one byte per lane: byte `j` of word `g` is
+/// lane `8g + j`'s count. Exact because a count never exceeds
+/// [`FLUSH_EVERY`], so no byte carries into the next.
+fn live_bytes(planes: &[u64], nets: usize, net: usize) -> [u64; 8] {
+    let mut bytes = [0u64; 8];
+    for k in 0..PLANES {
+        let word = planes[k * nets + net];
+        for (g, b) in bytes.iter_mut().enumerate() {
+            *b |= SPREAD[((word >> (8 * g)) & 0xFF) as usize] << k;
+        }
+    }
+    bytes
+}
+
+/// Lane `lane`'s count out of [`live_bytes`].
+fn lane_byte(bytes: &[u64; 8], lane: usize) -> u32 {
+    ((bytes[lane / 8] >> (8 * (lane % 8))) & 0xFF) as u32
 }
 
 /// The word mask with bits `0..lanes` set.
@@ -818,19 +965,59 @@ mod tests {
     }
 
     #[test]
+    fn the_spread_table_puts_bit_i_in_byte_i() {
+        assert_eq!(SPREAD[0], 0);
+        assert_eq!(SPREAD[0b1000_0101], 0x0100_0000_0001_0001);
+        assert_eq!(SPREAD[0xFF], 0x0101_0101_0101_0101);
+    }
+
+    #[test]
+    fn a_net_toggling_on_every_lane_counts_exactly_across_flushes() {
+        // One inverter on a register: its output flips every cycle on
+        // every lane, so each of the 64 counters must read exactly the
+        // number of counted cycles — through three full flushes and a
+        // partial window, read mid-window, from both readers.
+        let ctx = Ctx::new("blink");
+        let r = ctx.reg("r", Width::BIT, 0);
+        r.set(&!&r.out());
+        ctx.output("o", &r.out());
+        let nl = synthesize(&ctx.finish().unwrap(), &plain())
+            .unwrap()
+            .netlist;
+        let q = nl.outputs()[0].1.index();
+        let mut sim = BatchSim::new(&nl).unwrap();
+        for cycles in [1u64, 254, 255, 256, 600, 1_000] {
+            sim.step_n(cycles - sim.cycle());
+            // The first settled cycle is the baseline, not a toggle.
+            let want = cycles - 1;
+            let all = sim.activities();
+            for lane in [0, 31, 63] {
+                let report = sim.activity_lane(lane).unwrap();
+                assert_eq!(report.toggles()[q], want, "lane {lane} at {cycles}");
+                assert_eq!(report, all[lane], "readers disagree at {cycles}");
+            }
+        }
+        assert!(all_lanes_equal(&sim.activities()));
+    }
+
+    fn all_lanes_equal(reports: &[ActivityReport]) -> bool {
+        reports.windows(2).all(|p| p[0] == p[1])
+    }
+
+    #[test]
     fn dff_load_per_lane() {
         let mut sim = BatchSim::with_lanes(&counter_netlist(), 2).unwrap();
         for i in 0..8 {
             // Lane 0 gets 0x2A, lane 1 gets 0x15.
             let packed = u64::from((0x2Au32 >> i) & 1) | (u64::from((0x15u32 >> i) & 1) << 1);
-            sim.set_dff_lanes(&format!("count_reg_{i}_"), packed)
-                .unwrap();
+            let dff = sim.tape.dff_index(&format!("count_reg_{i}_")).unwrap();
+            sim.set_dff_lanes_at(dff, packed);
         }
         assert_eq!(sim.peek_port_lane("value", 0).unwrap(), 0x2A);
         assert_eq!(sim.peek_port_lane("value", 1).unwrap(), 0x15);
         assert!(sim.dff_value_lane("count_reg_1_", 0).unwrap());
         assert!(!sim.dff_value_lane("count_reg_1_", 1).unwrap());
-        assert!(sim.set_dff_lanes("nope", 0).is_err());
+        assert!(sim.tape.dff_index("nope").is_none());
     }
 
     #[test]
@@ -846,8 +1033,8 @@ mod tests {
             .unwrap()
             .netlist;
         let mut sim = BatchSim::with_lanes(&nl, 2).unwrap();
-        sim.set_sram_word_lanes("buf_macro", 7, &[0xBEEF, 0xCAFE])
-            .unwrap();
+        sim.set_sram_word_lane("buf_macro", 0, 7, 0xBEEF).unwrap();
+        sim.set_sram_word_lane("buf_macro", 1, 7, 0xCAFE).unwrap();
         assert_eq!(sim.sram_word_lane("buf_macro", 0, 7).unwrap(), 0xBEEF);
         assert_eq!(sim.sram_word_lane("buf_macro", 1, 7).unwrap(), 0xCAFE);
         sim.poke_port_broadcast("addr", 7).unwrap();
@@ -866,6 +1053,23 @@ mod tests {
         assert_eq!(w0, 0);
         assert_eq!(w1, 1);
         assert!(r0 >= 1 && r1 >= 1);
+
+        // Whole-lane images by index: lane 0's first three words change,
+        // the rest and lane 1 keep theirs; an image deeper than the
+        // macro names the first address past it.
+        let idx = sim.tape.sram_index("buf_macro").unwrap();
+        sim.set_sram_lane(idx, 0, &[1, 2, 3]).unwrap();
+        assert_eq!(sim.sram_word_lane("buf_macro", 0, 2).unwrap(), 3);
+        assert_eq!(sim.sram_word_lane("buf_macro", 0, 7).unwrap(), 0xBEEF);
+        assert_eq!(sim.sram_word_lane("buf_macro", 1, 0).unwrap(), 0);
+        assert!(matches!(
+            sim.set_sram_lane(idx, 1, &[0; 33]),
+            Err(GateSimError::AddressOutOfRange { addr: 32, .. })
+        ));
+        assert!(matches!(
+            sim.set_sram_lane(idx, 2, &[0]),
+            Err(GateSimError::LaneOutOfRange { lane: 2, lanes: 2 })
+        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::sim::GateSimError;
 use std::collections::HashMap;
-use strober_gates::{CellKind, Gate, NetId, Netlist};
+use strober_gates::{CellKind, Gate, NetId, Netlist, SramReadPort, SramWritePort};
 
 /// One compiled combinational gate. Unused input slots alias net 0; the
 /// evaluation match never reads them for the affected kinds.
@@ -47,12 +47,28 @@ pub(crate) enum Step {
     },
 }
 
+/// One SRAM macro's geometry and ports: what an engine needs to service
+/// it each cycle, without the netlist (or the macro's initial contents).
+#[derive(Debug, Clone)]
+pub(crate) struct SramPorts {
+    /// Instance name, for error messages.
+    pub name: String,
+    /// Number of words.
+    pub depth: usize,
+    /// Read ports, in declaration order.
+    pub read_ports: Vec<SramReadPort>,
+    /// Write ports, in declaration order.
+    pub write_ports: Vec<SramWritePort>,
+}
+
 /// The compiled program plus the name-resolution side tables every engine
 /// needs: sequential elements, port bit groupings, and lookup maps.
 #[derive(Debug, Clone)]
 pub struct Tape {
     /// Combinational steps in topological (levelized) order.
     pub(crate) steps: Vec<Step>,
+    /// Ports and depth per SRAM macro, aligned with [`Netlist::srams`].
+    pub(crate) srams: Vec<SramPorts>,
     /// `(d net, q net)` per flip-flop, in gate order.
     pub(crate) dffs: Vec<(u32, u32)>,
     /// Reset value per flip-flop, aligned with `dffs`.
@@ -138,8 +154,20 @@ impl Tape {
             .map(|(i, s)| (s.name.clone(), i))
             .collect();
 
+        let srams = netlist
+            .srams()
+            .iter()
+            .map(|s| SramPorts {
+                name: s.name.clone(),
+                depth: s.depth,
+                read_ports: s.read_ports.clone(),
+                write_ports: s.write_ports.clone(),
+            })
+            .collect();
+
         Ok(Tape {
             steps,
+            srams,
             dffs,
             dff_inits,
             dff_by_name,
@@ -148,6 +176,20 @@ impl Tape {
             output_bits: group_bits(netlist.outputs()),
             net_count: netlist.net_count(),
         })
+    }
+
+    /// The index of flip-flop instance `name`, for the index-based
+    /// [`BatchSim::set_dff_lanes_at`](crate::BatchSim::set_dff_lanes_at):
+    /// resolve once, load many times.
+    pub fn dff_index(&self, name: &str) -> Option<usize> {
+        self.dff_by_name.get(name).copied()
+    }
+
+    /// The index of SRAM macro instance `name` (its position in
+    /// [`Netlist::srams`]), for the index-based
+    /// [`BatchSim::set_sram_lane`](crate::BatchSim::set_sram_lane).
+    pub fn sram_index(&self, name: &str) -> Option<usize> {
+        self.sram_by_name.get(name).copied()
     }
 }
 

@@ -61,7 +61,7 @@ mod loader;
 mod sim;
 
 pub use activity::ActivityReport;
-pub use batch::{BatchSim, MAX_LANES};
+pub use batch::{BatchSim, PhaseTimes, MAX_LANES};
 pub use compile::Tape;
-pub use loader::{LoadStats, ScriptLoader, VpiLoader};
+pub use loader::{LoadStats, ScriptLoader, SramImage, VpiLoader};
 pub use sim::{GateSim, GateSimError};

@@ -12,6 +12,18 @@
 use crate::batch::BatchSim;
 use crate::sim::{GateSim, GateSimError};
 
+/// One lane's contents of one SRAM macro, for a batched load.
+#[derive(Debug, Clone, Copy)]
+pub struct SramImage<'a> {
+    /// The macro, as an index from
+    /// [`Tape::sram_index`](crate::Tape::sram_index).
+    pub sram: usize,
+    /// The lane it is loaded into.
+    pub lane: usize,
+    /// Its words from address 0 up; later addresses keep their contents.
+    pub words: &'a [u64],
+}
+
 /// Statistics from one state load.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadStats {
@@ -60,14 +72,18 @@ impl ScriptLoader {
     ///
     /// # Errors
     ///
-    /// Propagates [`GateSimError`] for unknown names, bad addresses or
-    /// wrong-length lane slices.
+    /// Propagates [`GateSimError`] for an image deeper than its macro or
+    /// a lane past the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a flop or SRAM index that is not from this tape.
     pub fn load_batch(
         sim: &mut BatchSim,
-        dff_words: &[(String, u64)],
-        sram_words: &[(String, usize, Vec<u64>)],
+        dff_words: &[(usize, u64)],
+        sram_images: &[SramImage<'_>],
     ) -> Result<LoadStats, GateSimError> {
-        let commands = apply_batch(sim, dff_words, sram_words)?;
+        let commands = apply_batch(sim, dff_words, sram_images)?;
         Ok(LoadStats {
             commands,
             modeled_seconds: commands as f64 / Self::COMMANDS_PER_SECOND,
@@ -96,24 +112,33 @@ impl VpiLoader {
         })
     }
 
-    /// Loads per-lane flip-flop and SRAM state into a batched simulator.
+    /// Loads per-lane flip-flop and SRAM state into a batched simulator,
+    /// by index: names are resolved once, with
+    /// [`Tape::dff_index`](crate::Tape::dff_index) and
+    /// [`Tape::sram_index`](crate::Tape::sram_index) on the simulator's
+    /// tape, not per load.
     ///
-    /// `dff_words` carries one packed word per flop (bit `l` = lane `l`'s
-    /// value); each `sram_words` entry carries one word per lane for one
-    /// address. The modelled cost is `lanes ×` the per-snapshot command
+    /// `dff_words` carries one `(flop index, packed word)` per flop (bit
+    /// `l` = lane `l`'s value); each [`SramImage`] is one lane's contents
+    /// of one macro. The modelled cost is one command per flop per lane
+    /// plus one per image word — `lanes ×` the per-snapshot command
     /// count: batching saves *evaluation* time, not the per-snapshot VPI
     /// transfer the §IV-E model charges for.
     ///
     /// # Errors
     ///
-    /// Propagates [`GateSimError`] for unknown names, bad addresses or
-    /// wrong-length lane slices.
+    /// Propagates [`GateSimError`] for an image deeper than its macro or
+    /// a lane past the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a flop or SRAM index that is not from this tape.
     pub fn load_batch(
         sim: &mut BatchSim,
-        dff_words: &[(String, u64)],
-        sram_words: &[(String, usize, Vec<u64>)],
+        dff_words: &[(usize, u64)],
+        sram_images: &[SramImage<'_>],
     ) -> Result<LoadStats, GateSimError> {
-        let commands = apply_batch(sim, dff_words, sram_words)?;
+        let commands = apply_batch(sim, dff_words, sram_images)?;
         Ok(LoadStats {
             commands,
             modeled_seconds: commands as f64 / Self::COMMANDS_PER_SECOND,
@@ -142,17 +167,18 @@ fn apply(
 
 fn apply_batch(
     sim: &mut BatchSim,
-    dff_words: &[(String, u64)],
-    sram_words: &[(String, usize, Vec<u64>)],
+    dff_words: &[(usize, u64)],
+    sram_images: &[SramImage<'_>],
 ) -> Result<u64, GateSimError> {
     let _span = strober_probe::span("strober.gatesim.load_batch");
-    let commands = ((dff_words.len() + sram_words.len()) * sim.lanes()) as u64;
+    let words: usize = sram_images.iter().map(|i| i.words.len()).sum();
+    let commands = (dff_words.len() * sim.lanes() + words) as u64;
     strober_probe::counter_add("strober.gatesim.load_commands", commands);
-    for (name, packed) in dff_words {
-        sim.set_dff_lanes(name, *packed)?;
+    for &(dff, packed) in dff_words {
+        sim.set_dff_lanes_at(dff, packed);
     }
-    for (name, addr, words) in sram_words {
-        sim.set_sram_word_lanes(name, *addr, words)?;
+    for image in sram_images {
+        sim.set_sram_lane(image.sram, image.lane, image.words)?;
     }
     Ok(commands)
 }
@@ -219,11 +245,12 @@ mod tests {
         let seq = VpiLoader::load(&mut scalar, &values, &[]).unwrap();
 
         // Two lanes, both loaded with the same snapshot.
-        let words: Vec<(String, u64)> = values
+        let tape = std::sync::Arc::new(crate::Tape::compile(scalar.netlist()).unwrap());
+        let words: Vec<(usize, u64)> = values
             .iter()
-            .map(|(n, v)| (n.clone(), if *v { 0b11 } else { 0 }))
+            .map(|(n, v)| (tape.dff_index(n).unwrap(), if *v { 0b11 } else { 0 }))
             .collect();
-        let mut batch = BatchSim::with_lanes(scalar.netlist(), 2).unwrap();
+        let mut batch = BatchSim::with_tape_lanes(tape, scalar.netlist(), 2).unwrap();
         let stats = VpiLoader::load_batch(&mut batch, &words, &[]).unwrap();
         for lane in 0..2 {
             assert_eq!(

@@ -15,8 +15,17 @@ use strober_synth::{synthesize, SynthOptions};
 /// Runs `lanes` scalar sims and one batched sim over identical per-lane
 /// random stimulus, checking every output on every cycle and the full
 /// activity report at the end. `reset_at` exercises the measurement-window
-/// boundary (`reset_activity`) mid-run on both engines.
-fn check_batch_equiv(design: &Design, lanes: usize, cycles: u64, seed: u64, reset_at: Option<u64>) {
+/// boundary (`reset_activity`) mid-run on both engines; `read_at` lists
+/// cycles at which every lane's activity is also compared mid-run, after
+/// which both keep stepping.
+fn check_batch_equiv(
+    design: &Design,
+    lanes: usize,
+    cycles: u64,
+    seed: u64,
+    reset_at: Option<u64>,
+    read_at: &[u64],
+) {
     let netlist = synthesize(design, &SynthOptions::default())
         .expect("synthesis must succeed")
         .netlist;
@@ -63,26 +72,36 @@ fn check_batch_equiv(design: &Design, lanes: usize, cycles: u64, seed: u64, rese
                 assert_eq!(scalar, batch.peek_port_lane(out, lane).unwrap());
             }
         }
+        if read_at.contains(&cycle) {
+            check_activity(&scalars, &batch, seed, cycle);
+        }
         for s in &mut scalars {
             s.step();
         }
         batch.step();
     }
+    check_activity(&scalars, &batch, seed, cycles);
+}
 
-    for (lane, scalar) in scalars.iter_mut().enumerate() {
+/// Every lane's activity report, from both batch readers, against its
+/// scalar twin's.
+fn check_activity(scalars: &[GateSim], batch: &BatchSim, seed: u64, cycle: u64) {
+    let all = batch.activities();
+    for (lane, scalar) in scalars.iter().enumerate() {
         let want = scalar.activity();
         let got = batch.activity_lane(lane).unwrap();
         assert_eq!(
             want, got,
-            "seed {seed}: lane {lane} activity diverged (toggle or SRAM access counts)"
+            "seed {seed}: lane {lane} activity diverged at cycle {cycle} (toggle or SRAM access counts)"
         );
+        assert_eq!(got, all[lane], "activity_lane and activities disagree");
     }
 }
 
 #[test]
 fn full_64_lane_batch_matches_64_sequential_replays() {
     let design = rand_design(11, &RandDesignConfig::default());
-    check_batch_equiv(&design, 64, 50, 11, None);
+    check_batch_equiv(&design, 64, 50, 11, None, &[]);
 }
 
 #[test]
@@ -91,7 +110,7 @@ fn partial_batches_match_sequential_replays() {
     // sample set land in batches like these.
     let design = rand_design(42, &RandDesignConfig::default());
     for lanes in [1, 2, 5, 33, 63] {
-        check_batch_equiv(&design, lanes, 30, 42, None);
+        check_batch_equiv(&design, lanes, 30, 42, None, &[]);
     }
 }
 
@@ -100,7 +119,18 @@ fn activity_windows_match_after_mid_run_reset() {
     // reset_activity mid-run is exactly what replay does at the
     // measurement-window boundary; window semantics must agree per lane.
     let design = rand_design(77, &RandDesignConfig::default());
-    check_batch_equiv(&design, 16, 60, 77, Some(25));
+    check_batch_equiv(&design, 16, 60, 77, Some(25), &[]);
+}
+
+#[test]
+fn long_windows_match_across_counter_flushes() {
+    // The batch keeps live toggle counts in 8-bit planes and flushes them
+    // every 255 counted cycles. 700 cycles with a reset at cycle 300 —
+    // in the middle of a flush window — cross one flush before the
+    // reset, one after it and a partial window; activity is also read
+    // mid-window, twice, without disturbing what follows.
+    let design = rand_design(77, &RandDesignConfig::default());
+    check_batch_equiv(&design, 64, 700, 77, Some(300), &[200, 555, 556, 620]);
 }
 
 #[test]
@@ -121,7 +151,7 @@ fn sram_heavy_designs_match() {
     a.write(&addr_a, &data, &we);
     b.write(&addr_b, &data.bits(7, 0), &we);
     let design = ctx.finish().unwrap();
-    check_batch_equiv(&design, 64, 80, 5, Some(20));
+    check_batch_equiv(&design, 64, 80, 5, Some(20), &[]);
 }
 
 #[test]
@@ -145,5 +175,5 @@ fn extreme_widths_match() {
     ctx.output("y1", &(&x1 ^ &r64.out().bit(63)));
     ctx.output("y7", &(&x7 + &r63.out().bits(6, 0)));
     let design = ctx.finish().unwrap();
-    check_batch_equiv(&design, 64, 60, 9, None);
+    check_batch_equiv(&design, 64, 60, 9, None, &[]);
 }
