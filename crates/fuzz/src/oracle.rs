@@ -7,7 +7,7 @@
 //! |-------------|------------------------------------------|------------------|
 //! | `naive`     | tree-walking interpreter                 | (reference)      |
 //! | `tape`      | compiled op-tape, optimizing compiler    | `naive`          |
-//! | `tape-jit`  | rustc-compiled native settle dylib       | `naive`          |
+//! | `tape-jit`  | rustc-compiled native settle + register capture dylib | `naive` |
 //! | `fame`      | FAME1 hub with `fire` held high          | `naive`          |
 //! | `gate`      | scalar gate-level sim of the netlist     | `naive`/`tape`   |
 //! | `batch@L`   | L-lane bit-parallel gate-level sim       | `gate`           |

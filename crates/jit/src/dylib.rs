@@ -9,7 +9,7 @@
 use crate::JitError;
 use std::ffi::{c_char, c_int, c_void, CString};
 use std::path::{Path, PathBuf};
-use strober_sim::NativeSettle;
+use strober_sim::{MemSpan, NativeSettle};
 
 #[link(name = "dl")]
 extern "C" {
@@ -21,16 +21,10 @@ extern "C" {
 
 const RTLD_NOW: c_int = 2;
 
-/// Mirrors the `#[repr(C)] MemSpan` the generated code declares: one
-/// memory array flattened to a pointer/length pair for the C ABI.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct MemSpan {
-    ptr: *const u64,
-    len: usize,
-}
-
-type SettleFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const MemSpan);
+/// `strober_jit_settle`: slab, inputs, registers, memory spans, register
+/// next-state. [`MemSpan`] has the layout of the `#[repr(C)] MemSpan` the
+/// generated code declares.
+type SettleFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const MemSpan, *mut u64);
 type SigFn = unsafe extern "C" fn() -> u64;
 
 /// The last `dlerror` as a string, or a placeholder when libdl reports
@@ -104,9 +98,12 @@ impl DylibEngine {
         };
         let settle_sym = lookup("strober_jit_settle")?;
         let sig_sym = lookup("strober_jit_sig")?;
-        // Safety: the symbols were emitted by our own codegen with these
-        // exact signatures; transmuting a data pointer to a function
-        // pointer is what dlsym requires on every Unix.
+        // Safety: transmuting a data pointer to a function pointer is
+        // what dlsym requires on every Unix. `strober_jit_sig` is nullary
+        // in every codegen revision; `strober_jit_settle` has `SettleFn`'s
+        // shape in the revision whose signatures `Simulator::attach_jit`
+        // accepts (the five-argument header is hashed into the signature,
+        // so a dylib from an older revision is refused before it runs).
         let settle: SettleFn = unsafe { std::mem::transmute(settle_sym) };
         let sig_fn: SigFn = unsafe { std::mem::transmute(sig_sym) };
         // Safety: nullary pure function exported by the generated code.
@@ -134,37 +131,39 @@ impl Drop for DylibEngine {
 }
 
 impl NativeSettle for DylibEngine {
-    fn settle(&self, values: &mut [u64], inputs: &[u64], regs: &[u64], mems: &[Vec<u64>]) {
-        // Flatten memories to C spans on the stack for the common case;
-        // designs with very many memories fall back to a heap vector.
-        let mut stack = [MemSpan {
-            ptr: std::ptr::null(),
-            len: 0,
-        }; 16];
-        let mut heap;
-        let spans: &[MemSpan] = if mems.len() <= stack.len() {
-            for (slot, m) in stack.iter_mut().zip(mems) {
-                slot.ptr = m.as_ptr();
-                slot.len = m.len();
-            }
-            &stack[..mems.len()]
-        } else {
-            heap = Vec::with_capacity(mems.len());
-            heap.extend(mems.iter().map(|m| MemSpan {
-                ptr: m.as_ptr(),
-                len: m.len(),
-            }));
-            &heap
-        };
-        // Safety: attach-time signature verification proved this code was
-        // generated from the exact tape whose slab we are passing, so
-        // every baked index is in bounds for these slices.
+    unsafe fn settle(
+        &self,
+        values: &mut [u64],
+        inputs: &[u64],
+        regs: &[u64],
+        mems: &[MemSpan],
+        reg_next: &mut [u64],
+    ) {
+        assert_eq!(
+            reg_next.len(),
+            regs.len(),
+            "register next-state and register file differ in length"
+        );
+        // SAFETY: the generated entry point's contract (its `# Safety`
+        // section in `strober-sim`'s codegen header), met clause by clause:
+        // - `values` is the slab of the tape whose source hash is this
+        //   engine's signature (`NativeSettle::settle`'s contract), and
+        //   that hash covers the slab length every baked slot index was
+        //   checked against;
+        // - `inputs`, `regs` and `mems` have that design's port, register
+        //   and memory counts and the spans describe live buffers (the
+        //   same contract); `reg_next` has the register file's length
+        //   (asserted above) and, being a separate `&mut`, overlaps
+        //   nothing;
+        // - the borrows last the whole call, and the code writes only
+        //   through `values` and `reg_next` and keeps no pointer.
         unsafe {
             (self.settle)(
                 values.as_mut_ptr(),
                 inputs.as_ptr(),
                 regs.as_ptr(),
-                spans.as_ptr(),
+                mems.as_ptr(),
+                reg_next.as_mut_ptr(),
             );
         }
     }

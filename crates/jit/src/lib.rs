@@ -6,7 +6,9 @@
 //! [`strober_sim::Simulator::jit_source`] lowers the tape to one
 //! straight-line Rust function of word ops over the flat value slab
 //! (constants, masks and slot indices baked into the instruction
-//! stream); [`JitCompiler`] compiles that source with a cached
+//! stream) that ends by writing every register's next value, so the
+//! clock edge's register walk goes native too; [`JitCompiler`] compiles
+//! that source with a cached
 //! `rustc --crate-type cdylib` invocation and `dlopen`s the result; and
 //! [`Simulator::attach_jit`] plugs it in behind the existing facade —
 //! callers keep poking, peeking and stepping exactly as before.

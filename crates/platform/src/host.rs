@@ -268,7 +268,6 @@ pub struct ZynqHost {
     in_map: HashMap<String, PortId>,
     target_cycles: u64,
     hub_cycles: u64,
-    syncs: u64,
     records: u64,
 }
 
@@ -353,7 +352,6 @@ impl ZynqHost {
             in_map,
             target_cycles: 0,
             hub_cycles: 0,
-            syncs: 0,
             records: 0,
         })
     }
@@ -391,9 +389,6 @@ impl ZynqHost {
         self.sim.step();
         self.hub_cycles += 1;
         self.target_cycles += 1;
-        if self.target_cycles.is_multiple_of(self.cfg.sync_period) {
-            self.syncs += 1;
-        }
         Ok(())
     }
 
@@ -514,14 +509,20 @@ impl ZynqHost {
     /// Session statistics under the platform cost model.
     pub fn stats(&self) -> PlatformStats {
         let scan = self.ctl.overhead_cycles();
-        let fabric_cycles = self.hub_cycles + scan + self.syncs * self.cfg.sync_penalty_cycles;
+        // The host synchronises after every `sync_period`-th target cycle
+        // (never, for a zero period).
+        let syncs = self
+            .target_cycles
+            .checked_div(self.cfg.sync_period)
+            .unwrap_or(0);
+        let fabric_cycles = self.hub_cycles + scan + syncs * self.cfg.sync_penalty_cycles;
         let modeled_seconds = fabric_cycles as f64 / self.cfg.raw_clock_hz
             + self.records as f64 * self.cfg.record_fixed_seconds;
         PlatformStats {
             target_cycles: self.target_cycles,
             hub_cycles: self.hub_cycles,
             scan_overhead_cycles: scan,
-            syncs: self.syncs,
+            syncs,
             records: self.records,
             modeled_seconds,
             effective_hz: if modeled_seconds > 0.0 {
@@ -660,7 +661,15 @@ mod tests {
     struct Inert(u64);
 
     impl strober_sim::NativeSettle for Inert {
-        fn settle(&self, _: &mut [u64], _: &[u64], _: &[u64], _: &[Vec<u64>]) {}
+        unsafe fn settle(
+            &self,
+            _: &mut [u64],
+            _: &[u64],
+            _: &[u64],
+            _: &[strober_sim::MemSpan],
+            _: &mut [u64],
+        ) {
+        }
 
         fn signature(&self) -> u64 {
             self.0

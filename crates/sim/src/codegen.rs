@@ -2,11 +2,14 @@
 //!
 //! Emits the optimized op tape as one straight-line Rust function of word
 //! ops, with every constant, shift, mask and slot index baked into the
-//! instruction stream and no per-op dispatch. Dataflow between ops runs
+//! instruction stream and no per-op dispatch, followed by one line per
+//! register that writes its next value — masked, enable baked in — into
+//! the `rn` array the clock edge swaps in. Dataflow between ops runs
 //! through SSA locals (so the compiled code keeps it in registers); only
-//! the slots read outside `settle` — outputs, register next/enable slots,
-//! memory write ports — are stored back to the flat value slab the
-//! sequential settle loop in [`crate::tape`] maintains in full. Peeks of
+//! the slots read outside `settle` — outputs and memory write ports — are
+//! stored back to the flat value slab the sequential settle loop in
+//! [`crate::tape`] maintains in full. Register next and enable slots are
+//! consumed by the capture lines straight from their locals. Peeks of
 //! any other slot reroute to the tree-walking recompute, exactly like
 //! slots the optimizer removed. `strober-jit` compiles the emitted source with
 //! `rustc --crate-type cdylib` and `dlopen`s the result; the exported
@@ -16,7 +19,8 @@
 //!
 //! Bit-identity with the interpreted tape is achieved by construction:
 //! every emitted expression is a literal transcription of the matching
-//! arm in the settle loop and of `UnOp::eval`/`BinOp::eval` in
+//! arm in the settle loop, of the register walk in
+//! `Simulator::clock_edge` and of `UnOp::eval`/`BinOp::eval` in
 //! `strober-rtl`, division-by-zero and out-of-range shift/address
 //! semantics included. The golden suites and the fuzz oracle's `tape-jit`
 //! lane hold this invariant under test.
@@ -24,13 +28,14 @@
 //! The emitted crate is `#![no_std]` (the body needs nothing but `core`
 //! integer ops, and a dylib that links std is 4.3 MB instead of ~15 KB).
 //! It also exports `strober_jit_sig() -> u64`, an FNV-1a hash of the crate
-//! header and settle body. The simulator checks that hash against the
-//! source it would generate for its own tape before attaching a native
-//! engine, so a stale dylib (different design, different optimizer or
-//! codegen revision) is rejected instead of silently producing wrong
+//! header, settle body, slab length and register count. The simulator
+//! checks that hash against the source it would generate for its own
+//! tape before attaching a native engine, so a stale dylib (different
+//! design, different optimizer or codegen revision, or the entry point
+//! before it took `rn`) is rejected instead of silently producing wrong
 //! bits.
 
-use crate::tape::TapeOp;
+use crate::tape::{RegPlan, TapeOp};
 use std::fmt::Write;
 use strober_rtl::{BinOp, UnOp, Width};
 
@@ -40,8 +45,9 @@ pub struct JitSource {
     /// Complete Rust source for a `cdylib` crate exporting
     /// `strober_jit_settle` and `strober_jit_sig`.
     pub source: String,
-    /// FNV-1a hash of the crate header, settle body and slab length, also
-    /// returned by the compiled dylib's `strober_jit_sig`.
+    /// FNV-1a hash of the crate header, settle body, slab length and
+    /// register count, also returned by the compiled dylib's
+    /// `strober_jit_sig`.
     pub sig: u64,
 }
 
@@ -160,40 +166,69 @@ pub struct MemSpan {
     pub len: usize,
 }
 
+/// Settles the tape this crate was generated from, then writes every
+/// register's next value.
+///
 /// # Safety
-/// `v` must point at the value slab this tape was compiled for
-/// (length checked via `strober_jit_sig` at attach time); `inp`,
-/// `regs` and `mems` must match the design's port/register/memory
-/// counts.
+///
+/// The code indexes every pointer with constants and checks nothing but
+/// memory addresses, so the caller guarantees, for the whole call:
+/// - `v` is valid for reads and writes of the value slab this source was
+///   generated from: at least as many words as the slab length hashed
+///   into `strober_jit_sig`, which the caller checks before the first
+///   call. Every slot index below lies under that length.
+/// - `inp` is valid for reads of one word per input port of the design.
+/// - `regs` and `rn` are each valid for one word per register of the
+///   design (the count hashed into `strober_jit_sig`) and do not overlap.
+///   `rn` is written once per register and never read.
+/// - `mems` is valid for reads of one span per memory of the design, and
+///   each span's `ptr` is valid for reads of `len` words. `len` is the
+///   only bound a memory read trusts: an address at or past it reads as
+///   zero, whatever the design declared.
+/// - Nothing else writes to any of these while the call runs. Only `v`
+///   and `rn` are written, and no pointer is kept after the return.
 #[no_mangle]
 pub unsafe extern \"C\" fn strober_jit_settle(
     v: *mut u64,
     inp: *const u64,
     regs: *const u64,
     mems: *const MemSpan,
+    rn: *mut u64,
 ) {
 ";
 
 /// Lowers a tape to the source of a `cdylib` crate exporting the native
 /// settle entry point. `n_values` is the slot slab length; every slot
-/// index the tape references is asserted to lie below it here, which is
-/// what makes the raw-pointer writes in the emitted code sound.
-/// `stored` flags the slots read outside `settle` (outputs, register
-/// next/enable, memory ports): only those are written back to the slab,
-/// everything else lives in SSA locals the whole function.
-pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSource {
+/// index the tape and the register plans reference is asserted to lie
+/// below it here, which is what makes the raw-pointer accesses in the
+/// emitted code sound. `stored` flags the slots read outside `settle`
+/// (outputs, memory ports): only those are written back to the slab,
+/// everything else lives in SSA locals the whole function. `reg_plans`
+/// become the register-capture epilogue, one `*rn.add(i) = …` per
+/// register.
+pub(crate) fn emit(
+    tape: &[TapeOp],
+    n_values: usize,
+    stored: &[bool],
+    reg_plans: &[RegPlan],
+) -> JitSource {
     assert_eq!(stored.len(), n_values, "stored mask must cover the slab");
     let mut reads = Vec::new();
     for op in tape {
-        reads.clear();
         op.operands(&mut reads);
         reads.push(op.dst());
-        for &slot in &reads {
-            assert!(
-                (slot as usize) < n_values,
-                "tape slot {slot} out of range for slab of {n_values}"
-            );
-        }
+    }
+    reads.extend(
+        reg_plans
+            .iter()
+            .flat_map(|p| [Some(p.next), p.enable])
+            .flatten(),
+    );
+    for &slot in &reads {
+        assert!(
+            (slot as usize) < n_values,
+            "tape slot {slot} out of range for slab of {n_values}"
+        );
     }
     // Every op binds an SSA local (`t<slot>`, shadowed on slot reuse);
     // only externally observed slots are also stored to the slab. The
@@ -242,16 +277,34 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
         defined[dst as usize] = true;
     }
 
-    // The hash covers the crate header, the settle body and the slab
-    // length: a codegen revision that changes only the header (as the
-    // move to `#![no_std]` did) still retires every dylib built before
-    // it, and two tapes that happen to emit the same ops over different
-    // slab sizes (never expected, but cheap to defend against) still get
+    // Register capture: the interpreted `clock_edge` walk over the same
+    // plans, transcribed. It reads only locals, slab constants and
+    // `regs`, so it can run at the end of every settle — a second settle
+    // in one cycle rewrites the same values.
+    for (i, plan) in reg_plans.iter().enumerate() {
+        let next = format!("{} & {:#x}", r(plan.next, &defined), plan.mask);
+        let _ = match plan.enable {
+            None => writeln!(source, "    *rn.add({i}) = {next};"),
+            Some(en) => writeln!(
+                source,
+                "    *rn.add({i}) = if {} != 0 {{ {next} }} else {{ *regs.add({i}) }};",
+                r(en, &defined)
+            ),
+        };
+    }
+
+    // The hash covers the crate header, the settle body, the slab length
+    // and the register count: a codegen revision that changes only the
+    // header (as the move to `#![no_std]` and the `rn` argument did)
+    // still retires every dylib built before it, and two tapes that
+    // happen to emit the same ops over different slab or register-file
+    // sizes (never expected, but cheap to defend against) still get
     // distinct ids.
+    let n_regs = reg_plans.len();
     let sig = fnv1a(
         source
             .bytes()
-            .chain(format!("n_values={n_values}").into_bytes()),
+            .chain(format!("n_values={n_values} n_regs={n_regs}").into_bytes()),
     );
     source.push_str("}\n\n#[no_mangle]\npub extern \"C\" fn strober_jit_sig() -> u64 {\n");
     let _ = writeln!(source, "    {sig:#x}");
@@ -299,18 +352,25 @@ mod tests {
             },
         ];
         let all = [true; 3];
-        let one = emit(&tape, 3, &all);
-        let two = emit(&tape, 3, &all);
+        let one = emit(&tape, 3, &all, &[]);
+        let two = emit(&tape, 3, &all, &[]);
         assert_eq!(one.sig, two.sig, "emission must be deterministic");
         assert!(one.source.contains("strober_jit_settle"));
         assert!(one.source.contains("strober_jit_sig"));
         assert!(one.source.contains("#![no_std]") && one.source.contains("#[panic_handler]"));
         assert!(one.source.contains(&format!("{:#x}", one.sig)));
         // Different slab length => different identity.
-        assert_ne!(emit(&tape, 4, &[true; 4]).sig, one.sig);
+        assert_ne!(emit(&tape, 4, &[true; 4], &[]).sig, one.sig);
         // A different stored-slot set changes the emitted body, hence
         // the identity: consumers must never attach across the two.
-        assert_ne!(emit(&tape, 3, &[true, true, false]).sig, one.sig);
+        assert_ne!(emit(&tape, 3, &[true, true, false], &[]).sig, one.sig);
+        // So does a register file: the entry point's `rn` has a length.
+        let reg = RegPlan {
+            next: 2,
+            enable: None,
+            mask: 0xff,
+        };
+        assert_ne!(emit(&tape, 3, &all, &[reg]).sig, one.sig);
     }
 
     #[test]
@@ -325,7 +385,7 @@ mod tests {
                 w: w(8),
             },
         ];
-        let src = emit(&tape, 3, &[false, false, true]).source;
+        let src = emit(&tape, 3, &[false, false, true], &[]).source;
         // Slot 1 is internal: a local binding but no slab store.
         assert!(src.contains("let t1 ="));
         assert!(!src.contains("*v.add(1) = t1"));
@@ -333,5 +393,48 @@ mod tests {
         assert!(src.contains("*v.add(2) = t2"));
         // The consumer of slot 1 reads the local, not the slab.
         assert!(src.contains("(t1).wrapping_add(t1)"));
+    }
+
+    #[test]
+    fn registers_capture_from_locals_with_and_without_enables() {
+        let tape = vec![
+            TapeOp::Input { dst: 2, port: 0 },
+            TapeOp::Input { dst: 3, port: 1 },
+            TapeOp::Binary {
+                op: BinOp::Add,
+                dst: 4,
+                a: 2,
+                b: 0,
+                w: w(8),
+            },
+        ];
+        let plans = [
+            RegPlan {
+                next: 4,
+                enable: None,
+                mask: 0xff,
+            },
+            RegPlan {
+                next: 2,
+                enable: Some(3),
+                mask: 0xf,
+            },
+            // A register loaded from a constant slot reads the slab.
+            RegPlan {
+                next: 1,
+                enable: None,
+                mask: 0x3,
+            },
+        ];
+        let src = emit(&tape, 5, &[false; 5], &plans).source;
+        assert!(src.contains("rn: *mut u64"));
+        assert!(src.contains("    *rn.add(0) = t4 & 0xff;"));
+        assert!(src.contains("    *rn.add(1) = if t3 != 0 { t2 & 0xf } else { *regs.add(1) };"));
+        assert!(src.contains("    *rn.add(2) = *v.add(1) & 0x3;"));
+        // Nothing is stored to the slab: capture reads the locals.
+        assert!(!src.contains("*v.add(4) ="));
+        assert!(!src.contains("*v.add(3) ="));
+        // `rn` is written once per register and never read.
+        assert_eq!(src.matches("rn.add(").count(), plans.len());
     }
 }

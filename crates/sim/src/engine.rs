@@ -1,15 +1,16 @@
 //! The engine interface shared by every simulator variant.
 //!
 //! All engines in this crate — the tree-walking [`NaiveInterpreter`],
-//! the compiled tape and the JIT-compiled native settle — implement
+//! the compiled tape and the JIT-compiled native code — implement
 //! identical semantics:
 //! combinational *settle*, then *clock edge* (registers capture, memory
 //! writes commit). The [`Engine`] trait makes that implicit contract
 //! explicit so callers can select an engine dynamically and benchmark
 //! rows can be labeled by variant, and [`NativeSettle`] is the narrow
 //! plug-in point through which `strober-jit` swaps the interpreted
-//! settle loop for a `dlopen`ed native function without the `Simulator`
-//! facade changing shape.
+//! settle loop *and* the register-capture half of the clock edge for a
+//! `dlopen`ed native function without the `Simulator` facade changing
+//! shape.
 //!
 //! [`NaiveInterpreter`]: crate::NaiveInterpreter
 
@@ -56,13 +57,49 @@ pub trait Engine {
     fn engine_name(&self) -> &'static str;
 }
 
-/// A native (JIT-compiled) replacement for the tape settle loop.
+/// One memory array as the native entry point receives it: the address
+/// and length of the simulator's buffer for that memory, laid out as the
+/// generated crate's `#[repr(C)] MemSpan`.
+///
+/// Only the simulator builds spans, from its own memories, and rebuilds
+/// them whenever a memory's buffer may have moved; a span is never
+/// dereferenced outside a native settle call made while the simulator
+/// holds the memories it describes.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct MemSpan {
+    ptr: *const u64,
+    len: usize,
+}
+
+// SAFETY: `len` is a plain integer and `ptr` is only an address here:
+// nothing in safe code reads through it, and native settle code does so
+// only under `NativeSettle::settle`'s contract, called by the simulator
+// that owns (and borrows, for the whole call) the memory it points at.
+unsafe impl Send for MemSpan {}
+unsafe impl Sync for MemSpan {}
+
+impl MemSpan {
+    pub(crate) fn of(mem: &[u64]) -> Self {
+        MemSpan {
+            ptr: mem.as_ptr(),
+            len: mem.len(),
+        }
+    }
+}
+
+/// A native (JIT-compiled) replacement for the tape settle loop and the
+/// register-capture half of the clock edge.
 ///
 /// Implementations evaluate exactly the same op tape the sequential
 /// interpreter would walk, writing every externally observed slot of
-/// `values`: `values` is the dense slot slab, `inputs` the per-port input latches, `regs` the
-/// current register file and `mems` the memory arrays. The callee must
-/// not retain pointers past the call.
+/// `values`, and then every register's next value into `reg_next` (the
+/// register's next-state slot masked to its width, or its current value
+/// where an enable is low). `values` is the dense slot slab, `inputs` the
+/// per-port input latches, `regs` the current register file and `mems`
+/// one span per design memory. The callee must not retain pointers past
+/// the call. Memory commit, the register swap and the cycle count stay
+/// on the simulator's shared path.
 ///
 /// Bit-identity with the interpreted tape is non-negotiable and is
 /// enforced at attach time by [`NativeSettle::signature`]: the simulator
@@ -71,8 +108,27 @@ pub trait Engine {
 /// `Simulator::attach_jit`), which rejects stale dylibs compiled for a
 /// different design or optimizer configuration.
 pub trait NativeSettle: Send + Sync + std::fmt::Debug {
-    /// Evaluates the combinational tape into `values`.
-    fn settle(&self, values: &mut [u64], inputs: &[u64], regs: &[u64], mems: &[Vec<u64>]);
+    /// Evaluates the combinational tape into `values` and the registers'
+    /// next state into `reg_next`.
+    ///
+    /// # Safety
+    ///
+    /// Native code indexes these arrays with baked-in constants and no
+    /// bounds checks, so they must be the ones it was generated for:
+    /// `values` the slab of the tape whose source hash
+    /// [`signature`](NativeSettle::signature) returns, `inputs` one latch
+    /// per port of that design, `regs` and `reg_next` one word per
+    /// register each, and `mems` one span per memory, each describing a
+    /// live buffer. `Simulator` meets this by passing its own arrays to
+    /// an engine whose signature it checked at attach.
+    unsafe fn settle(
+        &self,
+        values: &mut [u64],
+        inputs: &[u64],
+        regs: &[u64],
+        mems: &[MemSpan],
+        reg_next: &mut [u64],
+    );
 
     /// The FNV-1a hash of the generated settle source this engine was
     /// compiled from, used to verify design/tape identity at attach time.

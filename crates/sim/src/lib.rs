@@ -17,12 +17,12 @@
 //! Three engines are provided:
 //!
 //! * [`Simulator`] — the compiled-tape engine used everywhere.
-//! * [`Simulator::attach_jit`] replaces the settle loop with native code
-//!   compiled from the tape by `strober-jit`: [`Simulator::jit_source`]
-//!   lowers the tape to one straight-line Rust function (constants,
-//!   masks and slot indices baked in, no per-op dispatch), and any
-//!   [`NativeSettle`] whose signature matches can be plugged in. See
-//!   DESIGN.md §16.
+//! * [`Simulator::attach_jit`] replaces the settle loop and register
+//!   capture with native code compiled from the tape by `strober-jit`:
+//!   [`Simulator::jit_source`] lowers the tape to one straight-line Rust
+//!   function (constants, masks and slot indices baked in, no per-op
+//!   dispatch), and any [`NativeSettle`] whose signature matches can be
+//!   plugged in. See DESIGN.md §16.
 //! * [`NaiveInterpreter`] — a deliberately simple tree-walking reference
 //!   engine, used for differential testing and as the slow baseline in the
 //!   ablation benchmarks.
@@ -76,7 +76,7 @@ mod tape;
 mod vcd;
 
 pub use codegen::JitSource;
-pub use engine::{Engine, NativeSettle};
+pub use engine::{Engine, MemSpan, NativeSettle};
 pub use error::SimError;
 pub use interp::NaiveInterpreter;
 pub use opt::{PassStats, TapeOptions};

@@ -15,13 +15,15 @@
 //!
 //! Each [`Simulator::step`] settles the combinational tape, captures
 //! register next-values, commits memory writes and advances the clock.
-//! `settle` walks the tape by default; after [`Simulator::attach_jit`]
-//! it calls the native code compiled from the same tape instead, which
-//! is bit-identical by construction (the state-update epilogue in
-//! `clock_edge` is shared by both paths).
+//! `settle` walks the tape by default, and `clock_edge` then walks the
+//! register plans. After [`Simulator::attach_jit`] `settle` calls the
+//! native code compiled from the same tape and plans instead, which
+//! writes the register next-values itself, so `clock_edge` skips its
+//! walk. Both are bit-identical by construction; memory commit, the
+//! register swap and the cycle count stay shared by both paths.
 
 use crate::codegen::JitSource;
-use crate::engine::{Engine, NativeSettle};
+use crate::engine::{Engine, MemSpan, NativeSettle};
 use crate::error::SimError;
 use crate::opt::{PassStats, TapeOptions};
 use crate::state::SimState;
@@ -213,9 +215,38 @@ pub struct Simulator {
     /// Per-slot "the native engine materializes this slot" mask, present
     /// while a JIT engine is attached. The generated code keeps internal
     /// temporaries in locals and stores only externally observed slots
-    /// (outputs, register next/enable, memory ports); peeks of any other
-    /// live slot reroute to the tree-walking recompute, like `DEAD` ones.
+    /// (outputs, memory ports); peeks of any other live slot — register
+    /// next and enable slots included — reroute to the tree-walking
+    /// recompute, like `DEAD` ones.
     jit_stored: Option<Arc<[bool]>>,
+    /// `mems` as the spans the native engine reads them through.
+    mem_spans: MemSpans,
+}
+
+/// The memory span table handed to the native engine, built once and
+/// reused by every settle so that none allocates.
+///
+/// An empty table stands for "stale": anything that may move a memory's
+/// buffer clears it, and the next native settle rebuilds it. A clone
+/// starts stale, because its memories are new buffers.
+#[derive(Debug, Default)]
+struct MemSpans(Vec<MemSpan>);
+
+impl Clone for MemSpans {
+    fn clone(&self) -> Self {
+        MemSpans::default()
+    }
+}
+
+impl MemSpans {
+    /// The spans of `mems`, rebuilt first when the table is stale.
+    fn of(&mut self, mems: &[Vec<u64>]) -> &[MemSpan] {
+        if self.0.len() != mems.len() {
+            self.0.clear();
+            self.0.extend(mems.iter().map(|m| MemSpan::of(m)));
+        }
+        &self.0
+    }
 }
 
 impl Simulator {
@@ -273,6 +304,7 @@ impl Simulator {
             port_index,
             jit: None,
             jit_stored: None,
+            mem_spans: MemSpans::default(),
         })
     }
 
@@ -347,8 +379,10 @@ impl Simulator {
     /// Attaches a native settle engine (see [`NativeSettle`]), after
     /// verifying that its signature matches the source this simulator's
     /// own tape generates. From then on `settle` calls into the native
-    /// code instead of walking the tape; register capture and memory
-    /// commit stay on the interpreted epilogue, so results are
+    /// code instead of walking the tape, and that code also writes every
+    /// register's next value, so [`clock_edge`](Simulator::clock_edge)
+    /// skips its interpreted register walk. Memory commit, the register
+    /// swap and the cycle count stay on the shared path. Results are
     /// bit-identical to the tape walk.
     ///
     /// The engine is shared by reference across [`Clone`]s.
@@ -381,10 +415,11 @@ impl Simulator {
     }
 
     /// The per-slot set the native engine must store back to the slab:
-    /// everything read outside `settle` — output nodes, register
-    /// next/enable slots, memory write ports. Internal temporaries stay
-    /// in locals in the generated code; reads of those slots reroute to
-    /// the tree-walking recompute (see [`peek`](Simulator::peek)).
+    /// everything read outside `settle` — output nodes and memory write
+    /// ports. Register next/enable slots are not in it: the generated
+    /// code captures registers from its locals. Internal temporaries
+    /// stay in locals too; reads of those slots reroute to the
+    /// tree-walking recompute (see [`peek`](Simulator::peek)).
     fn stored_slots(&self) -> Vec<bool> {
         let mut stored = vec![false; self.values.len()];
         let mut mark = |slot: u32| {
@@ -394,12 +429,6 @@ impl Simulator {
         };
         for id in self.output_index.values() {
             mark(self.node_slot[id.index()]);
-        }
-        for plan in &self.reg_plans {
-            mark(plan.next);
-            if let Some(e) = plan.enable {
-                mark(e);
-            }
         }
         for plan in &self.write_plans {
             mark(plan.enable);
@@ -420,12 +449,17 @@ impl Simulator {
         self.jit.is_some()
     }
 
-    /// Generates the Rust source of this tape's native settle function
-    /// (see [`crate::JitSource`]). `strober-jit` compiles this to a
-    /// `cdylib` and attaches the result via
-    /// [`attach_jit`](Simulator::attach_jit).
+    /// Generates the Rust source of this tape's native settle function,
+    /// register capture included (see [`crate::JitSource`]).
+    /// `strober-jit` compiles this to a `cdylib` and attaches the result
+    /// via [`attach_jit`](Simulator::attach_jit).
     pub fn jit_source(&self) -> JitSource {
-        crate::codegen::emit(&self.tape, self.values.len(), &self.stored_slots())
+        crate::codegen::emit(
+            &self.tape,
+            self.values.len(),
+            &self.stored_slots(),
+            &self.reg_plans,
+        )
     }
 
     /// The label of the settle engine currently in effect, as used for
@@ -442,13 +476,30 @@ impl Simulator {
     /// Idempotent until the next poke, state change or clock edge.
     ///
     /// Dispatches to the native JIT engine when one is attached, else
-    /// walks the tape — bit-identical either way.
+    /// walks the tape — bit-identical either way. The native engine also
+    /// leaves every register's next value in `reg_next`; that is safe to
+    /// do on every settle, however many run per cycle, because the next
+    /// state depends only on inputs, registers and memories, and every
+    /// setter of those marks the simulator dirty.
     pub fn settle(&mut self) {
         if !self.dirty {
             return;
         }
         if let Some(jit) = &self.jit {
-            jit.settle(&mut self.values, &self.inputs, &self.regs, &self.mems);
+            // SAFETY: `attach_jit` accepted this engine because its
+            // signature is the hash of this tape's generated source, and
+            // these are this simulator's own slab, port latches and
+            // register files, with spans of its memories that are rebuilt
+            // whenever a memory buffer may have moved.
+            unsafe {
+                jit.settle(
+                    &mut self.values,
+                    &self.inputs,
+                    &self.regs,
+                    self.mem_spans.of(&self.mems),
+                    &mut self.reg_next,
+                );
+            }
             self.dirty = false;
             return;
         }
@@ -520,17 +571,25 @@ impl Simulator {
     /// The synchronous half of a cycle: registers capture their next
     /// values, memory writes commit, the cycle counter increments.
     /// Settles first if needed, so calling this alone is a full
-    /// [`step`](Simulator::step). This epilogue is sequential and shared
-    /// by every settle engine, which is what makes them bit-identical.
+    /// [`step`](Simulator::step).
+    ///
+    /// Register capture is the one part that depends on the engine: the
+    /// interpreted tape walks the register plans here, while a native
+    /// engine already wrote `reg_next` in the settle above (an attach,
+    /// a detach and every state setter mark the simulator dirty, so that
+    /// settle always belongs to the current state and engine). Memory
+    /// commit and the swap are shared by both.
     pub fn clock_edge(&mut self) {
         self.settle();
-        for (i, plan) in self.reg_plans.iter().enumerate() {
-            let en = plan.enable.is_none_or(|e| self.values[e as usize] != 0);
-            self.reg_next[i] = if en {
-                self.values[plan.next as usize] & plan.mask
-            } else {
-                self.regs[i]
-            };
+        if self.jit.is_none() {
+            for (i, plan) in self.reg_plans.iter().enumerate() {
+                let en = plan.enable.is_none_or(|e| self.values[e as usize] != 0);
+                self.reg_next[i] = if en {
+                    self.values[plan.next as usize] & plan.mask
+                } else {
+                    self.regs[i]
+                };
+            }
         }
         for plan in &self.write_plans {
             if self.values[plan.enable as usize] != 0 {
@@ -733,6 +792,7 @@ impl Simulator {
         }
         self.regs.clone_from(&state.regs);
         self.mems.clone_from(&state.mems);
+        self.mem_spans = MemSpans::default();
         self.cycle = state.cycle;
         self.dirty = true;
         Ok(())
@@ -755,6 +815,7 @@ impl Simulator {
             v.resize(depth, 0);
             self.mems[i] = v;
         }
+        self.mem_spans = MemSpans::default();
         self.cycle = 0;
         self.dirty = true;
     }
@@ -936,6 +997,42 @@ mod tests {
         let mut sim = Simulator::new(&design).unwrap();
         sim.step_n(2);
         assert_eq!(sim.peek_output("o").unwrap(), 7);
+    }
+
+    #[test]
+    fn generated_source_captures_registers_without_storing_their_slots() {
+        // `a` has no enable and its next value is also an output; `b` is
+        // enabled by an input and its next value is internal.
+        let ctx = Ctx::new("t");
+        let en = ctx.input("en", Width::BIT);
+        let x = ctx.input("x", w(8));
+        let a = ctx.reg("a", w(8), 0);
+        let b = ctx.reg("b", w(8), 0);
+        let a_next = &a.out() + &x;
+        a.set(&a_next);
+        b.set_en(&(&b.out() ^ &x), &en);
+        ctx.output("a_next", &a_next);
+        ctx.output("b_out", &b.out());
+        let sim = Simulator::new(&ctx.finish().unwrap()).unwrap();
+        let src = sim.jit_source().source;
+        let outputs: Vec<u32> = sim
+            .output_index
+            .values()
+            .map(|id| sim.node_slot[id.index()])
+            .collect();
+        assert_eq!(sim.reg_plans.len(), 2);
+        for (i, plan) in sim.reg_plans.iter().enumerate() {
+            assert!(src.contains(&format!("*rn.add({i}) = ")), "register {i}");
+            for slot in [Some(plan.next), plan.enable].into_iter().flatten() {
+                assert_eq!(
+                    src.contains(&format!("*v.add({slot}) = ")),
+                    outputs.contains(&slot),
+                    "slot {slot} of register {i} is stored iff it is an output"
+                );
+            }
+        }
+        assert!(sim.reg_plans.iter().any(|p| outputs.contains(&p.next)));
+        assert!(sim.reg_plans.iter().any(|p| p.enable.is_some()));
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! bit-for-bit identical to the naive tree-walking reference — per-cycle
 //! outputs and final architectural state. The sweep covers random
 //! designs, plus the degenerate shapes: an empty tape, a detach mid-run,
-//! and a clone mid-run sharing the loaded engine.
+//! and a clone mid-run sharing the loaded engine. The native code also
+//! captures register next-state inside its settle, so two cases hold
+//! that half against the interpreted register walk: registers with and
+//! without enables (peeking every next and enable node, which the
+//! generated code no longer stores), and a detach, clone, register write
+//! or memory write landing between a native settle and the clock edge.
 //!
 //! Every case skips (with a printed reason) when no `rustc` is on
 //! `PATH` — the same condition under which the production fallback
@@ -223,4 +228,116 @@ fn detach_returns_to_the_interpreter_bit_identically() {
         mixed.step();
     }
     assert_eq!(interp.state(), mixed.state());
+}
+
+/// Settles `native` (engine attached) and `interp` (tape walk) with the
+/// same stimulus and checks that every register's next-state and enable
+/// node peeks the same on both — those slots live only in the generated
+/// code's locals now, so each peek goes through the recompute path.
+fn settle_and_compare_register_inputs(
+    design: &Design,
+    native: &mut Simulator,
+    interp: &mut Simulator,
+    seed: u64,
+    cycle: u64,
+) {
+    for (i, p) in design.ports().iter().enumerate() {
+        let v = stim(seed, i, cycle) & p.width().mask();
+        native.poke(p.id(), v);
+        interp.poke(p.id(), v);
+    }
+    native.settle();
+    interp.settle();
+    for (r, reg) in design.registers() {
+        for node in [reg.next(), reg.enable()].into_iter().flatten() {
+            assert_eq!(
+                native.peek(node),
+                interp.peek(node),
+                "seed {seed}, cycle {cycle}: register {r:?} input {node:?} after a native settle"
+            );
+        }
+    }
+}
+
+#[test]
+fn native_register_capture_matches_the_interpreted_walk() {
+    if skip() {
+        return;
+    }
+    let cfg = RandDesignConfig::default();
+    let (mut enabled, mut free) = (0, 0);
+    for seed in 0..SEEDS {
+        let design = rand_design(4000 + seed, &cfg);
+        for (_, reg) in design.registers() {
+            if reg.enable().is_some() {
+                enabled += 1;
+            } else {
+                free += 1;
+            }
+        }
+        let mut interp = Simulator::new(&design).expect("valid");
+        let mut native = Simulator::new(&design).expect("valid");
+        compiler().attach(&mut native).expect("jit attach");
+        for cycle in 0..CYCLES {
+            settle_and_compare_register_inputs(&design, &mut native, &mut interp, seed, cycle);
+            native.step();
+            interp.step();
+            assert_eq!(native.state(), interp.state(), "seed {seed}, cycle {cycle}");
+        }
+    }
+    assert!(
+        enabled > 0 && free > 0,
+        "the sweep must cover registers with ({enabled}) and without ({free}) enables"
+    );
+}
+
+#[test]
+fn state_changes_between_a_native_settle_and_the_edge_are_captured() {
+    if skip() {
+        return;
+    }
+    // Native capture happens inside the settle, so whatever touches the
+    // simulator between that settle and the clock edge must not leave
+    // the edge swapping in a next state computed before it. Each cycle
+    // does one such thing to both simulators.
+    let design = rand_design(23, &RandDesignConfig::default());
+    let regs: Vec<_> = design.registers().map(|(id, _)| id).collect();
+    let mems: Vec<_> = design.memories().map(|(id, m)| (id, m.depth())).collect();
+    assert!(!regs.is_empty() && !mems.is_empty(), "design 23 has both");
+    let mut interp = Simulator::new(&design).expect("valid");
+    let mut native = Simulator::new(&design).expect("valid");
+    compiler().attach(&mut native).expect("jit attach");
+    for cycle in 0..4 * CYCLES {
+        if !native.has_jit() {
+            compiler().attach(&mut native).expect("jit re-attach");
+        }
+        settle_and_compare_register_inputs(&design, &mut native, &mut interp, 9, cycle);
+        let word = stim(17, 0, cycle);
+        match cycle % 4 {
+            0 => {
+                let reg = regs[cycle as usize / 4 % regs.len()];
+                native.set_reg_value(reg, word);
+                interp.set_reg_value(reg, word);
+            }
+            1 => {
+                let (mem, depth) = mems[cycle as usize / 4 % mems.len()];
+                let addr = (word >> 32) as usize % depth;
+                native.set_mem_value(mem, addr, word);
+                interp.set_mem_value(mem, addr, word);
+            }
+            2 => {
+                // Continue on a clone: it shares the engine and must
+                // start from the original's settled next state.
+                native = native.clone();
+                assert!(native.has_jit());
+            }
+            _ => {
+                native.detach_jit();
+                assert_eq!(native.active_engine_name(), "tape");
+            }
+        }
+        native.clock_edge();
+        interp.clock_edge();
+        assert_eq!(native.state(), interp.state(), "cycle {cycle}");
+    }
 }
