@@ -867,7 +867,23 @@ impl StroberFlow {
         }
         let tape = self.replay_tape()?;
         let plan = self.load_plan(&tape)?;
-        let mut sim = BatchSim::with_tape_lanes(tape, &self.synth.netlist, lanes)?;
+        // Stimulus and checked outputs are resolved once per batch and
+        // poked and peeked by index every cycle.
+        let resolve =
+            |ports: &[(String, Vec<u64>)], index: fn(&Tape, &str) -> Option<usize>, kind| {
+                ports
+                    .iter()
+                    .map(|(name, _)| {
+                        index(&tape, name).ok_or_else(|| GateSimError::UnknownName {
+                            kind,
+                            name: name.clone(),
+                        })
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+            };
+        let inputs = resolve(&snapshots[0].inputs, Tape::input_index, "input port")?;
+        let outputs = resolve(&snapshots[0].outputs, Tape::output_index, "output port")?;
+        let mut sim = BatchSim::with_tape_lanes(Arc::clone(&tape), &self.synth.netlist, lanes)?;
         let mut pack = Duration::ZERO;
         let (dff_words, sram_images) = timed(&mut pack, || plan.pack(snapshots, &self.name_map))?;
 
@@ -880,7 +896,7 @@ impl StroberFlow {
                     debug_assert_eq!(snap.inputs[pi].0, *port);
                     lane_vals[lane] = snap.inputs[pi].1[t];
                 }
-                sim.poke_port_lanes(port, &lane_vals)?;
+                sim.poke_port_lanes_at(inputs[pi], &lane_vals)?;
             }
             if t == warmup {
                 timed(&mut pack, || {
@@ -890,7 +906,7 @@ impl StroberFlow {
             }
             if t >= warmup {
                 for (pi, (port, _)) in snapshots[0].outputs.iter().enumerate() {
-                    sim.peek_port_lanes_into(port, &mut lane_vals)?;
+                    sim.peek_port_lanes_at(outputs[pi], &mut lane_vals)?;
                     for (lane, snap) in snapshots.iter().enumerate() {
                         debug_assert_eq!(snap.outputs[pi].0, *port);
                         let expected = snap.outputs[pi].1[t];
@@ -918,6 +934,7 @@ impl StroberFlow {
             let phases = sim.phase_times();
             for (name, time) in [
                 ("strober.gatesim.batch_settle_ms", phases.settle),
+                ("strober.gatesim.batch_sram_read_ms", phases.sram_read),
                 ("strober.gatesim.batch_count_ms", phases.count),
                 ("strober.gatesim.batch_sram_ms", phases.sram),
                 ("strober.gatesim.batch_latch_ms", phases.latch),

@@ -196,6 +196,14 @@ pub enum NetlistError {
         /// The offending gate.
         gate: String,
     },
+    /// A word-level port or an SRAM address/data bus has more bits than
+    /// one 64-bit word holds.
+    WordTooWide {
+        /// The port, or the macro and bus.
+        word: String,
+        /// Its bit count.
+        bits: usize,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -206,6 +214,9 @@ impl fmt::Display for NetlistError {
             NetlistError::CombinationalLoop => write!(f, "combinational loop in gate netlist"),
             NetlistError::PinCountMismatch { gate } => {
                 write!(f, "gate `{gate}` has the wrong number of input pins")
+            }
+            NetlistError::WordTooWide { word, bits } => {
+                write!(f, "{word} is {bits} bits wide; a word holds at most 64")
             }
         }
     }

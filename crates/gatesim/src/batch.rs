@@ -7,7 +7,9 @@
 //! independent sample replays at once — the classic bit-parallel
 //! ("PLP") gate simulation restructuring, applied to Strober's replay
 //! stage where every snapshot runs the *same* netlist for the *same*
-//! number of cycles and only the data differs.
+//! number of cycles and only the data differs. The tape comes in
+//! (level, kind) runs, so each block of same-kind gates is one tight loop
+//! with no per-gate dispatch.
 //!
 //! Activity counting is word-wide too. Each net's 64 per-lane toggle
 //! counters live as eight bit planes — bit `l` of plane `k` is bit `k`
@@ -18,9 +20,13 @@
 //! flushed into per-lane `u32` counters, and the activity readers add
 //! both.
 //!
-//! What stays lane-wise (scalar per lane) is the SRAM read/write ports:
-//! each lane addresses its own copy of the macro contents, so addresses
-//! and data are gathered/scattered per lane.
+//! Where a lane needs its own scalar — an SRAM address, the word it
+//! reads or writes, a port value poked or peeked — the bus moves between
+//! bit-sliced nets and per-lane words through one in-register 64×64 bit
+//! transpose ([`transpose64`]), not a gather loop per lane and bit. What
+//! stays lane-wise is what must: each lane addresses its own copy of the
+//! macro contents, so a read port loads one word per lane, a write port
+//! stores one per enabled lane, and read accesses are charged per lane.
 //!
 //! The result is bit-identical to running 64 separate [`crate::GateSim`]
 //! replays (a property enforced by the `batch_equiv` differential test),
@@ -54,16 +60,19 @@
 //! ```
 
 use crate::activity::ActivityReport;
-use crate::compile::{Step, Tape};
-use crate::sim::GateSimError;
-use std::collections::HashMap;
+use crate::compile::{eval_gates, RunKind, SramPorts, Tape};
+use crate::sim::{check_fits, input_port, output_port, GateSimError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use strober_gates::{CellKind, Netlist};
+use strober_gates::{NetId, Netlist};
 
 /// The maximum number of bit-lanes a [`BatchSim`] can carry: one sample
 /// per bit of a `u64`.
 pub const MAX_LANES: usize = 64;
+
+/// One word per lane, or one word per bit of a bus: the two sides of a
+/// [`transpose64`].
+type Rows = [u64; MAX_LANES];
 
 /// Bit planes per net in the live toggle counters.
 const PLANES: usize = 8;
@@ -96,9 +105,12 @@ const SPREAD: [u64; 256] = {
 struct BatchSramState {
     /// Per-lane macro contents, laid out `[lane * depth + addr]`.
     contents: Vec<u64>,
-    /// Previous read address per `(port, lane)`, laid out
-    /// `[port * lanes + lane]`.
-    prev_read_addr: Vec<Option<usize>>,
+    /// Per read port, each lane's address as of the last settle (row `l`
+    /// is lane `l`'s): computed once by the read step, reused at the edge.
+    read_addr: Vec<Rows>,
+    /// Per read port, each lane's address at the last charged edge or
+    /// window start; meaningful once `BatchSim::reads_primed` is set.
+    prev_read_addr: Vec<Rows>,
     /// Read accesses charged, per lane.
     reads: Vec<u64>,
     /// Write accesses committed, per lane.
@@ -130,11 +142,11 @@ pub struct BatchSim {
     flushed: Vec<u32>,
     /// Clock-edge scratch for DFF next-state words; reused every cycle.
     dff_scratch: Vec<u64>,
-    /// Per-lane address scratch for SRAM port evaluation; reused.
-    lane_addr: Vec<usize>,
     srams: Vec<BatchSramState>,
-    inputs: Vec<(u32, u64)>,
-    input_index: HashMap<u32, usize>,
+    /// Whether the read ports have a baseline address to charge against;
+    /// until then every edge charges every lane, like the scalar engine's
+    /// first edge.
+    reads_primed: bool,
     cycle: u64,
     dirty: bool,
     settled_once: bool,
@@ -146,8 +158,11 @@ pub struct BatchSim {
 /// enabled; all zero otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Evaluating the gate tape, SRAM read ports included.
+    /// Evaluating the tape's gate runs.
     pub settle: Duration,
+    /// Evaluating the tape's SRAM read runs: address transposes, one
+    /// word load per lane, data transposes.
+    pub sram_read: Duration,
     /// Counting toggles, flushes of the bit planes included.
     pub count: Duration,
     /// Charging SRAM read accesses and committing writes at the edge.
@@ -226,9 +241,11 @@ impl BatchSim {
             for _ in 0..lanes {
                 contents.extend_from_slice(&one);
             }
+            let ports = s.read_ports.len();
             srams.push(BatchSramState {
                 contents,
-                prev_read_addr: vec![None; s.read_ports.len() * lanes],
+                read_addr: vec![[0; MAX_LANES]; ports],
+                prev_read_addr: vec![[0; MAX_LANES]; ports],
                 reads: vec![0; lanes],
                 writes: vec![0; lanes],
             });
@@ -246,14 +263,12 @@ impl BatchSim {
             live_cycles: 0,
             flushed: vec![0; tape.net_count * lanes],
             dff_scratch: vec![0; tape.dffs.len()],
-            lane_addr: vec![0; lanes],
             values,
             tape,
             lanes,
             lane_mask,
             srams,
-            inputs: Vec::new(),
-            input_index: HashMap::new(),
+            reads_primed: false,
             cycle: 0,
             dirty: true,
             settled_once: false,
@@ -286,9 +301,47 @@ impl BatchSim {
         Ok(())
     }
 
-    /// Drives a word-level input port with one value per lane
-    /// (`values[l]` goes to lane `l`; `values.len()` must equal
-    /// [`BatchSim::lanes`]).
+    fn check_lane_count(&self, len: usize) -> Result<(), GateSimError> {
+        if len != self.lanes {
+            return Err(GateSimError::BadLaneCount { lanes: len });
+        }
+        Ok(())
+    }
+
+    /// Drives input port `port` — an index from [`Tape::input_index`] on
+    /// this simulator's tape — with one value per lane (`values[l]` goes
+    /// to lane `l`; `values.len()` must equal [`BatchSim::lanes`]). The
+    /// per-cycle stimulus primitive: resolve the names once, then poke
+    /// every cycle by index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GateSimError::BadLaneCount`] for a wrong-length slice, or
+    /// [`GateSimError::ValueTooWide`] if any lane's value exceeds the
+    /// port width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not an input port index of this tape.
+    pub fn poke_port_lanes_at(&mut self, port: usize, values: &[u64]) -> Result<(), GateSimError> {
+        self.check_lane_count(values.len())?;
+        let bits = &self.tape.inputs.bits[port];
+        let width = bits.len();
+        if let Some(&v) = values.iter().find(|&&v| width < 64 && v >> width != 0) {
+            return check_fits(&self.tape.inputs.names[port], v, width);
+        }
+        let mut rows = [0; MAX_LANES];
+        rows[..self.lanes].copy_from_slice(values);
+        transpose64(&mut rows);
+        for (net, &word) in bits.iter().zip(&rows) {
+            self.values[net.index()] = word;
+        }
+        self.dirty = true;
+        Ok(())
+    }
+
+    /// Drives a word-level input port with one value per lane; the
+    /// name-keyed form of [`BatchSim::poke_port_lanes_at`].
     ///
     /// # Errors
     ///
@@ -296,43 +349,8 @@ impl BatchSim {
     /// for a wrong-length slice, or [`GateSimError::ValueTooWide`] if any
     /// lane's value exceeds the port width.
     pub fn poke_port_lanes(&mut self, name: &str, values: &[u64]) -> Result<(), GateSimError> {
-        if values.len() != self.lanes {
-            return Err(GateSimError::BadLaneCount {
-                lanes: values.len(),
-            });
-        }
-        let bits = self
-            .tape
-            .port_bits
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "input port",
-                name: name.to_owned(),
-            })?;
-        let width = bits.len() as u32;
-        if let Some(&v) = values.iter().find(|&&v| width < 64 && v >> width != 0) {
-            return Err(GateSimError::ValueTooWide {
-                port: name.to_owned(),
-                value: v,
-                width,
-            });
-        }
-        // Transpose: for each port bit, assemble the lane word.
-        for (i, &net) in bits.iter().enumerate() {
-            let mut word = 0u64;
-            for (lane, &v) in values.iter().enumerate() {
-                word |= ((v >> i) & 1) << lane;
-            }
-            match self.input_index.get(&net) {
-                Some(&slot) => self.inputs[slot].1 = word,
-                None => {
-                    self.input_index.insert(net, self.inputs.len());
-                    self.inputs.push((net, word));
-                }
-            }
-        }
-        self.dirty = true;
-        Ok(())
+        let port = input_port(&self.tape, name)?;
+        self.poke_port_lanes_at(port, values)
     }
 
     /// Drives a word-level input port with the same value on every lane.
@@ -342,34 +360,21 @@ impl BatchSim {
     /// Returns [`GateSimError::UnknownName`] or
     /// [`GateSimError::ValueTooWide`].
     pub fn poke_port_broadcast(&mut self, name: &str, value: u64) -> Result<(), GateSimError> {
-        let bits = self
-            .tape
-            .port_bits
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "input port",
-                name: name.to_owned(),
-            })?;
-        let width = bits.len() as u32;
-        if width < 64 && value >> width != 0 {
-            return Err(GateSimError::ValueTooWide {
-                port: name.to_owned(),
-                value,
-                width,
-            });
-        }
-        for (i, &net) in bits.iter().enumerate() {
-            let word = if (value >> i) & 1 == 1 { !0u64 } else { 0 };
-            match self.input_index.get(&net) {
-                Some(&slot) => self.inputs[slot].1 = word,
-                None => {
-                    self.input_index.insert(net, self.inputs.len());
-                    self.inputs.push((net, word));
-                }
-            }
+        let port = input_port(&self.tape, name)?;
+        let bits = &self.tape.inputs.bits[port];
+        check_fits(name, value, bits.len())?;
+        for (i, net) in bits.iter().enumerate() {
+            self.values[net.index()] = if (value >> i) & 1 == 1 { !0 } else { 0 };
         }
         self.dirty = true;
         Ok(())
+    }
+
+    /// Every lane's value of output port `port`, settled: row `l` is lane
+    /// `l`'s (rows past the active lanes are garbage).
+    fn output_rows(&mut self, port: usize) -> Rows {
+        self.settle();
+        lane_words(&self.values, &self.tape.outputs.bits[port])
     }
 
     /// Reads a word-level output port on one lane.
@@ -380,26 +385,31 @@ impl BatchSim {
     /// [`GateSimError::LaneOutOfRange`].
     pub fn peek_port_lane(&mut self, name: &str, lane: usize) -> Result<u64, GateSimError> {
         self.check_lane(lane)?;
-        self.settle();
-        let bits = self
-            .tape
-            .output_bits
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "output port",
-                name: name.to_owned(),
-            })?;
-        let mut v = 0u64;
-        for (i, &net) in bits.iter().enumerate() {
-            v |= ((self.values[net as usize] >> lane) & 1) << i;
-        }
-        Ok(v)
+        let port = output_port(&self.tape, name)?;
+        Ok(self.output_rows(port)[lane])
     }
 
-    /// Reads a word-level output port on every lane into `out`
-    /// (`out.len()` must equal [`BatchSim::lanes`]). One name lookup and
-    /// one settle serve all lanes — this is the hot-path form the replay
-    /// loop uses for output-trace checking.
+    /// Reads output port `port` — an index from [`Tape::output_index`] on
+    /// this simulator's tape — on every lane into `out` (`out.len()` must
+    /// equal [`BatchSim::lanes`]). One settle and one transpose serve all
+    /// lanes: the hot-path form the replay loop checks output traces with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GateSimError::BadLaneCount`] for a wrong-length slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not an output port index of this tape.
+    pub fn peek_port_lanes_at(&mut self, port: usize, out: &mut [u64]) -> Result<(), GateSimError> {
+        self.check_lane_count(out.len())?;
+        let rows = self.output_rows(port);
+        out.copy_from_slice(&rows[..self.lanes]);
+        Ok(())
+    }
+
+    /// Reads a word-level output port on every lane into `out`; the
+    /// name-keyed form of [`BatchSim::peek_port_lanes_at`].
     ///
     /// # Errors
     ///
@@ -410,26 +420,8 @@ impl BatchSim {
         name: &str,
         out: &mut [u64],
     ) -> Result<(), GateSimError> {
-        if out.len() != self.lanes {
-            return Err(GateSimError::BadLaneCount { lanes: out.len() });
-        }
-        self.settle();
-        let bits = self
-            .tape
-            .output_bits
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "output port",
-                name: name.to_owned(),
-            })?;
-        out.fill(0);
-        for (i, &net) in bits.iter().enumerate() {
-            let word = self.values[net as usize];
-            for (lane, slot) in out.iter_mut().enumerate() {
-                *slot |= ((word >> lane) & 1) << i;
-            }
-        }
-        Ok(())
+        let port = output_port(&self.tape, name)?;
+        self.peek_port_lanes_at(port, out)
     }
 
     /// Reads a word-level output port on every lane.
@@ -443,64 +435,27 @@ impl BatchSim {
         Ok(out)
     }
 
+    /// Evaluates the tape run by run. While the recorder is on, gate runs
+    /// are timed into `settle` and read runs into `sram_read`, one lap
+    /// per read run.
     fn settle(&mut self) {
         if !self.dirty {
             return;
         }
         let mut lap = Lap::start();
-        for &(net, word) in &self.inputs {
-            self.values[net as usize] = word;
-        }
-        for step in &self.tape.steps {
-            match *step {
-                Step::Gate(op) => {
-                    let a = self.values[op.in0 as usize];
-                    let b = self.values[op.in1 as usize];
-                    let v = match op.kind {
-                        CellKind::Inv => !a,
-                        CellKind::Buf => a,
-                        CellKind::Nand2 => !(a & b),
-                        CellKind::Nor2 => !(a | b),
-                        CellKind::And2 => a & b,
-                        CellKind::Or2 => a | b,
-                        CellKind::Xor2 => a ^ b,
-                        CellKind::Xnor2 => !(a ^ b),
-                        CellKind::Mux2 => {
-                            let s = self.values[op.in2 as usize];
-                            (b & s) | (a & !s)
-                        }
-                        CellKind::Tie0 => 0,
-                        CellKind::Tie1 => !0,
-                        CellKind::Dff => unreachable!("DFFs are not tape steps"),
-                    };
-                    self.values[op.out as usize] = v;
-                }
-                Step::SramRead { sram, port } => {
-                    let si = sram as usize;
-                    let s = &self.tape.srams[si];
-                    let rp = &s.read_ports[port as usize];
-                    let depth = s.depth;
-                    for lane in 0..self.lanes {
-                        let mut addr = 0usize;
-                        for (i, a) in rp.addr.iter().enumerate() {
-                            addr |= (((self.values[a.index()] >> lane) & 1) as usize) << i;
-                        }
-                        self.lane_addr[lane] = addr;
+        let tape = &*self.tape;
+        for run in &tape.runs {
+            match run.kind {
+                RunKind::Gate(kind) => eval_gates(kind, tape.gate_ops(run), &mut self.values),
+                RunKind::SramRead => {
+                    lap.lap(&mut self.times.settle);
+                    for op in tape.read_ops(run) {
+                        let si = op.sram as usize;
+                        let port = op.port as usize;
+                        let st = &mut self.srams[si];
+                        read_port(&tape.srams[si], port, st, &mut self.values, self.lanes);
                     }
-                    let st = &self.srams[si];
-                    for (i, d) in rp.data.iter().enumerate() {
-                        let mut w = 0u64;
-                        for lane in 0..self.lanes {
-                            let addr = self.lane_addr[lane];
-                            let word = if addr < depth {
-                                st.contents[lane * depth + addr]
-                            } else {
-                                0
-                            };
-                            w |= ((word >> i) & 1) << lane;
-                        }
-                        self.values[d.index()] = w;
-                    }
+                    lap.lap(&mut self.times.sram_read);
                 }
             }
         }
@@ -522,43 +477,7 @@ impl BatchSim {
         }
         lap.lap(&mut self.times.count);
 
-        // SRAM access counting and writes, lane by lane.
-        for (si, s) in self.tape.srams.iter().enumerate() {
-            let depth = s.depth;
-            for (pi, rp) in s.read_ports.iter().enumerate() {
-                for lane in 0..self.lanes {
-                    let mut addr = 0usize;
-                    for (i, a) in rp.addr.iter().enumerate() {
-                        addr |= (((self.values[a.index()] >> lane) & 1) as usize) << i;
-                    }
-                    let slot = pi * self.lanes + lane;
-                    if self.srams[si].prev_read_addr[slot] != Some(addr) {
-                        self.srams[si].reads[lane] += 1;
-                        self.srams[si].prev_read_addr[slot] = Some(addr);
-                    }
-                }
-            }
-            for wp in &s.write_ports {
-                let mut enabled = self.values[wp.enable.index()] & self.lane_mask;
-                while enabled != 0 {
-                    let lane = enabled.trailing_zeros() as usize;
-                    enabled &= enabled - 1;
-                    let mut addr = 0usize;
-                    for (i, a) in wp.addr.iter().enumerate() {
-                        addr |= (((self.values[a.index()] >> lane) & 1) as usize) << i;
-                    }
-                    if addr >= depth {
-                        continue;
-                    }
-                    let mut word = 0u64;
-                    for (i, d) in wp.data.iter().enumerate() {
-                        word |= ((self.values[d.index()] >> lane) & 1) << i;
-                    }
-                    self.srams[si].contents[lane * depth + addr] = word;
-                    self.srams[si].writes[lane] += 1;
-                }
-            }
-        }
+        self.sram_edge();
         lap.lap(&mut self.times.sram);
 
         // Latch flip-flops, capture-then-commit, one word per flop.
@@ -572,6 +491,41 @@ impl BatchSim {
 
         self.cycle += 1;
         self.dirty = true;
+    }
+
+    /// The SRAM side of a clock edge, macro by macro: charge each read
+    /// port's lanes whose address moved since the last edge (the lane
+    /// addresses the settle computed), then commit each write port's
+    /// enabled lanes in port order, so of two ports writing one address
+    /// on one lane the later wins, as in the scalar engine.
+    fn sram_edge(&mut self) {
+        let primed = self.reads_primed;
+        for (s, st) in self.tape.srams.iter().zip(&mut self.srams) {
+            for (addr, prev) in st.read_addr.iter().zip(&mut st.prev_read_addr) {
+                // `reads` has one counter per active lane.
+                for (reads, (a, p)) in st.reads.iter_mut().zip(addr.iter().zip(prev.iter())) {
+                    *reads += u64::from(!primed || a != p);
+                }
+                *prev = *addr;
+            }
+            for wp in &s.write_ports {
+                let mut enabled = self.values[wp.enable.index()] & self.lane_mask;
+                if enabled == 0 {
+                    continue;
+                }
+                let addr = lane_words(&self.values, &wp.addr);
+                let data = lane_words(&self.values, &wp.data);
+                while enabled != 0 {
+                    let lane = enabled.trailing_zeros() as usize;
+                    enabled &= enabled - 1;
+                    if let Some(a) = in_range(addr[lane], s.depth) {
+                        st.contents[lane * s.depth + a] = data[lane];
+                        st.writes[lane] += 1;
+                    }
+                }
+            }
+        }
+        self.reads_primed = true;
     }
 
     /// Adds this cycle's toggle word `(new ^ old) & lane_mask` of every
@@ -812,19 +766,12 @@ impl BatchSim {
         self.planes.fill(0);
         self.live_cycles = 0;
         self.flushed.fill(0);
-        for (si, s) in self.tape.srams.iter().enumerate() {
-            self.srams[si].reads.fill(0);
-            self.srams[si].writes.fill(0);
-            for (pi, rp) in s.read_ports.iter().enumerate() {
-                for lane in 0..self.lanes {
-                    let mut addr = 0usize;
-                    for (i, a) in rp.addr.iter().enumerate() {
-                        addr |= (((self.values[a.index()] >> lane) & 1) as usize) << i;
-                    }
-                    self.srams[si].prev_read_addr[pi * self.lanes + lane] = Some(addr);
-                }
-            }
+        for st in &mut self.srams {
+            st.reads.fill(0);
+            st.writes.fill(0);
+            st.prev_read_addr.clone_from(&st.read_addr);
         }
+        self.reads_primed = true;
         self.settled_once = false;
         self.cycle = 0;
     }
@@ -880,6 +827,77 @@ impl BatchSim {
             .enumerate()
             .map(|(lane, t)| ActivityReport::new(self.cycle, t, self.sram_accesses(lane)))
             .collect()
+    }
+}
+
+/// Evaluates read port `port` of macro `s` on every lane: transposes the
+/// address nets into one address per lane (kept in `st.read_addr` for the
+/// edge), loads each lane's word (0 past the macro's depth), and
+/// transposes the words back into the data nets.
+fn read_port(
+    s: &SramPorts,
+    port: usize,
+    st: &mut BatchSramState,
+    values: &mut [u64],
+    lanes: usize,
+) {
+    let rp = &s.read_ports[port];
+    let addr = &mut st.read_addr[port];
+    *addr = lane_words(values, &rp.addr);
+    let mut words = [0; MAX_LANES];
+    for (lane, (word, &a)) in words.iter_mut().zip(&addr[..lanes]).enumerate() {
+        if let Some(a) = in_range(a, s.depth) {
+            *word = st.contents[lane * s.depth + a];
+        }
+    }
+    transpose64(&mut words);
+    for (d, &word) in rp.data.iter().zip(&words) {
+        values[d.index()] = word;
+    }
+}
+
+/// `addr` as an index when it is below `depth`.
+fn in_range(addr: u64, depth: usize) -> Option<usize> {
+    usize::try_from(addr).ok().filter(|&a| a < depth)
+}
+
+/// Each lane's value of the bus `nets` (at most 64 bits, least
+/// significant first): row `l` of the result is lane `l`'s word.
+fn lane_words(values: &[u64], nets: &[NetId]) -> Rows {
+    let mut rows = [0; MAX_LANES];
+    for (row, net) in rows.iter_mut().zip(nets) {
+        *row = values[net.index()];
+    }
+    transpose64(&mut rows);
+    rows
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `l` of
+/// `rows[i]` is what bit `i` of `rows[l]` was. Six swap-block stages —
+/// 32×32 blocks, then 16×16, down to single bits — of 32 masked
+/// exchanges each, all in registers: the bridge between bit-sliced nets
+/// (one word per bus bit, one bit per lane) and per-lane words.
+pub(crate) fn transpose64(rows: &mut Rows) {
+    swap_blocks::<32>(rows, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(rows, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(rows, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(rows, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(rows, 0x5555_5555_5555_5555);
+}
+
+/// One stage of [`transpose64`]: in every `2J`-row band, exchanges the
+/// high `J` bits of each `J`-bit group of the upper rows with the low
+/// bits of the matching lower rows (`low` selects the low groups).
+#[inline(always)]
+fn swap_blocks<const J: usize>(rows: &mut Rows, low: u64) {
+    for band in rows.chunks_exact_mut(2 * J) {
+        let (upper, lower) = band.split_at_mut(J);
+        for (u, l) in upper.iter_mut().zip(lower) {
+            let t = ((*u >> J) ^ *l) & low;
+            *u ^= t << J;
+            *l ^= t;
+        }
     }
 }
 
@@ -962,6 +980,72 @@ mod tests {
         assert_eq!(busy.cycles(), 16);
         assert!(busy.total_toggles() > 16);
         assert_eq!(idle.total_toggles(), 0);
+    }
+
+    #[test]
+    fn transpose_matches_the_naive_bit_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let identity: Rows = std::array::from_fn(|i| 1 << i);
+        let single: Rows = std::array::from_fn(|i| u64::from(i == 5) << 63);
+        for input in [[0; MAX_LANES], [!0; MAX_LANES], identity, single]
+            .into_iter()
+            .chain((0..20).map(|_| std::array::from_fn(|_| next())))
+        {
+            let mut naive = [0u64; MAX_LANES];
+            for (i, out) in naive.iter_mut().enumerate() {
+                for (l, &row) in input.iter().enumerate() {
+                    *out |= ((row >> i) & 1) << l;
+                }
+            }
+            let mut fast = input;
+            transpose64(&mut fast);
+            assert_eq!(fast, naive);
+            transpose64(&mut fast);
+            assert_eq!(fast, input, "a transpose is its own inverse");
+        }
+    }
+
+    #[test]
+    fn index_forms_match_the_name_keyed_ones() {
+        let nl = counter_netlist();
+        let mut by_name = BatchSim::with_lanes(&nl, 3).unwrap();
+        let mut by_index = by_name.clone();
+        let en = by_index.tape.input_index("en").unwrap();
+        let value = by_index.tape.output_index("value").unwrap();
+        assert!(by_index.tape.input_index("value").is_none());
+        assert!(by_index.tape.output_index("en").is_none());
+        for (cycle, stim) in [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+            .iter()
+            .cycle()
+            .take(9)
+            .enumerate()
+        {
+            by_name.poke_port_lanes("en", stim).unwrap();
+            by_index.poke_port_lanes_at(en, stim).unwrap();
+            by_name.step();
+            by_index.step();
+            let mut got = [0; 3];
+            by_index.peek_port_lanes_at(value, &mut got).unwrap();
+            assert_eq!(
+                by_name.peek_port_lanes("value").unwrap(),
+                got,
+                "cycle {cycle}"
+            );
+        }
+        assert!(matches!(
+            by_index.poke_port_lanes_at(en, &[0, 3, 0]),
+            Err(GateSimError::ValueTooWide { ref port, value: 3, width: 1 }) if port == "en"
+        ));
+        assert!(matches!(
+            by_index.peek_port_lanes_at(value, &mut [0; 2]),
+            Err(GateSimError::BadLaneCount { lanes: 2 })
+        ));
     }
 
     #[test]

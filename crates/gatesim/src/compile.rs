@@ -1,12 +1,15 @@
 //! Netlist compilation into a flat, levelized op tape.
 //!
 //! Both gate-level engines — the scalar [`crate::GateSim`] and the packed
-//! [`crate::BatchSim`] — execute the same compiled program: a single flat
-//! array of [`Step`]s in topological order, produced once per netlist by
-//! [`Tape::compile`]. Each step is either a combinational gate (inputs and
-//! output pre-resolved to raw net indices, no name lookups on the hot
-//! path) or an SRAM read port. Flip-flops and write ports are not on the
-//! tape; they act at the clock edge, outside combinational settling.
+//! [`crate::BatchSim`] — execute the same compiled program, produced once
+//! per netlist by [`Tape::compile`]: every combinational element (gate or
+//! SRAM read port) with its inputs and output pre-resolved to raw net
+//! indices, ordered by *(level, kind)* and cut into [`Run`]s, maximal
+//! blocks of one kind at one level. A level reads only nets of earlier
+//! levels, so the order is topological; an engine matches on a run's kind
+//! once and then evaluates the whole block in one dispatch-free loop
+//! ([`eval_gates`]). Flip-flops and write ports are not on the tape; they
+//! act at the clock edge, outside combinational settling.
 //!
 //! Compiling once and interpreting the same instruction stream for every
 //! replay is what makes bit-parallel batching work: the tape is identical
@@ -15,14 +18,18 @@
 
 use crate::sim::GateSimError;
 use std::collections::HashMap;
-use strober_gates::{CellKind, Gate, NetId, Netlist, SramReadPort, SramWritePort};
+use std::ops::{BitAnd, BitOr, BitXor, Not};
+use strober_gates::{CellKind, Gate, NetId, Netlist, NetlistError, SramReadPort, SramWritePort};
 
-/// One compiled combinational gate. Unused input slots alias net 0; the
-/// evaluation match never reads them for the affected kinds.
+/// The widest word-level port or SRAM bus a tape accepts: one lane's
+/// value must fit a `u64`, and the packed engine moves buses through a
+/// 64×64 bit transpose.
+const MAX_WORD_BITS: usize = 64;
+
+/// One compiled combinational gate; its cell function is its run's.
+/// Unused input slots alias net 0 and are never read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GateOp {
-    /// The cell function.
-    pub kind: CellKind,
     /// First input net index (`a0` for Mux2).
     pub in0: u32,
     /// Second input net index (`a1` for Mux2).
@@ -33,18 +40,36 @@ pub(crate) struct GateOp {
     pub out: u32,
 }
 
-/// One tape instruction, in levelized order.
+/// One SRAM read port on the tape (a combinational read).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Step {
-    /// Evaluate a combinational gate.
-    Gate(GateOp),
-    /// Evaluate SRAM `sram`'s read port `port` (combinational read).
-    SramRead {
-        /// Index into [`Netlist::srams`].
-        sram: u32,
-        /// Index into that macro's `read_ports`.
-        port: u32,
-    },
+pub(crate) struct ReadOp {
+    /// Index into [`Netlist::srams`].
+    pub sram: u32,
+    /// Index into that macro's `read_ports`.
+    pub port: u32,
+}
+
+/// What a [`Run`] evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum RunKind {
+    /// Gates of one cell kind: a slice of [`Tape::ops`].
+    Gate(CellKind),
+    /// SRAM read ports: a slice of [`Tape::reads`].
+    SramRead,
+}
+
+/// A maximal block of same-kind steps at one level.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    /// The level: 1 + the highest level of any input, where primary
+    /// inputs and flip-flop outputs are level 0.
+    pub level: u32,
+    /// What every step of the run is.
+    pub kind: RunKind,
+    /// First step, into `ops` or `reads` by kind.
+    pub start: u32,
+    /// One past the last step.
+    pub end: u32,
 }
 
 /// One SRAM macro's geometry and ports: what an engine needs to service
@@ -61,12 +86,83 @@ pub(crate) struct SramPorts {
     pub write_ports: Vec<SramWritePort>,
 }
 
+/// Word-level ports: `name[i]` bit nets grouped back into words, each at
+/// most 64 bits wide.
+#[derive(Debug, Clone)]
+pub(crate) struct Ports {
+    /// Port names, in order of first declaration.
+    pub names: Vec<String>,
+    /// Bit nets per port, least significant first; aligned with `names`.
+    pub bits: Vec<Vec<NetId>>,
+    by_name: HashMap<String, usize>,
+}
+
+impl Ports {
+    fn group(bits: &[(String, NetId)]) -> Result<Self, GateSimError> {
+        let mut names = Vec::new();
+        let mut groups: Vec<Vec<(u32, NetId)>> = Vec::new();
+        let mut by_name = HashMap::new();
+        for (name, net) in bits {
+            let (word, bit) = split_bit_name(name);
+            let slot = *by_name.entry(word.to_owned()).or_insert_with(|| {
+                names.push(word.to_owned());
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[slot].push((bit, *net));
+        }
+        let bits = groups
+            .into_iter()
+            .map(|mut g| {
+                g.sort_unstable_by_key(|&(i, _)| i);
+                g.into_iter().map(|(_, n)| n).collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>();
+        for (name, nets) in names.iter().zip(&bits) {
+            check_word(|| format!("port `{name}`"), nets.len())?;
+        }
+        Ok(Ports {
+            names,
+            bits,
+            by_name,
+        })
+    }
+
+    /// The index of port `name`.
+    pub fn index(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+}
+
+/// `name[i]` → `(name, i)`; any other name is bit 0 of itself.
+fn split_bit_name(name: &str) -> (&str, u32) {
+    if let Some(open) = name.rfind('[') {
+        if let Some(idx) = name[open + 1..].strip_suffix(']') {
+            if let Ok(idx) = idx.parse() {
+                return (&name[..open], idx);
+            }
+        }
+    }
+    (name, 0)
+}
+
+fn check_word(word: impl FnOnce() -> String, bits: usize) -> Result<(), GateSimError> {
+    if bits > MAX_WORD_BITS {
+        return Err(NetlistError::WordTooWide { word: word(), bits }.into());
+    }
+    Ok(())
+}
+
 /// The compiled program plus the name-resolution side tables every engine
 /// needs: sequential elements, port bit groupings, and lookup maps.
 #[derive(Debug, Clone)]
 pub struct Tape {
-    /// Combinational steps in topological (levelized) order.
-    pub(crate) steps: Vec<Step>,
+    /// The gate and read-port blocks, in (level, kind) order.
+    pub(crate) runs: Vec<Run>,
+    /// Gate ops, indexed by the gate runs.
+    pub(crate) ops: Vec<GateOp>,
+    /// SRAM read ports, indexed by the read runs.
+    pub(crate) reads: Vec<ReadOp>,
     /// Ports and depth per SRAM macro, aligned with [`Netlist::srams`].
     pub(crate) srams: Vec<SramPorts>,
     /// `(d net, q net)` per flip-flop, in gate order.
@@ -77,10 +173,10 @@ pub struct Tape {
     pub(crate) dff_by_name: HashMap<String, usize>,
     /// SRAM macro instance name → index into [`Netlist::srams`].
     pub(crate) sram_by_name: HashMap<String, usize>,
-    /// Input port name → bit nets, LSB first.
-    pub(crate) port_bits: HashMap<String, Vec<u32>>,
-    /// Output port name → bit nets, LSB first.
-    pub(crate) output_bits: HashMap<String, Vec<u32>>,
+    /// Input ports.
+    pub(crate) inputs: Ports,
+    /// Output ports.
+    pub(crate) outputs: Ports,
     /// Number of nets in the netlist (the value vector length).
     pub(crate) net_count: usize,
 }
@@ -91,9 +187,33 @@ impl Tape {
     /// # Errors
     ///
     /// Returns [`GateSimError::BadNetlist`] if the netlist fails
-    /// validation or contains a combinational loop.
+    /// validation, contains a combinational loop, or has an input or
+    /// output port, SRAM address bus or SRAM data word wider than 64 bits
+    /// ([`NetlistError::WordTooWide`]).
     pub fn compile(netlist: &Netlist) -> Result<Self, GateSimError> {
         netlist.validate()?;
+        let inputs = Ports::group(netlist.inputs())?;
+        let outputs = Ports::group(netlist.outputs())?;
+        for s in netlist.srams() {
+            let buses = s.read_ports.iter().enumerate().flat_map(|(i, p)| {
+                [
+                    ("read", i, "address", &p.addr),
+                    ("read", i, "data", &p.data),
+                ]
+            });
+            let buses = buses.chain(s.write_ports.iter().enumerate().flat_map(|(i, p)| {
+                [
+                    ("write", i, "address", &p.addr),
+                    ("write", i, "data", &p.data),
+                ]
+            }));
+            for (dir, i, bus, nets) in buses {
+                check_word(
+                    || format!("macro `{}` {dir} port {i} {bus}", s.name),
+                    nets.len(),
+                )?;
+            }
+        }
         let order = netlist.levelize()?;
         let gates = netlist.gates();
         let n_gates = gates.len();
@@ -103,7 +223,10 @@ impl Tape {
         let mut sram_ports = Vec::new();
         for (si, s) in netlist.srams().iter().enumerate() {
             for pi in 0..s.read_ports.len() {
-                sram_ports.push((si as u32, pi as u32));
+                sram_ports.push(ReadOp {
+                    sram: si as u32,
+                    port: pi as u32,
+                });
             }
         }
 
@@ -121,7 +244,13 @@ impl Tape {
             }
         }
 
-        let mut steps = Vec::with_capacity(order.len());
+        // Level every element in topological order: a net's level is its
+        // driver's, 0 for primary inputs and flip-flop outputs.
+        let mut net_level = vec![0u32; netlist.net_count()];
+        let level_of = |nets: &[NetId], net_level: &[u32]| {
+            1 + nets.iter().map(|n| net_level[n.index()]).max().unwrap_or(0)
+        };
+        let mut placed = Vec::with_capacity(order.len());
         for elem in order {
             if elem < n_gates {
                 let Gate::Comb {
@@ -133,17 +262,53 @@ impl Tape {
                 else {
                     continue; // DFFs are clock-edge elements, not tape steps.
                 };
-                let pin = |i: usize| inputs.get(i).map_or(0, |n| n.index() as u32);
-                steps.push(Step::Gate(GateOp {
-                    kind: *kind,
-                    in0: pin(0),
-                    in1: pin(1),
-                    in2: pin(2),
-                    out: output.index() as u32,
-                }));
+                let level = level_of(inputs, &net_level);
+                net_level[output.index()] = level;
+                placed.push((level, RunKind::Gate(*kind), elem));
             } else {
-                let (sram, port) = sram_ports[elem - n_gates];
-                steps.push(Step::SramRead { sram, port });
+                let op = sram_ports[elem - n_gates];
+                let rp = &netlist.srams()[op.sram as usize].read_ports[op.port as usize];
+                let level = level_of(&rp.addr, &net_level);
+                for d in &rp.data {
+                    net_level[d.index()] = level;
+                }
+                placed.push((level, RunKind::SramRead, elem));
+            }
+        }
+        // Stable: inside a run, steps keep their topological order.
+        placed.sort_by_key(|&(level, kind, _)| (level, kind));
+
+        let mut runs: Vec<Run> = Vec::new();
+        let mut ops = Vec::new();
+        let mut reads = Vec::new();
+        for (level, kind, elem) in placed {
+            let at = match kind {
+                RunKind::Gate(_) => {
+                    let Gate::Comb { inputs, output, .. } = &gates[elem] else {
+                        unreachable!("only combinational gates are placed");
+                    };
+                    let pin = |i: usize| inputs.get(i).map_or(0, |n| n.index() as u32);
+                    ops.push(GateOp {
+                        in0: pin(0),
+                        in1: pin(1),
+                        in2: pin(2),
+                        out: output.index() as u32,
+                    });
+                    ops.len()
+                }
+                RunKind::SramRead => {
+                    reads.push(sram_ports[elem - n_gates]);
+                    reads.len()
+                }
+            } as u32;
+            match runs.last_mut() {
+                Some(run) if run.level == level && run.kind == kind => run.end = at,
+                _ => runs.push(Run {
+                    level,
+                    kind,
+                    start: at - 1,
+                    end: at,
+                }),
             }
         }
 
@@ -166,16 +331,28 @@ impl Tape {
             .collect();
 
         Ok(Tape {
-            steps,
+            runs,
+            ops,
+            reads,
             srams,
             dffs,
             dff_inits,
             dff_by_name,
             sram_by_name,
-            port_bits: group_bits(netlist.inputs()),
-            output_bits: group_bits(netlist.outputs()),
+            inputs,
+            outputs,
             net_count: netlist.net_count(),
         })
+    }
+
+    /// The gate ops of a [`RunKind::Gate`] run.
+    pub(crate) fn gate_ops(&self, run: &Run) -> &[GateOp] {
+        &self.ops[run.start as usize..run.end as usize]
+    }
+
+    /// The read ports of a [`RunKind::SramRead`] run.
+    pub(crate) fn read_ops(&self, run: &Run) -> &[ReadOp] {
+        &self.reads[run.start as usize..run.end as usize]
     }
 
     /// The index of flip-flop instance `name`, for the index-based
@@ -191,38 +368,77 @@ impl Tape {
     pub fn sram_index(&self, name: &str) -> Option<usize> {
         self.sram_by_name.get(name).copied()
     }
+
+    /// The index of word-level input port `name`, for the index-based
+    /// [`BatchSim::poke_port_lanes_at`](crate::BatchSim::poke_port_lanes_at).
+    pub fn input_index(&self, name: &str) -> Option<usize> {
+        self.inputs.index(name)
+    }
+
+    /// The index of word-level output port `name`, for the index-based
+    /// [`BatchSim::peek_port_lanes_at`](crate::BatchSim::peek_port_lanes_at).
+    pub fn output_index(&self, name: &str) -> Option<usize> {
+        self.outputs.index(name)
+    }
 }
 
-/// Groups `name[i]` bit names back into word ports.
-pub(crate) fn group_bits(bits: &[(String, NetId)]) -> HashMap<String, Vec<u32>> {
-    let mut map: HashMap<String, Vec<(u32, u32)>> = HashMap::new();
-    for (name, net) in bits {
-        if let Some(open) = name.rfind('[') {
-            if let Some(stripped) = name[open + 1..].strip_suffix(']') {
-                if let Ok(idx) = stripped.parse::<u32>() {
-                    map.entry(name[..open].to_owned())
-                        .or_default()
-                        .push((idx, net.index() as u32));
-                    continue;
-                }
-            }
+/// A net value both engines evaluate gates over: one `bool` (the scalar
+/// engine) or one `u64` of 64 lanes (the packed engine).
+pub(crate) trait Word:
+    Copy + Not<Output = Self> + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self>
+{
+    /// Logic 0 on every lane.
+    const ZERO: Self;
+    /// Logic 1 on every lane.
+    const ONES: Self;
+}
+
+impl Word for bool {
+    const ZERO: bool = false;
+    const ONES: bool = true;
+}
+
+impl Word for u64 {
+    const ZERO: u64 = 0;
+    const ONES: u64 = !0;
+}
+
+/// Evaluates one gate run over the value vector `v`: `kind` is matched
+/// once, then every op of the block runs the same loop body.
+pub(crate) fn eval_gates<W: Word>(kind: CellKind, ops: &[GateOp], v: &mut [W]) {
+    #[inline(always)]
+    fn each<W: Word>(ops: &[GateOp], v: &mut [W], f: impl Fn(&[W], &GateOp) -> W) {
+        for op in ops {
+            let out = f(v, op);
+            v[op.out as usize] = out;
         }
-        map.entry(name.clone())
-            .or_default()
-            .push((0, net.index() as u32));
     }
-    map.into_iter()
-        .map(|(k, mut v)| {
-            v.sort_unstable_by_key(|&(i, _)| i);
-            (k, v.into_iter().map(|(_, n)| n).collect())
-        })
-        .collect()
+    let at = |v: &[W], net: u32| v[net as usize];
+    match kind {
+        CellKind::Inv => each(ops, v, |v, op| !at(v, op.in0)),
+        CellKind::Buf => each(ops, v, |v, op| at(v, op.in0)),
+        CellKind::Nand2 => each(ops, v, |v, op| !(at(v, op.in0) & at(v, op.in1))),
+        CellKind::Nor2 => each(ops, v, |v, op| !(at(v, op.in0) | at(v, op.in1))),
+        CellKind::And2 => each(ops, v, |v, op| at(v, op.in0) & at(v, op.in1)),
+        CellKind::Or2 => each(ops, v, |v, op| at(v, op.in0) | at(v, op.in1)),
+        CellKind::Xor2 => each(ops, v, |v, op| at(v, op.in0) ^ at(v, op.in1)),
+        CellKind::Xnor2 => each(ops, v, |v, op| !(at(v, op.in0) ^ at(v, op.in1))),
+        CellKind::Mux2 => each(ops, v, |v, op| {
+            let s = at(v, op.in2);
+            (at(v, op.in1) & s) | (at(v, op.in0) & !s)
+        }),
+        CellKind::Tie0 => each(ops, v, |_, _| W::ZERO),
+        CellKind::Tie1 => each(ops, v, |_, _| W::ONES),
+        CellKind::Dff => unreachable!("DFFs are not tape steps"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strober_cores::{build_core, CoreConfig};
     use strober_gates::{CellKind, Netlist, SramMacro, SramReadPort};
+    use strober_synth::{synthesize, SynthOptions};
 
     #[test]
     fn tape_orders_sram_reads_before_their_users() {
@@ -246,9 +462,10 @@ mod tests {
         nl.add_gate(CellKind::Inv, vec![d0], inv, 0);
         nl.add_output("o", inv);
         let tape = Tape::compile(&nl).unwrap();
-        assert_eq!(tape.steps.len(), 2);
-        assert!(matches!(tape.steps[0], Step::SramRead { sram: 0, port: 0 }));
-        assert!(matches!(tape.steps[1], Step::Gate(_)));
+        assert_eq!(tape.runs.len(), 2);
+        assert_eq!(tape.runs[0].kind, RunKind::SramRead);
+        assert_eq!(tape.runs[1].kind, RunKind::Gate(CellKind::Inv));
+        assert_eq!((tape.reads[0].sram, tape.reads[0].port), (0, 0));
         assert_eq!(tape.net_count, 3);
     }
 
@@ -261,9 +478,161 @@ mod tests {
         nl.add_dff("toggle_reg", d, q, true, 0);
         nl.add_output("q", q);
         let tape = Tape::compile(&nl).unwrap();
-        assert_eq!(tape.steps.len(), 1);
+        assert_eq!(tape.ops.len(), 1);
         assert_eq!(tape.dffs, vec![(d.index() as u32, q.index() as u32)]);
         assert_eq!(tape.dff_inits, vec![true]);
         assert_eq!(tape.dff_by_name["toggle_reg"], 0);
+    }
+
+    /// Every run is non-empty and one (level, kind) block, blocks are in
+    /// (level, kind) order, and every input an op or read port reads is
+    /// a primary input, a flip-flop output or the output of a strictly
+    /// earlier level (tie cells included: they sit at level 1).
+    fn assert_levelized(tape: &Tape, netlist: &Netlist) {
+        let mut produced_at: Vec<Option<u32>> = vec![None; tape.net_count];
+        for (_, net) in netlist.inputs() {
+            produced_at[net.index()] = Some(0);
+        }
+        for &(_, q) in &tape.dffs {
+            produced_at[q as usize] = Some(0);
+        }
+        let reads_before = |nets: &mut dyn Iterator<Item = usize>,
+                            level: u32,
+                            at: &[Option<u32>]| {
+            for net in nets {
+                let src = at[net].unwrap_or_else(|| panic!("net {net} read before it is produced"));
+                assert!(
+                    src < level,
+                    "net {net} of level {src} read at level {level}"
+                );
+            }
+        };
+        let mut covered = (0, 0);
+        for pair in tape.runs.windows(2) {
+            assert!(
+                (pair[0].level, pair[0].kind) < (pair[1].level, pair[1].kind),
+                "runs out of (level, kind) order or not maximal: {pair:?}"
+            );
+        }
+        for run in &tape.runs {
+            assert!(run.start < run.end, "empty run {run:?}");
+            match run.kind {
+                RunKind::Gate(kind) => {
+                    assert_eq!(run.start as usize, covered.0);
+                    covered.0 = run.end as usize;
+                    for op in tape.gate_ops(run) {
+                        let pins = [op.in0, op.in1, op.in2];
+                        let mut pins = pins[..kind.input_count()].iter().map(|&n| n as usize);
+                        reads_before(&mut pins, run.level, &produced_at);
+                    }
+                    for op in tape.gate_ops(run) {
+                        produced_at[op.out as usize] = Some(run.level);
+                    }
+                }
+                RunKind::SramRead => {
+                    assert_eq!(run.start as usize, covered.1);
+                    covered.1 = run.end as usize;
+                    for op in tape.read_ops(run) {
+                        let rp = &tape.srams[op.sram as usize].read_ports[op.port as usize];
+                        reads_before(
+                            &mut rp.addr.iter().map(|n| n.index()),
+                            run.level,
+                            &produced_at,
+                        );
+                    }
+                    for op in tape.read_ops(run) {
+                        let rp = &tape.srams[op.sram as usize].read_ports[op.port as usize];
+                        for d in &rp.data {
+                            produced_at[d.index()] = Some(run.level);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            covered,
+            (tape.ops.len(), tape.reads.len()),
+            "steps outside every run"
+        );
+        assert_eq!(tape.ops.len(), netlist.comb_gate_count());
+    }
+
+    #[test]
+    fn runs_are_homogeneous_levels_in_topological_order() {
+        for core in [CoreConfig::rok_tiny(), CoreConfig::boum_tiny(1)] {
+            let netlist = synthesize(&build_core(&core), &SynthOptions::default())
+                .unwrap()
+                .netlist;
+            let tape = Tape::compile(&netlist).unwrap();
+            assert!(!tape.reads.is_empty(), "the core has SRAM read ports");
+            assert!(
+                tape.runs.len() < tape.ops.len() / 4,
+                "runs should batch gates"
+            );
+            assert_levelized(&tape, &netlist);
+        }
+    }
+
+    #[test]
+    fn groups_wider_than_a_word_are_rejected() {
+        let mut nl = Netlist::new("wide");
+        for i in 0..65 {
+            let net = nl.add_net(format!("x[{i}]"));
+            nl.add_input(format!("x[{i}]"), net);
+            nl.add_output(format!("y[{i}]"), net);
+        }
+        assert!(matches!(
+            Tape::compile(&nl),
+            Err(GateSimError::BadNetlist(NetlistError::WordTooWide { ref word, bits: 65 }))
+                if word == "port `x`"
+        ));
+
+        // A 64-bit port and a 1-bit port both fit, and a 64-bit read
+        // address built from the first compiles; a 65-bit write address
+        // bus spanning both does not.
+        let macro_with = |write_addr: Option<usize>| {
+            let mut nl = Netlist::new("bus");
+            let mut nets = Vec::new();
+            for i in 0..64 {
+                let net = nl.add_net(format!("a[{i}]"));
+                nl.add_input(format!("a[{i}]"), net);
+                nets.push(net);
+            }
+            let b = nl.add_net("b");
+            nl.add_input("b", b);
+            nets.push(b);
+            let d = nl.add_net("d");
+            nl.add_output("d", d);
+            nl.add_sram(SramMacro {
+                name: "ram".to_owned(),
+                width: 1,
+                depth: 2,
+                init: vec![],
+                read_ports: vec![SramReadPort {
+                    addr: nets[..64].to_vec(),
+                    data: vec![d],
+                }],
+                write_ports: write_addr
+                    .map(|bits| SramWritePort {
+                        addr: nets[..bits].to_vec(),
+                        data: vec![b],
+                        enable: b,
+                    })
+                    .into_iter()
+                    .collect(),
+                region: 0,
+            });
+            nl
+        };
+        assert!(Tape::compile(&macro_with(Some(64))).is_ok());
+        let err = Tape::compile(&macro_with(Some(65))).unwrap_err();
+        assert!(matches!(
+            err,
+            GateSimError::BadNetlist(NetlistError::WordTooWide { bits: 65, .. })
+        ));
+        assert_eq!(
+            err.to_string(),
+            "bad netlist: macro `ram` write port 0 address is 65 bits wide; a word holds at most 64"
+        );
     }
 }

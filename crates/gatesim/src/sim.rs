@@ -1,11 +1,10 @@
 //! The levelized gate-level simulator.
 
 use crate::activity::ActivityReport;
-use crate::compile::{Step, Tape};
-use std::collections::HashMap;
+use crate::compile::{eval_gates, RunKind, Tape};
 use std::error::Error;
 use std::fmt;
-use strober_gates::{CellKind, Netlist, NetlistError};
+use strober_gates::{Netlist, NetlistError};
 
 /// Errors produced by the gate-level simulators.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,6 +85,36 @@ impl From<NetlistError> for GateSimError {
     }
 }
 
+/// The index of input port `name` on `tape`.
+pub(crate) fn input_port(tape: &Tape, name: &str) -> Result<usize, GateSimError> {
+    tape.input_index(name)
+        .ok_or_else(|| GateSimError::UnknownName {
+            kind: "input port",
+            name: name.to_owned(),
+        })
+}
+
+/// The index of output port `name` on `tape`.
+pub(crate) fn output_port(tape: &Tape, name: &str) -> Result<usize, GateSimError> {
+    tape.output_index(name)
+        .ok_or_else(|| GateSimError::UnknownName {
+            kind: "output port",
+            name: name.to_owned(),
+        })
+}
+
+/// Checks that `value` fits port `port`'s `width` bits.
+pub(crate) fn check_fits(port: &str, value: u64, width: usize) -> Result<(), GateSimError> {
+    if width < 64 && value >> width != 0 {
+        return Err(GateSimError::ValueTooWide {
+            port: port.to_owned(),
+            value,
+            width: width as u32,
+        });
+    }
+    Ok(())
+}
+
 #[derive(Debug, Clone)]
 struct SramState {
     contents: Vec<u64>,
@@ -115,8 +144,6 @@ pub struct GateSim {
     /// [`GateSim::step`] allocates nothing.
     dff_scratch: Vec<bool>,
     srams: Vec<SramState>,
-    inputs: Vec<(u32, bool)>,
-    input_index: HashMap<u32, usize>,
     cycle: u64,
     dirty: bool,
     settled_once: bool,
@@ -166,8 +193,6 @@ impl GateSim {
             dff_scratch: vec![false; tape.dffs.len()],
             tape,
             srams,
-            inputs: Vec::new(),
-            input_index: HashMap::new(),
             cycle: 0,
             dirty: true,
             settled_once: false,
@@ -192,31 +217,11 @@ impl GateSim {
     /// Returns [`GateSimError::UnknownName`] or
     /// [`GateSimError::ValueTooWide`].
     pub fn poke_port(&mut self, name: &str, value: u64) -> Result<(), GateSimError> {
-        let bits = self
-            .tape
-            .port_bits
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "input port",
-                name: name.to_owned(),
-            })?;
-        let width = bits.len() as u32;
-        if width < 64 && value >> width != 0 {
-            return Err(GateSimError::ValueTooWide {
-                port: name.to_owned(),
-                value,
-                width,
-            });
-        }
-        for (i, &net) in bits.iter().enumerate() {
-            let bit = (value >> i) & 1 == 1;
-            match self.input_index.get(&net) {
-                Some(&slot) => self.inputs[slot].1 = bit,
-                None => {
-                    self.input_index.insert(net, self.inputs.len());
-                    self.inputs.push((net, bit));
-                }
-            }
+        let port = input_port(&self.tape, name)?;
+        let bits = &self.tape.inputs.bits[port];
+        check_fits(name, value, bits.len())?;
+        for (i, net) in bits.iter().enumerate() {
+            self.values[net.index()] = (value >> i) & 1 == 1;
         }
         self.dirty = true;
         Ok(())
@@ -228,18 +233,11 @@ impl GateSim {
     ///
     /// Returns [`GateSimError::UnknownName`] for an unknown output.
     pub fn peek_port(&mut self, name: &str) -> Result<u64, GateSimError> {
+        let port = output_port(&self.tape, name)?;
         self.settle();
-        let bits = self
-            .tape
-            .output_bits
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "output port",
-                name: name.to_owned(),
-            })?;
         let mut v = 0u64;
-        for (i, &net) in bits.iter().enumerate() {
-            if self.values[net as usize] {
+        for (i, net) in self.tape.outputs.bits[port].iter().enumerate() {
+            if self.values[net.index()] {
                 v |= 1 << i;
             }
         }
@@ -250,58 +248,23 @@ impl GateSim {
         if !self.dirty {
             return;
         }
-        for &(net, bit) in &self.inputs {
-            self.values[net as usize] = bit;
-        }
-        for step in &self.tape.steps {
-            match *step {
-                Step::Gate(op) => {
-                    let v = match op.kind {
-                        CellKind::Inv => !self.values[op.in0 as usize],
-                        CellKind::Buf => self.values[op.in0 as usize],
-                        CellKind::Nand2 => {
-                            !(self.values[op.in0 as usize] && self.values[op.in1 as usize])
-                        }
-                        CellKind::Nor2 => {
-                            !(self.values[op.in0 as usize] || self.values[op.in1 as usize])
-                        }
-                        CellKind::And2 => {
-                            self.values[op.in0 as usize] && self.values[op.in1 as usize]
-                        }
-                        CellKind::Or2 => {
-                            self.values[op.in0 as usize] || self.values[op.in1 as usize]
-                        }
-                        CellKind::Xor2 => {
-                            self.values[op.in0 as usize] ^ self.values[op.in1 as usize]
-                        }
-                        CellKind::Xnor2 => {
-                            !(self.values[op.in0 as usize] ^ self.values[op.in1 as usize])
-                        }
-                        CellKind::Mux2 => {
-                            if self.values[op.in2 as usize] {
-                                self.values[op.in1 as usize]
-                            } else {
-                                self.values[op.in0 as usize]
+        for run in &self.tape.runs {
+            match run.kind {
+                RunKind::Gate(kind) => eval_gates(kind, self.tape.gate_ops(run), &mut self.values),
+                RunKind::SramRead => {
+                    for op in self.tape.read_ops(run) {
+                        let si = op.sram as usize;
+                        let rp = &self.tape.srams[si].read_ports[op.port as usize];
+                        let mut addr = 0usize;
+                        for (i, a) in rp.addr.iter().enumerate() {
+                            if self.values[a.index()] {
+                                addr |= 1 << i;
                             }
                         }
-                        CellKind::Tie0 => false,
-                        CellKind::Tie1 => true,
-                        CellKind::Dff => unreachable!("DFFs are not tape steps"),
-                    };
-                    self.values[op.out as usize] = v;
-                }
-                Step::SramRead { sram, port } => {
-                    let si = sram as usize;
-                    let rp = &self.netlist.srams()[si].read_ports[port as usize];
-                    let mut addr = 0usize;
-                    for (i, a) in rp.addr.iter().enumerate() {
-                        if self.values[a.index()] {
-                            addr |= 1 << i;
+                        let word = self.srams[si].contents.get(addr).copied().unwrap_or(0);
+                        for (i, d) in rp.data.iter().enumerate() {
+                            self.values[d.index()] = (word >> i) & 1 == 1;
                         }
-                    }
-                    let word = self.srams[si].contents.get(addr).copied().unwrap_or(0);
-                    for (i, d) in rp.data.iter().enumerate() {
-                        self.values[d.index()] = (word >> i) & 1 == 1;
                     }
                 }
             }

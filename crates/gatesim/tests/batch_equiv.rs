@@ -135,11 +135,14 @@ fn long_windows_match_across_counter_flushes() {
 
 #[test]
 fn sram_heavy_designs_match() {
-    // Multiple memories with active read/write traffic: the lane-wise
-    // scalar SRAM port path against the scalar engine's.
+    // Multiple memories with active read/write traffic, in the port
+    // shapes the out-of-order core has: the transposed SRAM port path
+    // against the scalar engine's, at 1, 7, 63 and 64 lanes.
     let ctx = Ctx::new("srams");
+    let w7 = Width::new(7).unwrap();
     let w8 = Width::new(8).unwrap();
     let w16 = Width::new(16).unwrap();
+    let w64 = Width::new(64).unwrap();
     let addr_a = ctx.input("addr_a", Width::new(5).unwrap());
     let addr_b = ctx.input("addr_b", Width::new(4).unwrap());
     let data = ctx.input("data", w16);
@@ -150,8 +153,38 @@ fn sram_heavy_designs_match() {
     ctx.output("qb", &b.read(&addr_b));
     a.write(&addr_a, &data, &we);
     b.write(&addr_b, &data.bits(7, 0), &we);
+
+    // 110 words of 64 bits behind 7-bit addresses: 18 of the 128
+    // addresses every port can present are past the end. Two write
+    // ports; on about half the cycles the second writes the first's
+    // address, so with both enabled the later port must win. Four read
+    // ports, one of which reads back the address last written.
+    let m = ctx.mem("m", w64, 110);
+    let wa0 = ctx.input("wa0", w7);
+    let same = ctx.input("same", Width::BIT);
+    let wa1 = same.mux(&wa0, &ctx.input("wa1", w7));
+    let (d0, d1) = (ctx.input("d0", w64), ctx.input("d1", w64));
+    m.write(&wa0, &d0, &ctx.input("we0", Width::BIT));
+    m.write(&wa1, &d1, &ctx.input("we1", Width::BIT));
+    let last = ctx.reg("last_wa", w7, 0);
+    last.set(&wa0);
+    ctx.output("m_last", &m.read(&last.out()));
+    for i in 0..3 {
+        let ra = ctx.input(&format!("ra{i}"), w7);
+        ctx.output(&format!("m{i}"), &m.read(&ra));
+    }
     let design = ctx.finish().unwrap();
-    check_batch_equiv(&design, 64, 80, 5, Some(20), &[]);
+    let netlist = synthesize(&design, &SynthOptions::default())
+        .unwrap()
+        .netlist;
+    let m = netlist.srams().iter().find(|s| s.depth == 110).unwrap();
+    assert_eq!(
+        (m.width, m.read_ports.len(), m.write_ports.len()),
+        (64, 4, 2)
+    );
+    for lanes in [1, 7, 63, 64] {
+        check_batch_equiv(&design, lanes, 80, 5, Some(20), &[50]);
+    }
 }
 
 #[test]
