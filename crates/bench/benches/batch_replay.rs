@@ -1,14 +1,13 @@
 //! Bit-parallel replay throughput (EXPERIMENTS.md "Replay throughput"):
-//! the packed 64-lane engine against 64 sequential scalar replays of the
-//! bundled Rok netlist, plus the 1-lane cases that isolate the tape
-//! interpreter from the packing win. Throughput is reported in
-//! lane-cycles per second — one element = one replay advancing one
-//! cycle — so the scalar and packed numbers are directly comparable.
+//! one 64-lane pass against 64 sequential one-lane replays of the
+//! bundled Rok netlist, plus a single one-lane replay. Throughput is
+//! reported in lane-cycles per second — one element = one replay
+//! advancing one cycle — so the rows are directly comparable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use strober_cores::{build_core, CoreConfig};
-use strober_gatesim::{BatchSim, GateSim, MAX_LANES};
+use strober_gatesim::{BatchSim, MAX_LANES};
 use strober_synth::{synthesize, SynthOptions};
 
 const CYCLES: u64 = 256;
@@ -25,13 +24,6 @@ fn bench_batch_replay(c: &mut Criterion) {
     group.sample_size(10);
 
     group.throughput(Throughput::Elements(CYCLES));
-    group.bench_function("scalar_1_lane", |b| {
-        let mut sim = GateSim::new(&netlist).expect("netlist");
-        b.iter(|| {
-            sim.step_n(CYCLES);
-            black_box(sim.cycle());
-        });
-    });
     group.bench_function("packed_1_lane", |b| {
         let mut sim = BatchSim::with_lanes(&netlist, 1).expect("netlist");
         b.iter(|| {
@@ -42,8 +34,8 @@ fn bench_batch_replay(c: &mut Criterion) {
 
     group.throughput(Throughput::Elements(MAX_LANES as u64 * CYCLES));
     group.bench_function("sequential_64x1_lane", |b| {
-        let mut sims: Vec<GateSim> = (0..MAX_LANES)
-            .map(|_| GateSim::new(&netlist).expect("netlist"))
+        let mut sims: Vec<BatchSim> = (0..MAX_LANES)
+            .map(|_| BatchSim::with_lanes(&netlist, 1).expect("netlist"))
             .collect();
         b.iter(|| {
             for sim in &mut sims {

@@ -1,19 +1,15 @@
 //! The simulator-speed ladder (DESIGN.md ablation): compiled-tape RTL
-//! simulation vs the naive tree-walking interpreter vs gate-level
-//! simulation, on the Rok core. This is the speed hierarchy the whole
-//! methodology exploits — the tape simulator plays the FPGA, the gate
-//! simulator plays VCS.
+//! simulation vs the naive tree-walking interpreter, on the Rok core.
+//! The tape simulator plays the FPGA; the gate-level rung (the simulator
+//! that plays VCS) is `batch_replay`'s `packed_1_lane`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use strober_cores::{build_core, CoreConfig};
-use strober_gatesim::GateSim;
 use strober_sim::{NaiveInterpreter, Simulator};
-use strober_synth::{synthesize, SynthOptions};
 
 fn bench_engines(c: &mut Criterion) {
     let design = build_core(&CoreConfig::rok_tiny());
-    let synth = synthesize(&design, &SynthOptions::default()).expect("synth");
 
     let mut group = c.benchmark_group("sim_speed");
     group.throughput(Throughput::Elements(256));
@@ -28,14 +24,6 @@ fn bench_engines(c: &mut Criterion) {
 
     group.bench_function("naive_interp_256_cycles", |b| {
         let mut sim = NaiveInterpreter::new(&design).expect("core");
-        b.iter(|| {
-            sim.step_n(256);
-            black_box(sim.cycle());
-        });
-    });
-
-    group.bench_function("gate_level_256_cycles", |b| {
-        let mut sim = GateSim::new(&synth.netlist).expect("netlist");
         b.iter(|| {
             sim.step_n(256);
             black_box(sim.cycle());

@@ -8,7 +8,7 @@ use strober::{StroberConfig, StroberFlow};
 use strober_bench::{Workload, MEM_BYTES};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
-use strober_gatesim::GateSim;
+use strober_gatesim::BatchSim;
 use strober_power::PowerAnalyzer;
 
 fn main() {
@@ -18,13 +18,15 @@ fn main() {
     // Ground truth once.
     let base_flow = StroberFlow::new(&design, StroberConfig::default()).expect("flow");
     let analyzer = PowerAnalyzer::new(&base_flow.synth().netlist, base_flow.library(), 1.0e9);
-    let mut gsim = GateSim::new(&base_flow.synth().netlist).expect("netlist");
+    let mut gsim = BatchSim::with_lanes(&base_flow.synth().netlist, 1).expect("netlist");
     let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
     dram.load(&image, 0);
     while dram.exit_code().is_none() {
         dram.tick_gate(&mut gsim);
     }
-    let truth = analyzer.analyze(&gsim.activity()).total_mw();
+    let truth = analyzer
+        .analyze(&gsim.activity_lane(0).expect("lane 0"))
+        .total_mw();
     println!("ground truth (dhrystone on Rok): {truth:.3} mW\n");
 
     let run_once = |n: usize, l: u32, seed: u64| -> (f64, f64) {

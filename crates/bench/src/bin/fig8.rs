@@ -9,7 +9,7 @@ use strober::{StroberConfig, StroberFlow};
 use strober_bench::{Workload, MEM_BYTES};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
-use strober_gatesim::GateSim;
+use strober_gatesim::BatchSim;
 use strober_power::PowerAnalyzer;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
 
         // Ground truth: the entire benchmark at gate level.
         let t0 = Instant::now();
-        let mut gsim = GateSim::new(&flow.synth().netlist).expect("netlist");
+        let mut gsim = BatchSim::with_lanes(&flow.synth().netlist, 1).expect("netlist");
         let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
         dram.load(&image, 0);
         let mut cycles = 0u64;
@@ -44,7 +44,9 @@ fn main() {
             cycles += 1;
             assert!(cycles < 60_000_000, "{} did not halt", w.name());
         }
-        let true_power = analyzer.analyze(&gsim.activity()).total_mw();
+        let true_power = analyzer
+            .analyze(&gsim.activity_lane(0).expect("lane 0"))
+            .total_mw();
         let truth_secs = t0.elapsed().as_secs_f64();
 
         for rep in 1..=5 {

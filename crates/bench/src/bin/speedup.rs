@@ -9,7 +9,7 @@ use strober_bench::{Workload, MEM_BYTES};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
 use strober_fame::{transform, FameConfig};
-use strober_gatesim::GateSim;
+use strober_gatesim::BatchSim;
 use strober_isa::Iss;
 use strober_platform::{PlatformConfig, ZynqHost};
 use strober_sim::{NaiveInterpreter, Simulator};
@@ -57,9 +57,9 @@ fn main() {
     let hub_cycles = host.target_cycles();
     let hub_rate = hub_cycles as f64 / t0.elapsed().as_secs_f64();
 
-    // Gate-level simulation.
+    // Gate-level simulation: one run, on a one-lane batch.
     let synth = synthesize(&design, &SynthOptions::default()).expect("synth");
-    let mut gsim = GateSim::new(&synth.netlist).expect("netlist");
+    let mut gsim = BatchSim::with_lanes(&synth.netlist, 1).expect("netlist");
     let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
     dram.load(&image, 0);
     let t0 = Instant::now();

@@ -1,6 +1,6 @@
-//! The bit-parallel acceptance gate, enforced: 64-lane packed replay
+//! The bit-parallel acceptance gate, enforced: one 64-lane packed pass
 //! must deliver at least 5x the single-thread gate-level throughput of
-//! 64 sequential scalar replays on the bundled Rok netlist.
+//! 64 sequential one-lane replays on the bundled Rok netlist.
 //!
 //! Like the probe-overhead check, the comparison uses the minimum over
 //! several interleaved trials — the minimum is the run least disturbed
@@ -10,7 +10,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use strober::{StroberConfig, StroberFlow};
 use strober_cores::{build_core, CoreConfig};
-use strober_gatesim::{BatchSim, GateSim, MAX_LANES};
+use strober_gatesim::{BatchSim, MAX_LANES};
 use strober_platform::{HostModel, OutputView};
 use strober_synth::{synthesize, SynthOptions};
 
@@ -40,22 +40,22 @@ fn packed_64_lane_replay_is_at_least_5x_sequential() {
         .expect("synth")
         .netlist;
 
-    let mut scalars: Vec<GateSim> = (0..MAX_LANES)
-        .map(|_| GateSim::new(&netlist).expect("netlist"))
+    let mut singles: Vec<BatchSim> = (0..MAX_LANES)
+        .map(|_| BatchSim::with_lanes(&netlist, 1).expect("netlist"))
         .collect();
     let mut batch = BatchSim::new(&netlist).expect("netlist");
 
     // Warm both paths (page in code, settle the frequency governor).
-    for s in &mut scalars {
+    for s in &mut singles {
         s.step_n(CYCLES);
     }
     batch.step_n(CYCLES);
 
     let sequential = min_nanos(|| {
-        for s in &mut scalars {
+        for s in &mut singles {
             s.step_n(CYCLES);
         }
-        black_box(scalars[MAX_LANES - 1].cycle());
+        black_box(singles[MAX_LANES - 1].cycle());
     });
     let packed = min_nanos(|| {
         batch.step_n(CYCLES);
@@ -88,8 +88,8 @@ impl HostModel for NoIo {
 fn lanes_compose_with_replay_worker_threads() {
     // The flow-level composition check behind EXPERIMENTS.md's replay
     // table: threads × lanes, measured on real sampled snapshots. The
-    // assertion is deliberately loose (batching must not *lose* to the
-    // scalar path); the hard 5x floor lives in the microbenchmark above,
+    // assertion is deliberately loose (batching must not *lose* to one
+    // lane per pass); the hard 5x floor lives in the microbenchmark above,
     // where snapshot loading and power analysis don't dilute the ratio.
     let design = build_core(&CoreConfig::rok_tiny());
     let config = StroberConfig {
@@ -124,10 +124,10 @@ fn lanes_compose_with_replay_worker_threads() {
     );
     assert!(
         t1_l64 < t1_l1,
-        "batched replay slower than scalar on one thread: {t1_l64} ns vs {t1_l1} ns"
+        "batched replay slower than one lane per pass on one thread: {t1_l64} ns vs {t1_l1} ns"
     );
     assert!(
         tn_l64 <= t1_l1,
-        "threads x lanes slower than the scalar single-thread baseline"
+        "threads x lanes slower than the one-lane single-thread baseline"
     );
 }

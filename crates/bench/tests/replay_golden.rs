@@ -2,21 +2,24 @@
 //!
 //! `replay_all_batched` packs snapshots into the bit-lanes of `BatchSim`,
 //! whose SRAM ports and stimulus move through 64×64 bit transposes and
-//! whose tape runs in (level, kind) blocks; `--batch-lanes 1` replays the
-//! same snapshots one at a time on the scalar `GateSim`. On the Rok and
-//! Boum cores, with a warmup prefix, every batched shape — one partial
-//! 64-lane batch, and 7-lane batches with a ragged tail — must return
-//! exactly the scalar results: cycles, outputs checked and `PowerReport`s,
-//! compared with `assert_eq!`, not a tolerance.
+//! whose tape runs in (level, kind) blocks. The reference is
+//! `strober_fuzz::reference_replay`: the same snapshots replayed one at a
+//! time on `NaiveGateSim`, which evaluates the netlist gate by gate and
+//! loads state by name. On the Rok and Boum cores, with a warmup prefix,
+//! every batched shape — one partial 64-lane batch, and 7-lane batches
+//! with a ragged tail — must return exactly the reference results:
+//! cycles, outputs checked and `PowerReport`s, compared with
+//! `assert_eq!`, not a tolerance.
 
-use strober::{StroberConfig, StroberFlow};
+use strober::{ReplayResult, StroberConfig, StroberFlow};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
+use strober_fuzz::reference_replay;
 use strober_isa::{assemble, programs};
 
 const MAX_CYCLES: u64 = 2_000_000;
 
-fn assert_batched_matches_scalar(label: &str, core: &CoreConfig) {
+fn assert_batched_matches_reference(label: &str, core: &CoreConfig) {
     let config = StroberConfig {
         sample_size: 10,
         replay_length: 32,
@@ -32,24 +35,26 @@ fn assert_batched_matches_scalar(label: &str, core: &CoreConfig) {
         .expect("sampled run");
     assert_eq!(run.snapshots.len(), 10, "{label}: a full reservoir");
 
-    let scalar = flow
-        .replay_all_batched(&run.snapshots, 1, 1)
-        .expect("scalar replay");
-    assert!(scalar.iter().all(|r| r.outputs_checked > 0));
+    let reference: Vec<ReplayResult> = run
+        .snapshots
+        .iter()
+        .map(|snap| reference_replay(&flow, snap).expect("reference replay"))
+        .collect();
+    assert!(reference.iter().all(|r| r.outputs_checked > 0));
     for lanes in [64, 7] {
         let batched = flow
             .replay_all_batched(&run.snapshots, 2, lanes)
             .expect("batched replay");
-        assert_eq!(batched, scalar, "{label}: {lanes}-lane batches");
+        assert_eq!(batched, reference, "{label}: {lanes}-lane batches");
     }
 }
 
 #[test]
-fn batched_replay_matches_scalar_on_the_rok_core() {
-    assert_batched_matches_scalar("rok_tiny", &CoreConfig::rok_tiny());
+fn batched_replay_matches_the_reference_on_the_rok_core() {
+    assert_batched_matches_reference("rok_tiny", &CoreConfig::rok_tiny());
 }
 
 #[test]
-fn batched_replay_matches_scalar_on_the_boum_core() {
-    assert_batched_matches_scalar("boum_tiny", &CoreConfig::boum_tiny(1));
+fn batched_replay_matches_the_reference_on_the_boum_core() {
+    assert_batched_matches_reference("boum_tiny", &CoreConfig::boum_tiny(1));
 }

@@ -798,8 +798,9 @@ USAGE:
       --metrics prints the metrics table after the results. Replay
       uses every hardware thread unless --jobs (alias --parallel)
       says otherwise, and packs up to --batch-lanes snapshots (default
-      64, max 64) into the bit-lanes of each gate-level pass; set
-      --batch-lanes 1 for the scalar reference replay.
+      64, max 64) into the bit-lanes of each gate-level pass;
+      --batch-lanes 1 replays one snapshot per pass, with the same
+      results.
       --hub-engine picks the hub simulator's settle engine; all three
       give the same bits. auto (default) runs native code: the op tape
       is lowered to Rust, compiled once with rustc (~0.2 s, the first
@@ -844,10 +845,12 @@ USAGE:
                    [--shrink-evals N]
       Differential fuzzing: generate one random design per seed and
       drive it through every execution engine — naive interpreter,
-      compiled tape, FAME1 hub, scalar gate-level simulation, and the
+      compiled tape, FAME1 hub, the naive gate-level evaluator, and the
       bit-parallel batch engine at each --lanes count — plus a full
-      sample→replay round trip, failing on any disagreement in
-      outputs, architectural state, toggle counts or power. On a
+      sample→replay round trip at 1, 7 and 64 lanes against a
+      reference replay on the naive evaluator, failing on any
+      disagreement in outputs, architectural state, toggle counts or
+      power. On a
       divergence the design is automatically minimized and a
       reproducer (seed, config, divergence report) is written to the
       corpus dir for the regression suite to replay. --inject plants

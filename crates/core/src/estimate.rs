@@ -69,9 +69,9 @@ pub struct SampledRun {
 
 /// The product of replaying one snapshot on gate-level simulation.
 ///
-/// Equality is exact: the batched bit-parallel replay path produces
-/// results `==` to the scalar path's, a property the differential test
-/// suite leans on.
+/// Equality is exact: a replay's result does not depend on how many
+/// lanes it shared a pass with, and equals the naive reference replay's
+/// (`strober-fuzz`), properties the differential test suite leans on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayResult {
     /// The target cycle the snapshot was captured at.

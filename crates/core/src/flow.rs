@@ -12,7 +12,7 @@ use std::time::Duration;
 use strober_fame::{transform, FameConfig, FameResult, FameSnapshot};
 use strober_formal::{match_designs, MatchOptions, NameMap};
 use strober_gates::CellLibrary;
-use strober_gatesim::{BatchSim, GateSim, GateSimError, Tape, VpiLoader, MAX_LANES};
+use strober_gatesim::{BatchSim, GateSimError, Tape, VpiLoader, MAX_LANES};
 use strober_jit::{JitArtifact, JitCompiler, JitProvenance};
 use strober_platform::{HostModel, HubEngine, PlatformConfig, ZynqHost};
 use strober_power::PowerAnalyzer;
@@ -730,113 +730,13 @@ impl StroberFlow {
         self.sample_windows(model, max_cycles, Some(&plan), ctl)
     }
 
-    /// Assembles one snapshot's bulk-load state through the verified name
-    /// map: per-flop booleans plus per-address SRAM words. Retimed
-    /// registers are skipped — the warmup prefix recovers them instead.
-    #[allow(clippy::type_complexity)]
-    fn scan_state(
-        &self,
-        snapshot: &FameSnapshot,
-    ) -> Result<(Vec<(String, bool)>, Vec<(String, usize, u64)>), StroberError> {
-        let mut dff_values = Vec::new();
-        for (name, value) in &snapshot.regs {
-            if self.name_map.retimed.iter().any(|r| r == name) {
-                continue;
-            }
-            let dffs = self
-                .name_map
-                .regs
-                .get(name)
-                .ok_or_else(|| StroberError::UnmappedState { name: name.clone() })?;
-            for (i, dff) in dffs.iter().enumerate() {
-                dff_values.push((dff.clone(), (value >> i) & 1 == 1));
-            }
-        }
-        let mut sram_words = Vec::new();
-        for (name, contents) in &snapshot.mems {
-            let macro_name = self
-                .name_map
-                .mems
-                .get(name)
-                .ok_or_else(|| StroberError::UnmappedState { name: name.clone() })?;
-            for (addr, word) in contents.iter().enumerate() {
-                sram_words.push((macro_name.clone(), addr, *word));
-            }
-        }
-        Ok((dff_values, sram_words))
-    }
-
-    /// Replays one snapshot on gate-level simulation: forces the recorded
+    /// Replays up to 64 snapshots at once on the bit-parallel
+    /// [`BatchSim`], one per bit-lane. Per lane: forces the recorded
     /// inputs for the `warmup` prefix (recovering retimed-datapath state,
-    /// §IV-C3), loads the scanned architectural state through the verified
-    /// name map (via the VPI-style bulk loader) at the measurement-window
-    /// boundary, checks every recorded output inside the window, and
-    /// measures power over the `L`-cycle window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StroberError::ReplayMismatch`] when gate-level outputs
-    /// diverge from the trace, [`StroberError::UnmappedState`] for
-    /// snapshot state with no mapping, and loader errors otherwise.
-    fn replay(&self, snapshot: &FameSnapshot) -> Result<ReplayResult, StroberError> {
-        let _span = strober_probe::span("strober.core.replay_sample");
-        let t0 = strober_probe::enabled().then(std::time::Instant::now);
-        let mut sim = GateSim::with_tape(self.replay_tape()?, &self.synth.netlist);
-
-        let (dff_values, sram_words) = self.scan_state(snapshot)?;
-        let warmup = self.config.warmup as usize;
-        let total = snapshot.trace_len();
-        let mut outputs_checked = 0u64;
-        for t in 0..total {
-            for (port, values) in &snapshot.inputs {
-                sim.poke_port(port, values[t])?;
-            }
-            if t == warmup {
-                // The state scan happened `warmup` cycles into the traced
-                // window: load it now. Retimed (unmapped) netlist
-                // registers keep the values the forced-input prefix gave
-                // them — that prefix covers their pipeline depth.
-                VpiLoader::load(&mut sim, &dff_values, &sram_words)?;
-                sim.reset_activity();
-            }
-            if t >= warmup {
-                for (port, values) in &snapshot.outputs {
-                    let got = sim.peek_port(port)?;
-                    if got != values[t] {
-                        return Err(StroberError::ReplayMismatch {
-                            cycle: snapshot.cycle,
-                            output: port.clone(),
-                            offset: t,
-                            expected: values[t],
-                            got,
-                        });
-                    }
-                    outputs_checked += 1;
-                }
-            }
-            sim.step();
-        }
-
-        let power = self.analyzer.analyze(&sim.activity());
-        if let Some(t0) = t0 {
-            strober_probe::histogram_record(
-                "strober.core.replay_sample_ms",
-                t0.elapsed().as_secs_f64() * 1e3,
-            );
-        }
-        Ok(ReplayResult {
-            cycle: snapshot.cycle,
-            power,
-            outputs_checked,
-        })
-    }
-
-    /// Replays a batch of up to 64 snapshots simultaneously on the
-    /// bit-parallel [`BatchSim`], one snapshot per bit-lane. Semantics
-    /// are identical to calling [`StroberFlow::replay`] on each snapshot
-    /// (same warmup forcing, same bulk load at the window boundary, same
-    /// output checking, same power analysis), and results are
-    /// bit-identical — only the evaluation is shared.
+    /// §IV-C3), loads the scanned state through the verified name map
+    /// (via the VPI-style bulk loader) at the window boundary, checks
+    /// every recorded output inside the window, and measures power over
+    /// the `L`-cycle window. Each lane's result is the one it gets alone.
     ///
     /// All snapshots must have the same trace length: lanes share one
     /// instruction stream, hence one cycle count.
@@ -846,15 +746,15 @@ impl StroberFlow {
     /// Returns [`StroberError::GateSim`] for an empty or over-64 batch,
     /// [`StroberError::BatchTraceLengthMismatch`] if the snapshots' trace
     /// lengths differ ([`StroberFlow::replay_all_batched`] groups by
-    /// length for you), and the same errors as [`StroberFlow::replay`]
-    /// otherwise; a mismatch on any lane fails the whole batch.
+    /// length for you), [`StroberError::UnmappedState`] or
+    /// [`StroberError::SnapshotLayoutMismatch`] for state the load plan
+    /// cannot place, and [`StroberError::ReplayMismatch`] when outputs
+    /// diverge from the trace; a mismatch on any lane fails the batch.
     fn replay_batch(&self, snapshots: &[&FameSnapshot]) -> Result<Vec<ReplayResult>, StroberError> {
         let _span = strober_probe::span("strober.core.replay_batch");
         let t0 = strober_probe::enabled().then(std::time::Instant::now);
         let lanes = snapshots.len();
-        if lanes == 0 || lanes > MAX_LANES {
-            return Err(GateSimError::BadLaneCount { lanes }.into());
-        }
+        check_lanes(lanes)?;
         let total = snapshots[0].trace_len();
         for (lane, s) in snapshots.iter().enumerate() {
             if s.trace_len() != total {
@@ -960,11 +860,9 @@ impl StroberFlow {
     /// threads composed: snapshots are grouped by trace length, packed
     /// into batches of up to `batch_lanes` lanes, and the batches are
     /// distributed over `parallelism` threads (`threads × lanes`
-    /// concurrent replays). Results come back in snapshot order and are
-    /// bit-identical to the scalar path.
-    ///
-    /// `batch_lanes == 1` selects the scalar `GateSim` replay, the
-    /// reference the batched path is tested bit-identical against.
+    /// concurrent replays). Results come back in snapshot order and do
+    /// not depend on `batch_lanes` or `parallelism`; `batch_lanes == 1`
+    /// replays one snapshot per pass.
     ///
     /// # Errors
     ///
@@ -1021,18 +919,13 @@ impl StroberFlow {
 
         let total = batches.len() as u64;
         let done = AtomicU64::new(0);
-        // One cancellation / progress quantum. A batch of one lane takes
-        // the scalar `GateSim` reference path.
+        // One cancellation / progress quantum.
         let run_batch = |batch: &[usize]| -> Result<Vec<ReplayResult>, StroberError> {
             if ctl.is_cancelled() {
                 return Err(StroberError::Cancelled);
             }
-            let results = if batch_lanes == 1 {
-                vec![self.replay(snapshots[batch[0]])?]
-            } else {
-                let refs: Vec<&FameSnapshot> = batch.iter().map(|&i| snapshots[i]).collect();
-                self.replay_batch(&refs)?
-            };
+            let refs: Vec<&FameSnapshot> = batch.iter().map(|&i| snapshots[i]).collect();
+            let results = self.replay_batch(&refs)?;
             ctl.report(Progress::ReplayBatches {
                 done: done.fetch_add(1, Ordering::Relaxed) + 1,
                 total,
@@ -1326,7 +1219,7 @@ mod tests {
         // Corrupt the captured register state: the free-running counter's
         // outputs can no longer match the trace.
         snap.regs[0].1 ^= 0x5A;
-        let err = flow.replay(&snap).unwrap_err();
+        let err = flow.replay_batch(&[&snap]).unwrap_err();
         assert!(matches!(err, StroberError::ReplayMismatch { .. }), "{err}");
     }
 
@@ -1337,10 +1230,10 @@ mod tests {
         let sequential: Vec<ReplayResult> = run
             .snapshots
             .iter()
-            .map(|s| flow.replay(s).unwrap())
+            .flat_map(|s| flow.replay_batch(&[s]).unwrap())
             .collect();
-        // Full-width lanes, narrow lanes, and the scalar fallback must
-        // all agree exactly — power reports included.
+        // Full-width lanes, narrow lanes, and one lane per pass must all
+        // agree exactly — power reports included.
         for lanes in [64, 2, 1] {
             let batched = flow.replay_all_batched(&run.snapshots, 1, lanes).unwrap();
             assert_eq!(batched, sequential, "lane count {lanes} diverged");
@@ -1392,9 +1285,9 @@ mod tests {
         for corrupt in [ghost_reg, ghost_mem] {
             let mut stray = run.snapshots[1].clone();
             corrupt(&mut stray);
-            let scalar = flow.replay(&stray).unwrap_err();
+            let alone = flow.replay_batch(&[&stray]).unwrap_err();
             let batched = flow.replay_batch(&[&run.snapshots[0], &stray]).unwrap_err();
-            for err in [scalar, batched] {
+            for err in [alone, batched] {
                 assert!(
                     matches!(&err, StroberError::UnmappedState { name } if name == "core/ghost"),
                     "{err}"

@@ -142,8 +142,8 @@ impl LoadPlan {
     /// Checks that `snap` carries the plan's registers and memories, in
     /// its order, with its memory depths. A snapshot that does not is
     /// refused with [`StroberError::UnmappedState`] when it names state
-    /// the name map does not cover — what the scalar replay reports for
-    /// it — and with [`StroberError::SnapshotLayoutMismatch`] otherwise.
+    /// the name map does not cover — what a load by name reports for it
+    /// — and with [`StroberError::SnapshotLayoutMismatch`] otherwise.
     fn check(&self, snap: &FameSnapshot, name_map: &NameMap) -> Result<(), StroberError> {
         let Some(detail) = self.difference(snap) else {
             return Ok(());

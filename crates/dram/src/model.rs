@@ -353,27 +353,31 @@ impl DramModel {
 
 impl DramModel {
     /// Services one cycle of a gate-level simulation of a core netlist
-    /// (used for the full-workload ground-truth runs of Fig. 8).
+    /// (used for the full-workload ground-truth runs of Fig. 8): drives
+    /// every lane of `sim` alike and reads lane 0, so a one-lane batch is
+    /// one gate-level run.
     ///
     /// # Panics
     ///
     /// Panics if the netlist does not expose the core memory interface.
-    pub fn tick_gate(&mut self, sim: &mut strober_gatesim::GateSim) {
+    pub fn tick_gate(&mut self, sim: &mut strober_gatesim::BatchSim) {
         let resp = self.response();
-        sim.poke_port("mem_resp_valid", resp.0).expect("core port");
-        sim.poke_port("mem_resp_tag", resp.1).expect("core port");
-        sim.poke_port("mem_resp_rdata", resp.2).expect("core port");
-        let valid = sim.peek_port("mem_req_valid").expect("core port") == 1;
-        let rw = sim.peek_port("mem_req_rw").expect("core port") == 1;
-        let addr = sim.peek_port("mem_req_addr").expect("core port") as u32;
-        let wdata = sim.peek_port("mem_req_wdata").expect("core port") as u32;
-        let tag = sim.peek_port("mem_req_tag").expect("core port");
+        let mut poke = |port, value| sim.poke_port_broadcast(port, value).expect("core port");
+        poke("mem_resp_valid", resp.0);
+        poke("mem_resp_tag", resp.1);
+        poke("mem_resp_rdata", resp.2);
+        let mut peek = |port| sim.peek_port_lane(port, 0).expect("core port");
+        let valid = peek("mem_req_valid") == 1;
+        let rw = peek("mem_req_rw") == 1;
+        let addr = peek("mem_req_addr") as u32;
+        let wdata = peek("mem_req_wdata") as u32;
+        let tag = peek("mem_req_tag");
         self.request(valid, rw, addr, wdata, tag);
         if valid || self.inflight.is_some() {
             self.counters.busy_cycles += 1;
         }
-        self.tohost = sim.peek_port("tohost").expect("core port");
-        self.instret = sim.peek_port("instret").expect("core port");
+        self.tohost = peek("tohost");
+        self.instret = peek("instret");
         sim.step();
         self.now += 1;
     }

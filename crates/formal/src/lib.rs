@@ -33,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use strober_gates::Gate;
-use strober_gatesim::GateSim;
+use strober_gatesim::BatchSim;
 use strober_rtl::Design;
 use strober_sim::Simulator;
 use strober_synth::SynthResult;
@@ -289,9 +289,10 @@ pub fn match_designs(
     let mut rtl = Simulator::new(design).map_err(|e| FormalError::SimulatorConstruction {
         detail: e.to_string(),
     })?;
-    let mut gate = GateSim::new(netlist).map_err(|e| FormalError::SimulatorConstruction {
-        detail: e.to_string(),
-    })?;
+    let mut gate =
+        BatchSim::with_lanes(netlist, 1).map_err(|e| FormalError::SimulatorConstruction {
+            detail: e.to_string(),
+        })?;
 
     let mut rng = StdRng::seed_from_u64(options.seed);
     let ports: Vec<(String, u64)> = design
@@ -302,10 +303,10 @@ pub fn match_designs(
     let outputs: Vec<String> = design.outputs().iter().map(|(n, _)| n.clone()).collect();
 
     let compare =
-        |rtl: &mut Simulator, gate: &mut GateSim, cycle: u64| -> Result<(), FormalError> {
+        |rtl: &mut Simulator, gate: &mut BatchSim, cycle: u64| -> Result<(), FormalError> {
             for out in &outputs {
                 let r = rtl.peek_output(out).expect("validated output");
-                let g = gate.peek_port(out).expect("validated output");
+                let g = gate.peek_port_lane(out, 0).expect("validated output");
                 if r != g {
                     return Err(FormalError::NotEquivalent {
                         output: out.clone(),
@@ -323,7 +324,7 @@ pub fn match_designs(
         for (name, mask) in &ports {
             let v = rng.gen::<u64>() & mask;
             rtl.poke_by_name(name, v).expect("validated port");
-            gate.poke_port(name, v).expect("validated port");
+            gate.poke_port_broadcast(name, v).expect("validated port");
         }
         compare(&mut rtl, &mut gate, cycle)?;
         rtl.step();
@@ -345,7 +346,8 @@ pub fn match_designs(
                 let v = rng.gen::<u64>() & mask;
                 rtl.set_reg_value(*id, v);
                 for (i, dff) in name_map.regs[name].iter().enumerate() {
-                    gate.set_dff(dff, (v >> i) & 1 == 1).expect("matched dff");
+                    gate.set_dff_lane(dff, 0, (v >> i) & 1 == 1)
+                        .expect("matched dff");
                 }
             }
             let mem_ids: Vec<_> = design
@@ -357,7 +359,7 @@ pub fn match_designs(
                 for addr in 0..*depth {
                     let v = rng.gen::<u64>() & mask;
                     rtl.set_mem_value(*id, addr, v);
-                    gate.set_sram_word(macro_name, addr, v)
+                    gate.set_sram_word_lane(macro_name, 0, addr, v)
                         .expect("matched macro");
                 }
             }
@@ -365,7 +367,7 @@ pub fn match_designs(
                 for (name, mask) in &ports {
                     let v = rng.gen::<u64>() & mask;
                     rtl.poke_by_name(name, v).expect("validated port");
-                    gate.poke_port(name, v).expect("validated port");
+                    gate.poke_port_broadcast(name, v).expect("validated port");
                 }
                 compare(&mut rtl, &mut gate, cycle)?;
                 rtl.step();

@@ -1,9 +1,9 @@
 //! Differential fuzzing for the Strober reproduction.
 //!
-//! The workspace carries five semantically-equivalent ways to execute a
-//! design — the naive RTL interpreter, the compiled op tape, the
-//! FAME1-transformed hub, the scalar gate-level simulator, and the
-//! 64-lane bit-parallel batch engine — plus the full
+//! The workspace carries six semantically-equivalent ways to execute a
+//! design — the naive RTL interpreter, the compiled op tape (interpreted
+//! and native), the FAME1-transformed hub, the naive gate-level
+//! evaluator, and the 64-lane bit-parallel batch engine — plus the full
 //! sample→snapshot→replay pipeline built on top of them. The paper's
 //! methodology (§III-C) rests on those paths agreeing *bit-for-bit*: any
 //! silent divergence corrupts every downstream energy number.
@@ -33,5 +33,5 @@ pub use driver::{
     config_for_seed, run_fuzz, run_fuzz_cancellable, FuzzFailure, FuzzOptions, FuzzOutcome,
 };
 pub use genome::{rand_genome, stimulus, Genome, MemGene, OpGene, RegGene};
-pub use oracle::{check, inject_bug, Divergence, InjectedBug, OracleConfig};
+pub use oracle::{check, inject_bug, reference_replay, Divergence, InjectedBug, OracleConfig};
 pub use shrink::{shrink, Shrunk};

@@ -9,9 +9,9 @@
 //! | `tape`      | compiled op-tape, optimizing compiler    | `naive`          |
 //! | `tape-jit`  | rustc-compiled native settle + register capture dylib | `naive` |
 //! | `fame`      | FAME1 hub with `fire` held high          | `naive`          |
-//! | `gate`      | scalar gate-level sim of the netlist     | `naive`/`tape`   |
-//! | `batch@L`   | L-lane bit-parallel gate-level sim       | `gate`           |
-//! | `flow`      | sample → snapshot → replay round trip    | itself, 1 vs 64 lanes |
+//! | `naive-gate` | netlist evaluated gate by gate (`NaiveGateSim`) | `naive` |
+//! | `batch@L`   | L-lane bit-parallel gate-level sim       | `naive-gate`     |
+//! | `flow`      | sample → snapshot → replay round trip at 1, 7 and 64 lanes | [`reference_replay`] on `naive-gate` |
 //! | `capture-direct` | snapshots read out of hub simulator storage | `capture-scan` (shifted through the scan chains) |
 //!
 //! Agreement covers per-cycle outputs, final architectural state, per-net
@@ -24,10 +24,10 @@
 
 use crate::genome::{stimulus, Genome};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use strober::{HubEngine, StroberConfig, StroberFlow};
-use strober_fame::{transform, FameConfig};
+use strober::{HubEngine, ReplayResult, StroberConfig, StroberError, StroberFlow};
+use strober_fame::{transform, FameConfig, FameSnapshot};
 use strober_gates::{CellKind, CellLibrary, Gate, Netlist};
-use strober_gatesim::{ActivityReport, BatchSim, GateSim};
+use strober_gatesim::{ActivityReport, BatchSim, NaiveGateSim};
 use strober_platform::{HostModel, OutputView, PlatformConfig, TargetInput, ZynqHost};
 use strober_power::PowerAnalyzer;
 use strober_sim::{NaiveInterpreter, Simulator};
@@ -46,7 +46,7 @@ pub enum InjectedBug {
 /// What to run and how.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct OracleConfig {
-    /// Batch lane counts to cross-check against the scalar gate sim.
+    /// Batch lane counts to cross-check against the naive gate engine.
     pub lanes: Vec<usize>,
     /// Whether to run the full `StroberFlow` round trip (skipped
     /// automatically for designs with no I/O and for injected-bug runs).
@@ -120,7 +120,8 @@ pub enum Divergence {
         /// Observed total power, mW.
         got_mw: f64,
     },
-    /// The sample→snapshot→replay round trip disagreed with itself.
+    /// The sample→snapshot→replay round trip disagreed with the
+    /// reference replay (or a capture path with the other).
     Flow {
         /// Human-readable difference.
         detail: String,
@@ -473,26 +474,27 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
     let lib = CellLibrary::generic_45nm();
     let analyzer = PowerAnalyzer::new(&netlist, &lib, 1.0e9);
 
-    // --- Oracle: scalar gate-level sim, both streams. ---
+    // --- Oracle: the naive gate-level engine, both streams. ---
+    let oracle = "naive-gate";
     let mut gate_runs: Vec<(RtlRunGate, ActivityReport)> = Vec::new();
     for (stream_lane, reference) in refs.iter().enumerate() {
         let stream = lane_stream(genome, stream_lane);
-        let mut gate = GateSim::new(&netlist).map_err(|e| err("gate", e.to_string()))?;
+        let mut gate = NaiveGateSim::new(&netlist).map_err(|e| err(oracle, e.to_string()))?;
         let mut outputs_trace = Vec::with_capacity(cycles as usize);
         for cycle in 0..u64::from(cycles) {
             for (i, (name, mask)) in ports.iter().enumerate() {
                 gate.poke_port(name, stimulus(stream, i, cycle) & mask)
-                    .map_err(|e| err("gate", e.to_string()))?;
+                    .map_err(|e| err(oracle, e.to_string()))?;
             }
             let mut row = Vec::with_capacity(outputs.len());
             for (oi, out) in outputs.iter().enumerate() {
                 let got = gate
                     .peek_port(out)
-                    .map_err(|e| err("gate", e.to_string()))?;
+                    .map_err(|e| err(oracle, e.to_string()))?;
                 let expected = reference.outputs_trace[cycle as usize][oi];
                 if got != expected {
                     return Err(Divergence::Output {
-                        oracle: "gate".to_owned(),
+                        oracle: oracle.to_owned(),
                         reference: "naive".to_owned(),
                         output: out.clone(),
                         cycle,
@@ -534,7 +536,7 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
                     if got != expected {
                         return Err(Divergence::Output {
                             oracle: oracle.clone(),
-                            reference: "gate".to_owned(),
+                            reference: "naive-gate".to_owned(),
                             output: out.clone(),
                             cycle,
                             lane,
@@ -554,7 +556,7 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
             if activity != *reference {
                 return Err(Divergence::Toggles {
                     oracle: oracle.clone(),
-                    reference: "gate".to_owned(),
+                    reference: "naive-gate".to_owned(),
                     lane,
                     expected: reference.total_toggles(),
                     got: activity.total_toggles(),
@@ -566,7 +568,7 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
                 if got != expected {
                     return Err(Divergence::Power {
                         oracle: oracle.clone(),
-                        reference: "gate".to_owned(),
+                        reference: "naive-gate".to_owned(),
                         lane,
                         expected_mw: expected.total_mw(),
                         got_mw: got.total_mw(),
@@ -754,31 +756,97 @@ fn check_flow(
     if run.snapshots.is_empty() {
         return Ok(());
     }
-    let scalar = flow
-        .replay_all(&run.snapshots, 1)
-        .map_err(|e| ferr(format!("scalar replay: {e}")))?;
-    let batched = flow
-        .replay_all_batched(&run.snapshots, 1, 64)
-        .map_err(|e| ferr(format!("batched replay: {e}")))?;
-    if scalar != batched {
-        return Err(ferr(format!(
-            "scalar and 64-lane replay disagree: {scalar:?} vs {batched:?}"
-        )));
-    }
-    if scalar.len() >= 2 {
-        let est = flow
-            .estimate(&run, &scalar)
-            .map_err(|e| ferr(format!("estimate: {e}")))?;
-        let est_b = flow
-            .estimate(&run, &batched)
-            .map_err(|e| ferr(format!("estimate (batched): {e}")))?;
-        if est.mean_power_mw() != est_b.mean_power_mw() {
+    let reference = run
+        .snapshots
+        .iter()
+        .map(|snap| reference_replay(&flow, snap))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| ferr(format!("reference replay: {e}")))?;
+    for lanes in [1, 7, 64] {
+        let replayed = flow
+            .replay_all_batched(&run.snapshots, 1, lanes)
+            .map_err(|e| ferr(format!("{lanes}-lane replay: {e}")))?;
+        if replayed != reference {
             return Err(ferr(format!(
-                "estimates disagree: {} vs {} mW",
-                est.mean_power_mw(),
-                est_b.mean_power_mw()
+                "{lanes}-lane replay and the reference disagree: {replayed:?} vs {reference:?}"
             )));
         }
     }
+    if reference.len() >= 2 {
+        flow.estimate(&run, &reference)
+            .map_err(|e| ferr(format!("estimate: {e}")))?;
+    }
     Ok(())
+}
+
+/// Replays `snapshot` on the naive gate-level engine with the flow's
+/// replay semantics: the reference every flow replay is held to, at any
+/// lane count. Forces the recorded inputs through the warmup prefix,
+/// loads the scanned state by name through the flow's name map at the
+/// window boundary (retimed registers keep what the prefix gave them),
+/// resets activity, checks every recorded output inside the window, and
+/// prices the window with a `PowerAnalyzer` built as the flow builds its
+/// own.
+///
+/// # Errors
+///
+/// [`StroberError::UnmappedState`] for state the name map does not
+/// cover, [`StroberError::ReplayMismatch`] for an output that differs from
+/// the trace, [`StroberError::GateSim`] for a name or address the netlist
+/// does not have.
+pub fn reference_replay(
+    flow: &StroberFlow,
+    snapshot: &FameSnapshot,
+) -> Result<ReplayResult, StroberError> {
+    let netlist = &flow.synth().netlist;
+    let map = flow.name_map();
+    let unmapped = |name: &String| StroberError::UnmappedState { name: name.clone() };
+    let mut sim = NaiveGateSim::new(netlist)?;
+    let warmup = flow.config().warmup as usize;
+    let mut outputs_checked = 0;
+    for t in 0..snapshot.trace_len() {
+        for (port, values) in &snapshot.inputs {
+            sim.poke_port(port, values[t])?;
+        }
+        if t == warmup {
+            for (name, value) in &snapshot.regs {
+                if map.retimed.contains(name) {
+                    continue;
+                }
+                let dffs = map.regs.get(name).ok_or_else(|| unmapped(name))?;
+                for (bit, dff) in dffs.iter().enumerate() {
+                    sim.set_dff(dff, (value >> bit) & 1 == 1)?;
+                }
+            }
+            for (name, words) in &snapshot.mems {
+                let sram = map.mems.get(name).ok_or_else(|| unmapped(name))?;
+                for (addr, &word) in words.iter().enumerate() {
+                    sim.set_sram_word(sram, addr, word)?;
+                }
+            }
+            sim.reset_activity();
+        }
+        if t >= warmup {
+            for (port, values) in &snapshot.outputs {
+                let got = sim.peek_port(port)?;
+                if got != values[t] {
+                    return Err(StroberError::ReplayMismatch {
+                        cycle: snapshot.cycle,
+                        output: port.clone(),
+                        offset: t,
+                        expected: values[t],
+                        got,
+                    });
+                }
+                outputs_checked += 1;
+            }
+        }
+        sim.step();
+    }
+    let analyzer = PowerAnalyzer::new(netlist, flow.library(), flow.config().freq_hz);
+    Ok(ReplayResult {
+        cycle: snapshot.cycle,
+        power: analyzer.analyze(&sim.activity()),
+        outputs_checked,
+    })
 }

@@ -1,15 +1,14 @@
 //! Bit-parallel batched gate-level simulation: 64 replays per pass.
 //!
-//! [`BatchSim`] evaluates the same compiled op tape as [`crate::GateSim`],
-//! but over one `u64` *word* per net instead of one `bool`: bit-lane `l`
-//! of every word holds the value of that net in replay `l`. A single
-//! AND/OR/XOR/NOT pass over the tape therefore advances up to 64
-//! independent sample replays at once — the classic bit-parallel
-//! ("PLP") gate simulation restructuring, applied to Strober's replay
-//! stage where every snapshot runs the *same* netlist for the *same*
-//! number of cycles and only the data differs. The tape comes in
-//! (level, kind) runs, so each block of same-kind gates is one tight loop
-//! with no per-gate dispatch.
+//! [`BatchSim`] evaluates the compiled op tape ([`crate::Tape`]) over one
+//! `u64` *word* per net: bit-lane `l` of every word holds the value of
+//! that net in replay `l`. A single AND/OR/XOR/NOT pass over the tape
+//! therefore advances up to 64 independent sample replays at once — the
+//! classic bit-parallel ("PLP") gate simulation restructuring, applied to
+//! Strober's replay stage where every snapshot runs the *same* netlist
+//! for the *same* number of cycles and only the data differs. The tape
+//! comes in (level, kind) runs, so each block of same-kind gates is one
+//! tight loop with no per-gate dispatch.
 //!
 //! Activity counting is word-wide too. Each net's 64 per-lane toggle
 //! counters live as eight bit planes — bit `l` of plane `k` is bit `k`
@@ -28,9 +27,9 @@
 //! macro contents, so a read port loads one word per lane, a write port
 //! stores one per enabled lane, and read accesses are charged per lane.
 //!
-//! The result is bit-identical to running 64 separate [`crate::GateSim`]
-//! replays (a property enforced by the `batch_equiv` differential test),
-//! at a fraction of the cost.
+//! Every lane is bit-identical to a separate replay on the reference
+//! engine, [`crate::NaiveGateSim`] (enforced by the `batch_equiv`
+//! differential test); a one-lane batch is a single replay.
 //!
 //! # Examples
 //!
@@ -61,7 +60,7 @@
 
 use crate::activity::ActivityReport;
 use crate::compile::{eval_gates, RunKind, SramPorts, Tape};
-use crate::sim::{check_fits, input_port, output_port, GateSimError};
+use crate::sim::{check_fits, found, GateSimError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use strober_gates::{NetId, Netlist};
@@ -120,8 +119,8 @@ struct BatchSramState {
 /// The bit-parallel batched gate-level simulator.
 ///
 /// Carries `lanes` (1..=[`MAX_LANES`]) independent replays of one netlist;
-/// every lane sees identical zero-delay levelized semantics to a
-/// standalone [`crate::GateSim`]. All lanes share the clock: one
+/// every lane sees the zero-delay semantics of a standalone
+/// [`crate::NaiveGateSim`]. All lanes share the clock: one
 /// [`BatchSim::step`] advances every lane by one cycle.
 #[derive(Debug, Clone)]
 pub struct BatchSim {
@@ -144,8 +143,7 @@ pub struct BatchSim {
     dff_scratch: Vec<u64>,
     srams: Vec<BatchSramState>,
     /// Whether the read ports have a baseline address to charge against;
-    /// until then every edge charges every lane, like the scalar engine's
-    /// first edge.
+    /// until then every edge charges every lane.
     reads_primed: bool,
     cycle: u64,
     dirty: bool,
@@ -216,9 +214,9 @@ impl BatchSim {
 
     /// Builds a batched simulator from a tape compiled earlier with
     /// [`Tape::compile`], skipping compilation entirely. The tape **must**
-    /// have been compiled from this exact `netlist` (see
-    /// [`GateSim::with_tape`](crate::GateSim::with_tape)); only the SRAM
-    /// macros' initial contents are read from it.
+    /// have been compiled from this exact `netlist` (a session caching the
+    /// tape by design fingerprint is); only the SRAM macros' initial
+    /// contents are read from it.
     ///
     /// # Errors
     ///
@@ -349,7 +347,7 @@ impl BatchSim {
     /// for a wrong-length slice, or [`GateSimError::ValueTooWide`] if any
     /// lane's value exceeds the port width.
     pub fn poke_port_lanes(&mut self, name: &str, values: &[u64]) -> Result<(), GateSimError> {
-        let port = input_port(&self.tape, name)?;
+        let port = found(self.tape.input_index(name), "input port", name)?;
         self.poke_port_lanes_at(port, values)
     }
 
@@ -360,7 +358,7 @@ impl BatchSim {
     /// Returns [`GateSimError::UnknownName`] or
     /// [`GateSimError::ValueTooWide`].
     pub fn poke_port_broadcast(&mut self, name: &str, value: u64) -> Result<(), GateSimError> {
-        let port = input_port(&self.tape, name)?;
+        let port = found(self.tape.input_index(name), "input port", name)?;
         let bits = &self.tape.inputs.bits[port];
         check_fits(name, value, bits.len())?;
         for (i, net) in bits.iter().enumerate() {
@@ -385,7 +383,7 @@ impl BatchSim {
     /// [`GateSimError::LaneOutOfRange`].
     pub fn peek_port_lane(&mut self, name: &str, lane: usize) -> Result<u64, GateSimError> {
         self.check_lane(lane)?;
-        let port = output_port(&self.tape, name)?;
+        let port = found(self.tape.output_index(name), "output port", name)?;
         Ok(self.output_rows(port)[lane])
     }
 
@@ -420,7 +418,7 @@ impl BatchSim {
         name: &str,
         out: &mut [u64],
     ) -> Result<(), GateSimError> {
-        let port = output_port(&self.tape, name)?;
+        let port = found(self.tape.output_index(name), "output port", name)?;
         self.peek_port_lanes_at(port, out)
     }
 
@@ -497,7 +495,7 @@ impl BatchSim {
     /// port's lanes whose address moved since the last edge (the lane
     /// addresses the settle computed), then commit each write port's
     /// enabled lanes in port order, so of two ports writing one address
-    /// on one lane the later wins, as in the scalar engine.
+    /// on one lane the later wins.
     fn sram_edge(&mut self) {
         let primed = self.reads_primed;
         for (s, st) in self.tape.srams.iter().zip(&mut self.srams) {
@@ -619,24 +617,6 @@ impl BatchSim {
         self.dirty = true;
     }
 
-    fn dff_index(&self, name: &str) -> Result<usize, GateSimError> {
-        self.tape
-            .dff_index(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "flip-flop",
-                name: name.to_owned(),
-            })
-    }
-
-    fn sram_index(&self, name: &str) -> Result<usize, GateSimError> {
-        self.tape
-            .sram_index(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "SRAM macro",
-                name: name.to_owned(),
-            })
-    }
-
     /// Sets a flip-flop's current value on one lane.
     ///
     /// # Errors
@@ -650,7 +630,8 @@ impl BatchSim {
         value: bool,
     ) -> Result<(), GateSimError> {
         self.check_lane(lane)?;
-        let q = self.tape.dffs[self.dff_index(name)?].1 as usize;
+        let dff = found(self.tape.dff_index(name), "flip-flop", name)?;
+        let q = self.tape.dffs[dff].1 as usize;
         let bit = 1u64 << lane;
         if value {
             self.values[q] |= bit;
@@ -671,7 +652,8 @@ impl BatchSim {
     /// [`GateSimError::LaneOutOfRange`].
     pub fn dff_value_lane(&self, name: &str, lane: usize) -> Result<bool, GateSimError> {
         self.check_lane(lane)?;
-        let q = self.tape.dffs[self.dff_index(name)?].1 as usize;
+        let dff = found(self.tape.dff_index(name), "flip-flop", name)?;
+        let q = self.tape.dffs[dff].1 as usize;
         Ok((self.values[q] >> lane) & 1 == 1)
     }
 
@@ -731,7 +713,7 @@ impl BatchSim {
         value: u64,
     ) -> Result<(), GateSimError> {
         self.check_lane(lane)?;
-        let idx = self.sram_index(name)?;
+        let idx = found(self.tape.sram_index(name), "SRAM macro", name)?;
         let depth = self.sram_depth(idx, addr)?;
         self.srams[idx].contents[lane * depth + addr] = value;
         self.dirty = true;
@@ -752,15 +734,14 @@ impl BatchSim {
         addr: usize,
     ) -> Result<u64, GateSimError> {
         self.check_lane(lane)?;
-        let idx = self.sram_index(name)?;
+        let idx = found(self.tape.sram_index(name), "SRAM macro", name)?;
         let depth = self.sram_depth(idx, addr)?;
         Ok(self.srams[idx].contents[lane * depth + addr])
     }
 
     /// Clears every lane's activity counters and starts a fresh
-    /// measurement window, with the same window-boundary semantics as
-    /// [`crate::GateSim::reset_activity`]: each lane's current read
-    /// address becomes that port's baseline.
+    /// measurement window: each lane's current read address becomes that
+    /// port's baseline, so a port holding its line is not charged again.
     pub fn reset_activity(&mut self) {
         self.settle();
         self.planes.fill(0);
@@ -785,7 +766,7 @@ impl BatchSim {
     }
 
     /// Produces one lane's activity report, shaped exactly like a
-    /// standalone [`crate::GateSim::activity`] report for the same
+    /// standalone [`crate::NaiveGateSim::activity`] report for the same
     /// netlist (so [`strober_power`-style](ActivityReport) analyzers
     /// consume it unchanged): flushed counts plus the live planes.
     ///

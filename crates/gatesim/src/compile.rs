@@ -1,24 +1,23 @@
 //! Netlist compilation into a flat, levelized op tape.
 //!
-//! Both gate-level engines — the scalar [`crate::GateSim`] and the packed
-//! [`crate::BatchSim`] — execute the same compiled program, produced once
-//! per netlist by [`Tape::compile`]: every combinational element (gate or
+//! [`crate::BatchSim`] executes a compiled program, produced once per
+//! netlist by [`Tape::compile`]: every combinational element (gate or
 //! SRAM read port) with its inputs and output pre-resolved to raw net
 //! indices, ordered by *(level, kind)* and cut into [`Run`]s, maximal
 //! blocks of one kind at one level. A level reads only nets of earlier
-//! levels, so the order is topological; an engine matches on a run's kind
-//! once and then evaluates the whole block in one dispatch-free loop
+//! levels, so the order is topological; the engine matches on a run's
+//! kind once and then evaluates the whole block in one dispatch-free loop
 //! ([`eval_gates`]). Flip-flops and write ports are not on the tape; they
 //! act at the clock edge, outside combinational settling.
 //!
 //! Compiling once and interpreting the same instruction stream for every
 //! replay is what makes bit-parallel batching work: the tape is identical
 //! for all samples, only the word-sized value vector differs (see
-//! `DESIGN.md` §9).
+//! `DESIGN.md` §9). The reference engine, [`crate::NaiveGateSim`], never
+//! sees a tape.
 
 use crate::sim::GateSimError;
 use std::collections::HashMap;
-use std::ops::{BitAnd, BitOr, BitXor, Not};
 use strober_gates::{CellKind, Gate, NetId, Netlist, NetlistError, SramReadPort, SramWritePort};
 
 /// The widest word-level port or SRAM bus a tape accepts: one lane's
@@ -153,7 +152,7 @@ fn check_word(word: impl FnOnce() -> String, bits: usize) -> Result<(), GateSimE
     Ok(())
 }
 
-/// The compiled program plus the name-resolution side tables every engine
+/// The compiled program plus the name-resolution side tables the engine
 /// needs: sequential elements, port bit groupings, and lookup maps.
 #[derive(Debug, Clone)]
 pub struct Tape {
@@ -382,38 +381,18 @@ impl Tape {
     }
 }
 
-/// A net value both engines evaluate gates over: one `bool` (the scalar
-/// engine) or one `u64` of 64 lanes (the packed engine).
-pub(crate) trait Word:
-    Copy + Not<Output = Self> + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self>
-{
-    /// Logic 0 on every lane.
-    const ZERO: Self;
-    /// Logic 1 on every lane.
-    const ONES: Self;
-}
-
-impl Word for bool {
-    const ZERO: bool = false;
-    const ONES: bool = true;
-}
-
-impl Word for u64 {
-    const ZERO: u64 = 0;
-    const ONES: u64 = !0;
-}
-
-/// Evaluates one gate run over the value vector `v`: `kind` is matched
-/// once, then every op of the block runs the same loop body.
-pub(crate) fn eval_gates<W: Word>(kind: CellKind, ops: &[GateOp], v: &mut [W]) {
+/// Evaluates one gate run over the value vector `v`, one 64-lane word
+/// per net: `kind` is matched once, then every op of the block runs the
+/// same loop body.
+pub(crate) fn eval_gates(kind: CellKind, ops: &[GateOp], v: &mut [u64]) {
     #[inline(always)]
-    fn each<W: Word>(ops: &[GateOp], v: &mut [W], f: impl Fn(&[W], &GateOp) -> W) {
+    fn each(ops: &[GateOp], v: &mut [u64], f: impl Fn(&[u64], &GateOp) -> u64) {
         for op in ops {
             let out = f(v, op);
             v[op.out as usize] = out;
         }
     }
-    let at = |v: &[W], net: u32| v[net as usize];
+    let at = |v: &[u64], net: u32| v[net as usize];
     match kind {
         CellKind::Inv => each(ops, v, |v, op| !at(v, op.in0)),
         CellKind::Buf => each(ops, v, |v, op| at(v, op.in0)),
@@ -427,8 +406,8 @@ pub(crate) fn eval_gates<W: Word>(kind: CellKind, ops: &[GateOp], v: &mut [W]) {
             let s = at(v, op.in2);
             (at(v, op.in1) & s) | (at(v, op.in0) & !s)
         }),
-        CellKind::Tie0 => each(ops, v, |_, _| W::ZERO),
-        CellKind::Tie1 => each(ops, v, |_, _| W::ONES),
+        CellKind::Tie0 => each(ops, v, |_, _| 0),
+        CellKind::Tie1 => each(ops, v, |_, _| !0),
         CellKind::Dff => unreachable!("DFFs are not tape steps"),
     }
 }

@@ -19,14 +19,11 @@
 //! Both load identical state; they differ only in the modelled wall-clock
 //! cost, which the replay performance model uses.
 //!
-//! Two evaluation engines share one compiled program (the levelized op
-//! tape, see `DESIGN.md` §9):
-//!
-//! * [`GateSim`] — scalar reference engine, one replay at a time.
-//! * [`BatchSim`] — bit-parallel engine packing up to 64 independent
-//!   replays into the bit-lanes of a `u64` per net, with lane-wise SRAM
-//!   state and per-lane activity counting. Bit-identical to 64 scalar
-//!   runs, at a fraction of the cost.
+//! [`BatchSim`] is the engine: the levelized op tape ([`Tape`], see
+//! `DESIGN.md` §9) over one `u64` per net, up to 64 independent replays
+//! in its bit-lanes; one lane is a single replay. [`NaiveGateSim`], the
+//! netlist evaluated gate by gate, is the reference it is tested against,
+//! sharing none of its code.
 //!
 //! # Examples
 //!
@@ -34,19 +31,22 @@
 //! use strober_dsl::Ctx;
 //! use strober_rtl::Width;
 //! use strober_synth::{synthesize, SynthOptions};
-//! use strober_gatesim::GateSim;
+//! use strober_gatesim::{BatchSim, NaiveGateSim};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ctx = Ctx::new("counter");
 //! let count = ctx.reg("count", Width::new(8)?, 0);
 //! count.set(&count.out().add_lit(1));
 //! ctx.output("value", &count.out());
-//! let design = ctx.finish()?;
-//! let synth = synthesize(&design, &SynthOptions::default())?;
+//! let synth = synthesize(&ctx.finish()?, &SynthOptions::default())?;
 //!
-//! let mut gsim = GateSim::new(&synth.netlist)?;
+//! let mut gsim = BatchSim::with_lanes(&synth.netlist, 1)?;
 //! gsim.step_n(5);
-//! assert_eq!(gsim.peek_port("value")?, 5);
+//! assert_eq!(gsim.peek_port_lane("value", 0)?, 5);
+//!
+//! let mut reference = NaiveGateSim::new(&synth.netlist)?;
+//! reference.step_n(5);
+//! assert_eq!(reference.activity(), gsim.activity_lane(0)?);
 //! # Ok(())
 //! # }
 //! ```
@@ -58,10 +58,12 @@ mod activity;
 mod batch;
 mod compile;
 mod loader;
+mod naive;
 mod sim;
 
 pub use activity::ActivityReport;
 pub use batch::{BatchSim, PhaseTimes, MAX_LANES};
 pub use compile::Tape;
 pub use loader::{LoadStats, ScriptLoader, SramImage, VpiLoader};
-pub use sim::{GateSim, GateSimError};
+pub use naive::NaiveGateSim;
+pub use sim::GateSimError;

@@ -10,7 +10,7 @@
 //! the benchmark suite.
 
 use crate::batch::BatchSim;
-use crate::sim::{GateSim, GateSimError};
+use crate::sim::GateSimError;
 
 /// One lane's contents of one SRAM macro, for a batched load.
 #[derive(Debug, Clone, Copy)]
@@ -50,34 +50,8 @@ impl ScriptLoader {
     /// Commands per second through the interactive console.
     pub const COMMANDS_PER_SECOND: f64 = 400.0;
 
-    /// Loads flip-flop and SRAM state, returning the modelled cost.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GateSimError`] for unknown names or bad addresses.
-    pub fn load(
-        sim: &mut GateSim,
-        dff_values: &[(String, bool)],
-        sram_words: &[(String, usize, u64)],
-    ) -> Result<LoadStats, GateSimError> {
-        let commands = apply(sim, dff_values, sram_words)?;
-        Ok(LoadStats {
-            commands,
-            modeled_seconds: commands as f64 / Self::COMMANDS_PER_SECOND,
-        })
-    }
-
-    /// Loads per-lane flip-flop and SRAM state into a batched simulator;
-    /// see [`VpiLoader::load_batch`] for the data layout and cost model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GateSimError`] for an image deeper than its macro or
-    /// a lane past the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a flop or SRAM index that is not from this tape.
+    /// [`VpiLoader::load_batch`] — same load, same data layout, same
+    /// errors and panics — at this loader's command rate.
     pub fn load_batch(
         sim: &mut BatchSim,
         dff_words: &[(usize, u64)],
@@ -94,23 +68,6 @@ impl ScriptLoader {
 impl VpiLoader {
     /// Commands per second through the VPI bulk interface.
     pub const COMMANDS_PER_SECOND: f64 = 20_000.0;
-
-    /// Loads flip-flop and SRAM state, returning the modelled cost.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GateSimError`] for unknown names or bad addresses.
-    pub fn load(
-        sim: &mut GateSim,
-        dff_values: &[(String, bool)],
-        sram_words: &[(String, usize, u64)],
-    ) -> Result<LoadStats, GateSimError> {
-        let commands = apply(sim, dff_values, sram_words)?;
-        Ok(LoadStats {
-            commands,
-            modeled_seconds: commands as f64 / Self::COMMANDS_PER_SECOND,
-        })
-    }
 
     /// Loads per-lane flip-flop and SRAM state into a batched simulator,
     /// by index: names are resolved once, with
@@ -146,25 +103,6 @@ impl VpiLoader {
     }
 }
 
-fn apply(
-    sim: &mut GateSim,
-    dff_values: &[(String, bool)],
-    sram_words: &[(String, usize, u64)],
-) -> Result<u64, GateSimError> {
-    let _span = strober_probe::span("strober.gatesim.load");
-    strober_probe::counter_add(
-        "strober.gatesim.load_commands",
-        (dff_values.len() + sram_words.len()) as u64,
-    );
-    for (name, v) in dff_values {
-        sim.set_dff(name, *v)?;
-    }
-    for (name, addr, word) in sram_words {
-        sim.set_sram_word(name, *addr, *word)?;
-    }
-    Ok((dff_values.len() + sram_words.len()) as u64)
-}
-
 fn apply_batch(
     sim: &mut BatchSim,
     dff_words: &[(usize, u64)],
@@ -186,17 +124,20 @@ fn apply_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NaiveGateSim, Tape};
+    use std::sync::Arc;
     use strober_dsl::Ctx;
+    use strober_gates::Netlist;
     use strober_rtl::Width;
     use strober_synth::{synthesize, SynthOptions};
 
-    fn sim() -> GateSim {
+    fn netlist() -> Netlist {
         let ctx = Ctx::new("t");
         let r = ctx.reg("state", Width::new(4).unwrap(), 0);
         r.set(&r.out());
         ctx.output("o", &r.out());
         let design = ctx.finish().unwrap();
-        let nl = synthesize(
+        synthesize(
             &design,
             &SynthOptions {
                 optimize: false,
@@ -205,61 +146,81 @@ mod tests {
             },
         )
         .unwrap()
-        .netlist;
-        GateSim::new(&nl).unwrap()
+        .netlist
+    }
+
+    /// A batch of `lanes` lanes over `nl`, and its tape.
+    fn batch(nl: &Netlist, lanes: usize) -> (BatchSim, Arc<Tape>) {
+        let tape = Arc::new(Tape::compile(nl).unwrap());
+        let sim = BatchSim::with_tape_lanes(Arc::clone(&tape), nl, lanes).unwrap();
+        (sim, tape)
+    }
+
+    /// `(flop index, packed word)` for `state_reg_{i}_`, bit `l` of the
+    /// word from bit `i` of `per_lane[l]`.
+    fn state_words(tape: &Tape, per_lane: &[u64]) -> Vec<(usize, u64)> {
+        (0..4)
+            .map(|i| {
+                let word = per_lane
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (lane, v)| w | ((v >> i) & 1) << lane);
+                (tape.dff_index(&format!("state_reg_{i}_")).unwrap(), word)
+            })
+            .collect()
     }
 
     #[test]
     fn both_loaders_load_the_same_state() {
-        let values: Vec<(String, bool)> = (0..4)
-            .map(|i| (format!("state_reg_{i}_"), i % 2 == 0))
-            .collect();
-        let mut s1 = sim();
-        let mut s2 = sim();
-        let a = ScriptLoader::load(&mut s1, &values, &[]).unwrap();
-        let b = VpiLoader::load(&mut s2, &values, &[]).unwrap();
-        assert_eq!(s1.peek_port("o").unwrap(), s2.peek_port("o").unwrap());
-        assert_eq!(s1.peek_port("o").unwrap(), 0b0101);
+        let nl = netlist();
+        let (mut s1, tape) = batch(&nl, 1);
+        let (mut s2, _) = batch(&nl, 1);
+        let words = state_words(&tape, &[0b0101]);
+        let a = ScriptLoader::load_batch(&mut s1, &words, &[]).unwrap();
+        let b = VpiLoader::load_batch(&mut s2, &words, &[]).unwrap();
+        assert_eq!(
+            s1.peek_port_lane("o", 0).unwrap(),
+            s2.peek_port_lane("o", 0).unwrap()
+        );
+        assert_eq!(s1.peek_port_lane("o", 0).unwrap(), 0b0101);
         assert_eq!(a.commands, 4);
         assert_eq!(b.commands, 4);
     }
 
     #[test]
     fn vpi_is_fifty_times_faster() {
-        let values: Vec<(String, bool)> =
-            (0..4).map(|i| (format!("state_reg_{i}_"), true)).collect();
-        let mut s1 = sim();
-        let mut s2 = sim();
-        let script = ScriptLoader::load(&mut s1, &values, &[]).unwrap();
-        let vpi = VpiLoader::load(&mut s2, &values, &[]).unwrap();
+        let nl = netlist();
+        let (mut s1, tape) = batch(&nl, 1);
+        let (mut s2, _) = batch(&nl, 1);
+        let words = state_words(&tape, &[0b1111]);
+        let script = ScriptLoader::load_batch(&mut s1, &words, &[]).unwrap();
+        let vpi = VpiLoader::load_batch(&mut s2, &words, &[]).unwrap();
         let ratio = script.modeled_seconds / vpi.modeled_seconds;
         assert!((ratio - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn batch_load_matches_sequential_loads() {
-        let values: Vec<(String, bool)> = (0..4)
-            .map(|i| (format!("state_reg_{i}_"), i % 2 == 0))
-            .collect();
-        let mut scalar = sim();
-        let seq = VpiLoader::load(&mut scalar, &values, &[]).unwrap();
-
-        // Two lanes, both loaded with the same snapshot.
-        let tape = std::sync::Arc::new(crate::Tape::compile(scalar.netlist()).unwrap());
-        let words: Vec<(usize, u64)> = values
-            .iter()
-            .map(|(n, v)| (tape.dff_index(n).unwrap(), if *v { 0b11 } else { 0 }))
-            .collect();
-        let mut batch = BatchSim::with_tape_lanes(tape, scalar.netlist(), 2).unwrap();
-        let stats = VpiLoader::load_batch(&mut batch, &words, &[]).unwrap();
-        for lane in 0..2 {
-            assert_eq!(
-                batch.peek_port_lane("o", lane).unwrap(),
-                scalar.peek_port("o").unwrap()
-            );
+        // Two lanes, two snapshots, loaded in one call; each lane must
+        // hold what loading its snapshot alone, by name, into the
+        // reference engine gives.
+        let nl = netlist();
+        let snapshots = [0b0101u64, 0b1110];
+        let (mut sim, tape) = batch(&nl, 2);
+        let stats = VpiLoader::load_batch(&mut sim, &state_words(&tape, &snapshots), &[]).unwrap();
+        for (lane, &state) in snapshots.iter().enumerate() {
+            let mut reference = NaiveGateSim::new(&nl).unwrap();
+            for i in 0..4 {
+                reference
+                    .set_dff(&format!("state_reg_{i}_"), (state >> i) & 1 == 1)
+                    .unwrap();
+            }
+            assert_eq!(reference.peek_port("o").unwrap(), state);
+            assert_eq!(sim.peek_port_lane("o", lane).unwrap(), state);
         }
-        // Batching does not discount the modelled per-snapshot VPI cost.
-        assert_eq!(stats.commands, 2 * seq.commands);
+        // Batching does not discount the modelled per-snapshot VPI cost:
+        // one command per flop per lane.
+        assert_eq!(stats.commands, 2 * 4);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! The levelized gate-level simulator.
+//! The gate-level engines' error type and port-name resolution.
 
-use crate::activity::ActivityReport;
-use crate::compile::{eval_gates, RunKind, Tape};
 use std::error::Error;
 use std::fmt;
-use strober_gates::{Netlist, NetlistError};
+use strober_gates::NetlistError;
 
 /// Errors produced by the gate-level simulators.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,22 +83,17 @@ impl From<NetlistError> for GateSimError {
     }
 }
 
-/// The index of input port `name` on `tape`.
-pub(crate) fn input_port(tape: &Tape, name: &str) -> Result<usize, GateSimError> {
-    tape.input_index(name)
-        .ok_or_else(|| GateSimError::UnknownName {
-            kind: "input port",
-            name: name.to_owned(),
-        })
-}
-
-/// The index of output port `name` on `tape`.
-pub(crate) fn output_port(tape: &Tape, name: &str) -> Result<usize, GateSimError> {
-    tape.output_index(name)
-        .ok_or_else(|| GateSimError::UnknownName {
-            kind: "output port",
-            name: name.to_owned(),
-        })
+/// The result of looking up the `kind` named `name`: `index`, or
+/// [`GateSimError::UnknownName`] if the lookup found nothing.
+pub(crate) fn found(
+    index: Option<usize>,
+    kind: &'static str,
+    name: &str,
+) -> Result<usize, GateSimError> {
+    index.ok_or_else(|| GateSimError::UnknownName {
+        kind,
+        name: name.to_owned(),
+    })
 }
 
 /// Checks that `value` fits port `port`'s `width` bits.
@@ -115,383 +108,104 @@ pub(crate) fn check_fits(port: &str, value: u64, width: usize) -> Result<(), Gat
     Ok(())
 }
 
-#[derive(Debug, Clone)]
-struct SramState {
-    contents: Vec<u64>,
-    /// Previous cycle's read addresses, for access counting.
-    prev_read_addr: Vec<Option<usize>>,
-    reads: u64,
-    writes: u64,
-}
-
-/// The levelized zero-delay gate-level simulator.
-///
-/// Construction compiles the netlist once into a flat op tape (the
-/// `compile` module, `DESIGN.md` §9); every cycle then interprets it over one
-/// `bool` per net. For replaying many independent samples at once, prefer
-/// [`crate::BatchSim`], which interprets the same tape over one 64-lane
-/// word per net.
-///
-/// See the [crate documentation](crate) for an example.
-#[derive(Debug, Clone)]
-pub struct GateSim {
-    netlist: Netlist,
-    tape: std::sync::Arc<Tape>,
-    values: Vec<bool>,
-    prev_values: Vec<bool>,
-    toggles: Vec<u64>,
-    /// Clock-edge scratch for DFF next-state values; reused every cycle so
-    /// [`GateSim::step`] allocates nothing.
-    dff_scratch: Vec<bool>,
-    srams: Vec<SramState>,
-    cycle: u64,
-    dirty: bool,
-    settled_once: bool,
-}
-
-impl GateSim {
-    /// Compiles a netlist for simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::BadNetlist`] if the netlist fails
-    /// validation.
-    pub fn new(netlist: &Netlist) -> Result<Self, GateSimError> {
-        let _span = strober_probe::span("strober.gatesim.compile");
-        let tape = std::sync::Arc::new(Tape::compile(netlist)?);
-        Ok(Self::with_tape(tape, netlist))
-    }
-
-    /// Builds a simulator from a tape compiled earlier with
-    /// [`Tape::compile`], skipping compilation entirely. The tape **must**
-    /// have been compiled from this exact `netlist`; a session that caches
-    /// the tape keyed by the design fingerprint (as the estimation server
-    /// does) satisfies this by construction.
-    pub fn with_tape(tape: std::sync::Arc<Tape>, netlist: &Netlist) -> Self {
-        let mut srams = Vec::new();
-        for s in netlist.srams() {
-            let mut contents = s.init.clone();
-            contents.resize(s.depth, 0);
-            srams.push(SramState {
-                contents,
-                prev_read_addr: vec![None; s.read_ports.len()],
-                reads: 0,
-                writes: 0,
-            });
-        }
-
-        let mut values = vec![false; tape.net_count];
-        // Initialise DFF outputs to their reset values.
-        for (&(_, q), &init) in tape.dffs.iter().zip(&tape.dff_inits) {
-            values[q as usize] = init;
-        }
-
-        GateSim {
-            prev_values: values.clone(),
-            toggles: vec![0; tape.net_count],
-            values,
-            dff_scratch: vec![false; tape.dffs.len()],
-            tape,
-            srams,
-            cycle: 0,
-            dirty: true,
-            settled_once: false,
-            netlist: netlist.clone(),
-        }
-    }
-
-    /// The netlist being simulated.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// The current cycle count.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Drives a word-level input port (bits `name[i]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`] or
-    /// [`GateSimError::ValueTooWide`].
-    pub fn poke_port(&mut self, name: &str, value: u64) -> Result<(), GateSimError> {
-        let port = input_port(&self.tape, name)?;
-        let bits = &self.tape.inputs.bits[port];
-        check_fits(name, value, bits.len())?;
-        for (i, net) in bits.iter().enumerate() {
-            self.values[net.index()] = (value >> i) & 1 == 1;
-        }
-        self.dirty = true;
-        Ok(())
-    }
-
-    /// Reads a word-level output port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`] for an unknown output.
-    pub fn peek_port(&mut self, name: &str) -> Result<u64, GateSimError> {
-        let port = output_port(&self.tape, name)?;
-        self.settle();
-        let mut v = 0u64;
-        for (i, net) in self.tape.outputs.bits[port].iter().enumerate() {
-            if self.values[net.index()] {
-                v |= 1 << i;
-            }
-        }
-        Ok(v)
-    }
-
-    fn settle(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        for run in &self.tape.runs {
-            match run.kind {
-                RunKind::Gate(kind) => eval_gates(kind, self.tape.gate_ops(run), &mut self.values),
-                RunKind::SramRead => {
-                    for op in self.tape.read_ops(run) {
-                        let si = op.sram as usize;
-                        let rp = &self.tape.srams[si].read_ports[op.port as usize];
-                        let mut addr = 0usize;
-                        for (i, a) in rp.addr.iter().enumerate() {
-                            if self.values[a.index()] {
-                                addr |= 1 << i;
-                            }
-                        }
-                        let word = self.srams[si].contents.get(addr).copied().unwrap_or(0);
-                        for (i, d) in rp.data.iter().enumerate() {
-                            self.values[d.index()] = (word >> i) & 1 == 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.dirty = false;
-    }
-
-    /// Advances one clock cycle: settle, count toggles against the previous
-    /// settled state, latch flip-flops, commit SRAM writes, count SRAM
-    /// accesses.
-    pub fn step(&mut self) {
-        self.settle();
-
-        // Toggle counting: transitions between consecutive settled cycles
-        // (zero-delay semantics; glitches are not modelled, as with a
-        // cycle-based SAIF flow).
-        if self.settled_once {
-            for i in 0..self.values.len() {
-                if self.values[i] != self.prev_values[i] {
-                    self.toggles[i] += 1;
-                }
-            }
-        }
-        self.prev_values.copy_from_slice(&self.values);
-        self.settled_once = true;
-
-        // SRAM access counting and writes.
-        for (si, s) in self.netlist.srams().iter().enumerate() {
-            for (pi, rp) in s.read_ports.iter().enumerate() {
-                let mut addr = 0usize;
-                for (i, a) in rp.addr.iter().enumerate() {
-                    if self.values[a.index()] {
-                        addr |= 1 << i;
-                    }
-                }
-                // A read access is charged when the port visits a new
-                // address; a quiescent port holding one line costs leakage
-                // only.
-                if self.srams[si].prev_read_addr[pi] != Some(addr) {
-                    self.srams[si].reads += 1;
-                    self.srams[si].prev_read_addr[pi] = Some(addr);
-                }
-            }
-            for wp in &s.write_ports {
-                if self.values[wp.enable.index()] {
-                    let mut addr = 0usize;
-                    for (i, a) in wp.addr.iter().enumerate() {
-                        if self.values[a.index()] {
-                            addr |= 1 << i;
-                        }
-                    }
-                    let mut word = 0u64;
-                    for (i, d) in wp.data.iter().enumerate() {
-                        if self.values[d.index()] {
-                            word |= 1 << i;
-                        }
-                    }
-                    if let Some(slot) = self.srams[si].contents.get_mut(addr) {
-                        *slot = word;
-                        self.srams[si].writes += 1;
-                    }
-                }
-            }
-        }
-
-        // Latch flip-flops: capture every D into the reusable scratch
-        // buffer first, then commit, so a flop feeding another flop's D
-        // input transfers its pre-edge value (two-phase clock-edge
-        // semantics, no per-cycle allocation).
-        for (slot, &(d, _)) in self.dff_scratch.iter_mut().zip(&self.tape.dffs) {
-            *slot = self.values[d as usize];
-        }
-        for (&v, &(_, q)) in self.dff_scratch.iter().zip(&self.tape.dffs) {
-            self.values[q as usize] = v;
-        }
-
-        self.cycle += 1;
-        self.dirty = true;
-    }
-
-    /// Advances `n` cycles.
-    pub fn step_n(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Sets a flip-flop's current value by instance name (the snapshot
-    /// loading primitive; see [`crate::VpiLoader`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`] for an unknown instance.
-    pub fn set_dff(&mut self, name: &str, value: bool) -> Result<(), GateSimError> {
-        let &idx = self
-            .tape
-            .dff_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "flip-flop",
-                name: name.to_owned(),
-            })?;
-        let (_, q) = self.tape.dffs[idx];
-        self.values[q as usize] = value;
-        self.prev_values[q as usize] = value;
-        self.dirty = true;
-        Ok(())
-    }
-
-    /// Reads a flip-flop's current value by instance name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`] for an unknown instance.
-    pub fn dff_value(&self, name: &str) -> Result<bool, GateSimError> {
-        let &idx = self
-            .tape
-            .dff_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "flip-flop",
-                name: name.to_owned(),
-            })?;
-        let (_, q) = self.tape.dffs[idx];
-        Ok(self.values[q as usize])
-    }
-
-    /// Writes one word of an SRAM macro by instance name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`] or
-    /// [`GateSimError::AddressOutOfRange`].
-    pub fn set_sram_word(
-        &mut self,
-        name: &str,
-        addr: usize,
-        value: u64,
-    ) -> Result<(), GateSimError> {
-        let &idx = self
-            .tape
-            .sram_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "SRAM macro",
-                name: name.to_owned(),
-            })?;
-        let s = &mut self.srams[idx];
-        let slot = s
-            .contents
-            .get_mut(addr)
-            .ok_or_else(|| GateSimError::AddressOutOfRange {
-                sram: name.to_owned(),
-                addr,
-            })?;
-        *slot = value;
-        self.dirty = true;
-        Ok(())
-    }
-
-    /// Reads one word of an SRAM macro by instance name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateSimError::UnknownName`] or
-    /// [`GateSimError::AddressOutOfRange`].
-    pub fn sram_word(&self, name: &str, addr: usize) -> Result<u64, GateSimError> {
-        let &idx = self
-            .tape
-            .sram_by_name
-            .get(name)
-            .ok_or_else(|| GateSimError::UnknownName {
-                kind: "SRAM macro",
-                name: name.to_owned(),
-            })?;
-        self.srams[idx]
-            .contents
-            .get(addr)
-            .copied()
-            .ok_or_else(|| GateSimError::AddressOutOfRange {
-                sram: name.to_owned(),
-                addr,
-            })
-    }
-
-    /// Clears activity counters and starts a fresh measurement window.
-    ///
-    /// The current combinational state becomes the window's baseline: SRAM
-    /// read ports holding their current address are not charged a new
-    /// access, avoiding a per-window boundary bias during snapshot replay.
-    pub fn reset_activity(&mut self) {
-        self.settle();
-        self.toggles.iter_mut().for_each(|t| *t = 0);
-        for (si, s) in self.netlist.srams().iter().enumerate() {
-            self.srams[si].reads = 0;
-            self.srams[si].writes = 0;
-            for (pi, rp) in s.read_ports.iter().enumerate() {
-                let mut addr = 0usize;
-                for (i, a) in rp.addr.iter().enumerate() {
-                    if self.values[a.index()] {
-                        addr |= 1 << i;
-                    }
-                }
-                self.srams[si].prev_read_addr[pi] = Some(addr);
-            }
-        }
-        self.settled_once = false;
-        self.cycle = 0;
-    }
-
-    /// Produces the activity report (SAIF analog) for the cycles simulated
-    /// since construction or the last [`GateSim::reset_activity`].
-    pub fn activity(&self) -> ActivityReport {
-        ActivityReport::new(
-            self.cycle,
-            self.toggles.clone(),
-            self.srams.iter().map(|s| (s.reads, s.writes)).collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The single-replay behaviours, each run on both engines: the naive
+    //! reference and a one-lane `BatchSim`.
+
     use super::*;
+    use crate::{ActivityReport, BatchSim, NaiveGateSim};
     use strober_dsl::Ctx;
+    use strober_gates::Netlist;
     use strober_rtl::Width;
     use strober_synth::{synthesize, SynthOptions};
+
+    /// One replay, whichever engine carries it.
+    trait Engine {
+        fn poke(&mut self, port: &str, value: u64) -> Result<(), GateSimError>;
+        fn peek(&mut self, port: &str) -> Result<u64, GateSimError>;
+        fn set_dff(&mut self, name: &str, value: bool) -> Result<(), GateSimError>;
+        fn dff(&self, name: &str) -> Result<bool, GateSimError>;
+        fn set_word(&mut self, sram: &str, addr: usize, value: u64) -> Result<(), GateSimError>;
+        fn word(&self, sram: &str, addr: usize) -> Result<u64, GateSimError>;
+        fn step(&mut self);
+        fn reset_activity(&mut self);
+        fn activity(&self) -> ActivityReport;
+
+        fn step_n(&mut self, n: u64) {
+            for _ in 0..n {
+                self.step();
+            }
+        }
+    }
+
+    impl Engine for NaiveGateSim<'_> {
+        fn poke(&mut self, port: &str, value: u64) -> Result<(), GateSimError> {
+            self.poke_port(port, value)
+        }
+        fn peek(&mut self, port: &str) -> Result<u64, GateSimError> {
+            self.peek_port(port)
+        }
+        fn set_dff(&mut self, name: &str, value: bool) -> Result<(), GateSimError> {
+            NaiveGateSim::set_dff(self, name, value)
+        }
+        fn dff(&self, name: &str) -> Result<bool, GateSimError> {
+            self.dff_value(name)
+        }
+        fn set_word(&mut self, sram: &str, addr: usize, value: u64) -> Result<(), GateSimError> {
+            self.set_sram_word(sram, addr, value)
+        }
+        fn word(&self, sram: &str, addr: usize) -> Result<u64, GateSimError> {
+            self.sram_word(sram, addr)
+        }
+        fn step(&mut self) {
+            NaiveGateSim::step(self);
+        }
+        fn reset_activity(&mut self) {
+            NaiveGateSim::reset_activity(self);
+        }
+        fn activity(&self) -> ActivityReport {
+            NaiveGateSim::activity(self)
+        }
+    }
+
+    impl Engine for BatchSim {
+        fn poke(&mut self, port: &str, value: u64) -> Result<(), GateSimError> {
+            self.poke_port_broadcast(port, value)
+        }
+        fn peek(&mut self, port: &str) -> Result<u64, GateSimError> {
+            self.peek_port_lane(port, 0)
+        }
+        fn set_dff(&mut self, name: &str, value: bool) -> Result<(), GateSimError> {
+            self.set_dff_lane(name, 0, value)
+        }
+        fn dff(&self, name: &str) -> Result<bool, GateSimError> {
+            self.dff_value_lane(name, 0)
+        }
+        fn set_word(&mut self, sram: &str, addr: usize, value: u64) -> Result<(), GateSimError> {
+            self.set_sram_word_lane(sram, 0, addr, value)
+        }
+        fn word(&self, sram: &str, addr: usize) -> Result<u64, GateSimError> {
+            self.sram_word_lane(sram, 0, addr)
+        }
+        fn step(&mut self) {
+            BatchSim::step(self);
+        }
+        fn reset_activity(&mut self) {
+            BatchSim::reset_activity(self);
+        }
+        fn activity(&self) -> ActivityReport {
+            self.activity_lane(0).unwrap()
+        }
+    }
+
+    /// Both engines over `netlist`, fresh: the table every test runs.
+    fn engines(netlist: &Netlist) -> [Box<dyn Engine + '_>; 2] {
+        [
+            Box::new(NaiveGateSim::new(netlist).unwrap()),
+            Box::new(BatchSim::with_lanes(netlist, 1).unwrap()),
+        ]
+    }
 
     fn w(bits: u32) -> Width {
         Width::new(bits).unwrap()
@@ -505,7 +219,7 @@ mod tests {
         }
     }
 
-    fn counter_netlist() -> strober_gates::Netlist {
+    fn counter_netlist() -> Netlist {
         let ctx = Ctx::new("counter");
         let en = ctx.input("en", Width::BIT);
         let count = ctx.reg("count", w(8), 0);
@@ -515,56 +229,75 @@ mod tests {
         synthesize(&design, &plain()).unwrap().netlist
     }
 
+    fn ram_netlist() -> Netlist {
+        let ctx = Ctx::new("ram");
+        let m = ctx.mem("buf", w(16), 32);
+        let addr = ctx.input("addr", w(5));
+        ctx.output("q", &m.read(&addr));
+        let design = ctx.finish().unwrap();
+        synthesize(&design, &plain()).unwrap().netlist
+    }
+
     #[test]
     fn gate_level_counter_counts() {
-        let mut sim = GateSim::new(&counter_netlist()).unwrap();
-        sim.poke_port("en", 1).unwrap();
-        sim.step_n(10);
-        assert_eq!(sim.peek_port("value").unwrap(), 10);
-        sim.poke_port("en", 0).unwrap();
-        sim.step_n(5);
-        assert_eq!(sim.peek_port("value").unwrap(), 10);
+        for mut sim in engines(&counter_netlist()) {
+            sim.poke("en", 1).unwrap();
+            sim.step_n(10);
+            assert_eq!(sim.peek("value").unwrap(), 10);
+            sim.poke("en", 0).unwrap();
+            sim.step_n(5);
+            assert_eq!(sim.peek("value").unwrap(), 10);
+        }
     }
 
     #[test]
     fn toggle_counting_reflects_activity() {
-        let mut sim = GateSim::new(&counter_netlist()).unwrap();
-        sim.poke_port("en", 1).unwrap();
-        sim.step_n(16);
-        let act = sim.activity();
-        assert_eq!(act.cycles(), 16);
-        // Bit 0 of the counter toggles every cycle; total toggles must be
-        // substantial.
-        assert!(act.total_toggles() > 16);
+        let nl = counter_netlist();
+        let reports = engines(&nl).map(|mut sim| {
+            sim.poke("en", 1).unwrap();
+            sim.step_n(16);
+            sim.activity()
+        });
+        for act in &reports {
+            assert_eq!(act.cycles(), 16);
+            // Bit 0 of the counter toggles every cycle; total toggles
+            // must be substantial.
+            assert!(act.total_toggles() > 16);
+        }
+        assert_eq!(reports[0], reports[1]);
     }
 
     #[test]
     fn idle_circuit_has_no_toggles() {
-        let mut sim = GateSim::new(&counter_netlist()).unwrap();
-        sim.poke_port("en", 0).unwrap();
-        sim.step_n(16);
-        assert_eq!(sim.activity().total_toggles(), 0);
+        for mut sim in engines(&counter_netlist()) {
+            sim.poke("en", 0).unwrap();
+            sim.step_n(16);
+            assert_eq!(sim.activity().total_toggles(), 0);
+        }
     }
 
     #[test]
     fn dff_poke_by_name() {
-        let mut sim = GateSim::new(&counter_netlist()).unwrap();
-        // Load 0x2A into the counter via its DFF instances.
-        for i in 0..8 {
-            sim.set_dff(&format!("count_reg_{i}_"), (0x2A >> i) & 1 == 1)
-                .unwrap();
+        for mut sim in engines(&counter_netlist()) {
+            // Load 0x2A into the counter via its DFF instances.
+            for i in 0..8 {
+                sim.set_dff(&format!("count_reg_{i}_"), (0x2A >> i) & 1 == 1)
+                    .unwrap();
+            }
+            assert_eq!(sim.peek("value").unwrap(), 0x2A);
+            assert!(sim.dff("count_reg_1_").unwrap());
+            assert!(sim.set_dff("nope", true).is_err());
+            // A load is state, not activity.
+            sim.step();
+            assert_eq!(sim.activity().total_toggles(), 0);
         }
-        assert_eq!(sim.peek_port("value").unwrap(), 0x2A);
-        assert!(sim.dff_value("count_reg_1_").unwrap());
-        assert!(sim.set_dff("nope", true).is_err());
     }
 
     #[test]
     fn dff_chain_latches_pre_edge_values() {
         // A flop feeding another flop's D input: on a clock edge the
         // second stage must capture the first stage's *pre-edge* value,
-        // whatever order the netlist lists the flops in. Regression test
-        // for the two-phase (capture-then-commit) latch in `step`.
+        // whatever order the netlist lists the flops in.
         let ctx = Ctx::new("shift");
         let x = ctx.input("x", Width::BIT);
         let s1 = ctx.reg("s1", Width::BIT, 0);
@@ -575,71 +308,77 @@ mod tests {
         let nl = synthesize(&ctx.finish().unwrap(), &plain())
             .unwrap()
             .netlist;
-        let mut sim = GateSim::new(&nl).unwrap();
-        let pattern = [1u64, 0, 0, 1, 1, 0, 1, 0];
-        let mut seen = Vec::new();
-        for &bit in &pattern {
-            sim.poke_port("x", bit).unwrap();
-            sim.step();
-            seen.push(sim.peek_port("y").unwrap());
+        for mut sim in engines(&nl) {
+            let pattern = [1u64, 0, 0, 1, 1, 0, 1, 0];
+            let mut seen = Vec::new();
+            for &bit in &pattern {
+                sim.poke("x", bit).unwrap();
+                sim.step();
+                seen.push(sim.peek("y").unwrap());
+            }
+            // Reading y after step k must show pattern[k-2]: the first
+            // edge moves pattern[0] only into s1, so y still shows the
+            // reset value; the second edge moves it to s2. A commit that
+            // lets s2 see s1's *post-edge* value would collapse the chain
+            // to a one-cycle delay ([1, 0, 0, 1, ...] here).
+            assert_eq!(seen, vec![0, 1, 0, 0, 1, 1, 0, 1]);
         }
-        // Reading y after step k must show pattern[k-2]: the first edge
-        // moves pattern[0] only into s1, so y still shows the reset value;
-        // the second edge moves it to s2. A commit that lets s2 see s1's
-        // *post-edge* value would collapse the chain to a one-cycle delay
-        // ([1, 0, 0, 1, ...] here).
-        assert_eq!(seen, vec![0, 1, 0, 0, 1, 1, 0, 1]);
     }
 
     #[test]
     fn sram_load_and_read() {
-        let ctx = Ctx::new("ram");
-        let m = ctx.mem("buf", w(16), 32);
-        let addr = ctx.input("addr", w(5));
-        ctx.output("q", &m.read(&addr));
-        let design = ctx.finish().unwrap();
-        let nl = synthesize(&design, &plain()).unwrap().netlist;
-        let mut sim = GateSim::new(&nl).unwrap();
-        sim.set_sram_word("buf_macro", 7, 0xBEEF).unwrap();
-        assert_eq!(sim.sram_word("buf_macro", 7).unwrap(), 0xBEEF);
-        sim.poke_port("addr", 7).unwrap();
-        assert_eq!(sim.peek_port("q").unwrap(), 0xBEEF);
-        assert!(sim.set_sram_word("buf_macro", 99, 0).is_err());
-        assert!(sim.sram_word("nope", 0).is_err());
+        for mut sim in engines(&ram_netlist()) {
+            sim.set_word("buf_macro", 7, 0xBEEF).unwrap();
+            assert_eq!(sim.word("buf_macro", 7).unwrap(), 0xBEEF);
+            sim.poke("addr", 7).unwrap();
+            assert_eq!(sim.peek("q").unwrap(), 0xBEEF);
+            assert!(matches!(
+                sim.set_word("buf_macro", 99, 0),
+                Err(GateSimError::AddressOutOfRange { addr: 99, .. })
+            ));
+            assert!(matches!(
+                sim.word("nope", 0),
+                Err(GateSimError::UnknownName { .. })
+            ));
+        }
     }
 
     #[test]
     fn sram_access_counting() {
-        let ctx = Ctx::new("ram");
-        let m = ctx.mem("buf", w(16), 32);
-        let addr = ctx.input("addr", w(5));
-        ctx.output("q", &m.read(&addr));
-        let design = ctx.finish().unwrap();
-        let nl = synthesize(&design, &plain()).unwrap().netlist;
-        let mut sim = GateSim::new(&nl).unwrap();
-        // Sweeping addresses charges a read per new address.
-        for a in 0..8 {
-            sim.poke_port("addr", a).unwrap();
-            sim.step();
+        let nl = ram_netlist();
+        let counts = engines(&nl).map(|mut sim| {
+            // Sweeping addresses charges a read per new address.
+            for a in 0..8 {
+                sim.poke("addr", a).unwrap();
+                sim.step();
+            }
+            let sweeping = sim.activity().sram_accesses()[0].0;
+            sim.reset_activity();
+            // Holding one address is a single access then quiescent.
+            sim.poke("addr", 3).unwrap();
+            sim.step_n(8);
+            (sweeping, sim.activity().sram_accesses()[0].0)
+        });
+        for &(sweeping, holding) in &counts {
+            assert!(sweeping >= 8);
+            assert!(holding <= 1);
         }
-        let sweeping = sim.activity().sram_accesses()[0].0;
-        sim.reset_activity();
-        // Holding one address is a single access then quiescent.
-        sim.poke_port("addr", 3).unwrap();
-        sim.step_n(8);
-        let holding = sim.activity().sram_accesses()[0].0;
-        assert!(sweeping >= 8);
-        assert!(holding <= 1);
+        assert_eq!(counts[0], counts[1]);
     }
 
     #[test]
     fn value_too_wide_rejected() {
-        let mut sim = GateSim::new(&counter_netlist()).unwrap();
-        assert!(matches!(
-            sim.poke_port("en", 2),
-            Err(GateSimError::ValueTooWide { .. })
-        ));
-        assert!(sim.poke_port("nope", 0).is_err());
-        assert!(sim.peek_port("nope").is_err());
+        for mut sim in engines(&counter_netlist()) {
+            assert!(matches!(
+                sim.poke("en", 2),
+                Err(GateSimError::ValueTooWide {
+                    value: 2,
+                    width: 1,
+                    ..
+                })
+            ));
+            assert!(sim.poke("nope", 0).is_err());
+            assert!(sim.peek("nope").is_err());
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! End-to-end synthesis correctness: for random RTL designs, the gate-level
-//! netlist simulated by `GateSim` must match the RTL tape simulator output
+//! netlist simulated by a one-lane `BatchSim` must match the RTL tape simulator output
 //! cycle-for-cycle — with and without optimisation and mangling. This is
 //! the random-vector half of the equivalence evidence a commercial formal
 //! tool provides.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use strober_gatesim::GateSim;
+use strober_gatesim::BatchSim;
 use strober_sim::rand_design::{rand_design, RandDesignConfig};
 use strober_sim::Simulator;
 use strober_synth::{synthesize, SynthOptions};
@@ -17,7 +17,7 @@ fn check_equiv(seed: u64, opts: &SynthOptions, cycles: u64) {
     let result = synthesize(&design, opts).expect("synthesis must succeed");
 
     let mut rtl = Simulator::new(&design).expect("valid design");
-    let mut gate = GateSim::new(&result.netlist).expect("valid netlist");
+    let mut gate = BatchSim::with_lanes(&result.netlist, 1).expect("valid netlist");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
 
     let ports: Vec<(String, u64)> = design
@@ -31,11 +31,11 @@ fn check_equiv(seed: u64, opts: &SynthOptions, cycles: u64) {
         for (name, mask) in &ports {
             let v = rng.gen::<u64>() & mask;
             rtl.poke_by_name(name, v).unwrap();
-            gate.poke_port(name, v).unwrap();
+            gate.poke_port_broadcast(name, v).unwrap();
         }
         for out in &outputs {
             let r = rtl.peek_output(out).unwrap();
-            let g = gate.peek_port(out).unwrap();
+            let g = gate.peek_port_lane(out, 0).unwrap();
             assert_eq!(
                 r, g,
                 "seed {seed}: output `{out}` diverged at cycle {cycle}: rtl={r:#x} gate={g:#x}"
@@ -113,18 +113,18 @@ fn state_loading_by_synthinfo_names_reproduces_rtl_state() {
     }
 
     // Transfer state into the gate sim via instance names.
-    let mut gate = GateSim::new(&result.netlist).unwrap();
+    let mut gate = BatchSim::with_lanes(&result.netlist, 1).unwrap();
     for (reg_id, reg) in design.registers() {
         let value = rtl.reg_value(reg_id);
         let dff_names = &result.info.reg_map[reg.name()];
         for (i, dff) in dff_names.iter().enumerate() {
-            gate.set_dff(dff, (value >> i) & 1 == 1).unwrap();
+            gate.set_dff_lane(dff, 0, (value >> i) & 1 == 1).unwrap();
         }
     }
     for (mem_id, mem) in design.memories() {
         let macro_name = &result.info.mem_map[mem.name()];
         for addr in 0..mem.depth() {
-            gate.set_sram_word(macro_name, addr, rtl.mem_value(mem_id, addr))
+            gate.set_sram_word_lane(macro_name, 0, addr, rtl.mem_value(mem_id, addr))
                 .unwrap();
         }
     }
@@ -135,12 +135,12 @@ fn state_loading_by_synthinfo_names_reproduces_rtl_state() {
         for (name, mask) in &ports {
             let v = rng.gen::<u64>() & mask;
             rtl.poke_by_name(name, v).unwrap();
-            gate.poke_port(name, v).unwrap();
+            gate.poke_port_broadcast(name, v).unwrap();
         }
         for out in &outputs {
             assert_eq!(
                 rtl.peek_output(out).unwrap(),
-                gate.peek_port(out).unwrap(),
+                gate.peek_port_lane(out, 0).unwrap(),
                 "diverged at cycle {cycle} after state load"
             );
         }

@@ -27,7 +27,7 @@
 //! use strober_dsl::Ctx;
 //! use strober_rtl::Width;
 //! use strober_synth::{synthesize, SynthOptions};
-//! use strober_gatesim::GateSim;
+//! use strober_gatesim::BatchSim;
 //! use strober_gates::CellLibrary;
 //! use strober_power::PowerAnalyzer;
 //!
@@ -38,12 +38,12 @@
 //! ctx.output("value", &count.out());
 //! let synth = synthesize(&ctx.finish()?, &SynthOptions::default())?;
 //!
-//! let mut sim = GateSim::new(&synth.netlist)?;
+//! let mut sim = BatchSim::with_lanes(&synth.netlist, 1)?;
 //! sim.step_n(256);
 //!
 //! let lib = CellLibrary::generic_45nm();
 //! let analyzer = PowerAnalyzer::new(&synth.netlist, &lib, 1.0e9);
-//! let report = analyzer.analyze(&sim.activity());
+//! let report = analyzer.analyze(&sim.activity_lane(0)?);
 //! assert!(report.total_mw() > 0.0);
 //! # Ok(())
 //! # }
@@ -290,11 +290,11 @@ impl PowerAnalyzer {
     ///
     /// This is the lane-aware entry point for the bit-parallel replay
     /// path: [`strober_gatesim::BatchSim::activities`] yields one
-    /// [`ActivityReport`] per bit-lane (each shaped exactly like a scalar
-    /// report), and this method prices them against the one compiled
-    /// energy model. Because lane activity counts are exact integers, the
-    /// per-lane reports are bit-identical to analyzing each lane's scalar
-    /// replay separately.
+    /// [`ActivityReport`] per bit-lane (each shaped exactly like a
+    /// single replay's), and this method prices them against the one
+    /// compiled energy model. Because lane activity counts are exact
+    /// integers, the per-lane reports are bit-identical to analyzing each
+    /// lane's replay on its own.
     ///
     /// # Panics
     ///
@@ -309,7 +309,7 @@ impl PowerAnalyzer {
 mod tests {
     use super::*;
     use strober_dsl::Ctx;
-    use strober_gatesim::GateSim;
+    use strober_gatesim::{BatchSim, NaiveGateSim};
     use strober_rtl::Width;
     use strober_synth::{synthesize, SynthOptions};
 
@@ -324,11 +324,11 @@ mod tests {
         count.set_en(&count.out().add_lit(1), &en);
         ctx.output("value", &count.out());
         let synth = synthesize(&ctx.finish().unwrap(), &SynthOptions::default()).unwrap();
-        let mut sim = GateSim::new(&synth.netlist).unwrap();
-        sim.poke_port("en", u64::from(enabled)).unwrap();
+        let mut sim = BatchSim::with_lanes(&synth.netlist, 1).unwrap();
+        sim.poke_port_broadcast("en", u64::from(enabled)).unwrap();
         sim.step_n(cycles);
         let lib = CellLibrary::generic_45nm();
-        PowerAnalyzer::new(&synth.netlist, &lib, 1.0e9).analyze(&sim.activity())
+        PowerAnalyzer::new(&synth.netlist, &lib, 1.0e9).analyze(&sim.activity_lane(0).unwrap())
     }
 
     #[test]
@@ -373,20 +373,20 @@ mod tests {
         let lib = CellLibrary::generic_45nm();
         let analyzer = PowerAnalyzer::new(&synth.netlist, &lib, 1.0e9);
 
-        let mut busy = GateSim::new(&synth.netlist).unwrap();
-        busy.poke_port("we", 1).unwrap();
+        let mut busy = BatchSim::with_lanes(&synth.netlist, 1).unwrap();
+        busy.poke_port_broadcast("we", 1).unwrap();
         for i in 0..256u64 {
-            busy.poke_port("addr", i % 64).unwrap();
-            busy.poke_port("data", i).unwrap();
+            busy.poke_port_broadcast("addr", i % 64).unwrap();
+            busy.poke_port_broadcast("data", i).unwrap();
             busy.step();
         }
-        let busy_power = analyzer.analyze(&busy.activity());
+        let busy_power = analyzer.analyze(&busy.activity_lane(0).unwrap());
 
-        let mut quiet = GateSim::new(&synth.netlist).unwrap();
-        quiet.poke_port("we", 0).unwrap();
-        quiet.poke_port("addr", 1).unwrap();
+        let mut quiet = BatchSim::with_lanes(&synth.netlist, 1).unwrap();
+        quiet.poke_port_broadcast("we", 0).unwrap();
+        quiet.poke_port_broadcast("addr", 1).unwrap();
         quiet.step_n(256);
-        let quiet_power = analyzer.analyze(&quiet.activity());
+        let quiet_power = analyzer.analyze(&quiet.activity_lane(0).unwrap());
 
         assert!(busy_power.breakdown().sram_mw > 10.0 * quiet_power.breakdown().sram_mw);
         assert!(busy_power.region_mw("dcache") > quiet_power.region_mw("dcache"));
@@ -394,7 +394,6 @@ mod tests {
 
     #[test]
     fn batched_lanes_price_identically_to_scalar_replays() {
-        use strober_gatesim::BatchSim;
         let ctx = Ctx::new("counter");
         let en = ctx.input("en", Width::BIT);
         let count = ctx.scope("core", |c| c.reg("count", w(16), 0));
@@ -405,14 +404,15 @@ mod tests {
         let analyzer = PowerAnalyzer::new(&synth.netlist, &lib, 1.0e9);
 
         // Lane 0 active, lane 1 idle; expect exact equality with two
-        // scalar runs because activity counts are integers.
+        // runs of the reference engine because activity counts are
+        // integers.
         let mut batch = BatchSim::with_lanes(&synth.netlist, 2).unwrap();
         batch.poke_port_lanes("en", &[1, 0]).unwrap();
         batch.step_n(512);
         let reports = analyzer.analyze_all(&batch.activities());
 
         for (lane, enabled) in [true, false].into_iter().enumerate() {
-            let mut sim = GateSim::new(&synth.netlist).unwrap();
+            let mut sim = NaiveGateSim::new(&synth.netlist).unwrap();
             sim.poke_port("en", u64::from(enabled)).unwrap();
             sim.step_n(512);
             assert_eq!(reports[lane], analyzer.analyze(&sim.activity()));
@@ -436,7 +436,7 @@ mod tests {
         r.set(&r.out());
         ctx.output("o", &r.out());
         let synth = synthesize(&ctx.finish().unwrap(), &SynthOptions::default()).unwrap();
-        let sim = GateSim::new(&synth.netlist).unwrap();
+        let sim = NaiveGateSim::new(&synth.netlist).unwrap();
         let lib = CellLibrary::generic_45nm();
         let _ = PowerAnalyzer::new(&synth.netlist, &lib, 1.0e9).analyze(&sim.activity());
     }

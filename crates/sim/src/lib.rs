@@ -33,10 +33,10 @@
 //!
 //! The gate-level side of the flow mirrors this architecture one layer
 //! down: `strober-gatesim` compiles the synthesized netlist into its own
-//! flat op tape of two-input cells and interprets it scalar (`GateSim`)
-//! or 64 samples at a time in the bit-lanes of a `u64` per net
-//! (`BatchSim`). `DESIGN.md` §9 documents the whole simulator stack and
-//! its per-cycle complexity.
+//! flat op tape of two-input cells and interprets it up to 64 samples at
+//! a time in the bit-lanes of a `u64` per net (`BatchSim`), checked
+//! against a naive gate-by-gate evaluator (`NaiveGateSim`). `DESIGN.md`
+//! §9 documents the whole simulator stack and its per-cycle complexity.
 //!
 //! # Examples
 //!

@@ -11,7 +11,7 @@
 use strober::{StroberConfig, StroberFlow};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
-use strober_gatesim::GateSim;
+use strober_gatesim::BatchSim;
 use strober_isa::{assemble, programs, Iss};
 use strober_power::PowerAnalyzer;
 
@@ -20,7 +20,7 @@ const MEM_BYTES: usize = programs::MEM_BYTES;
 /// Runs the entire workload on gate-level simulation and returns
 /// `(average power mW, cycles, exit code)` — the ground truth.
 fn gate_level_truth(flow: &StroberFlow, image: &[u32], max_cycles: u64) -> (f64, u64, u32) {
-    let mut sim = GateSim::new(&flow.synth().netlist).expect("netlist");
+    let mut sim = BatchSim::with_lanes(&flow.synth().netlist, 1).expect("netlist");
     let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
     dram.load(image, 0);
     let mut cycles = 0u64;
@@ -33,7 +33,7 @@ fn gate_level_truth(flow: &StroberFlow, image: &[u32], max_cycles: u64) -> (f64,
     }
     let exit = dram.exit_code().expect("workload must halt at gate level");
     let analyzer = PowerAnalyzer::new(&flow.synth().netlist, flow.library(), flow.config().freq_hz);
-    let power = analyzer.analyze(&sim.activity());
+    let power = analyzer.analyze(&sim.activity_lane(0).expect("lane 0"));
     (power.total_mw(), cycles, exit)
 }
 

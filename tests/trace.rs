@@ -32,16 +32,18 @@ fn estimate_run_emits_the_expected_span_tree_and_trace_json() {
     let run = flow.run_sampled(&mut dram, 2_000_000).expect("sampled run");
     assert!(dram.exit_code().is_some(), "workload must halt");
     assert!(run.snapshots.len() >= 2, "need snapshots to replay");
-    // Parallelism 2 with 1 bit-lane forces the scalar worker-thread
-    // replay path, so worker spans land on their own chrome-trace tracks
-    // and each snapshot gets a replay_sample span.
+    // Parallelism 2 with 1 bit-lane puts one-lane batches on both worker
+    // threads, so worker spans land on their own chrome-trace tracks and
+    // each snapshot gets a replay_batch span.
     let results = flow
         .replay_all_batched(&run.snapshots, 2, 1)
         .expect("replays");
-    // The default 64-lane packed path must agree exactly and emit the
-    // batch span/metric family instead.
+    // The default 64-lane packed path must agree exactly.
     let batched = flow.replay_all(&run.snapshots, 2).expect("batched replays");
-    assert_eq!(batched, results, "packed lanes diverge from scalar replay");
+    assert_eq!(
+        batched, results,
+        "packed lanes diverge from one-lane replays"
+    );
     let estimate = flow.estimate(&run, &results).expect("estimate");
     assert!(estimate.mean_power_mw() > 0.0);
 
@@ -56,14 +58,12 @@ fn estimate_run_emits_the_expected_span_tree_and_trace_json() {
         "strober.synth.synthesize",
         "strober.synth.lower",
         "strober.formal.match",
-        "strober.gatesim.compile",
+        "strober.gatesim.batch_compile",
         "strober.core.run_sampled",
         "strober.platform.capture_snapshot",
         "strober.core.replay",
         "strober.core.replay_worker.0",
         "strober.core.replay_worker.1",
-        "strober.core.replay_sample",
-        "strober.gatesim.load",
         "strober.core.replay_batch",
         "strober.gatesim.load_batch",
         "strober.core.estimate",
@@ -159,36 +159,38 @@ fn estimate_run_emits_the_expected_span_tree_and_trace_json() {
     assert!(metrics.counter("strober.gatesim.load_commands").unwrap() > 0);
     assert!(metrics.counter("strober.platform.scan_cycles").unwrap() > 0);
     assert!(metrics.gauge("strober.core.sim_cycles_per_sec").unwrap() > 0.0);
-    let hist = metrics
-        .histogram("strober.core.replay_sample_ms")
-        .expect("replay histogram");
-    assert_eq!(hist.count, results.len() as u64);
 
     // The gate-level op tape is compiled on first use and shared by
-    // every replay engine after that — the scalar workers and the packed
-    // path all reuse it, so the batch path never compiles its own. The
+    // every replay after that — the one-lane workers and the 64-lane
+    // pass all reuse it, so no replay compiles its own; the only
+    // `batch_compile` span is formal matching's, inside prepare. The
     // two first-replay workers may race the OnceLock (the loser's tape
     // is discarded), so up to `parallelism` compiles are tolerated.
     let compiled = metrics.counter("strober.core.gate_tape_compiled").unwrap();
     assert!((1..=2).contains(&compiled), "compiled {compiled} tapes");
     assert!(metrics.counter("strober.core.gate_tape_reused").unwrap() >= 1);
     assert!(
-        !events
+        events
             .iter()
-            .any(|e| e.name == "strober.gatesim.batch_compile"),
+            .filter(|e| e.name == "strober.gatesim.batch_compile")
+            .all(|e| e.tid == prepare.tid
+                && e.start_us >= prepare.start_us
+                && e.start_us + e.dur_us <= prepare.start_us + prepare.dur_us),
         "batch replay must reuse the session tape, not recompile"
     );
 
-    // The packed path accounted its lanes: all snapshots fit one batch.
-    assert_eq!(metrics.counter("strober.core.replay_batches"), Some(1));
+    // Both replays accounted their lanes: one batch per snapshot at one
+    // lane, then all snapshots in one 64-lane batch.
+    let n = run.snapshots.len() as u64;
+    assert_eq!(metrics.counter("strober.core.replay_batches"), Some(n + 1));
     assert_eq!(
         metrics.counter("strober.core.replay_batch_lanes"),
-        Some(run.snapshots.len() as u64)
+        Some(2 * n)
     );
     let bhist = metrics
         .histogram("strober.core.replay_batch_ms")
         .expect("batch replay histogram");
-    assert_eq!(bhist.count, 1);
+    assert_eq!(bhist.count, n + 1);
 
     // And the whole manifest — stages plus metrics — survives the JSON
     // round trip at the current schema version.
