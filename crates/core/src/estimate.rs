@@ -171,15 +171,6 @@ impl EnergyEstimate {
     pub fn total_energy_mj(&self) -> f64 {
         self.mean_power_mw() * self.target_cycles as f64 / self.freq_hz / 1e3
     }
-
-    /// Energy per event (e.g. per instruction) in nanojoules, given the
-    /// event count — Fig. 9b's EPI when fed retired instructions.
-    pub fn energy_per_event_nj(&self, events: u64) -> f64 {
-        if events == 0 {
-            return f64::INFINITY;
-        }
-        self.total_energy_mj() * 1e6 / events as f64
-    }
 }
 
 impl std::fmt::Display for EnergyEstimate {

@@ -98,16 +98,6 @@ impl Sig {
         self.eq(&l)
     }
 
-    /// Inequality against a literal, producing one bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` does not fit this signal's width.
-    pub fn neq_lit(&self, value: u64) -> Sig {
-        let l = self.lit(value);
-        self.neq(&l)
-    }
-
     // ---- arithmetic helpers ------------------------------------------------
 
     /// Addition with a literal.
@@ -118,16 +108,6 @@ impl Sig {
     pub fn add_lit(&self, value: u64) -> Sig {
         let l = self.lit(value);
         self.bin(BinOp::Add, &l)
-    }
-
-    /// Subtraction of a literal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` does not fit this signal's width.
-    pub fn sub_lit(&self, value: u64) -> Sig {
-        let l = self.lit(value);
-        self.bin(BinOp::Sub, &l)
     }
 
     /// Unsigned division (division by zero yields all-ones; see
@@ -168,12 +148,6 @@ impl Sig {
     pub fn shl_lit(&self, amount: u32) -> Sig {
         let l = self.lit(u64::from(amount) & self.width.mask());
         self.bin(BinOp::Shl, &l)
-    }
-
-    /// Logical right shift by a constant.
-    pub fn shr_lit(&self, amount: u32) -> Sig {
-        let l = self.lit(u64::from(amount) & self.width.mask());
-        self.bin(BinOp::Shr, &l)
     }
 
     // ---- reductions ----------------------------------------------------------

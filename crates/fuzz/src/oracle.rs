@@ -14,8 +14,8 @@
 //! | `flow`      | sample → snapshot → replay round trip at 1, 7 and 64 lanes | [`reference_replay`] on `naive-gate` |
 //! | `capture-direct` | snapshots read out of hub simulator storage | `capture-scan` (shifted through the scan chains) |
 //!
-//! Agreement covers per-cycle outputs, final architectural state, per-net
-//! toggle counts, power totals, and — for the two capture paths —
+//! Agreement covers per-cycle outputs, final architectural state, toggle
+//! counts per energy class, power totals, and — for the two capture paths —
 //! snapshots and platform statistics: the quantities Strober's energy
 //! numbers are built from. The optional [`InjectedBug`] mutates the
 //! synthesized netlist the way a buggy gate lowering would, letting the

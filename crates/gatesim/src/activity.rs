@@ -1,26 +1,29 @@
 //! The activity report — our switching activity interchange format (SAIF).
 
-/// Per-net toggle counts and per-macro access counts over a measurement
-/// window, as a power analysis tool consumes them.
+/// Toggle counts per energy class and access counts per SRAM macro over
+/// a measurement window, as a power analysis tool consumes them.
 ///
 /// The paper's flow writes SAIF files from gate-level simulation and feeds
-/// them to PrimeTime PX (§IV-C); this struct is that file. Because each
-/// snapshot replay is a fixed number of cycles and SAIF stores aggregate
-/// activity, "the power analysis time is independent of the length of each
-/// sample snapshot" (§IV-E) — the same property holds here.
+/// them to PrimeTime PX (§IV-C); this struct is that file, aggregated one
+/// step further: a power model prices every net of a class alike
+/// ([`crate::ClassMap`]), so the report carries one count per class, not
+/// per net. Because each snapshot replay is a fixed number of cycles and
+/// SAIF stores aggregate activity, "the power analysis time is independent
+/// of the length of each sample snapshot" (§IV-E) — the same property
+/// holds here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivityReport {
     cycles: u64,
-    toggles: Vec<u64>,
+    class_toggles: Vec<u64>,
     sram_accesses: Vec<(u64, u64)>,
 }
 
 impl ActivityReport {
     /// Assembles a report.
-    pub fn new(cycles: u64, toggles: Vec<u64>, sram_accesses: Vec<(u64, u64)>) -> Self {
+    pub fn new(cycles: u64, class_toggles: Vec<u64>, sram_accesses: Vec<(u64, u64)>) -> Self {
         ActivityReport {
             cycles,
-            toggles,
+            class_toggles,
             sram_accesses,
         }
     }
@@ -30,83 +33,18 @@ impl ActivityReport {
         self.cycles
     }
 
-    /// Toggle count per net, indexed by net id.
-    pub fn toggles(&self) -> &[u64] {
-        &self.toggles
+    /// Toggles per energy class, indexed like [`crate::ClassMap::classes`].
+    pub fn class_toggles(&self) -> &[u64] {
+        &self.class_toggles
     }
 
     /// Total toggles over all nets.
     pub fn total_toggles(&self) -> u64 {
-        self.toggles.iter().sum()
+        self.class_toggles.iter().sum()
     }
 
     /// `(reads, writes)` per SRAM macro, in netlist declaration order.
     pub fn sram_accesses(&self) -> &[(u64, u64)] {
         &self.sram_accesses
-    }
-
-    /// Average toggle rate (toggles per net per cycle), a quick activity
-    /// factor summary.
-    pub fn activity_factor(&self) -> f64 {
-        if self.cycles == 0 || self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.total_toggles() as f64 / (self.cycles as f64 * self.toggles.len() as f64)
-    }
-
-    /// Merges another window into this one (used when aggregating replay
-    /// segments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports have different shapes (different
-    /// netlists).
-    pub fn merge(&mut self, other: &ActivityReport) {
-        assert_eq!(self.toggles.len(), other.toggles.len(), "netlist mismatch");
-        assert_eq!(
-            self.sram_accesses.len(),
-            other.sram_accesses.len(),
-            "netlist mismatch"
-        );
-        self.cycles += other.cycles;
-        for (t, o) in self.toggles.iter_mut().zip(&other.toggles) {
-            *t += o;
-        }
-        for (s, o) in self.sram_accesses.iter_mut().zip(&other.sram_accesses) {
-            s.0 += o.0;
-            s.1 += o.1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = ActivityReport::new(10, vec![1, 2, 3], vec![(4, 5)]);
-        let b = ActivityReport::new(5, vec![10, 0, 1], vec![(1, 1)]);
-        a.merge(&b);
-        assert_eq!(a.cycles(), 15);
-        assert_eq!(a.toggles(), &[11, 2, 4]);
-        assert_eq!(a.sram_accesses(), &[(5, 6)]);
-        assert_eq!(a.total_toggles(), 17);
-    }
-
-    #[test]
-    fn activity_factor_bounds() {
-        let a = ActivityReport::new(10, vec![10, 0], vec![]);
-        assert!((a.activity_factor() - 0.5).abs() < 1e-12);
-        let empty = ActivityReport::new(0, vec![], vec![]);
-        assert_eq!(empty.activity_factor(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "netlist mismatch")]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = ActivityReport::new(1, vec![0], vec![]);
-        let b = ActivityReport::new(1, vec![0, 0], vec![]);
-        a.merge(&b);
     }
 }

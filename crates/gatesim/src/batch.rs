@@ -10,14 +10,18 @@
 //! comes in (level, kind) runs, so each block of same-kind gates is one
 //! tight loop with no per-gate dispatch.
 //!
-//! Activity counting is word-wide too. Each net's 64 per-lane toggle
-//! counters live as eight bit planes — bit `l` of plane `k` is bit `k`
-//! of lane `l`'s count — and every cycle adds the toggle word
-//! `(new ^ old) & lane_mask` into them through a chain of AND/XOR, one
-//! pass over the nets that does no per-lane work and takes no per-net
-//! branch, whatever the activity. Every 255 counted cycles the planes are
-//! flushed into per-lane `u32` counters, and the activity readers add
-//! both.
+//! Activity counting is word-wide too, and counts energy, not nets: the
+//! power model prices every net of an energy class alike, so the engine
+//! keeps one set of counters per class, not per net. The tape lays each
+//! class out as one contiguous, block-padded range of slots, and every
+//! cycle adds the class's toggle words `(new ^ old) & lane_mask` with a
+//! Harley–Seal carry-save tree, sixteen words per block, into 16 bit
+//! planes held per class across cycles — bit `l` of plane `k` is bit `k`
+//! of lane `l`'s count. No per-lane work and no per-net branch, whatever
+//! the activity. Before a plane could overflow, the planes are flushed
+//! into per-lane `u64` class counters through one 64×64 transpose per
+//! class, and the activity readers add both. A one-lane batch skips the
+//! planes: its toggle words are 0 or 1, so the tree is an integer sum.
 //!
 //! Where a lane needs its own scalar — an SRAM address, the word it
 //! reads or writes, a port value poked or peeked — the bus moves between
@@ -59,11 +63,11 @@
 //! ```
 
 use crate::activity::ActivityReport;
-use crate::compile::{eval_gates, RunKind, SramPorts, Tape};
+use crate::compile::{eval_gates, RunKind, SramPorts, Tape, CLASS_BLOCK};
 use crate::sim::{check_fits, found, GateSimError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use strober_gates::{NetId, Netlist};
+use strober_gates::Netlist;
 
 /// The maximum number of bit-lanes a [`BatchSim`] can carry: one sample
 /// per bit of a `u64`.
@@ -73,32 +77,17 @@ pub const MAX_LANES: usize = 64;
 /// [`transpose64`].
 type Rows = [u64; MAX_LANES];
 
-/// Bit planes per net in the live toggle counters.
-const PLANES: usize = 8;
+/// Bit planes per class in the live toggle counters: the ones, twos,
+/// fours and eights of the carry-save tree, then the chain its sixteens
+/// carry ripples through. Plane `k` weighs `2^k`.
+const PLANES: usize = 16;
 
-/// Counted cycles between flushes of the bit planes: the largest count
-/// [`PLANES`] bits hold, so a plane never overflows.
-const FLUSH_EVERY: u32 = (1 << PLANES) - 1;
+/// The most counted cycles between flushes of the class planes. Bigger
+/// classes flush sooner: a lane's count must stay below `2^PLANES`.
+const MAX_FLUSH_EVERY: u64 = 256;
 
-/// Nets per block of the counting pass: the block's carry words stay in
-/// L1 while each plane's row streams past.
-const COUNT_BLOCK: usize = 512;
-
-/// Byte `i` of `SPREAD[b]` is bit `i` of `b`: spreads eight lanes' bits
-/// of one plane into eight byte-wide counters.
-const SPREAD: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut i = 0;
-        while i < 8 {
-            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
-            i += 1;
-        }
-        b += 1;
-    }
-    table
-};
+/// One block of toggle words, the carry-save tree's input.
+type Block = [u64; CLASS_BLOCK];
 
 #[derive(Debug, Clone)]
 struct BatchSramState {
@@ -128,17 +117,19 @@ pub struct BatchSim {
     lanes: usize,
     /// Bits `0..lanes` set; everything lane-visible is masked with this.
     lane_mask: u64,
-    /// One word per net; bit `l` = the net's value in lane `l`.
+    /// One word per tape slot; bit `l` = the net's value in lane `l`.
     values: Vec<u64>,
+    /// The counted slots' values at the last counted edge.
     prev_values: Vec<u64>,
-    /// Toggle counts since the last flush as bit planes, laid out
-    /// `[plane * nets + net]`: bit `l` of plane `k` is bit `k` of lane
-    /// `l`'s count.
-    planes: Vec<u64>,
+    /// Per class, the toggles since the last flush as bit planes: bit `l`
+    /// of plane `k` is bit `k` of lane `l`'s count.
+    planes: Vec<[u64; PLANES]>,
     /// Cycles counted into `planes` since the last flush.
-    live_cycles: u32,
-    /// Flushed per-lane toggle counts, laid out `[net * lanes + lane]`.
-    flushed: Vec<u32>,
+    live_cycles: u64,
+    /// Counted cycles after which the planes are flushed.
+    flush_every: u64,
+    /// Flushed per-lane class toggles, laid out `[class * lanes + lane]`.
+    counts: Vec<u64>,
     /// Clock-edge scratch for DFF next-state words; reused every cycle.
     dff_scratch: Vec<u64>,
     srams: Vec<BatchSramState>,
@@ -161,7 +152,7 @@ pub struct PhaseTimes {
     /// Evaluating the tape's SRAM read runs: address transposes, one
     /// word load per lane, data transposes.
     pub sram_read: Duration,
-    /// Counting toggles, flushes of the bit planes included.
+    /// Counting toggles, flushes of the class planes included.
     pub count: Duration,
     /// Charging SRAM read accesses and committing writes at the edge.
     pub sram: Duration,
@@ -249,17 +240,23 @@ impl BatchSim {
             });
         }
 
-        let mut values = vec![0u64; tape.net_count];
+        let mut values = vec![0u64; tape.slot_count];
         // Reset values broadcast to every lane.
         for (&(_, q), &init) in tape.dffs.iter().zip(&tape.dff_inits) {
             values[q as usize] = if init { !0 } else { 0 };
         }
+        let classes = tape.class_start.len() - 1;
+        let counted = tape.class_start[classes] as usize;
+        // A class's padded size bounds the toggles it adds per cycle.
+        let largest = tape.class_start.windows(2).map(|p| p[1] - p[0]).max();
+        let fits = ((1u64 << PLANES) - 1) / u64::from(largest.unwrap_or(0).max(1));
 
         Ok(BatchSim {
-            prev_values: values.clone(),
-            planes: vec![0; PLANES * tape.net_count],
+            prev_values: values[..counted].to_vec(),
+            planes: vec![[0; PLANES]; classes],
             live_cycles: 0,
-            flushed: vec![0; tape.net_count * lanes],
+            flush_every: fits.clamp(1, MAX_FLUSH_EVERY),
+            counts: vec![0; classes * lanes],
             dff_scratch: vec![0; tape.dffs.len()],
             values,
             tape,
@@ -331,8 +328,8 @@ impl BatchSim {
         let mut rows = [0; MAX_LANES];
         rows[..self.lanes].copy_from_slice(values);
         transpose64(&mut rows);
-        for (net, &word) in bits.iter().zip(&rows) {
-            self.values[net.index()] = word;
+        for (&slot, &word) in bits.iter().zip(&rows) {
+            self.values[slot as usize] = word;
         }
         self.dirty = true;
         Ok(())
@@ -361,8 +358,8 @@ impl BatchSim {
         let port = found(self.tape.input_index(name), "input port", name)?;
         let bits = &self.tape.inputs.bits[port];
         check_fits(name, value, bits.len())?;
-        for (i, net) in bits.iter().enumerate() {
-            self.values[net.index()] = if (value >> i) & 1 == 1 { !0 } else { 0 };
+        for (i, &slot) in bits.iter().enumerate() {
+            self.values[slot as usize] = if (value >> i) & 1 == 1 { !0 } else { 0 };
         }
         self.dirty = true;
         Ok(())
@@ -470,7 +467,8 @@ impl BatchSim {
         if self.settled_once {
             self.count_toggles();
         } else {
-            self.prev_values.copy_from_slice(&self.values);
+            let counted = self.prev_values.len();
+            self.prev_values.copy_from_slice(&self.values[..counted]);
             self.settled_once = true;
         }
         lap.lap(&mut self.times.count);
@@ -507,7 +505,7 @@ impl BatchSim {
                 *prev = *addr;
             }
             for wp in &s.write_ports {
-                let mut enabled = self.values[wp.enable.index()] & self.lane_mask;
+                let mut enabled = self.values[wp.enable as usize] & self.lane_mask;
                 if enabled == 0 {
                     continue;
                 }
@@ -526,70 +524,75 @@ impl BatchSim {
         self.reads_primed = true;
     }
 
-    /// Adds this cycle's toggle word `(new ^ old) & lane_mask` of every
-    /// net into its bit planes, and makes the new values the old ones.
+    /// Adds this cycle's toggle words `(new ^ old) & lane_mask` into each
+    /// class's counters, and makes the new values the old ones.
     ///
-    /// Per net the add is branch-free — sum `p ^ c`, carry `p & c`, plane
-    /// after plane — so the loop vectorises over nets. It runs over
-    /// blocks of [`COUNT_BLOCK`] nets, whose carries stay in L1 while each
-    /// plane's row streams past, and a block stops at the first plane no
-    /// net of it carries into: one well-predicted branch per 512 nets,
-    /// where a per-net early exit would mispredict (DESIGN.md §9).
+    /// A class is a contiguous, block-padded run of slots (padding never
+    /// toggles). Each block of sixteen toggle words goes through a
+    /// Harley–Seal carry-save tree into the class's ones, twos, fours and
+    /// eights planes, and the block's sixteens carry ripples through the
+    /// rest of the planes in a fixed-depth chain: no branch per net or per
+    /// block, and the planes stay in registers across a class. Every
+    /// `flush_every` cycles the planes move into the `u64` counters.
     fn count_toggles(&mut self) {
-        let nets = self.values.len();
+        let tape = &*self.tape;
+        let counted = self.prev_values.len();
+        let new = &self.values[..counted];
+        let old = &mut self.prev_values[..];
+        let ranges = tape
+            .class_start
+            .windows(2)
+            .map(|p| p[0] as usize..p[1] as usize);
+        if self.lanes == 1 {
+            // One lane: a toggle word is 0 or 1, so the sum is the count.
+            for (range, count) in ranges.zip(&mut self.counts) {
+                let mut sum = 0;
+                for (&n, o) in new[range.clone()].iter().zip(&mut old[range]) {
+                    sum += (n ^ *o) & 1;
+                    *o = n;
+                }
+                *count += sum;
+            }
+            return;
+        }
         let mask = self.lane_mask;
-        let mut carry = [0u64; COUNT_BLOCK];
-        for start in (0..nets).step_by(COUNT_BLOCK) {
-            let end = (start + COUNT_BLOCK).min(nets);
-            let carry = &mut carry[..end - start];
-            let new = &self.values[start..end];
-            let old = &mut self.prev_values[start..end];
-            for ((c, &n), o) in carry.iter_mut().zip(new).zip(old) {
-                *c = (n ^ *o) & mask;
-                *o = n;
-            }
-            for row in self.planes.chunks_exact_mut(nets) {
-                let mut carried = 0;
-                for (bit, c) in row[start..end].iter_mut().zip(carry.iter_mut()) {
-                    let b = *bit;
-                    *bit = b ^ *c;
-                    *c &= b;
-                    carried |= *c;
+        for (range, planes) in ranges.zip(&mut self.planes) {
+            let mut p = *planes;
+            let blocks = new[range.clone()].chunks_exact(CLASS_BLOCK);
+            for (n, o) in blocks.zip(old[range].chunks_exact_mut(CLASS_BLOCK)) {
+                let mut t: Block = [0; CLASS_BLOCK];
+                for ((t, &n), o) in t.iter_mut().zip(n).zip(o) {
+                    *t = (n ^ *o) & mask;
+                    *o = n;
                 }
-                if carried == 0 {
-                    break;
+                let mut carry = harley_seal(&mut p, &t);
+                for plane in &mut p[4..] {
+                    let b = *plane;
+                    *plane = b ^ carry;
+                    carry &= b;
                 }
             }
+            *planes = p;
         }
         self.live_cycles += 1;
-        if self.live_cycles == FLUSH_EVERY {
+        if self.live_cycles == self.flush_every {
             self.flush();
         }
     }
 
-    /// Adds the plane counts into the per-lane `u32` counters and clears
-    /// the planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the activity window has reached 2³² − 1 cycles: the
-    /// flushed counters could no longer be trusted not to wrap.
+    /// Adds every class's plane counts into its per-lane counters and
+    /// clears the planes.
     fn flush(&mut self) {
-        assert!(
-            self.cycle < u64::from(u32::MAX),
-            "activity windows must stay under 2^32 cycles; call reset_activity sooner"
-        );
-        let nets = self.values.len();
-        for (net, counts) in self.flushed.chunks_exact_mut(self.lanes).enumerate() {
-            let live = live_bytes(&self.planes, nets, net);
-            if live == [0; 8] {
+        let counts = self.counts.chunks_exact_mut(self.lanes);
+        for (planes, counts) in self.planes.iter_mut().zip(counts) {
+            if *planes == [0; PLANES] {
                 continue;
             }
-            for (lane, count) in counts.iter_mut().enumerate() {
-                *count += lane_byte(&live, lane);
+            for (count, live) in counts.iter_mut().zip(lane_counts(planes)) {
+                *count += live;
             }
+            *planes = [0; PLANES];
         }
-        self.planes.fill(0);
         self.live_cycles = 0;
     }
 
@@ -744,9 +747,9 @@ impl BatchSim {
     /// port's baseline, so a port holding its line is not charged again.
     pub fn reset_activity(&mut self) {
         self.settle();
-        self.planes.fill(0);
+        self.planes.fill([0; PLANES]);
         self.live_cycles = 0;
-        self.flushed.fill(0);
+        self.counts.fill(0);
         for st in &mut self.srams {
             st.reads.fill(0);
             st.writes.fill(0);
@@ -767,21 +770,19 @@ impl BatchSim {
 
     /// Produces one lane's activity report, shaped exactly like a
     /// standalone [`crate::NaiveGateSim::activity`] report for the same
-    /// netlist (so [`strober_power`-style](ActivityReport) analyzers
-    /// consume it unchanged): flushed counts plus the live planes.
+    /// netlist: per class, the flushed count plus the live planes.
     ///
     /// # Errors
     ///
     /// Returns [`GateSimError::LaneOutOfRange`].
     pub fn activity_lane(&self, lane: usize) -> Result<ActivityReport, GateSimError> {
         self.check_lane(lane)?;
-        let nets = self.tape.net_count;
-        let toggles = (0..nets)
-            .map(|net| {
-                let live = (0..PLANES).fold(0, |count, k| {
-                    count | ((self.planes[k * nets + net] >> lane) & 1) << k
-                });
-                u64::from(self.flushed[net * self.lanes + lane]) + live
+        let counts = self.counts.chunks_exact(self.lanes);
+        let toggles = (self.planes.iter().zip(counts))
+            .map(|(planes, counts)| {
+                let live = (planes.iter().enumerate())
+                    .fold(0, |live, (k, plane)| live | ((plane >> lane) & 1) << k);
+                counts[lane] + live
             })
             .collect();
         Ok(ActivityReport::new(
@@ -792,15 +793,16 @@ impl BatchSim {
     }
 
     /// Produces every lane's activity report, in lane order — the same
-    /// reports as [`BatchSim::activity_lane`], in one pass over the nets.
+    /// reports as [`BatchSim::activity_lane`], one transpose per class.
     pub fn activities(&self) -> Vec<ActivityReport> {
-        let nets = self.tape.net_count;
-        let mut toggles: Vec<Vec<u64>> =
-            (0..self.lanes).map(|_| Vec::with_capacity(nets)).collect();
-        for (net, flushed) in self.flushed.chunks_exact(self.lanes).enumerate() {
-            let live = live_bytes(&self.planes, nets, net);
-            for (lane, (lane_toggles, &count)) in toggles.iter_mut().zip(flushed).enumerate() {
-                lane_toggles.push(u64::from(count) + u64::from(lane_byte(&live, lane)));
+        let classes = self.planes.len();
+        let mut toggles: Vec<Vec<u64>> = (0..self.lanes)
+            .map(|_| Vec::with_capacity(classes))
+            .collect();
+        for (planes, counts) in self.planes.iter().zip(self.counts.chunks_exact(self.lanes)) {
+            let live = lane_counts(planes);
+            for ((lane_toggles, &count), &live) in toggles.iter_mut().zip(counts).zip(&live) {
+                lane_toggles.push(count + live);
             }
         }
         toggles
@@ -809,6 +811,49 @@ impl BatchSim {
             .map(|(lane, t)| ActivityReport::new(self.cycle, t, self.sram_accesses(lane)))
             .collect()
     }
+}
+
+/// Adds the sixteen toggle words of `t` into the ones, twos, fours and
+/// eights planes `p[0..4]` through a tree of fifteen carry-save adders
+/// (Harley–Seal), and returns the sixteens carry: per lane, the four
+/// planes' value plus the block's toggles equals their new value plus
+/// sixteen times the carry bit.
+#[inline(always)]
+fn harley_seal(p: &mut [u64; PLANES], t: &Block) -> u64 {
+    let (twos_a, ones) = csa(p[0], t[0], t[1]);
+    let (twos_b, ones) = csa(ones, t[2], t[3]);
+    let (fours_a, twos) = csa(p[1], twos_a, twos_b);
+    let (twos_a, ones) = csa(ones, t[4], t[5]);
+    let (twos_b, ones) = csa(ones, t[6], t[7]);
+    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+    let (eights_a, fours) = csa(p[2], fours_a, fours_b);
+    let (twos_a, ones) = csa(ones, t[8], t[9]);
+    let (twos_b, ones) = csa(ones, t[10], t[11]);
+    let (fours_a, twos) = csa(twos, twos_a, twos_b);
+    let (twos_a, ones) = csa(ones, t[12], t[13]);
+    let (twos_b, ones) = csa(ones, t[14], t[15]);
+    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+    let (eights_b, fours) = csa(fours, fours_a, fours_b);
+    let (sixteens, eights) = csa(p[3], eights_a, eights_b);
+    p[..4].copy_from_slice(&[ones, twos, fours, eights]);
+    sixteens
+}
+
+/// A carry-save adder, per bit: `a + b + c` as `(carry, sum)`.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+/// Each lane's count out of a class's planes: row `l` is lane `l`'s.
+/// Plane `k` weighs `2^k`, so transposing the planes puts each lane's
+/// count in its row as a binary number.
+fn lane_counts(planes: &[u64; PLANES]) -> Rows {
+    let mut rows = [0; MAX_LANES];
+    rows[..PLANES].copy_from_slice(planes);
+    transpose64(&mut rows);
+    rows
 }
 
 /// Evaluates read port `port` of macro `s` on every lane: transposes the
@@ -832,8 +877,8 @@ fn read_port(
         }
     }
     transpose64(&mut words);
-    for (d, &word) in rp.data.iter().zip(&words) {
-        values[d.index()] = word;
+    for (&d, &word) in rp.data.iter().zip(&words) {
+        values[d as usize] = word;
     }
 }
 
@@ -842,12 +887,12 @@ fn in_range(addr: u64, depth: usize) -> Option<usize> {
     usize::try_from(addr).ok().filter(|&a| a < depth)
 }
 
-/// Each lane's value of the bus `nets` (at most 64 bits, least
+/// Each lane's value of the bus `slots` (at most 64 bits, least
 /// significant first): row `l` of the result is lane `l`'s word.
-fn lane_words(values: &[u64], nets: &[NetId]) -> Rows {
+fn lane_words(values: &[u64], slots: &[u32]) -> Rows {
     let mut rows = [0; MAX_LANES];
-    for (row, net) in rows.iter_mut().zip(nets) {
-        *row = values[net.index()];
+    for (row, &slot) in rows.iter_mut().zip(slots) {
+        *row = values[slot as usize];
     }
     transpose64(&mut rows);
     rows
@@ -882,25 +927,6 @@ fn swap_blocks<const J: usize>(rows: &mut Rows, low: u64) {
     }
 }
 
-/// `net`'s live plane counts, one byte per lane: byte `j` of word `g` is
-/// lane `8g + j`'s count. Exact because a count never exceeds
-/// [`FLUSH_EVERY`], so no byte carries into the next.
-fn live_bytes(planes: &[u64], nets: usize, net: usize) -> [u64; 8] {
-    let mut bytes = [0u64; 8];
-    for k in 0..PLANES {
-        let word = planes[k * nets + net];
-        for (g, b) in bytes.iter_mut().enumerate() {
-            *b |= SPREAD[((word >> (8 * g)) & 0xFF) as usize] << k;
-        }
-    }
-    bytes
-}
-
-/// Lane `lane`'s count out of [`live_bytes`].
-fn lane_byte(bytes: &[u64; 8], lane: usize) -> u32 {
-    ((bytes[lane / 8] >> (8 * (lane % 8))) & 0xFF) as u32
-}
-
 /// The word mask with bits `0..lanes` set.
 fn mask_for(lanes: usize) -> u64 {
     if lanes >= 64 {
@@ -913,7 +939,9 @@ fn mask_for(lanes: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClassMap, NaiveGateSim};
     use strober_dsl::Ctx;
+    use strober_gates::{CellKind, NetId};
     use strober_rtl::Width;
     use strober_synth::{synthesize, SynthOptions};
 
@@ -929,7 +957,7 @@ mod tests {
         }
     }
 
-    fn counter_netlist() -> strober_gates::Netlist {
+    fn counter_netlist() -> Netlist {
         let ctx = Ctx::new("counter");
         let en = ctx.input("en", Width::BIT);
         let count = ctx.reg("count", w(8), 0);
@@ -1030,18 +1058,32 @@ mod tests {
     }
 
     #[test]
-    fn the_spread_table_puts_bit_i_in_byte_i() {
-        assert_eq!(SPREAD[0], 0);
-        assert_eq!(SPREAD[0b1000_0101], 0x0100_0000_0001_0001);
-        assert_eq!(SPREAD[0xFF], 0x0101_0101_0101_0101);
+    fn the_plane_transpose_puts_plane_k_in_bit_k() {
+        // Lane 0 counted 1 (plane 0), lane 5 counted 2 + 2^15 (planes 1
+        // and 15), lane 63 counted 65,535 (every plane); the rest none.
+        let mut planes = [1u64 << 63; PLANES];
+        planes[0] |= 1;
+        planes[1] |= 1 << 5;
+        planes[15] |= 1 << 5;
+        let counts = lane_counts(&planes);
+        assert_eq!(
+            (counts[0], counts[5], counts[63]),
+            (1, 2 + (1 << 15), 0xFFFF)
+        );
+        assert!(counts
+            .iter()
+            .enumerate()
+            .all(|(l, &c)| c == 0 || [0, 5, 63].contains(&l)));
+        assert_eq!(lane_counts(&[0; PLANES]), [0; MAX_LANES]);
     }
 
     #[test]
     fn a_net_toggling_on_every_lane_counts_exactly_across_flushes() {
         // One inverter on a register: its output flips every cycle on
-        // every lane, so each of the 64 counters must read exactly the
-        // number of counted cycles — through three full flushes and a
-        // partial window, read mid-window, from both readers.
+        // every lane, so each of the 64 counters of its class must read
+        // exactly the number of counted cycles — through three full
+        // flushes and a partial window, read mid-window, from both
+        // readers.
         let ctx = Ctx::new("blink");
         let r = ctx.reg("r", Width::BIT, 0);
         r.set(&!&r.out());
@@ -1049,20 +1091,65 @@ mod tests {
         let nl = synthesize(&ctx.finish().unwrap(), &plain())
             .unwrap()
             .netlist;
-        let q = nl.outputs()[0].1.index();
+        let q = ClassMap::new(&nl).class_of(nl.outputs()[0].1).unwrap();
         let mut sim = BatchSim::new(&nl).unwrap();
-        for cycles in [1u64, 254, 255, 256, 600, 1_000] {
+        assert_eq!(sim.flush_every, MAX_FLUSH_EVERY, "single-net classes");
+        for cycles in [1u64, 255, 256, 257, 600, 1_000] {
             sim.step_n(cycles - sim.cycle());
             // The first settled cycle is the baseline, not a toggle.
             let want = cycles - 1;
             let all = sim.activities();
             for lane in [0, 31, 63] {
                 let report = sim.activity_lane(lane).unwrap();
-                assert_eq!(report.toggles()[q], want, "lane {lane} at {cycles}");
+                assert_eq!(report.class_toggles()[q], want, "lane {lane} at {cycles}");
                 assert_eq!(report, all[lane], "readers disagree at {cycles}");
             }
         }
         assert!(all_lanes_equal(&sim.activities()));
+    }
+
+    /// A register toggling every cycle and `n` inverters reading it: the
+    /// inverters share region, kind and fanout (none), so they are one
+    /// class of `n` nets that all toggle on every cycle of every lane.
+    fn blinkers(n: usize) -> Netlist {
+        let mut nl = Netlist::new("blinkers");
+        let q = nl.add_net("q");
+        let d = nl.add_net("d");
+        nl.add_gate(CellKind::Inv, vec![q], d, 0);
+        nl.add_dff("r_reg", d, q, false, 0);
+        for i in 0..n {
+            let out = nl.add_net(format!("o{i}"));
+            nl.add_gate(CellKind::Inv, vec![q], out, 0);
+        }
+        nl.add_output("q", q);
+        nl
+    }
+
+    #[test]
+    fn a_big_always_toggling_class_counts_exactly_past_two_flushes() {
+        let nl = blinkers(3_000);
+        let map = ClassMap::new(&nl);
+        let big = map.class_of(NetId::from_index(2)).unwrap();
+        for lanes in [1, 64] {
+            let mut sim = BatchSim::with_lanes(&nl, lanes).unwrap();
+            // 3,000 toggles a cycle fill 16 planes in 21 cycles.
+            assert_eq!(sim.flush_every, 21);
+            let mut reference = NaiveGateSim::new(&nl).unwrap();
+            for cycles in [1u64, 20, 21, 22, 23, 42, 43, 44, 50] {
+                let steps = cycles - sim.cycle();
+                sim.step_n(steps);
+                reference.step_n(steps);
+                let want = reference.activity();
+                assert_eq!(want.class_toggles()[big], 3_000 * (cycles - 1));
+                assert_eq!(want.class_toggles(), map.totals(reference.net_toggles()));
+                let all = sim.activities();
+                for lane in [0, lanes / 2, lanes - 1] {
+                    let at = format!("lane {lane} of {lanes} at {cycles}");
+                    assert_eq!(sim.activity_lane(lane).unwrap(), want, "{at}");
+                    assert_eq!(all[lane], want, "{at}");
+                }
+            }
+        }
     }
 
     fn all_lanes_equal(reports: &[ActivityReport]) -> bool {

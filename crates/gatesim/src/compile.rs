@@ -10,32 +10,45 @@
 //! ([`eval_gates`]). Flip-flops and write ports are not on the tape; they
 //! act at the clock edge, outside combinational settling.
 //!
+//! Every index the tape holds is a *slot* of the engine's value vector,
+//! not a netlist net id. Compilation renumbers the nets so that each
+//! energy class ([`ClassMap`]) is one contiguous range of slots, padded
+//! to whole [`CLASS_BLOCK`]s with slots nothing writes, which therefore
+//! never toggle; the nets no gate drives (primary inputs, SRAM read data)
+//! follow the last class. The counting kernel walks a class as one
+//! stretch of memory, and nothing outside this crate sees a slot.
+//!
 //! Compiling once and interpreting the same instruction stream for every
 //! replay is what makes bit-parallel batching work: the tape is identical
 //! for all samples, only the word-sized value vector differs (see
 //! `DESIGN.md` §9). The reference engine, [`crate::NaiveGateSim`], never
 //! sees a tape.
 
+use crate::classes::ClassMap;
 use crate::sim::GateSimError;
 use std::collections::HashMap;
-use strober_gates::{CellKind, Gate, NetId, Netlist, NetlistError, SramReadPort, SramWritePort};
+use strober_gates::{CellKind, Gate, NetId, Netlist, NetlistError};
 
 /// The widest word-level port or SRAM bus a tape accepts: one lane's
 /// value must fit a `u64`, and the packed engine moves buses through a
 /// 64×64 bit transpose.
 const MAX_WORD_BITS: usize = 64;
 
+/// Slots per block of the toggle-counting kernel: every class's slot
+/// range is a whole number of blocks.
+pub(crate) const CLASS_BLOCK: usize = 16;
+
 /// One compiled combinational gate; its cell function is its run's.
-/// Unused input slots alias net 0 and are never read.
+/// Unused input pins alias slot 0 and are never read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GateOp {
-    /// First input net index (`a0` for Mux2).
+    /// First input slot (`a0` for Mux2).
     pub in0: u32,
-    /// Second input net index (`a1` for Mux2).
+    /// Second input slot (`a1` for Mux2).
     pub in1: u32,
-    /// Third input net index (`s` for Mux2).
+    /// Third input slot (`s` for Mux2).
     pub in2: u32,
-    /// Output net index.
+    /// Output slot.
     pub out: u32,
 }
 
@@ -71,6 +84,26 @@ pub(crate) struct Run {
     pub end: u32,
 }
 
+/// One SRAM read port's buses, as slots.
+#[derive(Debug, Clone)]
+pub(crate) struct ReadPort {
+    /// Address bits, least significant first.
+    pub addr: Vec<u32>,
+    /// Data bits, least significant first.
+    pub data: Vec<u32>,
+}
+
+/// One SRAM write port's buses, as slots.
+#[derive(Debug, Clone)]
+pub(crate) struct WritePort {
+    /// Address bits, least significant first.
+    pub addr: Vec<u32>,
+    /// Data bits, least significant first.
+    pub data: Vec<u32>,
+    /// Write enable.
+    pub enable: u32,
+}
+
 /// One SRAM macro's geometry and ports: what an engine needs to service
 /// it each cycle, without the netlist (or the macro's initial contents).
 #[derive(Debug, Clone)]
@@ -80,9 +113,9 @@ pub(crate) struct SramPorts {
     /// Number of words.
     pub depth: usize,
     /// Read ports, in declaration order.
-    pub read_ports: Vec<SramReadPort>,
+    pub read_ports: Vec<ReadPort>,
     /// Write ports, in declaration order.
-    pub write_ports: Vec<SramWritePort>,
+    pub write_ports: Vec<WritePort>,
 }
 
 /// Word-level ports: `name[i]` bit nets grouped back into words, each at
@@ -91,13 +124,13 @@ pub(crate) struct SramPorts {
 pub(crate) struct Ports {
     /// Port names, in order of first declaration.
     pub names: Vec<String>,
-    /// Bit nets per port, least significant first; aligned with `names`.
-    pub bits: Vec<Vec<NetId>>,
+    /// Bit slots per port, least significant first; aligned with `names`.
+    pub bits: Vec<Vec<u32>>,
     by_name: HashMap<String, usize>,
 }
 
 impl Ports {
-    fn group(bits: &[(String, NetId)]) -> Result<Self, GateSimError> {
+    fn group(bits: &[(String, NetId)], slot: &[u32]) -> Result<Self, GateSimError> {
         let mut names = Vec::new();
         let mut groups: Vec<Vec<(u32, NetId)>> = Vec::new();
         let mut by_name = HashMap::new();
@@ -114,7 +147,9 @@ impl Ports {
             .into_iter()
             .map(|mut g| {
                 g.sort_unstable_by_key(|&(i, _)| i);
-                g.into_iter().map(|(_, n)| n).collect::<Vec<_>>()
+                g.into_iter()
+                    .map(|(_, n)| slot[n.index()])
+                    .collect::<Vec<_>>()
             })
             .collect::<Vec<_>>();
         for (name, nets) in names.iter().zip(&bits) {
@@ -153,7 +188,8 @@ fn check_word(word: impl FnOnce() -> String, bits: usize) -> Result<(), GateSimE
 }
 
 /// The compiled program plus the name-resolution side tables the engine
-/// needs: sequential elements, port bit groupings, and lookup maps.
+/// needs: sequential elements, port bit groupings, lookup maps, and the
+/// class layout of the value vector.
 #[derive(Debug, Clone)]
 pub struct Tape {
     /// The gate and read-port blocks, in (level, kind) order.
@@ -164,7 +200,7 @@ pub struct Tape {
     pub(crate) reads: Vec<ReadOp>,
     /// Ports and depth per SRAM macro, aligned with [`Netlist::srams`].
     pub(crate) srams: Vec<SramPorts>,
-    /// `(d net, q net)` per flip-flop, in gate order.
+    /// `(d slot, q slot)` per flip-flop, in gate order.
     pub(crate) dffs: Vec<(u32, u32)>,
     /// Reset value per flip-flop, aligned with `dffs`.
     pub(crate) dff_inits: Vec<bool>,
@@ -176,8 +212,16 @@ pub struct Tape {
     pub(crate) inputs: Ports,
     /// Output ports.
     pub(crate) outputs: Ports,
-    /// Number of nets in the netlist (the value vector length).
-    pub(crate) net_count: usize,
+    /// The energy classes the engine counts toggles by.
+    pub(crate) classes: ClassMap,
+    /// Class `c` owns slots `class_start[c]..class_start[c + 1]`, a whole
+    /// number of [`CLASS_BLOCK`]s; the last entry ends the counted slots.
+    pub(crate) class_start: Vec<u32>,
+    /// Net id → slot, for the tests' cross-checks.
+    #[cfg(test)]
+    slot_of: Vec<u32>,
+    /// Number of slots (the value vector length).
+    pub(crate) slot_count: usize,
 }
 
 impl Tape {
@@ -191,8 +235,6 @@ impl Tape {
     /// ([`NetlistError::WordTooWide`]).
     pub fn compile(netlist: &Netlist) -> Result<Self, GateSimError> {
         netlist.validate()?;
-        let inputs = Ports::group(netlist.inputs())?;
-        let outputs = Ports::group(netlist.outputs())?;
         for s in netlist.srams() {
             let buses = s.read_ports.iter().enumerate().flat_map(|(i, p)| {
                 [
@@ -311,22 +353,83 @@ impl Tape {
             }
         }
 
-        let sram_by_name = netlist
-            .srams()
+        // Lay the value vector out class by class. Within a class, flip-
+        // flop outputs come first, then gate outputs in tape order, so a
+        // run's writes move forward through each class it touches.
+        let classes = ClassMap::new(netlist);
+        let outs = dffs
             .iter()
-            .enumerate()
-            .map(|(i, s)| (s.name.clone(), i))
-            .collect();
+            .map(|&(_, q)| q)
+            .chain(ops.iter().map(|op| op.out));
+        let class_of = |net: u32| {
+            classes
+                .class_of(NetId::from_index(net as usize))
+                .expect("a gate drives every flip-flop and op output")
+        };
+        let mut class_start = vec![0u32; classes.classes().len() + 1];
+        for net in outs.clone() {
+            class_start[class_of(net) + 1] += 1;
+        }
+        let mut next = 0u32;
+        for start in &mut class_start {
+            next = (next + *start).next_multiple_of(CLASS_BLOCK as u32);
+            *start = next;
+        }
+        let mut slot_of = vec![u32::MAX; netlist.net_count()];
+        let mut cursor = class_start.clone();
+        for net in outs {
+            let at = &mut cursor[class_of(net)];
+            slot_of[net as usize] = *at;
+            *at += 1;
+        }
+        for slot in slot_of.iter_mut().filter(|s| **s == u32::MAX) {
+            *slot = next;
+            next += 1;
+        }
 
+        let slot = |net: u32| slot_of[net as usize];
+        for op in &mut ops {
+            *op = GateOp {
+                in0: slot(op.in0),
+                in1: slot(op.in1),
+                in2: slot(op.in2),
+                out: slot(op.out),
+            };
+        }
+        for (d, q) in &mut dffs {
+            (*d, *q) = (slot(*d), slot(*q));
+        }
+        let bus = |nets: &[NetId]| nets.iter().map(|n| slot_of[n.index()]).collect();
         let srams = netlist
             .srams()
             .iter()
             .map(|s| SramPorts {
                 name: s.name.clone(),
                 depth: s.depth,
-                read_ports: s.read_ports.clone(),
-                write_ports: s.write_ports.clone(),
+                read_ports: s
+                    .read_ports
+                    .iter()
+                    .map(|p| ReadPort {
+                        addr: bus(&p.addr),
+                        data: bus(&p.data),
+                    })
+                    .collect(),
+                write_ports: s
+                    .write_ports
+                    .iter()
+                    .map(|p| WritePort {
+                        addr: bus(&p.addr),
+                        data: bus(&p.data),
+                        enable: slot_of[p.enable.index()],
+                    })
+                    .collect(),
             })
+            .collect();
+        let sram_by_name = netlist
+            .srams()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.clone(), i))
             .collect();
 
         Ok(Tape {
@@ -338,10 +441,26 @@ impl Tape {
             dff_inits,
             dff_by_name,
             sram_by_name,
-            inputs,
-            outputs,
-            net_count: netlist.net_count(),
+            inputs: Ports::group(netlist.inputs(), &slot_of)?,
+            outputs: Ports::group(netlist.outputs(), &slot_of)?,
+            classes,
+            class_start,
+            #[cfg(test)]
+            slot_of,
+            slot_count: next as usize,
         })
+    }
+
+    /// The energy classes this tape counts toggles by: the same map
+    /// [`ClassMap::new`] gives for the netlist it was compiled from.
+    pub fn class_map(&self) -> &ClassMap {
+        &self.classes
+    }
+
+    /// The slot of netlist net `net`.
+    #[cfg(test)]
+    pub(crate) fn slot(&self, net: NetId) -> usize {
+        self.slot_of[net.index()] as usize
     }
 
     /// The gate ops of a [`RunKind::Gate`] run.
@@ -416,7 +535,7 @@ pub(crate) fn eval_gates(kind: CellKind, ops: &[GateOp], v: &mut [u64]) {
 mod tests {
     use super::*;
     use strober_cores::{build_core, CoreConfig};
-    use strober_gates::{CellKind, Netlist, SramMacro, SramReadPort};
+    use strober_gates::{CellKind, Netlist, SramMacro, SramReadPort, SramWritePort};
     use strober_synth::{synthesize, SynthOptions};
 
     #[test]
@@ -445,7 +564,11 @@ mod tests {
         assert_eq!(tape.runs[0].kind, RunKind::SramRead);
         assert_eq!(tape.runs[1].kind, RunKind::Gate(CellKind::Inv));
         assert_eq!((tape.reads[0].sram, tape.reads[0].port), (0, 0));
-        assert_eq!(tape.net_count, 3);
+        // One class (the inverter) padded to a block, then the input and
+        // the read data, which no gate drives.
+        assert_eq!(tape.class_start, vec![0, CLASS_BLOCK as u32]);
+        assert_eq!(tape.slot_count, CLASS_BLOCK + 2);
+        assert_eq!(tape.slot(inv), 0);
     }
 
     #[test]
@@ -458,7 +581,8 @@ mod tests {
         nl.add_output("q", q);
         let tape = Tape::compile(&nl).unwrap();
         assert_eq!(tape.ops.len(), 1);
-        assert_eq!(tape.dffs, vec![(d.index() as u32, q.index() as u32)]);
+        assert_eq!(tape.dffs, vec![(tape.slot(d) as u32, tape.slot(q) as u32)]);
+        assert_eq!(tape.class_start.len(), 3, "an Inv class and a Dff class");
         assert_eq!(tape.dff_inits, vec![true]);
         assert_eq!(tape.dff_by_name["toggle_reg"], 0);
     }
@@ -468,9 +592,9 @@ mod tests {
     /// a primary input, a flip-flop output or the output of a strictly
     /// earlier level (tie cells included: they sit at level 1).
     fn assert_levelized(tape: &Tape, netlist: &Netlist) {
-        let mut produced_at: Vec<Option<u32>> = vec![None; tape.net_count];
+        let mut produced_at: Vec<Option<u32>> = vec![None; tape.slot_count];
         for (_, net) in netlist.inputs() {
-            produced_at[net.index()] = Some(0);
+            produced_at[tape.slot(*net)] = Some(0);
         }
         for &(_, q) in &tape.dffs {
             produced_at[q as usize] = Some(0);
@@ -514,15 +638,15 @@ mod tests {
                     for op in tape.read_ops(run) {
                         let rp = &tape.srams[op.sram as usize].read_ports[op.port as usize];
                         reads_before(
-                            &mut rp.addr.iter().map(|n| n.index()),
+                            &mut rp.addr.iter().map(|&n| n as usize),
                             run.level,
                             &produced_at,
                         );
                     }
                     for op in tape.read_ops(run) {
                         let rp = &tape.srams[op.sram as usize].read_ports[op.port as usize];
-                        for d in &rp.data {
-                            produced_at[d.index()] = Some(run.level);
+                        for &d in &rp.data {
+                            produced_at[d as usize] = Some(run.level);
                         }
                     }
                 }
@@ -549,6 +673,41 @@ mod tests {
                 "runs should batch gates"
             );
             assert_levelized(&tape, &netlist);
+            assert_classes_contiguous(&tape, &netlist);
+        }
+    }
+
+    /// The slots are a permutation of the nets plus padding: each class
+    /// is one block-aligned range holding exactly its nets, and the nets
+    /// without a class come after the last one.
+    fn assert_classes_contiguous(tape: &Tape, netlist: &Netlist) {
+        assert_eq!(tape.class_map(), &ClassMap::new(netlist));
+        let counted = *tape.class_start.last().unwrap() as usize;
+        let mut seen = vec![false; tape.slot_count];
+        let mut sizes = vec![0; tape.class_start.len() - 1];
+        for net in (0..netlist.net_count()).map(NetId::from_index) {
+            let slot = tape.slot(net);
+            assert!(!seen[slot], "slot {slot} holds two nets");
+            seen[slot] = true;
+            match tape.classes.class_of(net) {
+                Some(c) => {
+                    let range = tape.class_start[c] as usize..tape.class_start[c + 1] as usize;
+                    assert!(range.contains(&slot), "net {net} outside class {c}");
+                    sizes[c] += 1;
+                }
+                None => assert!(slot >= counted, "unclassed net {net} among the classes"),
+            }
+        }
+        for (c, pair) in tape.class_start.windows(2).enumerate() {
+            let (start, end) = (pair[0] as usize, pair[1] as usize);
+            assert_eq!(start % CLASS_BLOCK, 0);
+            assert_eq!(
+                end - start,
+                (sizes[c] as usize).next_multiple_of(CLASS_BLOCK)
+            );
+            // A class's nets come first; its padding after them.
+            assert!(seen[start..start + sizes[c]].iter().all(|&s| s));
+            assert!(!seen[start + sizes[c]..end].iter().any(|&s| s));
         }
     }
 

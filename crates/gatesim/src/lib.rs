@@ -3,9 +3,11 @@
 //! This crate plays the role of the commercial Verilog simulator (VCS) in
 //! the Strober replay flow (Fig. 5 of the paper): it simulates a
 //! [`strober_gates::Netlist`] cycle by cycle with zero-delay levelized
-//! evaluation, counting every net's toggles. The resulting
-//! [`ActivityReport`] is the SAIF file of our flow — `strober-power`
-//! consumes it together with the cell library to produce average power.
+//! evaluation, counting toggles per energy class — the nets a power model
+//! prices alike, by region, cell kind and fanout ([`ClassMap`]). The
+//! resulting [`ActivityReport`] is the SAIF file of our flow —
+//! `strober-power` consumes it together with the cell library to produce
+//! average power.
 //!
 //! Two state-loading interfaces reproduce the §IV-C2 finding that snapshot
 //! loading dominates replay time unless done through a programmatic
@@ -22,8 +24,9 @@
 //! [`BatchSim`] is the engine: the levelized op tape ([`Tape`], see
 //! `DESIGN.md` §9) over one `u64` per net, up to 64 independent replays
 //! in its bit-lanes; one lane is a single replay. [`NaiveGateSim`], the
-//! netlist evaluated gate by gate, is the reference it is tested against,
-//! sharing none of its code.
+//! netlist evaluated gate by gate with a counter per net, is the
+//! reference it is tested against, sharing none of its code but the
+//! class map both reports are summed by.
 //!
 //! # Examples
 //!
@@ -56,6 +59,7 @@
 
 mod activity;
 mod batch;
+mod classes;
 mod compile;
 mod loader;
 mod naive;
@@ -63,6 +67,7 @@ mod sim;
 
 pub use activity::ActivityReport;
 pub use batch::{BatchSim, PhaseTimes, MAX_LANES};
+pub use classes::{ClassMap, EnergyClass};
 pub use compile::Tape;
 pub use loader::{LoadStats, ScriptLoader, SramImage, VpiLoader};
 pub use naive::NaiveGateSim;

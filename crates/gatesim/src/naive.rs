@@ -1,6 +1,7 @@
 //! The reference gate-level engine: a naive netlist evaluator.
 
 use crate::activity::ActivityReport;
+use crate::classes::ClassMap;
 use crate::sim::{check_fits, found, GateSimError};
 use std::collections::HashMap;
 use strober_gates::{Gate, NetId, Netlist};
@@ -17,10 +18,12 @@ enum Driver {
 /// The naive zero-delay gate-level simulator, to [`crate::BatchSim`] what
 /// `NaiveInterpreter` is to the RTL tape: one replay, one `bool` per net.
 /// It shares none of the batch engine's machinery (tape, levels, lanes,
-/// transposes, bit planes): a settle walks [`Netlist::gates`] in netlist
-/// order through `CellKind::eval`, recursing into inputs not yet evaluated
-/// (memoised per settle). Slow on purpose; tests and the fuzzer use it,
-/// the replay flow never does.
+/// transposes, slots, class planes): a settle walks [`Netlist::gates`] in
+/// netlist order through `CellKind::eval`, recursing into inputs not yet
+/// evaluated (memoised per settle), and every net keeps its own toggle
+/// count ([`NaiveGateSim::net_toggles`]); only the report sums them by
+/// energy class. Slow on purpose; tests and the fuzzer use it, the
+/// replay flow never does.
 #[derive(Debug, Clone)]
 pub struct NaiveGateSim<'a> {
     netlist: &'a Netlist,
@@ -31,6 +34,7 @@ pub struct NaiveGateSim<'a> {
     /// The values at the last counted clock edge.
     prev: Vec<bool>,
     toggles: Vec<u64>,
+    classes: ClassMap,
     srams: Vec<Vec<u64>>,
     /// Per macro and read port, the address last charged an access.
     last_read: Vec<Vec<Option<u64>>>,
@@ -81,6 +85,7 @@ impl<'a> NaiveGateSim<'a> {
             prev: values.clone(),
             values,
             toggles: vec![0; nets],
+            classes: ClassMap::new(netlist),
             srams: contents.collect(),
             last_read: srams
                 .iter()
@@ -212,9 +217,17 @@ impl<'a> NaiveGateSim<'a> {
         self.cycle = 0;
     }
 
-    /// The activity of the current measurement window.
+    /// Toggles per net (indexed by net id) in the current measurement
+    /// window: the per-net resolution the class report sums away.
+    pub fn net_toggles(&self) -> &[u64] {
+        &self.toggles
+    }
+
+    /// The activity of the current measurement window, the per-net counts
+    /// summed by [`ClassMap`].
     pub fn activity(&self) -> ActivityReport {
-        ActivityReport::new(self.cycle, self.toggles.clone(), self.accesses.clone())
+        let toggles = self.classes.totals(&self.toggles);
+        ActivityReport::new(self.cycle, toggles, self.accesses.clone())
     }
 
     /// Evaluates every net not held by a source.

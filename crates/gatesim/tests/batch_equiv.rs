@@ -1,10 +1,12 @@
 //! Differential proof for the bit-parallel engine: a `BatchSim` carrying
 //! N lanes must be *bit-identical* — outputs every cycle, final flip-flop
-//! and SRAM state, per-net toggle counts, SRAM access counts and power —
-//! to N separate replays of the same stimulus on `NaiveGateSim`, the
-//! reference engine that evaluates the netlist gate by gate and shares no
-//! code with the tape the batch runs. This is the property that lets the
-//! replay flow route every sample through the packed path.
+//! and SRAM state, toggle totals per energy class, SRAM access counts and
+//! power — to N separate replays of the same stimulus on `NaiveGateSim`,
+//! the reference engine that evaluates the netlist gate by gate, counts
+//! every net on its own and shares no code with the tape the batch runs
+//! but the class map its per-net counts are summed by. This is the
+//! property that lets the replay flow route every sample through the
+//! packed path.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,7 +14,7 @@ use strober_dsl::Ctx;
 use strober_gates::{
     CellKind, CellLibrary, NetId, Netlist, SramMacro, SramReadPort, SramWritePort,
 };
-use strober_gatesim::{ActivityReport, BatchSim, NaiveGateSim};
+use strober_gatesim::{BatchSim, ClassMap, NaiveGateSim, Tape};
 use strober_power::PowerAnalyzer;
 use strober_rtl::{Design, Width};
 use strober_sim::rand_design::{rand_design, RandDesignConfig};
@@ -97,20 +99,36 @@ impl Subject {
     }
 
     /// Every lane's activity report, from both batch readers, and its
-    /// price, against its reference replay's.
+    /// price, against its reference replay's. A class whose totals differ
+    /// is named with its nets and their reference counts; in the
+    /// hand-built netlists every gate has a region of its own, so a class
+    /// is one net.
     fn check_activity(&self, naive: &[NaiveGateSim], batch: &BatchSim, seed: u64, cycle: u64) {
         let analyzer = PowerAnalyzer::new(&self.netlist, &CellLibrary::generic_45nm(), 1.0e9);
+        let classes = ClassMap::new(&self.netlist);
         let all = batch.activities();
         for (lane, reference) in naive.iter().enumerate() {
             let want = reference.activity();
             let got = batch.activity_lane(lane).unwrap();
-            if let Some(net) = first_toggle_mismatch(&want, &got) {
+            let mismatch =
+                (want.class_toggles().iter().zip(got.class_toggles())).position(|(w, g)| w != g);
+            if let Some(class) = mismatch {
+                let nets: Vec<String> = (0..self.netlist.net_count())
+                    .map(NetId::from_index)
+                    .filter(|&net| classes.class_of(net) == Some(class))
+                    .map(|net| {
+                        let count = reference.net_toggles()[net.index()];
+                        format!("`{}` ({count})", self.netlist.net_name(net))
+                    })
+                    .collect();
                 panic!(
-                    "seed {seed}: lane {lane} toggles diverged at cycle {cycle} on net `{}`: \
-                     naive={} batch={}",
-                    self.netlist.net_name(NetId::from_index(net)),
-                    want.toggles()[net],
-                    got.toggles()[net]
+                    "seed {seed}: lane {lane} toggles diverged at cycle {cycle} in class \
+                     {:?}: naive={} batch={}; its {} nets (naive counts): {}",
+                    classes.classes()[class],
+                    want.class_toggles()[class],
+                    got.class_toggles()[class],
+                    nets.len(),
+                    nets[..nets.len().min(8)].join(", ")
                 );
             }
             assert_eq!(
@@ -152,13 +170,6 @@ impl Subject {
     }
 }
 
-fn first_toggle_mismatch(want: &ActivityReport, got: &ActivityReport) -> Option<usize> {
-    want.toggles()
-        .iter()
-        .zip(got.toggles())
-        .position(|(w, g)| w != g)
-}
-
 #[test]
 fn full_64_lane_batch_matches_64_sequential_replays() {
     let design = rand_design(11, &RandDesignConfig::default());
@@ -185,11 +196,12 @@ fn activity_windows_match_after_mid_run_reset() {
 
 #[test]
 fn long_windows_match_across_counter_flushes() {
-    // The batch keeps live toggle counts in 8-bit planes and flushes them
-    // every 255 counted cycles. 700 cycles with a reset at cycle 300 —
-    // in the middle of a flush window — cross one flush before the
-    // reset, one after it and a partial window; activity is also read
-    // mid-window, twice, without disturbing what follows.
+    // The batch keeps live class toggle counts in 16 bit planes and
+    // flushes them at least every 256 counted cycles. 700 cycles with a
+    // reset at cycle 300 — in the middle of a flush window — cross at
+    // least one flush before the reset, one after it and a partial
+    // window; activity is also read mid-window, twice, without
+    // disturbing what follows.
     let design = rand_design(77, &RandDesignConfig::default());
     Subject::synthesized(&design).check(64, 700, 77, Some(300), &[200, 555, 556, 620]);
 }
@@ -297,7 +309,9 @@ const COMB_KINDS: [CellKind; 11] = [
 /// is 6 words deep behind 3-bit addresses, so two of the eight addresses
 /// are past its end. With `observe`, every gate drives a bit of output
 /// `y` and the read ports drive `q` and `r`; without, nothing is a port,
-/// so only toggles, power and state can tell a wrong gate.
+/// so only toggles, power and state can tell a wrong gate. Every gate and
+/// flip-flop has a region of its own, so each energy class is one net
+/// and a toggle mismatch names it.
 fn cell_kinds_netlist(observe: bool) -> Netlist {
     let mut nl = Netlist::new("cell_kinds");
     let bus = |nl: &mut Netlist, name: &str, bits: usize, input: bool| -> Vec<NetId> {
@@ -326,7 +340,8 @@ fn cell_kinds_netlist(observe: bool) -> Netlist {
                 let pins = (0..kind.input_count())
                     .map(|p| sources[(i + p) % sources.len()])
                     .collect();
-                nl.add_gate(kind, pins, out, 0);
+                let region = nl.intern_region(&format!("{name}_{kind}"));
+                nl.add_gate(kind, pins, out, region);
                 out
             })
             .collect()
@@ -368,7 +383,8 @@ fn cell_kinds_netlist(observe: bool) -> Netlist {
         region: 0,
     });
     for (i, (&d, &q_net)) in [r[0], l2[8], l2[7]].iter().zip(&s).enumerate() {
-        nl.add_dff(format!("s_reg_{i}_"), d, q_net, i == 1, 0);
+        let region = nl.intern_region(&format!("s_reg_{i}_"));
+        nl.add_dff(format!("s_reg_{i}_"), d, q_net, i == 1, region);
     }
     if observe {
         for (i, &net) in l1.iter().chain(&l2).enumerate() {
@@ -414,4 +430,22 @@ fn unobserved_gates_match_through_their_toggles() {
     for lanes in [1, 64] {
         subject.check(lanes, 300, 4, Some(40), &[100]);
     }
+}
+
+#[test]
+fn one_class_map_for_the_tape_and_the_analyzer() {
+    // The tape counts by the classes the analyzer prices by, on a random
+    // design and on the hand-built one, where every gate is a class.
+    let lib = CellLibrary::generic_45nm();
+    let random = Subject::synthesized(&rand_design(11, &RandDesignConfig::default())).netlist;
+    for netlist in [random, cell_kinds_netlist(false)] {
+        let tape = Tape::compile(&netlist).unwrap();
+        let analyzer = PowerAnalyzer::new(&netlist, &lib, 1.0e9);
+        assert_eq!(tape.class_map(), &ClassMap::new(&netlist));
+        assert_eq!(tape.class_map().classes(), analyzer.classes());
+    }
+    let netlist = cell_kinds_netlist(false);
+    let classes = ClassMap::new(&netlist);
+    let gates = netlist.gates().len();
+    assert_eq!(classes.classes().len(), gates, "one class per gate");
 }

@@ -10,7 +10,10 @@
 //!
 //! * **Switching + internal power** — every net toggle charges the driving
 //!   cell's internal energy plus the fanout load (`E = E_int + ½·C_load·V²`
-//!   from [`strober_gates::CellLibrary::switching_energy_fj`]).
+//!   from [`strober_gates::CellLibrary::switching_energy_fj`]). That
+//!   energy depends only on the net's (region, kind, fanout) class, so
+//!   the report's per-class toggle totals are priced as
+//!   `Σ_class E_class × T_class` ([`strober_gatesim::ClassMap`]).
 //! * **Clock power** — two clock edges per cycle per flip-flop, charged
 //!   against the flop's clock pin and clock-tree share.
 //! * **SRAM access power** — per-access read/write energy scaled by word
@@ -55,7 +58,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use strober_gates::{CellLibrary, Gate, Netlist};
-use strober_gatesim::ActivityReport;
+use strober_gatesim::{ActivityReport, ClassMap, EnergyClass};
 
 /// The power decomposition for one component (or the whole design), in
 /// milliwatts.
@@ -162,14 +165,16 @@ impl fmt::Display for PowerReport {
 
 /// A compiled power model for one netlist at one clock frequency.
 ///
-/// Construction precomputes per-gate switching energies (including fanout
-/// load); [`PowerAnalyzer::analyze`] is then a single pass over the
-/// activity counters, so analysis time is independent of how many cycles
-/// the activity window covered — the property §IV-E relies on.
+/// Construction precomputes the switching energy (including fanout
+/// load) of every energy class; [`PowerAnalyzer::analyze`] is then one
+/// multiply-add per class, so analysis time is independent of how many
+/// cycles the activity window covered — the property §IV-E relies on.
 #[derive(Debug, Clone)]
 pub struct PowerAnalyzer {
-    /// Per gate: (output net index, energy per toggle in fJ, region index).
-    gate_energy: Vec<(u32, f64, u32)>,
+    /// The energy classes, as [`ClassMap::classes`] orders them.
+    classes: Vec<EnergyClass>,
+    /// Per class: energy per toggle in fJ.
+    class_energy_fj: Vec<f64>,
     /// Per region: leakage power in nW.
     region_leakage_nw: Vec<f64>,
     /// Per region: clock energy per cycle in fJ.
@@ -183,19 +188,18 @@ pub struct PowerAnalyzer {
 impl PowerAnalyzer {
     /// Compiles the power model.
     pub fn new(netlist: &Netlist, lib: &CellLibrary, freq_hz: f64) -> Self {
-        let fanout = netlist.fanout();
         let n_regions = netlist.regions().len();
         let mut region_leakage_nw = vec![0.0; n_regions];
         let mut region_clock_fj = vec![0.0; n_regions];
 
-        let mut gate_energy = Vec::with_capacity(netlist.gates().len());
+        let classes = ClassMap::new(netlist).classes().to_vec();
+        let class_energy_fj = classes
+            .iter()
+            .map(|c| lib.switching_energy_fj(c.kind, c.fanout as usize))
+            .collect();
         for g in netlist.gates() {
-            let kind = g.kind();
             let region = g.region();
-            let out = g.output();
-            let energy = lib.switching_energy_fj(kind, fanout[out.index()] as usize);
-            gate_energy.push((out.index() as u32, energy, region));
-            region_leakage_nw[region as usize] += lib.cell(kind).leakage_nw;
+            region_leakage_nw[region as usize] += lib.cell(g.kind()).leakage_nw;
             if matches!(g, Gate::Dff { .. }) {
                 region_clock_fj[region as usize] += lib.clock_energy_per_dff_fj();
             }
@@ -215,7 +219,8 @@ impl PowerAnalyzer {
         }
 
         PowerAnalyzer {
-            gate_energy,
+            classes,
+            class_energy_fj,
             region_leakage_nw,
             region_clock_fj,
             sram_energy,
@@ -229,6 +234,12 @@ impl PowerAnalyzer {
         self.freq_hz
     }
 
+    /// The energy classes an activity report must count by, in order:
+    /// [`ClassMap::new`]'s for the netlist the model was compiled from.
+    pub fn classes(&self) -> &[EnergyClass] {
+        &self.classes
+    }
+
     /// Computes average power over the activity window.
     ///
     /// # Panics
@@ -237,19 +248,18 @@ impl PowerAnalyzer {
     /// mismatch) or covers zero cycles.
     pub fn analyze(&self, activity: &ActivityReport) -> PowerReport {
         assert!(activity.cycles() > 0, "activity window is empty");
-        assert_eq!(
-            self.sram_energy.len(),
-            activity.sram_accesses().len(),
+        assert!(
+            self.sram_energy.len() == activity.sram_accesses().len()
+                && self.classes.len() == activity.class_toggles().len(),
             "activity report is from a different netlist"
         );
         let cycles = activity.cycles() as f64;
         let window_s = cycles / self.freq_hz;
 
         let mut region_energy_fj = vec![0.0f64; self.regions.len()];
-        let toggles = activity.toggles();
-        for &(net, energy, region) in &self.gate_energy {
-            let t = toggles[net as usize] as f64;
-            region_energy_fj[region as usize] += t * energy;
+        let priced = self.classes.iter().zip(&self.class_energy_fj);
+        for ((class, energy), &toggles) in priced.zip(activity.class_toggles()) {
+            region_energy_fj[class.region as usize] += toggles as f64 * energy;
         }
 
         let mut region_clock_fj_total = vec![0.0f64; self.regions.len()];

@@ -28,13 +28,6 @@ pub enum ReservoirEvent {
     Skipped,
 }
 
-impl ReservoirEvent {
-    /// Whether the element was recorded.
-    pub fn is_recorded(self) -> bool {
-        matches!(self, ReservoirEvent::Recorded { .. })
-    }
-}
-
 /// A uniform random sample of fixed capacity over a stream of unknown length.
 ///
 /// # Examples

@@ -7,13 +7,13 @@
 //! the prepared artifacts come from, never what they contain) and the
 //! cancellation/progress control threaded through the run.
 
-use crate::catalog;
 use crate::driver::{self, Failure};
 use crate::protocol::{
     ErrorKind, EstimateOutcome, EstimateSpec, Event, FuzzJobOutcome, FuzzSpec, JobResult, JobSpec,
     ReplayOutcome, WireError,
 };
 use crate::queue::JobEntry;
+use crate::{catalog, lock};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -87,7 +87,7 @@ impl FlowCache {
         store: Option<&Mutex<Store>>,
     ) -> Result<(Arc<StroberFlow>, &'static str), StroberError> {
         let key = fingerprint_parts(&[design, &config]).to_hex();
-        if let Some(flow) = self.flows.lock().expect("flow cache lock").get(&key) {
+        if let Some(flow) = lock(&self.flows).get(&key) {
             strober_probe::counter_add("strober.server.prepare_warm", 1);
             return Ok((flow.clone(), "warm"));
         }
@@ -98,7 +98,7 @@ impl FlowCache {
         // lands in the prepare stage of the job that first needs it.
         let (flow, provenance) = match store {
             Some(store) => {
-                let mut store = store.lock().expect("store lock");
+                let mut store = lock(store);
                 let (flow, hit) = StroberFlow::prepare_cached(design, config, &mut store)?;
                 flow.prepare_jit(Some(&mut store));
                 (flow, if hit { "store" } else { "cold" })
@@ -117,7 +117,7 @@ impl FlowCache {
             1,
         );
         let flow = Arc::new(flow);
-        let mut flows = self.flows.lock().expect("flow cache lock");
+        let mut flows = lock(&self.flows);
         // If a concurrent job prepared the same design, keep the first —
         // both are bit-identical by construction.
         let kept = flows.entry(key).or_insert_with(|| flow.clone()).clone();
@@ -144,6 +144,14 @@ pub(crate) fn run_job(
     store: Option<&Mutex<Store>>,
     default_parallelism: usize,
 ) -> Result<JobResult, Failure> {
+    #[cfg(test)]
+    if job.client == PANIC_CLIENT {
+        let labels = strober_probe::Labels::new().job(job.id);
+        strober_probe::counter_add_labeled("strober.server.job_engine", &labels, 1);
+        let _store = store.map(lock);
+        let _flows = lock(&flows.flows);
+        panic!("injected fault in job {}", job.id);
+    }
     match &job.spec {
         JobSpec::Estimate(spec) => run_estimate(job, spec, flows, store, default_parallelism, true),
         JobSpec::Replay(spec) => run_estimate(job, spec, flows, store, default_parallelism, false),
@@ -270,7 +278,7 @@ fn run_estimate(
     };
 
     if let Some(store) = store {
-        let store = store.lock().expect("store lock");
+        let store = lock(store);
         let path = store.root().join(format!("job-{}.json", job.id));
         if let Err(e) = manifest.save(&path) {
             strober_probe::warn!("cannot write job manifest to {}: {e}", path.display());
@@ -346,3 +354,9 @@ fn run_fuzz_job(job: &JobEntry, spec: &FuzzSpec) -> Result<JobResult, Failure> {
         cancelled: false,
     }))
 }
+
+/// Jobs submitted by a client of this name panic on their worker while
+/// holding the artifact store's and the flow cache's locks, after
+/// opening a labeled series: the fault the worker pool must survive.
+#[cfg(test)]
+pub(crate) const PANIC_CLIENT: &str = "test-fault-panic";

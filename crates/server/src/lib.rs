@@ -50,3 +50,15 @@ pub mod signal;
 pub use client::{Client, WatchSession};
 pub use jobs::replay_fingerprint;
 pub use server::{Server, ServerConfig, ServerHandle};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m` even if a thread panicked while holding it. A job that
+/// panics on a worker is caught and failed, and the daemon must not fail
+/// every later job on a poisoned lock. What these locks guard stays
+/// valid at every step: the job table, queue, flow cache and connection
+/// writers change by single inserts, removals and assignments, and the
+/// artifact store reads a damaged index or object as a miss.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -642,14 +642,6 @@ impl Event {
             | Event::Cancelled { job } => job,
         }
     }
-
-    /// Whether this event ends the job's stream.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            Event::Done { .. } | Event::Failed { .. } | Event::Cancelled { .. }
-        )
-    }
 }
 
 /// One frame of a [`Request::Watch`] subscription: an incremental

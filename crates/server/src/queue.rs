@@ -1,11 +1,12 @@
 //! The in-memory job table, priority queue and event fan-out.
 
 use crate::frame::write_frame;
+use crate::lock;
 use crate::protocol::{Event, JobSpec, JobState, JobSummary, Priority, ServerMsg};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use strober::CancelToken;
 
@@ -46,7 +47,7 @@ impl ConnWriter {
         if !self.alive.load(Ordering::Relaxed) {
             return;
         }
-        let mut w = self.w.lock().expect("writer lock");
+        let mut w = lock(&self.w);
         if write_frame(&mut *w, msg).is_err() {
             self.alive.store(false, Ordering::Relaxed);
         }
@@ -92,12 +93,12 @@ impl JobEntry {
 
     /// Registers a follower connection for this job's events.
     pub(crate) fn subscribe(&self, w: Arc<ConnWriter>) {
-        self.subscribers.lock().expect("subscribers lock").push(w);
+        lock(&self.subscribers).push(w);
     }
 
     /// Fans an event out to every follower.
     pub(crate) fn publish(&self, event: Event) {
-        let subs = self.subscribers.lock().expect("subscribers lock");
+        let subs = lock(&self.subscribers);
         let msg = ServerMsg::Event(event);
         for sub in subs.iter() {
             sub.send(&msg);
@@ -106,7 +107,7 @@ impl JobEntry {
 
     /// The job's current state.
     pub(crate) fn state(&self) -> JobState {
-        match *self.phase.lock().expect("phase lock") {
+        match *lock(&self.phase) {
             JobPhase::Queued => JobState::Queued,
             JobPhase::Running { .. } => JobState::Running,
             JobPhase::Done { .. } => JobState::Done,
@@ -123,7 +124,7 @@ impl JobEntry {
 
     /// Time spent queued, frozen per-phase as [`JobEntry::queue_wait_ms`].
     pub(crate) fn waited(&self) -> Duration {
-        match *self.phase.lock().expect("phase lock") {
+        match *lock(&self.phase) {
             JobPhase::Queued => self.submitted.elapsed(),
             JobPhase::Running { started } => started.duration_since(self.submitted),
             JobPhase::Done { waited }
@@ -153,30 +154,20 @@ pub(crate) struct JobTable {
 
 impl JobTable {
     pub(crate) fn insert(&self, job: Arc<JobEntry>) {
-        self.jobs
-            .lock()
-            .expect("job table lock")
-            .insert(job.id, job);
+        lock(&self.jobs).insert(job.id, job);
     }
 
     pub(crate) fn get(&self, id: u64) -> Option<Arc<JobEntry>> {
-        self.jobs.lock().expect("job table lock").get(&id).cloned()
+        lock(&self.jobs).get(&id).cloned()
     }
 
     pub(crate) fn summaries(&self) -> Vec<JobSummary> {
-        self.jobs
-            .lock()
-            .expect("job table lock")
-            .values()
-            .map(|j| j.summary())
-            .collect()
+        lock(&self.jobs).values().map(|j| j.summary()).collect()
     }
 
     /// Every job currently queued or running.
     pub(crate) fn open_jobs(&self) -> Vec<Arc<JobEntry>> {
-        self.jobs
-            .lock()
-            .expect("job table lock")
+        lock(&self.jobs)
             .values()
             .filter(|j| matches!(j.state(), JobState::Queued | JobState::Running))
             .cloned()
@@ -221,7 +212,7 @@ impl JobQueue {
 
     /// Enqueues a job id. Returns `false` if the queue is closed.
     pub(crate) fn push(&self, id: u64, priority: Priority) -> bool {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = lock(&self.inner);
         if !inner.open {
             return false;
         }
@@ -238,7 +229,7 @@ impl JobQueue {
     /// Blocks for the next job id; `None` once the queue is closed and
     /// empty.
     pub(crate) fn pop(&self) -> Option<u64> {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(&(_, _, id)) = inner.ready.first() {
                 inner.ready.remove(0);
@@ -248,14 +239,14 @@ impl JobQueue {
             if !inner.open {
                 return None;
             }
-            inner = self.cv.wait(inner).expect("queue lock");
+            inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Removes a queued job (cancellation). Returns whether it was
     /// still queued.
     pub(crate) fn remove(&self, id: u64) -> bool {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = lock(&self.inner);
         let before = inner.ready.len();
         inner.ready.retain(|&(_, _, jid)| jid != id);
         let removed = inner.ready.len() != before;
@@ -269,7 +260,7 @@ impl JobQueue {
     /// finish them; without, the queue is emptied and the abandoned ids
     /// are returned so the caller can mark them cancelled.
     pub(crate) fn close(&self, drain: bool) -> Vec<u64> {
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut inner = lock(&self.inner);
         inner.open = false;
         let abandoned = if drain {
             Vec::new()

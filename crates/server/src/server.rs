@@ -17,6 +17,7 @@
 use crate::driver::Failure;
 use crate::frame::{decode, read_frame_bytes_while, FrameError};
 use crate::jobs::{self, FlowCache};
+use crate::lock;
 use crate::protocol::{
     ErrorKind, Event, JobState, Request, Response, ServerMsg, WatchFrame, WireError,
     PROTOCOL_VERSION,
@@ -25,6 +26,7 @@ use crate::queue::{ConnWriter, JobEntry, JobPhase, JobQueue, JobTable};
 use crate::signal;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -409,13 +411,7 @@ impl Server {
         for handle in conn_handles {
             let _ = handle.join();
         }
-        for handle in shared
-            .watchers
-            .lock()
-            .expect("watchers lock")
-            .drain(..)
-            .collect::<Vec<_>>()
-        {
+        for handle in lock(&shared.watchers).drain(..).collect::<Vec<_>>() {
             let _ = handle.join();
         }
         if let Some(path) = &self.unix_path {
@@ -426,7 +422,7 @@ impl Server {
         let events = strober_probe::take_events();
         let flight_frames = flight.stop();
         if let Some(store) = &shared.store {
-            let store = store.lock().expect("store lock");
+            let store = lock(store);
             let trace = store.root().join("server-trace.json");
             if std::fs::write(&trace, strober_probe::chrome_trace_json(&events)).is_ok() {
                 strober_probe::info!("server trace written to {}", trace.display());
@@ -460,7 +456,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             continue;
         };
         let started = Instant::now();
-        *job.phase.lock().expect("phase lock") = JobPhase::Running { started };
+        *lock(&job.phase) = JobPhase::Running { started };
         let queue_wait_ms = job.queue_wait_ms();
         strober_probe::histogram_record("strober.server.queue_wait_ms", queue_wait_ms);
         job.publish(Event::Started {
@@ -470,12 +466,27 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         let busy = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
         strober_probe::gauge_set("strober.server.workers_busy", busy as f64);
         strober_probe::gauge_set_labeled("strober.server.worker_busy", &worker_labels, 1.0);
-        let result = jobs::run_job(
-            &job,
-            &shared.flows,
-            shared.store.as_ref(),
-            shared.per_job_parallelism,
-        );
+        // A panicking job fails alone: the worker, its gauges and the
+        // job's labeled series are restored as for any failed job.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            jobs::run_job(
+                &job,
+                &shared.flows,
+                shared.store.as_ref(),
+                shared.per_job_parallelism,
+            )
+        }))
+        .unwrap_or_else(|panic| {
+            let message = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string payload".to_owned());
+            Err(Failure::Error(WireError::new(
+                ErrorKind::Internal,
+                format!("job panicked: {message}"),
+            )))
+        });
         let busy = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
         strober_probe::gauge_set("strober.server.workers_busy", busy as f64);
         strober_probe::gauge_set_labeled("strober.server.worker_busy", &worker_labels, 0.0);
@@ -495,7 +506,7 @@ fn finish_job(job: &JobEntry, result: Result<crate::protocol::JobResult, Failure
     let waited = job.waited();
     match result {
         Ok(res) => {
-            *job.phase.lock().expect("phase lock") = JobPhase::Done { waited };
+            *lock(&job.phase) = JobPhase::Done { waited };
             strober_probe::counter_add("strober.server.jobs_completed", 1);
             job.publish(Event::Done {
                 job: job.id,
@@ -503,12 +514,12 @@ fn finish_job(job: &JobEntry, result: Result<crate::protocol::JobResult, Failure
             });
         }
         Err(Failure::Cancelled) => {
-            *job.phase.lock().expect("phase lock") = JobPhase::Cancelled { waited };
+            *lock(&job.phase) = JobPhase::Cancelled { waited };
             strober_probe::counter_add("strober.server.jobs_cancelled", 1);
             job.publish(Event::Cancelled { job: job.id });
         }
         Err(Failure::Error(e)) => {
-            *job.phase.lock().expect("phase lock") = JobPhase::Failed { waited };
+            *lock(&job.phase) = JobPhase::Failed { waited };
             strober_probe::counter_add("strober.server.jobs_failed", 1);
             strober_probe::warn!("job {} failed: {e}", job.id);
             job.publish(Event::Failed {
@@ -690,7 +701,7 @@ fn handle_request(
                     .spawn(move || watch_loop(&shared2, &writer, interval_ms))
                     .expect("spawn watch streamer")
             };
-            shared.watchers.lock().expect("watchers lock").push(handle);
+            lock(&shared.watchers).push(handle);
         }
         Request::Scrape => respond(Response::Scrape {
             text: strober_probe::prometheus_text(&strober_probe::snapshot()),
@@ -802,6 +813,7 @@ fn answer_metrics_http(mut stream: std::net::TcpStream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{EstimateSpec, FuzzSpec, JobResult, JobSpec, Priority};
 
     #[test]
     fn binding_port_zero_yields_an_ephemeral_port() {
@@ -818,5 +830,110 @@ mod tests {
         handle.shutdown(true);
         join.join().unwrap().unwrap();
         assert!(handle.is_finished());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn clients_reach_the_unix_socket() {
+        let path = std::env::temp_dir().join(format!("strober-unix-{}.sock", std::process::id()));
+        let server = Server::bind(ServerConfig {
+            unix_socket: Some(path.to_string_lossy().into_owned()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
+        let mut client = crate::Client::connect_unix(&path).unwrap();
+        assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+        handle.shutdown(false);
+        join.join().unwrap().unwrap();
+        assert!(!path.exists(), "the socket file is removed at shutdown");
+    }
+
+    /// Submits `spec` as `client` and follows it to its end.
+    fn run_as(addr: SocketAddr, client: &str, spec: JobSpec) -> (u64, Result<JobResult, String>) {
+        // A worker that died with its job would leave the follower
+        // waiting forever: bound the wait instead.
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        let reader = Box::new(stream.try_clone().unwrap());
+        let mut conn = crate::Client::from_parts(reader, Box::new(stream));
+        conn.hello(client).unwrap();
+        let submit = Request::Submit {
+            spec,
+            priority: Priority::Normal,
+            follow: true,
+        };
+        let Response::Submitted { job } = conn.request(&submit).unwrap() else {
+            panic!("submission refused");
+        };
+        (job, conn.wait_result(job, |_| {}))
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_its_worker_serves_the_next() {
+        let dir = std::env::temp_dir().join(format!("strober-panic-store-{}", std::process::id()));
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            store_dir: Some(dir.to_string_lossy().into_owned()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let (addr, handle, shared) = (server.local_addr(), server.handle(), server.shared.clone());
+        let join = std::thread::spawn(move || server.run());
+
+        // The job panics holding the store and flow-cache locks.
+        let (failed, outcome) =
+            run_as(addr, jobs::PANIC_CLIENT, JobSpec::Fuzz(FuzzSpec::default()));
+        let error = outcome.unwrap_err();
+        assert!(
+            error.contains("Internal: job panicked: injected fault"),
+            "{error}"
+        );
+        assert_eq!(shared.table.get(failed).unwrap().state(), JobState::Failed);
+        assert_eq!(shared.active.load(Ordering::SeqCst), 0);
+        // The series retire just after the terminal event goes out.
+        let label = format!("job=\"{failed}\"");
+        let labeled = |snapshot: &strober_probe::MetricsSnapshot| {
+            snapshot.counters.iter().any(|c| c.name.contains(&label))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut snapshot = strober_probe::snapshot();
+        while labeled(&snapshot) && Instant::now() < deadline {
+            std::thread::sleep(POLL);
+            snapshot = strober_probe::snapshot();
+        }
+        assert!(
+            !labeled(&snapshot),
+            "the failed job's labeled series are retired"
+        );
+        let busy = snapshot.gauges.iter().find(|g| {
+            g.name.starts_with("strober.server.worker_busy{") && g.name.contains("\"0\"")
+        });
+        assert_eq!(busy.map(|g| g.value), Some(0.0), "worker 0 is idle again");
+        assert!(shared.store.as_ref().unwrap().is_poisoned());
+
+        // The same (only) worker serves the next job, an estimate that
+        // goes through both locks the panic poisoned.
+        let spec = EstimateSpec {
+            core: "rok-tiny".to_owned(),
+            workload: "vvadd".to_owned(),
+            samples: 2,
+            min_samples: 2,
+            replay_length: 16,
+            hub_engine: "interp".to_owned(),
+            ..EstimateSpec::default()
+        };
+        let (_, outcome) = run_as(addr, "after-the-fault", JobSpec::Estimate(spec));
+        let Ok(JobResult::Estimate(estimate)) = outcome else {
+            panic!("the next job must succeed: {outcome:?}");
+        };
+        assert!(estimate.core_power_mw > 0.0);
+
+        handle.shutdown(true);
+        join.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

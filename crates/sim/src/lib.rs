@@ -73,7 +73,6 @@ mod opt;
 pub mod rand_design;
 mod state;
 mod tape;
-mod vcd;
 
 pub use codegen::JitSource;
 pub use engine::{Engine, MemSpan, NativeSettle};
@@ -85,4 +84,3 @@ pub use state::SimState;
 // callers holding pre-resolved handles need not depend on `strober-rtl`.
 pub use strober_rtl::{NodeId, PortId};
 pub use tape::Simulator;
-pub use vcd::VcdTrace;

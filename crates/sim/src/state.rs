@@ -16,12 +16,3 @@ pub struct SimState {
     /// The simulation cycle at which the state was captured.
     pub cycle: u64,
 }
-
-impl SimState {
-    /// Total number of architectural state bits represented (register bits
-    /// are counted at 64 here only if unknown; use the design for exact
-    /// counts).
-    pub fn element_count(&self) -> usize {
-        self.regs.len() + self.mems.iter().map(Vec::len).sum::<usize>()
-    }
-}
