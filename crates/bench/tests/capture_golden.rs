@@ -5,10 +5,12 @@
 //! the hub simulator and books the scan cost by arithmetic;
 //! `capture_snapshot_shifted` drives the scan chains, memory scanners and
 //! trace read port the FAME transform built. Production runs only the
-//! first, so this suite is what keeps it honest: on the Rok and Boum-2w
-//! hubs, on both settle engines, with and without a warmup prefix, two
-//! sessions fed the same stimulus capture at the same cycles through one
-//! path each and must agree on every snapshot, on the platform
+//! first, and on a different design: the free-run hub, whose scan and
+//! readout logic is tied off. So this suite is what keeps it honest: on
+//! the Rok and Boum-2w hubs, on both settle engines, with and without a
+//! warmup prefix, a free-run host and a full-hub host fed the same
+//! stimulus capture at the same cycles, one directly and one by
+//! shifting, and must agree on every snapshot, on the platform
 //! statistics to the bit, and on the target state they leave behind.
 //!
 //! The JIT cases skip (with a printed reason) when no `rustc` is on
@@ -91,15 +93,19 @@ fn assert_paths_agree(label: &str, target: &Design) {
         );
         for engine in engines() {
             let case = format!("{label}, warmup {warmup}, {engine}");
-            let session = || {
-                let cfg = PlatformConfig {
-                    hub_engine: engine,
-                    ..PlatformConfig::default()
-                };
-                (ZynqHost::new(&fame, cfg).expect("host"), Stim::new(target))
+            let cfg = PlatformConfig {
+                hub_engine: engine,
+                ..PlatformConfig::default()
             };
-            let (mut direct, mut direct_model) = session();
-            let (mut shifted, mut shifted_model) = session();
+            let (mut direct, mut direct_model) = (
+                ZynqHost::new(&fame, cfg.clone()).expect("free-run host"),
+                Stim::new(target),
+            );
+            let (mut shifted, mut shifted_model) = (
+                ZynqHost::full_hub(&fame, cfg).expect("full-hub host"),
+                Stim::new(target),
+            );
+            assert!(direct.capture_snapshot_shifted(&mut direct_model).is_err());
             let (mut wrapped, mut unwrapped) = (false, false);
             for (i, gap) in GAPS.into_iter().enumerate() {
                 direct.run(&mut direct_model, gap).expect("run");
@@ -129,12 +135,11 @@ fn assert_paths_agree(label: &str, target: &Design) {
                 "{case}: modelled time"
             );
             // Neither path perturbed the target: after a further stretch
-            // the reference readout of both sessions is the same state.
+            // the free-run host's storage holds what the full hub's scan
+            // chains shift out.
             direct.run(&mut direct_model, 40).expect("run");
             shifted.run(&mut shifted_model, 40).expect("run");
-            let a = direct
-                .capture_snapshot_shifted(&mut direct_model)
-                .expect("readout");
+            let a = direct.capture_snapshot(&mut direct_model).expect("readout");
             let b = shifted
                 .capture_snapshot_shifted(&mut shifted_model)
                 .expect("readout");
@@ -189,7 +194,7 @@ fn two_memories() -> Design {
 
 /// What one shifted capture adds to `scan_overhead_cycles`.
 fn measured_capture_cycles(fame: &FameResult, target: &Design) -> u64 {
-    let mut host = ZynqHost::new(fame, PlatformConfig::default()).expect("host");
+    let mut host = ZynqHost::full_hub(fame, PlatformConfig::default()).expect("host");
     let mut model = Stim::new(target);
     host.run(&mut model, 10).expect("run");
     host.capture_snapshot_shifted(&mut model).expect("shifted");

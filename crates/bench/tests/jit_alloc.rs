@@ -6,8 +6,8 @@
 //! boum-2w (26) hubs. The simulator now keeps that table and rebuilds it
 //! only when a memory's buffer may have moved. This binary installs a
 //! counting global allocator and checks that, once the first step has
-//! built the table, 10,000 native steps on the full boum-2w hub make no
-//! allocation at all.
+//! built the table, 10,000 native steps on the boum-2w free-run hub (what
+//! a production session simulates) make no allocation at all.
 //!
 //! Skips (with a printed reason) when no `rustc` is on `PATH`, like
 //! `jit_golden.rs`.
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use strober_cores::{build_core, CoreConfig};
-use strober_fame::{transform, FameConfig, SnapshotController};
+use strober_fame::{transform, FameConfig};
 use strober_jit::{rustc_version, JitCompiler};
 use strober_sim::Simulator;
 
@@ -74,11 +74,8 @@ fn native_steps_on_the_boum_2w_hub_do_not_allocate() {
         fame.hub.memories().count() > 16,
         "the hub must have more memories than the old 16-span stack array"
     );
-    let mut sim = Simulator::new(&fame.hub).expect("valid hub");
+    let mut sim = Simulator::new(&fame.free_run().expect("free-run hub")).expect("valid hub");
     JitCompiler::in_temp().attach(&mut sim).expect("jit attach");
-    SnapshotController::new(&fame.meta)
-        .set_fire(&mut sim, true)
-        .expect("fire");
     // The first native settle builds the span table.
     sim.step();
 

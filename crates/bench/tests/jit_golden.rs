@@ -142,14 +142,17 @@ fn jit_is_transparent_and_small_on_the_full_size_hubs() {
     if skip() {
         return;
     }
-    // The two hubs the ledger runs: what `auto` compiles for `--core rok`
-    // and `--core boum-2w` at the default window.
+    // The two cores the ledger runs, each as the free-run hub `auto`
+    // compiles for `--core rok` and `--core boum-2w` at the default
+    // window, and as the full hub the shifted capture reference runs.
     for (label, core) in [
-        ("rok fame1 hub", CoreConfig::rok()),
-        ("boum-2w fame1 hub", CoreConfig::boum_2w()),
+        ("rok", CoreConfig::rok()),
+        ("boum-2w", CoreConfig::boum_2w()),
     ] {
         let fame = transform(&build_core(&core), &FameConfig::default()).expect("transform");
-        assert_jit_transparent(label, &fame.hub);
+        let free_run = fame.free_run().expect("free-run hub");
+        assert_jit_transparent(&format!("{label} free-run hub"), &free_run);
+        assert_jit_transparent(&format!("{label} full fame1 hub"), &fame.hub);
     }
 }
 

@@ -292,17 +292,15 @@ impl StroberFlow {
     }
 
     /// The pristine lowered hub simulator (never stepped, no engine
-    /// attached), built on first use.
+    /// attached), built on first use from the free-run hub
+    /// ([`FameResult::free_run`]): a session captures by reading storage,
+    /// never by shifting, so the scan and readout logic is tied off.
     fn pristine_hub(&self) -> Result<&Simulator, StroberError> {
         if let Some(sim) = self.hub.get() {
             strober_probe::counter_add("strober.core.hub_tape_reused", 1);
             return Ok(sim);
         }
-        let sim =
-            Simulator::new(&self.fame.hub).map_err(|e| strober_sim::SimError::UnknownName {
-                kind: "hub design",
-                name: e.to_string(),
-            })?;
+        let sim = ZynqHost::lower_free_run(&self.fame)?;
         strober_probe::counter_add("strober.core.hub_tape_lowered", 1);
         // A concurrent first run may have won the race; either copy is
         // equivalent, so the loser's work is merely discarded.

@@ -6,8 +6,9 @@
 //! on a machine with no compiler it must interpret, say why, and stay
 //! quiet about it — wanting the fastest engine *available* and getting
 //! the interpreter is not a failure, asking for `jit` by name and not
-//! getting it still is. A compiler that dies mid-compile is the same
-//! case, and must leave nothing half-written behind.
+//! getting it still is. A compiler that dies mid-compile, or hangs until
+//! the compile deadline kills it, is the same case, and must leave
+//! nothing half-written behind.
 
 use std::process::Command;
 use strober::{HubEngine, ReplayResult, SampledRun, StroberConfig, StroberFlow};
@@ -286,18 +287,21 @@ fn with_dying_rustc() {
     assert!(fallbacks() >= 1, "a named jit that interprets is counted");
 }
 
-#[test]
-fn a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits() {
-    if std::env::var_os("STROBER_TEST_DYING_RUSTC").is_some() {
-        return with_dying_rustc();
-    }
-    let root = std::env::temp_dir().join(format!("strober-core-dying-{}", std::process::id()));
+/// Starts this test binary again to run only `test`, with `script`
+/// installed as `rustc` first on `PATH`, `marker` set in the environment
+/// and a `TMPDIR` of its own, which holds every cache directory the child
+/// uses. Checks the child passed and warned about the named jit, that no
+/// half-written dylib or temp file is left anywhere under that `TMPDIR`,
+/// and that generated sources reached both the store's and the temp
+/// cache; returns the child's stderr.
+fn run_with_fake_rustc(test: &str, script: &str, marker: &str) -> String {
+    let root = std::env::temp_dir().join(format!("strober-core-{marker}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let (bin, tmp) = (root.join("bin"), root.join("tmp"));
     std::fs::create_dir_all(&bin).unwrap();
     std::fs::create_dir_all(&tmp).unwrap();
     let rustc = bin.join("rustc");
-    std::fs::write(&rustc, DYING_RUSTC).unwrap();
+    std::fs::write(&rustc, script).unwrap();
     let mut perms = std::fs::metadata(&rustc).unwrap().permissions();
     std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
     std::fs::set_permissions(&rustc, perms).unwrap();
@@ -307,24 +311,20 @@ fn a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits() {
     .unwrap();
 
     let out = Command::new(std::env::current_exe().unwrap())
-        .args([
-            "--exact",
-            "a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits",
-            "--nocapture",
-        ])
+        .args(["--exact", test, "--nocapture"])
         .env("PATH", path)
         .env("TMPDIR", &tmp)
-        .env("STROBER_TEST_DYING_RUSTC", "1")
+        .env(marker, "1")
         .output()
         .expect("re-run this test binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(out.status.success(), "child failed:\n{stderr}");
     assert!(
         stderr.contains("warning: jit engine unavailable"),
         "the named jit warns:\n{stderr}"
     );
 
-    // The store's jit/ dir and the temp cache both saw a compile die.
+    // The store's jit/ dir and the temp cache both saw a compile fail.
     let mut compiles = 0;
     let mut dirs = vec![tmp];
     while let Some(dir) = dirs.pop() {
@@ -348,4 +348,100 @@ fn a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits() {
         "expected sources in both caches, found {compiles}"
     );
     let _ = std::fs::remove_dir_all(&root);
+    stderr
+}
+
+#[test]
+fn a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits() {
+    if std::env::var_os("STROBER_TEST_DYING_RUSTC").is_some() {
+        return with_dying_rustc();
+    }
+    run_with_fake_rustc(
+        "a_rustc_killed_mid_compile_leaves_no_debris_and_changes_no_bits",
+        DYING_RUSTC,
+        "STROBER_TEST_DYING_RUSTC",
+    );
+}
+
+/// A `rustc` that answers `--version` and then, asked to compile, writes
+/// a partial dylib where `-o` points and hangs: it sleeps far longer
+/// than the deadline [`with_hung_rustc`] sets.
+const HUNG_RUSTC: &str = r#"#!/bin/sh
+if [ "$1" = "--version" ]; then
+    echo "rustc 0.0.0-hung"
+    exit 0
+fi
+prev=""
+for arg in "$@"; do
+    if [ "$prev" = "-o" ]; then printf 'half a dylib' > "$arg"; fi
+    prev="$arg"
+done
+exec sleep 60
+"#;
+
+/// What a process whose `rustc` hangs must do: give up at the compile
+/// deadline (shortened here from a minute to a fraction of a second),
+/// kill the compiler, and carry on interpreting — quietly under `auto`,
+/// with the reason in the session; loudly and counted under `jit`.
+fn with_hung_rustc() {
+    assert_eq!(strober_jit::rustc_version(), Some("rustc 0.0.0-hung"));
+    strober_jit::set_compile_deadline_for_tests(std::time::Duration::from_millis(300));
+    strober_probe::enable();
+    let fallbacks = || {
+        strober_probe::snapshot()
+            .counter("strober.jit.fallback")
+            .unwrap_or(0)
+    };
+    let (design, image) = target();
+    let reference = estimate(
+        &StroberFlow::new(&design, config(HubEngine::Interp)).unwrap(),
+        &image,
+    );
+
+    let mut store = Store::open(std::env::temp_dir().join("store")).unwrap();
+    let auto = StroberFlow::new(&design, config(HubEngine::Auto)).unwrap();
+    let started = std::time::Instant::now();
+    assert_eq!(auto.prepare_jit(Some(&mut store)), None);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(30),
+        "the hung compile was waited out, not killed"
+    );
+    assert_same_bits("auto vs interp", &estimate(&auto, &image), &reference);
+    assert_eq!(auto.hub_engine_name(), "tape");
+    let reason = auto.hub_engine_reason();
+    assert!(
+        reason.starts_with("auto: rustc did not finish the generated settle source within 0.3 s")
+            && reason.ends_with(", interpreted"),
+        "the reason names the timeout: `{reason}`"
+    );
+    assert_eq!(fallbacks(), 0, "auto degrading is not a fallback");
+
+    let jit = StroberFlow::new(&design, config(HubEngine::Jit)).unwrap();
+    assert_same_bits("jit vs interp", &estimate(&jit, &image), &reference);
+    assert_eq!(jit.hub_engine_name(), "tape");
+    assert!(jit
+        .hub_engine_reason()
+        .starts_with("jit: rustc did not finish"));
+    assert!(fallbacks() >= 1, "a named jit that interprets is counted");
+}
+
+#[test]
+fn a_hung_rustc_is_killed_at_the_deadline_and_changes_no_bits() {
+    if std::env::var_os("STROBER_TEST_HUNG_RUSTC").is_some() {
+        return with_hung_rustc();
+    }
+    let started = std::time::Instant::now();
+    let stderr = run_with_fake_rustc(
+        "a_hung_rustc_is_killed_at_the_deadline_and_changes_no_bits",
+        HUNG_RUSTC,
+        "STROBER_TEST_HUNG_RUSTC",
+    );
+    assert!(
+        stderr.contains("rustc did not finish"),
+        "the warning names the timeout:\n{stderr}"
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(55),
+        "no compile outlived the deadline"
+    );
 }

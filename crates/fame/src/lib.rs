@@ -29,7 +29,11 @@
 //! shifted scan/trace protocol shown below — the reference that proves
 //! the instrumentation — and a direct read of simulator storage through
 //! a [`HubLayout`], which is what a production session runs, charging the
-//! scan's hub cycles by arithmetic instead of stepping them.
+//! scan's hub cycles by arithmetic instead of stepping them. Since a
+//! production session never shifts, it simulates
+//! [`FameResult::free_run`]: the hub with its scan, memory-scan and
+//! trace-readout controls tied to constants and the readout ports
+//! dropped, which the tape optimizer then folds away.
 //!
 //! # Examples
 //!

@@ -108,6 +108,17 @@ impl FameMeta {
         serde_json::from_str(s)
     }
 
+    /// The hub outputs only the shifted readout protocol reads: the scan
+    /// chain's serial output and the read port of every memory scanner
+    /// and trace ring. The free-run hub
+    /// ([`FameResult::free_run`](crate::FameResult::free_run)) drops them.
+    pub fn readout_outputs(&self) -> impl Iterator<Item = &str> {
+        std::iter::once(self.control.scan_out.as_str())
+            .chain(self.mem_scans.iter().map(|m| m.out_port.as_str()))
+            .chain(self.traces_in.iter().map(|t| t.out_port.as_str()))
+            .chain(self.traces_out.iter().map(|t| t.out_port.as_str()))
+    }
+
     /// Number of hub cycles one state capture costs on the hub the
     /// transform builds — the scan part of the §IV-E `T_rec` term: one
     /// capture strobe, one shift per chain element and, when the target

@@ -34,6 +34,61 @@ pub struct FameResult {
     pub meta: FameMeta,
 }
 
+impl FameResult {
+    /// The hub as a production session simulates it: the six control
+    /// inputs tied to their free-run values — `fire` high, every scan,
+    /// memory-scan and trace-readout control low — and the readout
+    /// outputs ([`FameMeta::readout_outputs`]) dropped.
+    ///
+    /// On Strober's FPGA the scan chains, memory scanners and trace read
+    /// ports are idle hardware a free run never drives; in software every
+    /// gate of them is evaluated each hub cycle. Tied to constants, the
+    /// tape optimizer folds the scan muxes away, holds the shadow and
+    /// scanner registers (their enables fold to 0) and drops the readout
+    /// cones. What a direct capture reads stays: the target, the
+    /// trace-ring writes and write pointer, and `fame/cycle`.
+    ///
+    /// Every node, register and memory keeps its id, so a [`HubLayout`]
+    /// resolved against [`hub`](FameResult::hub) indexes the free-run
+    /// design's storage too. The tied ports leave the design; the target's
+    /// ports, declared first, keep their ids.
+    ///
+    /// [`HubLayout`]: crate::HubLayout
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::DanglingId`] when `hub` lacks a control port or
+    /// readout output `meta` names (a result not built by [`transform`]).
+    pub fn free_run(&self) -> Result<Design, RtlError> {
+        let _span = strober_probe::span("strober.fame.free_run");
+        let mut d = self.hub.clone();
+        let c = &self.meta.control;
+        for (port, value) in [
+            (&c.fire, 1),
+            (&c.scan_capture, 0),
+            (&c.scan_shift, 0),
+            (&c.mem_scan_en, 0),
+            (&c.mem_scan_rst, 0),
+            (&c.trace_raddr, 0),
+        ] {
+            d.tie_input(port, value)?;
+        }
+        for output in self.meta.readout_outputs() {
+            d.remove_output(output)?;
+        }
+        assert_eq!(
+            (d.node_count(), d.register_count(), d.memory_count()),
+            (
+                self.hub.node_count(),
+                self.hub.register_count(),
+                self.hub.memory_count()
+            ),
+            "tying off keeps every node, register and memory id"
+        );
+        Ok(d)
+    }
+}
+
 /// Applies the FAME1 transform with snapshot instrumentation.
 ///
 /// The returned hub contains the complete target plus:

@@ -50,6 +50,49 @@ fn hub_matches_target_on_random_designs() {
 }
 
 #[test]
+fn free_run_hub_matches_the_full_hub_on_random_designs() {
+    // The free-run hub is the full hub with fire tied high and the
+    // readout logic tied off: same outputs (bar the dropped readout
+    // ports), same registers and memories, every cycle.
+    let cfg = RandDesignConfig::default();
+    for seed in 60..75 {
+        let design = rand_design(seed, &cfg);
+        let fame = transform(&design, &FameConfig::default()).expect("transform");
+        let free_run = fame.free_run().expect("free-run hub");
+        assert!(free_run.port_by_name("fame/fire").is_none());
+        assert_eq!(free_run.ports().len(), design.ports().len());
+        let dropped: Vec<&str> = fame.meta.readout_outputs().collect();
+        assert!(dropped.iter().all(|o| free_run.output_by_name(o).is_none()));
+        let mut hub = Simulator::new(&fame.hub).expect("hub");
+        let mut free = Simulator::new(&free_run).expect("free-run hub");
+        assert!(free.pass_stats().ops_final < hub.pass_stats().ops_final);
+        hub.poke_by_name("fame/fire", 1).unwrap();
+
+        let (ports, _) = ports_and_outputs(&design);
+        let outputs: Vec<String> = free_run.outputs().iter().map(|(n, _)| n.clone()).collect();
+        assert!(outputs.iter().any(|o| o == "fame/cycle"));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xF2EE);
+        for cycle in 0..60 {
+            for (name, mask) in &ports {
+                let v = rng.gen::<u64>() & mask;
+                hub.poke_by_name(name, v).unwrap();
+                free.poke_by_name(name, v).unwrap();
+            }
+            for out in &outputs {
+                assert_eq!(
+                    hub.peek_output(out).unwrap(),
+                    free.peek_output(out).unwrap(),
+                    "seed {seed}: `{out}` diverged at cycle {cycle}"
+                );
+            }
+            hub.step();
+            free.step();
+            assert_eq!(hub.state(), free.state(), "seed {seed}, cycle {cycle}");
+        }
+    }
+}
+
+#[test]
 fn stalls_anywhere_never_perturb_the_target() {
     // Randomly interleave fire/stall cycles; the target-visible trajectory
     // must equal an uninterrupted run.

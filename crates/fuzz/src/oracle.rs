@@ -417,27 +417,34 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
         jit_lane_skip_notice();
     }
 
-    // --- Oracle: FAME1 hub with fire held high (stream A only). ---
-    {
-        let fame =
-            transform(&design, &FameConfig::default()).map_err(|e| err("fame", e.to_string()))?;
-        let mut hub = Simulator::new(&fame.hub).map_err(|e| err("fame", e.to_string()))?;
-        hub.poke_by_name("fame/fire", 1)
-            .map_err(|e| err("fame", e.to_string()))?;
+    // --- Oracle: FAME1 hub with fire held high, and the free-run hub
+    // production sessions simulate, with fire and every readout control
+    // tied off (stream A only). ---
+    let fame =
+        transform(&design, &FameConfig::default()).map_err(|e| err("fame", e.to_string()))?;
+    let free_run = fame
+        .free_run()
+        .map_err(|e| err("fame-free-run", e.to_string()))?;
+    for (oracle, hub_design) in [("fame", &fame.hub), ("fame-free-run", &free_run)] {
+        let mut hub = Simulator::new(hub_design).map_err(|e| err(oracle, e.to_string()))?;
+        if oracle == "fame" {
+            hub.poke_by_name("fame/fire", 1)
+                .map_err(|e| err(oracle, e.to_string()))?;
+        }
         let stream = lane_stream(genome, 0);
         for cycle in 0..u64::from(cycles) {
             for (i, (name, mask)) in ports.iter().enumerate() {
                 hub.poke_by_name(name, stimulus(stream, i, cycle) & mask)
-                    .map_err(|e| err("fame", e.to_string()))?;
+                    .map_err(|e| err(oracle, e.to_string()))?;
             }
             for (oi, out) in outputs.iter().enumerate() {
                 let got = hub
                     .peek_output(out)
-                    .map_err(|e| err("fame", e.to_string()))?;
+                    .map_err(|e| err(oracle, e.to_string()))?;
                 let expected = refs[0].outputs_trace[cycle as usize][oi];
                 if got != expected {
                     return Err(Divergence::Output {
-                        oracle: "fame".to_owned(),
+                        oracle: oracle.to_owned(),
                         reference: "naive".to_owned(),
                         output: out.clone(),
                         cycle,
@@ -451,10 +458,10 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
         }
         let hub_cycle = hub
             .peek_output("fame/cycle")
-            .map_err(|e| err("fame", e.to_string()))?;
+            .map_err(|e| err(oracle, e.to_string()))?;
         if hub_cycle != u64::from(cycles) {
             return Err(Divergence::State {
-                oracle: "fame".to_owned(),
+                oracle: oracle.to_owned(),
                 reference: "naive".to_owned(),
                 detail: format!("hub fired {cycles} cycles but fame/cycle reads {hub_cycle}"),
             });
@@ -667,10 +674,11 @@ impl StimDriver {
 }
 
 /// `capture-direct` vs `capture-scan`: two host sessions over one FAME
-/// hub, fed the same stimulus, capture at the same seed-chosen cycles —
-/// one by reading simulator storage (the production path), one by
-/// shifting the scan chains (the reference). Snapshots, platform
-/// statistics and the target state left behind must all be equal.
+/// transform, fed the same stimulus, capture at the same seed-chosen
+/// cycles — one on the free-run hub by reading simulator storage (the
+/// production path), one on the full hub by shifting the scan chains
+/// (the reference). Snapshots, platform statistics and the target state
+/// left behind must all be equal.
 fn check_capture(
     genome: &Genome,
     design: &strober_rtl::Design,
@@ -686,13 +694,12 @@ fn check_capture(
         warmup: rng.gen_range(0..4),
     };
     let fame = transform(design, &config).map_err(|e| cerr(format!("transform: {e}")))?;
-    let session = || {
-        ZynqHost::new(&fame, PlatformConfig::default())
-            .map(|host| (host, StimDriver::new(genome, ports)))
-            .map_err(|e| cerr(format!("host: {e}")))
-    };
-    let (mut direct, mut direct_model) = session()?;
-    let (mut scan, mut scan_model) = session()?;
+    let (mut direct, mut direct_model) = ZynqHost::new(&fame, PlatformConfig::default())
+        .map(|host| (host, StimDriver::new(genome, ports)))
+        .map_err(|e| cerr(format!("free-run host: {e}")))?;
+    let (mut scan, mut scan_model) = ZynqHost::full_hub(&fame, PlatformConfig::default())
+        .map(|host| (host, StimDriver::new(genome, ports)))
+        .map_err(|e| cerr(format!("full-hub host: {e}")))?;
     for capture in 0..4 {
         let gap = rng.gen_range(0..24);
         let a = direct
@@ -714,11 +721,12 @@ fn check_capture(
     if sa != sb || sa.modeled_seconds.to_bits() != sb.modeled_seconds.to_bits() {
         return Err(cerr(format!("platform stats {sa:?} vs {sb:?}")));
     }
-    // The reference readout of both sessions, one more stretch on: the
-    // direct path must have left the target exactly where the scan did.
+    // One more stretch on, the free-run host's registers and memories,
+    // read directly, must be what the full hub's scan chains shift out:
+    // the direct path left the target exactly where the scan did.
     let a = direct
         .run(&mut direct_model, 5)
-        .and_then(|_| direct.capture_snapshot_shifted(&mut direct_model))
+        .and_then(|_| direct.capture_snapshot(&mut direct_model))
         .map_err(|e| cerr(format!("direct readout: {e}")))?;
     let b = scan
         .run(&mut scan_model, 5)

@@ -30,13 +30,6 @@ pub struct Image {
     pub symbols: HashMap<String, u32>,
 }
 
-impl Image {
-    /// The image size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.words.len() * 4
-    }
-}
-
 /// Assembly errors, with 1-based line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsmError {

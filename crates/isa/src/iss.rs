@@ -109,15 +109,6 @@ impl Iss {
         self.regs[index]
     }
 
-    /// Reads a memory word by byte address.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds (inspection helper for tests).
-    pub fn mem_word(&self, byte_addr: u32) -> u32 {
-        self.mem[(byte_addr / 4) as usize]
-    }
-
     /// Bytes written with `out`.
     pub fn console(&self) -> &[u8] {
         &self.console

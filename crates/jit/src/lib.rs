@@ -65,11 +65,12 @@ mod dylib;
 pub use dylib::DylibEngine;
 
 use std::collections::BTreeSet;
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use strober_sim::{JitSource, NativeSettle, Simulator};
 
 /// Errors from compiling or loading a native settle engine.
@@ -97,6 +98,13 @@ pub enum JitError {
         /// Hash the dylib reports.
         actual: u64,
     },
+    /// `rustc` did not finish within the compile deadline
+    /// ([`COMPILE_DEADLINE`]); it was killed and reaped, and nothing it
+    /// wrote was kept.
+    Timeout {
+        /// How long it was given.
+        after: Duration,
+    },
     /// The dylib's bytes do not carry a valid integrity seal: truncated,
     /// altered, or not written by this crate. It was not loaded.
     Corrupt,
@@ -115,6 +123,11 @@ impl std::fmt::Display for JitError {
                     stderr => write!(f, ": {stderr}"),
                 }
             }
+            JitError::Timeout { after } => write!(
+                f,
+                "rustc did not finish the generated settle source within {} s and was killed",
+                after.as_secs_f64()
+            ),
             JitError::Dlopen(msg) => write!(f, "cannot load settle dylib: {msg}"),
             JitError::MissingSymbol(name) => {
                 write!(f, "settle dylib does not export `{name}`")
@@ -137,18 +150,69 @@ impl From<std::io::Error> for JitError {
     }
 }
 
+/// How long one `rustc` run may take before it is killed and the session
+/// walks the tape instead. A cold compile of the largest bundled hub takes
+/// ~0.2 s; a minute leaves a loaded machine plenty of room, and a hung
+/// compiler none to hang the session.
+pub const COMPILE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// The deadline in force, in milliseconds: [`COMPILE_DEADLINE`] unless a
+/// test shortened it.
+static DEADLINE_MS: AtomicU64 = AtomicU64::new(COMPILE_DEADLINE.as_millis() as u64);
+
+/// Shortens the compile deadline for the rest of the process, so a test
+/// can watch a hung `rustc` be killed without waiting a minute.
+/// Production code never calls this; there is no flag or variable behind
+/// it.
+#[doc(hidden)]
+pub fn set_compile_deadline_for_tests(deadline: Duration) {
+    DEADLINE_MS.store(deadline.as_millis() as u64, Ordering::Relaxed);
+}
+
+fn compile_deadline() -> Duration {
+    Duration::from_millis(DEADLINE_MS.load(Ordering::Relaxed))
+}
+
+/// Waits for `child` to exit, or kills and reaps it once `deadline` has
+/// passed (`Ok(None)`). Polls instead of blocking, so no thread is spawned
+/// to keep the time.
+fn wait_within(child: &mut Child, deadline: Duration) -> std::io::Result<Option<ExitStatus>> {
+    let started = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait()? {
+            return Ok(Some(status));
+        }
+        if started.elapsed() >= deadline {
+            let _ = child.kill();
+            child.wait()?;
+            return Ok(None);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// The `rustc --version` string of the compiler on `PATH`, probed once
 /// per process, or `None` when no working `rustc` is available (the
-/// fallback-to-interpreter case).
+/// fallback-to-interpreter case) or it does not answer within the compile
+/// deadline. The answer is one line, which the pipe holds until the probe
+/// has exited.
 pub fn rustc_version() -> Option<&'static str> {
     static VERSION: OnceLock<Option<String>> = OnceLock::new();
     VERSION
         .get_or_init(|| {
-            let out = Command::new("rustc").arg("--version").output().ok()?;
-            if !out.status.success() {
+            let mut child = Command::new("rustc")
+                .arg("--version")
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .ok()?;
+            if !wait_within(&mut child, compile_deadline()).ok()??.success() {
                 return None;
             }
-            let v = String::from_utf8_lossy(&out.stdout).trim().to_owned();
+            let mut out = String::new();
+            child.stdout.take()?.read_to_string(&mut out).ok()?;
+            let v = out.trim().to_owned();
             (!v.is_empty()).then_some(v)
         })
         .as_deref()
@@ -358,14 +422,20 @@ impl JitCompiler {
     }
 
     /// Runs `rustc` on the generated source, landing the sealed dylib at
-    /// `out` atomically. Returns the compile wall-time in milliseconds.
+    /// `out` atomically. Returns the compile wall-time in milliseconds. A
+    /// compile that outlives [`COMPILE_DEADLINE`] is killed, its partial
+    /// output removed, and reported as [`JitError::Timeout`].
     fn compile(&self, source: &JitSource, out: &Path) -> Result<u64, JitError> {
         std::fs::create_dir_all(&self.cache_dir)?;
         let src_path = out.with_extension("rs");
         write_atomic(&src_path, source.source.as_bytes())?;
         let tmp = temp_sibling(out);
+        // rustc's diagnostics go to a file, not a pipe: a long error
+        // report cannot fill a pipe nobody drains while the deadline runs.
+        let log = temp_sibling(&src_path);
         let started = Instant::now();
-        let result = Command::new("rustc")
+        let deadline = compile_deadline();
+        let spawned = Command::new("rustc")
             .arg("--edition")
             .arg("2021")
             .arg("-O")
@@ -376,18 +446,35 @@ impl JitCompiler {
             .arg("-o")
             .arg(&tmp)
             .arg(&src_path)
-            .output()
-            .map_err(|_| JitError::NoRustc)?;
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(std::fs::File::create(&log)?)
+            .spawn();
+        let waited = spawned.map(|mut child| wait_within(&mut child, deadline));
         let compile_ms = started.elapsed().as_millis() as u64;
-        let landed = if result.status.success() {
+        let stderr = std::fs::read_to_string(&log).unwrap_or_default();
+        let _ = std::fs::remove_file(&log);
+        let status = match waited {
+            Ok(Ok(Some(status))) => status,
+            Ok(Ok(None)) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(JitError::Timeout { after: deadline });
+            }
+            Ok(Err(e)) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(JitError::Io(e));
+            }
+            Err(_) => return Err(JitError::NoRustc),
+        };
+        let landed = if status.success() {
             std::fs::read(&tmp)
                 .and_then(|dylib| std::fs::write(&tmp, seal(dylib)))
                 .and_then(|()| std::fs::rename(&tmp, out))
                 .map_err(JitError::Io)
         } else {
             Err(JitError::Compile {
-                status: result.status.to_string(),
-                stderr: String::from_utf8_lossy(&result.stderr).into_owned(),
+                status: status.to_string(),
+                stderr,
             })
         };
         if landed.is_err() {
@@ -648,6 +735,26 @@ mod tests {
         warm.poke_by_name("en", 1).unwrap();
         warm.step_n(5);
         assert_eq!(warm.peek_output("value").unwrap(), 5);
+    }
+
+    #[test]
+    fn a_child_past_its_deadline_is_killed_and_reaped() {
+        let started = Instant::now();
+        let mut child = Command::new("sleep").arg("30").spawn().expect("spawn");
+        let waited = wait_within(&mut child, Duration::from_millis(100)).expect("wait");
+        assert!(waited.is_none(), "timed out");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "not waited out"
+        );
+        assert!(
+            child.try_wait().expect("reaped").is_some(),
+            "killed and reaped"
+        );
+
+        let mut child = Command::new("true").spawn().expect("spawn");
+        let waited = wait_within(&mut child, Duration::from_secs(30)).expect("wait");
+        assert!(waited.expect("finished in time").success());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use strober_fame::{FameResult, FameSnapshot, HubLayout, SnapshotController};
-use strober_rtl::{NodeId, PortId};
+use strober_rtl::{Design, NodeId, PortId};
 use strober_sim::{SimError, Simulator};
 
 /// Host-side models of the target's environment (main memory, I/O
@@ -266,9 +266,36 @@ pub struct ZynqHost {
     cfg: PlatformConfig,
     out_map: HashMap<String, NodeId>,
     in_map: HashMap<String, PortId>,
+    /// Whether `sim` runs the free-run hub ([`FameResult::free_run`]),
+    /// whose scan and readout logic is tied off.
+    free_run: bool,
     target_cycles: u64,
     hub_cycles: u64,
     records: u64,
+}
+
+/// A hub lowering error as the host reports it.
+fn hub_error(e: strober_rtl::RtlError) -> SimError {
+    SimError::UnknownName {
+        kind: "hub design",
+        name: e.to_string(),
+    }
+}
+
+/// Whether `design` keeps every node, register and memory of `hub` at the
+/// same id, which is what lets one [`HubLayout`] index both.
+fn same_storage(hub: &Design, design: &Design) -> bool {
+    design.node_count() == hub.node_count()
+        && design
+            .registers()
+            .map(|(_, r)| (r.name(), r.width()))
+            .eq(hub.registers().map(|(_, r)| (r.name(), r.width())))
+        && design
+            .memories()
+            .map(|(_, m)| (m.name(), m.width(), m.depth()))
+            .eq(hub
+                .memories()
+                .map(|(_, m)| (m.name(), m.width(), m.depth())))
 }
 
 /// Applies a [`HubEngine`] choice to a hub simulator handed to a host.
@@ -295,46 +322,83 @@ fn apply_engine(sim: &mut Simulator, engine: HubEngine) {
 }
 
 impl ZynqHost {
-    /// Boots a host session for a transformed design.
+    /// Boots a host session for a transformed design on its free-run hub
+    /// ([`FameResult::free_run`]): the production host. It captures
+    /// snapshots with [`capture_snapshot`](ZynqHost::capture_snapshot);
+    /// the scan chains and readout ports are tied off, as idle as they
+    /// are on the FPGA during a free run.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when the hub design is malformed, or the hub's
     /// validation error via `strober-sim`.
     pub fn new(fame: &FameResult, cfg: PlatformConfig) -> Result<Self, SimError> {
-        let sim = Simulator::new(&fame.hub).map_err(|e| SimError::UnknownName {
-            kind: "hub design",
-            name: e.to_string(),
-        })?;
-        Self::with_sim(fame, cfg, sim)
+        Self::with_sim(fame, cfg, Self::lower_free_run(fame)?)
+    }
+
+    /// Lowers the free-run hub ([`FameResult::free_run`]) to a simulator,
+    /// as [`new`](ZynqHost::new) does; for sessions that cache the
+    /// pristine simulator and boot each host
+    /// [`with_sim`](ZynqHost::with_sim).
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](ZynqHost::new).
+    pub fn lower_free_run(fame: &FameResult) -> Result<Simulator, SimError> {
+        Simulator::new(&fame.free_run().map_err(hub_error)?).map_err(hub_error)
+    }
+
+    /// Boots a host session on the full hub, `fame.hub`, with the scan
+    /// chains, memory scanners and trace read port live: the host
+    /// [`capture_snapshot_shifted`](ZynqHost::capture_snapshot_shifted)
+    /// needs. Only tests and the fuzz oracle shift; production runs
+    /// [`new`](ZynqHost::new)'s free-run hub.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](ZynqHost::new).
+    pub fn full_hub(fame: &FameResult, cfg: PlatformConfig) -> Result<Self, SimError> {
+        Self::with_sim(fame, cfg, Simulator::new(&fame.hub).map_err(hub_error)?)
     }
 
     /// Boots a host session from an already-lowered hub simulator,
     /// skipping the lowering + tape-optimization pipeline entirely. The
-    /// simulator **must** have been built from `fame.hub` (and not yet
-    /// stepped): a session that caches the pristine lowered simulator
-    /// keyed by the design fingerprint — as `StroberFlow` and the
-    /// estimation server do — satisfies this by construction.
+    /// simulator **must** have been built from `fame.hub` or from
+    /// [`fame.free_run()`](FameResult::free_run) (and not yet stepped): a
+    /// session that caches the pristine lowered simulator keyed by the
+    /// design fingerprint — as `StroberFlow` and the estimation server do
+    /// — satisfies this by construction. Which of the two it is decides
+    /// whether the host can shift.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the hub's control ports cannot be driven
-    /// or `sim` was not built from `fame.hub`.
+    /// or `sim` was built from neither design.
     pub fn with_sim(
         fame: &FameResult,
         cfg: PlatformConfig,
         mut sim: Simulator,
     ) -> Result<Self, SimError> {
         let ctl = SnapshotController::new(&fame.meta);
-        let layout = HubLayout::resolve(&fame.meta, sim.design())?;
-        let out_map: HashMap<String, NodeId> = fame
-            .hub
+        // The layout is resolved against the full hub, whose readout
+        // outputs name the storage behind them; the free-run design keeps
+        // every register and memory at the same id.
+        let layout = HubLayout::resolve(&fame.meta, &fame.hub)?;
+        if !same_storage(&fame.hub, sim.design()) {
+            return Err(SimError::UnknownName {
+                kind: "hub design",
+                name: sim.design().name().to_owned(),
+            });
+        }
+        let free_run = sim.design().port_by_name(&fame.meta.control.fire).is_none();
+        let out_map: HashMap<String, NodeId> = sim
+            .design()
             .outputs()
             .iter()
             .map(|(n, id)| (n.clone(), *id))
             .collect();
-        let in_map: HashMap<String, PortId> = fame
-            .hub
+        let in_map: HashMap<String, PortId> = sim
+            .design()
             .ports()
             .iter()
             .map(|p| (p.name().to_owned(), p.id()))
@@ -342,7 +406,9 @@ impl ZynqHost {
         // Single choke point for the engine selection: both the flow's
         // cached-simulator path and `ZynqHost::new` funnel through here.
         apply_engine(&mut sim, cfg.hub_engine);
-        ctl.set_fire(&mut sim, true)?;
+        if !free_run {
+            ctl.set_fire(&mut sim, true)?;
+        }
         Ok(ZynqHost {
             sim,
             ctl,
@@ -350,6 +416,7 @@ impl ZynqHost {
             cfg,
             out_map,
             in_map,
+            free_run,
             target_cycles: 0,
             hub_cycles: 0,
             records: 0,
@@ -447,15 +514,23 @@ impl ZynqHost {
     /// memory scanners out cycle by cycle and reads the trace buffers
     /// through their read port. The reference that proves the scan-chain
     /// transform and the arithmetic the production path books; only tests
-    /// and the fuzz oracle call it.
+    /// and the fuzz oracle call it, on a [`full_hub`](ZynqHost::full_hub)
+    /// host.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the hub does not match the metadata.
+    /// Returns [`SimError::FreeRunHub`] on a free-run host, before
+    /// stepping anything, and [`SimError`] if the hub does not match the
+    /// metadata.
     pub fn capture_snapshot_shifted(
         &mut self,
         model: &mut dyn HostModel,
     ) -> Result<FameSnapshot, SimError> {
+        if self.free_run {
+            return Err(SimError::FreeRunHub {
+                what: "shifted snapshot capture".to_owned(),
+            });
+        }
         let scan_before = self.ctl.overhead_cycles();
         let warmup = self.trace_window() - self.replay_length();
         for _ in 0..warmup {
@@ -490,10 +565,17 @@ impl ZynqHost {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownName`] for an unknown output.
+    /// Returns [`SimError::FreeRunHub`] for a readout output of a
+    /// free-run host (a tied-off value is never returned) and
+    /// [`SimError::UnknownName`] for an unknown output.
     pub fn peek_output(&mut self, name: &str) -> Result<u64, SimError> {
         match self.out_map.get(name) {
             Some(&node) => Ok(self.sim.peek(node)),
+            None if self.free_run && self.ctl.meta().readout_outputs().any(|o| o == name) => {
+                Err(SimError::FreeRunHub {
+                    what: format!("readout output `{name}`"),
+                })
+            }
             None => Err(SimError::UnknownName {
                 kind: "target output",
                 name: name.to_owned(),
@@ -619,7 +701,11 @@ mod tests {
     fn direct_and_shifted_capture_agree() {
         let fame = fame();
         let session = |shifted: bool| {
-            let mut host = ZynqHost::new(&fame, PlatformConfig::default()).unwrap();
+            let mut host = if shifted {
+                ZynqHost::full_hub(&fame, PlatformConfig::default()).unwrap()
+            } else {
+                ZynqHost::new(&fame, PlatformConfig::default()).unwrap()
+            };
             let mut model = Echo {
                 last: 0,
                 limit: u64::MAX,
@@ -637,6 +723,54 @@ mod tests {
             (snaps, host.stats(), host.peek_output("value").unwrap())
         };
         assert_eq!(session(false), session(true));
+    }
+
+    #[test]
+    fn a_free_run_host_refuses_to_shift_or_read_tied_off_ports() {
+        let fame = fame();
+        let mut host = ZynqHost::new(&fame, PlatformConfig::default()).unwrap();
+        let mut model = Echo {
+            last: 0,
+            limit: u64::MAX,
+        };
+        host.run(&mut model, 3).unwrap();
+        assert!(matches!(
+            host.capture_snapshot_shifted(&mut model),
+            Err(SimError::FreeRunHub { .. })
+        ));
+        assert_eq!(host.target_cycles(), 3, "the refusal stepped nothing");
+        for port in fame.meta.readout_outputs() {
+            assert!(
+                matches!(host.peek_output(port), Err(SimError::FreeRunHub { .. })),
+                "{port}"
+            );
+        }
+        assert!(matches!(
+            host.peek_output("no/such/output"),
+            Err(SimError::UnknownName { .. })
+        ));
+        // What a free run needs is all there.
+        assert_eq!(host.peek_output("fame/cycle").unwrap(), 3);
+        assert_eq!(host.peek_output("value").unwrap(), 3);
+        assert_eq!(host.capture_snapshot(&mut model).unwrap().cycle, 3);
+
+        // The full hub reads the same ports.
+        let mut full = ZynqHost::full_hub(&fame, PlatformConfig::default()).unwrap();
+        full.run(&mut model, 3).unwrap();
+        assert_eq!(full.peek_output("fame/scan_out").unwrap(), 0);
+        assert!(full.capture_snapshot_shifted(&mut model).is_ok());
+    }
+
+    #[test]
+    fn a_simulator_of_another_design_is_rejected() {
+        let fame = fame();
+        let other = Simulator::new(
+            &transform(&Ctx::new("x").finish().unwrap(), &FameConfig::default())
+                .unwrap()
+                .hub,
+        )
+        .unwrap();
+        assert!(ZynqHost::with_sim(&fame, PlatformConfig::default(), other).is_err());
     }
 
     #[test]

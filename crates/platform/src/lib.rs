@@ -18,7 +18,11 @@
 //!   [`HostModel`] every cycle, fires the FAME1 hub, triggers snapshot
 //!   captures, and maintains the *modelled* wall-clock cost (raw fabric
 //!   cycles, host-sync stalls, per-record readout latency) alongside real
-//!   host-machine time.
+//!   host-machine time. A production host simulates the free-run hub
+//!   ([`strober_fame::FameResult::free_run`]): it captures by reading
+//!   simulator storage, so the scan and readout logic, idle on the FPGA
+//!   during a free run, is tied off here too. Only a
+//!   [`ZynqHost::full_hub`] host shifts the scan chains.
 //!
 //! The separation mirrors the paper exactly: `strober-fame` produces the
 //! hardware; this crate is the software driver generated from the

@@ -292,6 +292,66 @@ impl Design {
             .map(|&(_, id)| id)
     }
 
+    /// Ties an input port to a constant: the node carrying the port's
+    /// value becomes `Const(value)` in place, so every node keeps its id,
+    /// and the port leaves the design (later ports move down one id).
+    /// Returns the tied node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::DanglingId`] when no port has this name and
+    /// [`RtlError::ConstantTooWide`] when `value` does not fit it.
+    pub fn tie_input(&mut self, name: &str, value: u64) -> Result<NodeId, RtlError> {
+        let at = self
+            .ports
+            .iter()
+            .position(|p| p.name == name)
+            .ok_or(RtlError::DanglingId {
+                what: "input port to tie",
+            })?;
+        let width = self.ports[at].width;
+        if value > width.mask() {
+            return Err(RtlError::ConstantTooWide {
+                value,
+                width: width.bits(),
+            });
+        }
+        let port = self.ports.remove(at);
+        self.names.remove(name);
+        for later in &mut self.ports[at..] {
+            later.id = PortId(later.id.0 - 1);
+        }
+        let mut tied = None;
+        for (i, (node, _)) in self.nodes.iter_mut().enumerate() {
+            if let Node::Input(p) = node {
+                if *p == port.id {
+                    *node = Node::Const(value);
+                    tied = Some(NodeId(i as u32));
+                } else if p.0 > port.id.0 {
+                    *p = PortId(p.0 - 1);
+                }
+            }
+        }
+        Ok(tied.expect("every port has its input node"))
+    }
+
+    /// Removes a named output. The node it read stays in the design.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::DanglingId`] when no output has this name.
+    pub fn remove_output(&mut self, name: &str) -> Result<NodeId, RtlError> {
+        let at = self
+            .outputs
+            .iter()
+            .position(|(n, _)| n == name)
+            .ok_or(RtlError::DanglingId {
+                what: "output to remove",
+            })?;
+        self.names.remove(name);
+        Ok(self.outputs.remove(at).1)
+    }
+
     // ---- combinational nodes --------------------------------------------
 
     /// A constant of the given width.
@@ -928,6 +988,41 @@ mod tests {
         d.output("value", q).unwrap();
         d.validate().unwrap();
         assert_eq!(d.state_bits(), 8);
+    }
+
+    #[test]
+    fn tying_an_input_keeps_node_ids_and_renumbers_later_ports() {
+        let mut d = Design::new("t");
+        let a = d.input("a", w(4)).unwrap();
+        let b = d.input("b", w(4)).unwrap();
+        let c = d.input("c", w(4)).unwrap();
+        let x = d.add(a, b).unwrap();
+        let y = d.add(x, c).unwrap();
+        d.output("y", y).unwrap();
+        d.output("b_out", b).unwrap();
+        let nodes = d.node_count();
+
+        assert!(matches!(
+            d.tie_input("b", 16),
+            Err(RtlError::ConstantTooWide { .. })
+        ));
+        assert_eq!(d.tie_input("b", 3).unwrap(), b);
+        assert_eq!(d.node_count(), nodes);
+        assert_eq!(*d.node(b), Node::Const(3));
+        let names: Vec<_> = d
+            .ports()
+            .iter()
+            .map(|p| (p.name(), p.id().index()))
+            .collect();
+        assert_eq!(names, [("a", 0), ("c", 1)]);
+        assert_eq!(*d.node(c), Node::Input(PortId(1)));
+        assert!(d.tie_input("b", 3).is_err(), "the port is gone");
+
+        assert_eq!(d.remove_output("b_out").unwrap(), b);
+        assert!(d.output_by_name("b_out").is_none());
+        assert!(d.remove_output("b_out").is_err());
+        d.output("b_out", a).unwrap();
+        d.validate().unwrap();
     }
 
     #[test]

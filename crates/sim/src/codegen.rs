@@ -2,7 +2,9 @@
 //!
 //! Emits the optimized op tape as one straight-line Rust function of word
 //! ops, with every constant, shift, mask and slot index baked into the
-//! instruction stream and no per-op dispatch, followed by one line per
+//! instruction stream and no per-op dispatch — a constant slot is read as
+//! a literal, never loaded from the slab, so LLVM folds it into its
+//! users — followed by one line per
 //! register that writes its next value — masked, enable baked in — into
 //! the `rn` array the clock edge swaps in. Dataflow between ops runs
 //! through SSA locals (so the compiled code keeps it in registers); only
@@ -61,22 +63,31 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// A slot read from the value slab.
+/// A slot of the value slab. Generated code only ever stores to it: reads
+/// go to SSA locals and constant literals (see [`operand`]).
 fn v(slot: u32) -> String {
     format!("*v.add({slot})")
 }
 
 /// An operand read: the SSA local when a prior op in this settle already
-/// defined the slot, the slab otherwise (constants and other values
-/// initialized outside the tape). Keeping consumers on locals instead of
-/// slab re-loads is what lets LLVM hold the dataflow in registers — with
-/// thousands of stores in one straight-line block its store-to-load
-/// forwarding gives up long before the end of the function.
-fn r(slot: u32, defined: &[bool]) -> String {
+/// defined the slot, the constant's value as a literal otherwise. Keeping
+/// consumers on locals instead of slab re-loads is what lets LLVM hold
+/// the dataflow in registers — with thousands of stores in one
+/// straight-line block its store-to-load forwarding gives up long before
+/// the end of the function — and baking constants in lets it fold them.
+///
+/// # Panics
+///
+/// Panics when `slot` is neither defined yet nor a constant slot: the
+/// optimizer's single-assignment layout guarantees that never happens.
+fn operand(slot: u32, defined: &[bool], consts: &[u64]) -> String {
     if defined[slot as usize] {
         format!("t{slot}")
     } else {
-        v(slot)
+        let c = consts.get(slot as usize).unwrap_or_else(|| {
+            panic!("slot {slot} is read before any op defines it and is not a constant")
+        });
+        format!("{c:#x}u64")
     }
 }
 
@@ -153,6 +164,10 @@ const HEADER: &str = "\
 // Generated by strober-sim codegen; do not edit.
 #![no_std]
 #![allow(unused_variables, unused_parens, clippy::all)]
+// Constants are baked in as literals, so a guarded shift or division can
+// name an out-of-range amount or a zero divisor in the branch it never
+// takes; the guard, not the lint, is what keeps it sound.
+#![allow(arithmetic_overflow, unconditional_panic)]
 
 #[panic_handler]
 fn panic(_: &core::panic::PanicInfo<'_>) -> ! {
@@ -173,10 +188,11 @@ pub struct MemSpan {
 ///
 /// The code indexes every pointer with constants and checks nothing but
 /// memory addresses, so the caller guarantees, for the whole call:
-/// - `v` is valid for reads and writes of the value slab this source was
-///   generated from: at least as many words as the slab length hashed
-///   into `strober_jit_sig`, which the caller checks before the first
-///   call. Every slot index below lies under that length.
+/// - `v` is valid for writes of the value slab this source was generated
+///   from: at least as many words as the slab length hashed into
+///   `strober_jit_sig`, which the caller checks before the first call.
+///   Every slot index below lies under that length. The code never reads
+///   `v`: constants are literals and every other value is a local.
 /// - `inp` is valid for reads of one word per input port of the design.
 /// - `regs` and `rn` are each valid for one word per register of the
 ///   design (the count hashed into `strober_jit_sig`) and do not overlap.
@@ -201,13 +217,16 @@ pub unsafe extern \"C\" fn strober_jit_settle(
 /// settle entry point. `n_values` is the slot slab length; every slot
 /// index the tape and the register plans reference is asserted to lie
 /// below it here, which is what makes the raw-pointer accesses in the
-/// emitted code sound. `stored` flags the slots read outside `settle`
-/// (outputs, memory ports): only those are written back to the slab,
-/// everything else lives in SSA locals the whole function. `reg_plans`
-/// become the register-capture epilogue, one `*rn.add(i) = …` per
-/// register.
+/// emitted code sound. `consts` holds the values of the leading constant
+/// slots (see [`crate::opt`]): every read of one becomes a literal, so
+/// the slab is only ever written. `stored` flags the slots read outside
+/// `settle` (outputs, memory ports): only those are written back to the
+/// slab, everything else lives in SSA locals the whole function.
+/// `reg_plans` become the register-capture epilogue, one
+/// `*rn.add(i) = …` per register.
 pub(crate) fn emit(
     tape: &[TapeOp],
+    consts: &[u64],
     n_values: usize,
     stored: &[bool],
     reg_plans: &[RegPlan],
@@ -238,36 +257,31 @@ pub(crate) fn emit(
     let mut defined = vec![false; n_values];
     let mut source = String::from(HEADER);
     for op in tape {
-        let d = &defined;
+        let r = |slot: u32| operand(slot, &defined, consts);
         let (dst, expr) = match *op {
             TapeOp::Input { dst, port } => (dst, format!("*inp.add({port})")),
-            TapeOp::Unary { dst, op, a, w } => (dst, un_expr(op, &r(a, d), w)),
-            TapeOp::Binary { dst, op, a, b, w } => (dst, bin_expr(op, &r(a, d), &r(b, d), w)),
+            TapeOp::Unary { dst, op, a, w } => (dst, un_expr(op, &r(a), w)),
+            TapeOp::Binary { dst, op, a, b, w } => (dst, bin_expr(op, &r(a), &r(b), w)),
             TapeOp::Mux { dst, sel, t, f } => (
                 dst,
-                format!(
-                    "if {} != 0 {{ {} }} else {{ {} }}",
-                    r(sel, d),
-                    r(t, d),
-                    r(f, d)
-                ),
+                format!("if {} != 0 {{ {} }} else {{ {} }}", r(sel), r(t), r(f)),
             ),
             TapeOp::Slice {
                 dst,
                 a,
                 shift,
                 mask,
-            } => (dst, format!("({} >> {shift}) & {mask:#x}", r(a, d))),
+            } => (dst, format!("({} >> {shift}) & {mask:#x}", r(a))),
             TapeOp::Cat { dst, hi, lo, shift } => {
-                (dst, format!("({} << {shift}) | {}", r(hi, d), r(lo, d)))
+                (dst, format!("({} << {shift}) | {}", r(hi), r(lo)))
             }
             TapeOp::RegOut { dst, reg } => (dst, format!("*regs.add({reg})")),
-            TapeOp::MemRead { dst, mem, addr } => (dst, mem_read(mem, &r(addr, d))),
-            TapeOp::BitAnd { dst, a, b } => (dst, format!("{} & {}", r(a, d), r(b, d))),
-            TapeOp::BitOr { dst, a, b } => (dst, format!("{} | {}", r(a, d), r(b, d))),
-            TapeOp::BitXor { dst, a, b } => (dst, format!("{} ^ {}", r(a, d), r(b, d))),
-            TapeOp::CmpEq { dst, a, b } => (dst, format!("({} == {}) as u64", r(a, d), r(b, d))),
-            TapeOp::NotMask { dst, a, mask } => (dst, format!("!{} & {mask:#x}", r(a, d))),
+            TapeOp::MemRead { dst, mem, addr } => (dst, mem_read(mem, &r(addr))),
+            TapeOp::BitAnd { dst, a, b } => (dst, format!("{} & {}", r(a), r(b))),
+            TapeOp::BitOr { dst, a, b } => (dst, format!("{} | {}", r(a), r(b))),
+            TapeOp::BitXor { dst, a, b } => (dst, format!("{} ^ {}", r(a), r(b))),
+            TapeOp::CmpEq { dst, a, b } => (dst, format!("({} == {}) as u64", r(a), r(b))),
+            TapeOp::NotMask { dst, a, mask } => (dst, format!("!{} & {mask:#x}", r(a))),
         };
         if stored[dst as usize] {
             let _ = writeln!(source, "    let t{dst} = {expr}; {} = t{dst};", v(dst));
@@ -278,17 +292,23 @@ pub(crate) fn emit(
     }
 
     // Register capture: the interpreted `clock_edge` walk over the same
-    // plans, transcribed. It reads only locals, slab constants and
-    // `regs`, so it can run at the end of every settle — a second settle
-    // in one cycle rewrites the same values.
+    // plans, transcribed. It reads only locals, constants and `regs`, so
+    // it can run at the end of every settle — a second settle in one
+    // cycle rewrites the same values. A register whose enable is a
+    // constant 0 holds, so its capture is a copy.
+    let r = |slot: u32| operand(slot, &defined, consts);
     for (i, plan) in reg_plans.iter().enumerate() {
-        let next = format!("{} & {:#x}", r(plan.next, &defined), plan.mask);
+        let next = format!("{} & {:#x}", r(plan.next), plan.mask);
+        let held = plan
+            .enable
+            .is_some_and(|en| !defined[en as usize] && consts.get(en as usize) == Some(&0));
         let _ = match plan.enable {
+            _ if held => writeln!(source, "    *rn.add({i}) = *regs.add({i});"),
             None => writeln!(source, "    *rn.add({i}) = {next};"),
             Some(en) => writeln!(
                 source,
                 "    *rn.add({i}) = if {} != 0 {{ {next} }} else {{ *regs.add({i}) }};",
-                r(en, &defined)
+                r(en)
             ),
         };
     }
@@ -352,25 +372,27 @@ mod tests {
             },
         ];
         let all = [true; 3];
-        let one = emit(&tape, 3, &all, &[]);
-        let two = emit(&tape, 3, &all, &[]);
+        let one = emit(&tape, &[7], 3, &all, &[]);
+        let two = emit(&tape, &[7], 3, &all, &[]);
         assert_eq!(one.sig, two.sig, "emission must be deterministic");
         assert!(one.source.contains("strober_jit_settle"));
         assert!(one.source.contains("strober_jit_sig"));
         assert!(one.source.contains("#![no_std]") && one.source.contains("#[panic_handler]"));
         assert!(one.source.contains(&format!("{:#x}", one.sig)));
         // Different slab length => different identity.
-        assert_ne!(emit(&tape, 4, &[true; 4], &[]).sig, one.sig);
+        assert_ne!(emit(&tape, &[7], 4, &[true; 4], &[]).sig, one.sig);
         // A different stored-slot set changes the emitted body, hence
         // the identity: consumers must never attach across the two.
-        assert_ne!(emit(&tape, 3, &[true, true, false], &[]).sig, one.sig);
+        assert_ne!(emit(&tape, &[7], 3, &[true, true, false], &[]).sig, one.sig);
+        // So does a constant's value: it is part of the code now.
+        assert_ne!(emit(&tape, &[8], 3, &all, &[]).sig, one.sig);
         // So does a register file: the entry point's `rn` has a length.
         let reg = RegPlan {
             next: 2,
             enable: None,
             mask: 0xff,
         };
-        assert_ne!(emit(&tape, 3, &all, &[reg]).sig, one.sig);
+        assert_ne!(emit(&tape, &[7], 3, &all, &[reg]).sig, one.sig);
     }
 
     #[test]
@@ -385,7 +407,7 @@ mod tests {
                 w: w(8),
             },
         ];
-        let src = emit(&tape, 3, &[false, false, true], &[]).source;
+        let src = emit(&tape, &[0], 3, &[false, false, true], &[]).source;
         // Slot 1 is internal: a local binding but no slab store.
         assert!(src.contains("let t1 ="));
         assert!(!src.contains("*v.add(1) = t1"));
@@ -393,6 +415,96 @@ mod tests {
         assert!(src.contains("*v.add(2) = t2"));
         // The consumer of slot 1 reads the local, not the slab.
         assert!(src.contains("(t1).wrapping_add(t1)"));
+    }
+
+    /// Every `*v.add(k)` in `src` is the target of a store of `t<k>`.
+    fn slab_is_write_only(src: &str) -> bool {
+        src.match_indices("*v.add(").all(|(at, _)| {
+            let rest = &src[at + "*v.add(".len()..];
+            let slot = &rest[..rest.find(')').expect("closed")];
+            rest[slot.len()..].starts_with(&format!(") = t{slot};"))
+        })
+    }
+
+    #[test]
+    fn constants_are_literals_and_the_slab_is_only_written() {
+        // Slots 0 and 1 are constants (3 and 0xf0); every op reads at
+        // least one of them, and the register plans read both.
+        let tape = vec![
+            TapeOp::Input { dst: 2, port: 0 },
+            TapeOp::BitAnd { dst: 3, a: 2, b: 1 },
+            TapeOp::Mux {
+                dst: 4,
+                sel: 3,
+                t: 0,
+                f: 1,
+            },
+            TapeOp::Binary {
+                op: BinOp::Shl,
+                dst: 5,
+                a: 4,
+                b: 0,
+                w: w(8),
+            },
+        ];
+        let plans = [
+            RegPlan {
+                next: 0,
+                enable: Some(3),
+                mask: 0xff,
+            },
+            RegPlan {
+                next: 5,
+                enable: Some(1),
+                mask: 0xff,
+            },
+        ];
+        let src = emit(
+            &tape,
+            &[3, 0xf0],
+            6,
+            &[false, false, true, true, true, true],
+            &plans,
+        )
+        .source;
+        assert!(src.contains("let t3 = t2 & 0xf0u64;"), "{src}");
+        assert!(
+            src.contains("if t3 != 0 { 0x3u64 } else { 0xf0u64 }"),
+            "{src}"
+        );
+        assert!(src.contains("let s = 0x3u64;"), "{src}");
+        assert!(
+            src.contains("*rn.add(0) = if t3 != 0 { 0x3u64 & 0xff }"),
+            "{src}"
+        );
+        assert!(
+            src.contains("*rn.add(1) = if 0xf0u64 != 0 { t5 & 0xff }"),
+            "{src}"
+        );
+        // Stores of the four ops, and no other access to the slab.
+        assert_eq!(src.matches("*v.add(").count(), 4, "{src}");
+        assert!(slab_is_write_only(&src), "{src}");
+    }
+
+    #[test]
+    fn a_lowered_design_never_reads_the_slab() {
+        // A random design through the real optimizer: whatever constants
+        // survive folding are literals in the generated code.
+        for seed in 0..8 {
+            let design = crate::rand_design::rand_design(seed, &Default::default());
+            let src = crate::Simulator::new(&design).unwrap().jit_source().source;
+            assert!(slab_is_write_only(&src), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 4 is read before any op defines it")]
+    fn a_slot_read_before_its_op_is_rejected() {
+        let tape = vec![
+            TapeOp::BitOr { dst: 2, a: 1, b: 4 },
+            TapeOp::Input { dst: 4, port: 0 },
+        ];
+        emit(&tape, &[0, 1], 5, &[false; 5], &[]);
     }
 
     #[test]
@@ -419,21 +531,27 @@ mod tests {
                 enable: Some(3),
                 mask: 0xf,
             },
-            // A register loaded from a constant slot reads the slab.
+            // A register loaded from a constant slot takes the literal.
             RegPlan {
                 next: 1,
                 enable: None,
                 mask: 0x3,
             },
+            // A register whose enable is a constant 0 holds: a copy.
+            RegPlan {
+                next: 0,
+                enable: Some(0),
+                mask: 0xff,
+            },
         ];
-        let src = emit(&tape, 5, &[false; 5], &plans).source;
+        let src = emit(&tape, &[0, 2], 5, &[false; 5], &plans).source;
         assert!(src.contains("rn: *mut u64"));
         assert!(src.contains("    *rn.add(0) = t4 & 0xff;"));
         assert!(src.contains("    *rn.add(1) = if t3 != 0 { t2 & 0xf } else { *regs.add(1) };"));
-        assert!(src.contains("    *rn.add(2) = *v.add(1) & 0x3;"));
-        // Nothing is stored to the slab: capture reads the locals.
-        assert!(!src.contains("*v.add(4) ="));
-        assert!(!src.contains("*v.add(3) ="));
+        assert!(src.contains("    *rn.add(2) = 0x2u64 & 0x3;"));
+        assert!(src.contains("    *rn.add(3) = *regs.add(3);"));
+        // Nothing touches the slab: capture reads the locals.
+        assert!(!src.contains("*v.add("));
         // `rn` is written once per register and never read.
         assert_eq!(src.matches("rn.add(").count(), plans.len());
     }

@@ -26,6 +26,13 @@ pub enum SimError {
         /// Description of the mismatch.
         what: &'static str,
     },
+    /// The operation needs FAME readout logic (scan chains, memory
+    /// scanners, trace read ports) that this simulator's free-run hub has
+    /// tied off.
+    FreeRunHub {
+        /// The operation or port that was asked for.
+        what: String,
+    },
     /// A native settle engine was compiled from a different tape than the
     /// one it is being attached to (stale dylib, different design or
     /// optimizer revision).
@@ -47,6 +54,11 @@ impl fmt::Display for SimError {
             SimError::StateShapeMismatch { what } => {
                 write!(f, "state shape mismatch: {what}")
             }
+            SimError::FreeRunHub { what } => write!(
+                f,
+                "{what} needs the full FAME hub, but this host simulates the \
+                 free-run hub, whose scan and readout logic is tied off"
+            ),
             SimError::EngineSignatureMismatch { expected, actual } => write!(
                 f,
                 "native settle engine signature {actual:#x} does not match \

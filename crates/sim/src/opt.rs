@@ -15,7 +15,9 @@
 //! 4. **Dead-code elimination** — slots never (transitively) read by an
 //!    output, a register next-value/enable, a memory port or a scan-chain
 //!    probe (which are plain hub outputs) emit no tape op at all; this
-//!    also sweeps the cats pass 3 orphaned.
+//!    also sweeps the cats pass 3 orphaned. A register whose enable
+//!    folded to constant 0 holds its value forever, so its next value is
+//!    not a root and its capture is a copy.
 //!
 //! Slot renumbering then packs the surviving ops into a dense,
 //! evaluation-ordered `values` layout (deduplicated constants first) and
@@ -139,7 +141,7 @@ pub(crate) fn compile(design: &Design, topo: &TopoOrder) -> TapePlan {
         .collect();
     propagate_copies(&mut wops, &order, &widths);
     rewrite_cat_slices(&mut wops, &order);
-    let live = mark_live(&wops, &collect_roots(design));
+    let live = mark_live(&wops, &collect_roots(design, &wops));
 
     stats.copies_propagated = (0..n)
         .filter(|&i| live[i] && matches!(wops[i], WOp::Copy(_)))
@@ -286,14 +288,30 @@ pub(crate) fn compile(design: &Design, topo: &TopoOrder) -> TapePlan {
     }
 }
 
+/// One capture plan per register. An enable that folded to a nonzero
+/// constant is dropped. One that folded to 0 means the register holds:
+/// its next-state cone was never lowered (see [`collect_roots`]), so the
+/// plan names the enable's constant slot for both fields, and every
+/// engine's capture keeps the old value.
 fn reg_plans(design: &Design, wops: &[WOp], node_slot: &[u32]) -> Vec<RegPlan> {
     let slot = |x: NodeId| node_slot[resolve(wops, x.index() as u32) as usize];
     design
         .registers()
-        .map(|(_, r)| RegPlan {
-            next: slot(r.next().expect("validated")),
-            enable: r.enable().map(slot),
-            mask: r.width().mask(),
+        .map(|(_, r)| {
+            let next = r.next().expect("validated");
+            let (next, enable) = match r.enable() {
+                Some(en) => match const_of(wops, en.index() as u32) {
+                    Some(0) => (slot(en), Some(slot(en))),
+                    Some(_) => (slot(next), None),
+                    None => (slot(next), Some(slot(en))),
+                },
+                None => (slot(next), None),
+            };
+            RegPlan {
+                next,
+                enable,
+                mask: r.width().mask(),
+            }
         })
         .collect()
 }
@@ -511,17 +529,20 @@ fn commutes(op: BinOp) -> bool {
 
 /// Observable roots: outputs, register next/enable, memory write ports.
 /// Memory read addresses are reached through live `MemRead` ops; scan-chain
-/// and trace probes are ordinary hub outputs.
-fn collect_roots(design: &Design) -> Vec<u32> {
+/// and trace probes are ordinary hub outputs. A register whose enable
+/// folded to constant 0 never loads, so its next value is no root: only
+/// the constant enable is kept, for the capture plan to name.
+fn collect_roots(design: &Design, wops: &[WOp]) -> Vec<u32> {
     let mut roots = Vec::new();
     for (_, id) in design.outputs() {
         roots.push(id.index() as u32);
     }
     for (_, r) in design.registers() {
-        roots.push(r.next().expect("validated").index() as u32);
-        if let Some(e) = r.enable() {
-            roots.push(e.index() as u32);
+        let enable = r.enable().map(|e| e.index() as u32);
+        if enable.and_then(|e| const_of(wops, e)) != Some(0) {
+            roots.push(r.next().expect("validated").index() as u32);
         }
+        roots.extend(enable);
     }
     for (_, m) in design.memories() {
         for wp in m.write_ports() {
@@ -641,5 +662,58 @@ mod tests {
         assert_eq!(sim.peek(lo), 0x3C);
         assert_eq!(sim.peek(hi), 0xA);
         assert_eq!(sim.peek(cat), 0xA53C);
+    }
+
+    #[test]
+    fn a_register_whose_enable_folds_to_zero_holds_and_costs_no_op() {
+        // `held` would add x every cycle, but its enable is `go & 0`;
+        // `live` has the same next-state cone and a real enable.
+        let mut d = Design::new("held");
+        let x = d.input("x", w(8)).unwrap();
+        let go = d.input("go", w(1)).unwrap();
+        let zero = d.constant(0, w(1));
+        let never = d.and(go, zero).unwrap();
+        let held = d.reg("held", w(8), 5).unwrap();
+        let live = d.reg("live", w(8), 5).unwrap();
+        let (hq, lq) = (d.reg_out(held), d.reg_out(live));
+        let hsum = d.add(hq, x).unwrap();
+        let lsum = d.add(lq, x).unwrap();
+        d.connect_reg(held, hsum, Some(never)).unwrap();
+        d.connect_reg(live, lsum, Some(go)).unwrap();
+        d.output("held_q", hq).unwrap();
+        d.output("live_q", lq).unwrap();
+
+        let plan = compile(&d, &d.topo_order().unwrap());
+        assert_eq!(plan.node_slot[hsum.index()], DEAD, "no next-state op");
+        let adds = plan
+            .tape
+            .iter()
+            .filter(|op| matches!(op, TapeOp::Binary { op: BinOp::Add, .. }));
+        assert_eq!(adds.count(), 1, "only `live` adds");
+        let hold = plan.reg_plans[held.index()];
+        assert_eq!(hold.enable, Some(hold.next));
+        assert_eq!(plan.values[hold.next as usize], 0, "a constant-0 slot");
+
+        let mut sim = Simulator::new(&d).unwrap();
+        let mut reference = crate::NaiveInterpreter::new(&d).unwrap();
+        for (x, go) in [(3, 1), (4, 1), (5, 0), (6, 1)] {
+            sim.poke_by_name("x", x).unwrap();
+            sim.poke_by_name("go", go).unwrap();
+            reference.poke_by_name("x", x).unwrap();
+            reference.poke_by_name("go", go).unwrap();
+            sim.step();
+            reference.step();
+            assert_eq!(sim.peek_output("held_q").unwrap(), 5);
+            assert_eq!(
+                sim.peek_output("live_q").unwrap(),
+                reference.peek_output("live_q").unwrap()
+            );
+        }
+        assert_eq!(sim.peek_output("live_q").unwrap(), (5 + 3 + 4 + 6) & 0xff);
+        // A loaded snapshot value is held too.
+        sim.set_reg_value(held, 9);
+        sim.step_n(3);
+        assert_eq!(sim.peek_output("held_q").unwrap(), 9);
+        assert_eq!(sim.peek(hsum), 9 + 6, "the dead cone still peeks");
     }
 }

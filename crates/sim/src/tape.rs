@@ -454,8 +454,12 @@ impl Simulator {
     /// `strober-jit` compiles this to a `cdylib` and attaches the result
     /// via [`attach_jit`](Simulator::attach_jit).
     pub fn jit_source(&self) -> JitSource {
+        // The optimizer lays the constants out first, one slot per
+        // distinct value, and no op ever writes them.
+        let n_consts = self.values.len() - self.tape.len();
         crate::codegen::emit(
             &self.tape,
+            &self.values[..n_consts],
             self.values.len(),
             &self.stored_slots(),
             &self.reg_plans,

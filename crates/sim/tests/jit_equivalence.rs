@@ -139,6 +139,66 @@ fn w(bits: u32) -> Width {
 }
 
 #[test]
+fn jit_engine_is_transparent_with_tied_inputs() {
+    if skip() {
+        return;
+    }
+    // Tying inputs to constants is what turns the FAME hub into its
+    // free-run form: constants flow into every op kind, fold whole
+    // cones, and a register whose enable is tied to 0 holds. The
+    // generated code bakes all of that in as literals.
+    let cfg = RandDesignConfig::default();
+    let mut shrank = 0;
+    for seed in 0..SEEDS {
+        let mut design = rand_design(5000 + seed, &cfg);
+        let before = Simulator::new(&design)
+            .expect("valid")
+            .pass_stats()
+            .ops_final;
+        let names: Vec<(String, u64)> = design
+            .ports()
+            .iter()
+            .map(|p| (p.name().to_owned(), p.width().mask()))
+            .collect();
+        for (i, (name, mask)) in names.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+            let value = if i % 4 == 0 {
+                0
+            } else {
+                stim(seed, i, 0) & mask
+            };
+            design.tie_input(name, value).expect("tie");
+        }
+        let after = Simulator::new(&design)
+            .expect("valid")
+            .pass_stats()
+            .ops_final;
+        shrank += usize::from(after < before);
+        assert_equivalent(&design, 5000 + seed);
+    }
+    assert!(shrank > 0, "tying inputs must fold something");
+
+    // A register whose enable is tied to 0 holds whatever it is given.
+    let mut d = Design::new("held");
+    let x = d.input("x", w(8)).expect("fresh");
+    let en = d.input("en", w(1)).expect("fresh");
+    let r = d.reg("r", w(8), 7).expect("fresh");
+    let q = d.reg_out(r);
+    let next = d.binary(BinOp::Add, q, x).expect("widths");
+    d.connect_reg(r, next, Some(en)).expect("connect");
+    d.output("q", q).expect("fresh");
+    d.tie_input("en", 0).expect("tie");
+    assert_equivalent(&d, 77);
+    let mut sim = Simulator::new(&d).expect("valid");
+    compiler().attach(&mut sim).expect("jit attach");
+    sim.poke_by_name("x", 3).expect("port");
+    sim.step_n(4);
+    assert_eq!(sim.peek_output("q").expect("q"), 7);
+    sim.set_reg_value(r, 42);
+    sim.step_n(4);
+    assert_eq!(sim.peek_output("q").expect("q"), 42);
+}
+
+#[test]
 fn empty_tape_compiles_and_runs() {
     if skip() {
         return;
