@@ -4,10 +4,11 @@
 //! `malloc`/`free` pair per cycle is a tenth of it: that is what building
 //! the memory span table per call cost on the rok (17 memories) and
 //! boum-2w (26) hubs. The simulator now keeps that table and rebuilds it
-//! only when a memory's buffer may have moved. This binary installs a
+//! only after an `&mut` access to a memory. This binary installs a
 //! counting global allocator and checks that, once the first step has
 //! built the table, 10,000 native steps on the boum-2w free-run hub (what
-//! a production session simulates) make no allocation at all.
+//! a production session simulates) make no allocation at all — settle
+//! and the native memory commit at the edge, which shares the table.
 //!
 //! Skips (with a printed reason) when no `rustc` is on `PATH`, like
 //! `jit_golden.rs`.

@@ -14,7 +14,10 @@ fn corpus_dir() -> std::path::PathBuf {
 /// Every corpus entry must replay cleanly on the real (un-injected) code:
 /// a fixed bug stays fixed forever. Entries that recorded an injected bug
 /// must additionally still *diverge* when the injection is re-applied —
-/// the minimized genome keeps exercising the code path that caught it.
+/// the minimized genome keeps exercising the code path that caught it —
+/// and diverge exactly as stored: same oracles, port, lane, cycle and
+/// values, so a renamed oracle lane or a changed stimulus shows up here
+/// instead of as a stale file the next campaign rewrites.
 #[test]
 fn corpus_replays_clean_and_reinjects_dirty() {
     let entries = load_corpus(&corpus_dir()).expect("corpus loads");
@@ -39,9 +42,8 @@ fn corpus_replays_clean_and_reinjects_dirty() {
             };
             let d = check(&rep.genome, &dirty).expect_err("re-injected bug must still diverge");
             assert_eq!(
-                d.kind(),
-                rep.divergence.kind(),
-                "{name}: re-injection produced a different divergence kind"
+                d, rep.divergence,
+                "{name}: re-injection produced a different divergence"
             );
         }
     }

@@ -3,8 +3,8 @@
 //! The loader is raw `libdl` FFI — no external crates — and the loaded
 //! handle lives as long as the [`DylibEngine`], which the simulator holds
 //! behind an `Arc`. The handle is closed on drop, after every clone of
-//! the owning simulator has released it, so the settle function pointer
-//! can never outlive its code.
+//! the owning simulator has released it, so the settle and commit
+//! function pointers can never outlive their code.
 
 use crate::JitError;
 use std::ffi::{c_char, c_int, c_void, CString};
@@ -25,6 +25,8 @@ const RTLD_NOW: c_int = 2;
 /// next-state. [`MemSpan`] has the layout of the `#[repr(C)] MemSpan` the
 /// generated code declares.
 type SettleFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const MemSpan, *mut u64);
+/// `strober_jit_commit`: slab, memory spans.
+type CommitFn = unsafe extern "C" fn(*const u64, *const MemSpan);
 type SigFn = unsafe extern "C" fn() -> u64;
 
 /// The last `dlerror` as a string, or a placeholder when libdl reports
@@ -50,13 +52,14 @@ fn last_dl_error() -> String {
 pub struct DylibEngine {
     handle: *mut c_void,
     settle: SettleFn,
+    commit: CommitFn,
     sig: u64,
     path: PathBuf,
 }
 
-// Safety: the dylib's code section is immutable and the settle function
-// writes only through the pointers passed per call; the raw handle is
-// only used again on drop.
+// Safety: the dylib's code section is immutable and the settle and commit
+// functions write only through the pointers passed per call; the raw
+// handle is only used again on drop.
 unsafe impl Send for DylibEngine {}
 unsafe impl Sync for DylibEngine {}
 
@@ -75,7 +78,8 @@ impl DylibEngine {
     /// # Errors
     ///
     /// [`JitError::Dlopen`] when the file cannot be loaded and
-    /// [`JitError::MissingSymbol`] when it is not a strober-jit dylib.
+    /// [`JitError::MissingSymbol`] when it is not a strober-jit dylib or
+    /// comes from a codegen revision without one of the entry points.
     pub fn load(path: &Path) -> Result<Self, JitError> {
         let c_path = CString::new(path.as_os_str().as_encoded_bytes())
             .map_err(|_| JitError::Dlopen("path contains NUL".to_owned()))?;
@@ -97,20 +101,24 @@ impl DylibEngine {
             }
         };
         let settle_sym = lookup("strober_jit_settle")?;
+        let commit_sym = lookup("strober_jit_commit")?;
         let sig_sym = lookup("strober_jit_sig")?;
         // Safety: transmuting a data pointer to a function pointer is
         // what dlsym requires on every Unix. `strober_jit_sig` is nullary
-        // in every codegen revision; `strober_jit_settle` has `SettleFn`'s
-        // shape in the revision whose signatures `Simulator::attach_jit`
-        // accepts (the five-argument header is hashed into the signature,
-        // so a dylib from an older revision is refused before it runs).
+        // in every codegen revision; `strober_jit_settle` and
+        // `strober_jit_commit` have `SettleFn`'s and `CommitFn`'s shapes
+        // in the revision whose signatures `Simulator::attach_jit`
+        // accepts (both headers are hashed into the signature, so a dylib
+        // from an older revision is refused before either runs).
         let settle: SettleFn = unsafe { std::mem::transmute(settle_sym) };
+        let commit: CommitFn = unsafe { std::mem::transmute(commit_sym) };
         let sig_fn: SigFn = unsafe { std::mem::transmute(sig_sym) };
         // Safety: nullary pure function exported by the generated code.
         let sig = unsafe { sig_fn() };
         Ok(DylibEngine {
             handle,
             settle,
+            commit,
             sig,
             path: path.to_path_buf(),
         })
@@ -155,8 +163,10 @@ impl NativeSettle for DylibEngine {
         //   same contract); `reg_next` has the register file's length
         //   (asserted above) and, being a separate `&mut`, overlaps
         //   nothing;
-        // - the borrows last the whole call, and the code writes only
-        //   through `values` and `reg_next` and keeps no pointer.
+        // - the borrows last the whole call, nothing else accesses the
+        //   memories meanwhile (the same contract), and the code writes
+        //   only through `values` and `reg_next`, only reads `mems` and
+        //   keeps no pointer.
         unsafe {
             (self.settle)(
                 values.as_mut_ptr(),
@@ -166,6 +176,21 @@ impl NativeSettle for DylibEngine {
                 reg_next.as_mut_ptr(),
             );
         }
+    }
+
+    unsafe fn commit(&self, values: &[u64], mems: &[MemSpan]) {
+        // SAFETY: the generated commit's contract (its `# Safety`
+        // section in `strober-sim`'s codegen header), met clause by clause:
+        // - `values` is the slab of the tape whose source hash is this
+        //   engine's signature, and a settle of the current state stored
+        //   every write-port slot the commit reads
+        //   (`NativeSettle::commit`'s contract);
+        // - `mems` holds one span per memory of that design, each valid
+        //   for writes of `len` words, and nothing else accesses them
+        //   during the call (the same contract);
+        // - the borrows last the whole call, and the code writes only
+        //   memory words below each span's `len` and keeps no pointer.
+        unsafe { (self.commit)(values.as_ptr(), mems.as_ptr()) }
     }
 
     fn signature(&self) -> u64 {

@@ -439,6 +439,12 @@ impl JitCompiler {
             .arg("--edition")
             .arg("2021")
             .arg("-O")
+            // One codegen unit: the crate is one big settle function and
+            // a small commit, so splitting buys no parallelism, only
+            // partitioning overhead (~15 ms of a ~150 ms boum-2w hub
+            // compile on a 2-core host).
+            .arg("-C")
+            .arg("codegen-units=1")
             .arg("--crate-type")
             .arg("cdylib")
             .arg("-C")

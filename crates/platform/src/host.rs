@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use strober_fame::{FameResult, FameSnapshot, HubLayout, SnapshotController};
 use strober_rtl::{Design, NodeId, PortId};
-use strober_sim::{SimError, Simulator};
+use strober_sim::{InputSlot, OutputSlot, SimError, Simulator};
 
 /// Host-side models of the target's environment (main memory, I/O
 /// devices), serviced once per target cycle — the software half of the
@@ -26,14 +26,16 @@ pub trait HostModel {
 
 /// A pre-resolved handle to a target output, obtained from
 /// [`OutputView::output`]. Lets host models skip the name hash on every
-/// cycle of the hot driver loop.
+/// cycle of the hot driver loop: it resolves to the output's value-slab
+/// slot, so a read is the settle's dirty check and one load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TargetOutput(NodeId);
+pub struct TargetOutput(OutputSlot);
 
 /// A pre-resolved handle to a target input, obtained from
-/// [`OutputView::input`].
+/// [`OutputView::input`]. It carries the port's width mask, so a write is
+/// one masked store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TargetInput(PortId);
+pub struct TargetInput(InputSlot);
 
 /// The host model's window onto the target's ports.
 #[derive(Debug)]
@@ -77,11 +79,14 @@ impl OutputView<'_> {
     ///
     /// Panics on an unknown output name — a host-model programming error.
     pub fn output(&self, name: &str) -> TargetOutput {
+        let node = *self
+            .out_map
+            .get(name)
+            .unwrap_or_else(|| panic!("host model resolved unknown target output `{name}`"));
         TargetOutput(
-            *self
-                .out_map
-                .get(name)
-                .unwrap_or_else(|| panic!("host model resolved unknown target output `{name}`")),
+            self.sim
+                .output_slot(node)
+                .expect("the output map lists the simulator's own outputs"),
         )
     }
 
@@ -92,22 +97,23 @@ impl OutputView<'_> {
     ///
     /// Panics on an unknown input name — a host-model programming error.
     pub fn input(&self, name: &str) -> TargetInput {
-        TargetInput(
-            *self
-                .in_map
-                .get(name)
-                .unwrap_or_else(|| panic!("host model resolved unknown target input `{name}`")),
-        )
+        let port = *self
+            .in_map
+            .get(name)
+            .unwrap_or_else(|| panic!("host model resolved unknown target input `{name}`"));
+        TargetInput(self.sim.input_slot(port))
     }
 
     /// Reads a target output through a pre-resolved handle (no hashing).
+    #[inline]
     pub fn read(&mut self, port: TargetOutput) -> u64 {
-        self.sim.peek(port.0)
+        self.sim.peek_slot(port.0)
     }
 
     /// Drives a target input through a pre-resolved handle (no hashing).
+    #[inline]
     pub fn write(&mut self, port: TargetInput, value: u64) {
-        self.sim.poke(port.0, value);
+        self.sim.poke_slot(port.0, value);
     }
 }
 
@@ -805,6 +811,8 @@ mod tests {
         ) {
         }
 
+        unsafe fn commit(&self, _: &[u64], _: &[strober_sim::MemSpan]) {}
+
         fn signature(&self) -> u64 {
             self.0
         }
@@ -844,6 +852,65 @@ mod tests {
             strober_jit::rustc_version().is_some(),
             "jit attaches when it can compile, else falls back to the tape"
         );
+    }
+
+    /// Reads every output through a handle and by name each cycle, and
+    /// drives `x` through a handle with bits above its width set.
+    struct Handles {
+        outputs: Vec<String>,
+        resolved: Option<(TargetInput, Vec<TargetOutput>)>,
+    }
+
+    impl HostModel for Handles {
+        fn tick(&mut self, cycle: u64, io: &mut OutputView<'_>) {
+            let (x, handles) = self.resolved.get_or_insert_with(|| {
+                let handles = self.outputs.iter().map(|n| io.output(n)).collect();
+                (io.input("x"), handles)
+            });
+            io.write(*x, cycle | 0x700);
+            for (name, &h) in self.outputs.iter().zip(handles.iter()) {
+                assert_eq!(io.read(h), io.get(name), "`{name}` at cycle {cycle}");
+            }
+        }
+    }
+
+    #[test]
+    fn port_handles_read_what_names_read_on_both_engines() {
+        // The accumulator plus an output the optimizer folds to a
+        // constant: its handle still reads the constant.
+        let ctx = Ctx::new("acc");
+        let w8 = Width::new(8).unwrap();
+        let w16 = Width::new(16).unwrap();
+        let x = ctx.input("x", w8);
+        let acc = ctx.reg("acc", w16, 0);
+        acc.set(&(&acc.out() + &x.zext(w16)));
+        ctx.output("value", &acc.out());
+        ctx.output("folded", &(&ctx.lit(3, w8) + &ctx.lit(4, w8)));
+        let fame = transform(&ctx.finish().unwrap(), &FameConfig::default()).unwrap();
+
+        let native = strober_jit::rustc_version().is_some();
+        for engine in [HubEngine::Interp, HubEngine::Jit] {
+            let cfg = PlatformConfig {
+                hub_engine: engine,
+                ..PlatformConfig::default()
+            };
+            let mut host = ZynqHost::new(&fame, cfg).unwrap();
+            let expect = if engine == HubEngine::Jit && native {
+                "tape-jit"
+            } else {
+                "tape"
+            };
+            assert_eq!(host.engine_name(), expect);
+            assert!(host.sim.pass_stats().const_folded > 0);
+            let mut model = Handles {
+                outputs: host.out_map.keys().cloned().collect(),
+                resolved: None,
+            };
+            host.run(&mut model, 40).unwrap();
+            // The handle masked `x` to its 8 bits: 0 + 1 + ... + 39.
+            assert_eq!(host.peek_output("value").unwrap(), 780, "{engine}");
+            assert_eq!(host.peek_output("folded").unwrap(), 7, "{engine}");
+        }
     }
 
     #[test]

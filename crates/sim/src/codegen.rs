@@ -13,15 +13,19 @@
 //! [`crate::tape`] maintains in full. Register next and enable slots are
 //! consumed by the capture lines straight from their locals. Peeks of
 //! any other slot reroute to the tree-walking recompute, exactly like
-//! slots the optimizer removed. `strober-jit` compiles the emitted source with
+//! slots the optimizer removed. A second function, the memory commit of
+//! the clock edge, follows: one statement per memory write port, in the
+//! interpreter's order, reading the write-port slots the settle stored.
+//! `strober-jit` compiles the emitted source with
 //! `rustc --crate-type cdylib` and `dlopen`s the result; the exported
-//! `strober_jit_settle` symbol has the exact signature of
-//! [`crate::NativeSettle::settle`] flattened to C ABI (memories are
+//! `strober_jit_settle` and `strober_jit_commit` symbols have the exact
+//! signatures of [`crate::NativeSettle::settle`] and
+//! [`crate::NativeSettle::commit`] flattened to C ABI (memories are
 //! passed as `(ptr, len)` span pairs).
 //!
 //! Bit-identity with the interpreted tape is achieved by construction:
 //! every emitted expression is a literal transcription of the matching
-//! arm in the settle loop, of the register walk in
+//! arm in the settle loop, of the register and memory-commit walks in
 //! `Simulator::clock_edge` and of `UnOp::eval`/`BinOp::eval` in
 //! `strober-rtl`, division-by-zero and out-of-range shift/address
 //! semantics included. The golden suites and the fuzz oracle's `tape-jit`
@@ -30,14 +34,14 @@
 //! The emitted crate is `#![no_std]` (the body needs nothing but `core`
 //! integer ops, and a dylib that links std is 4.3 MB instead of ~15 KB).
 //! It also exports `strober_jit_sig() -> u64`, an FNV-1a hash of the crate
-//! header, settle body, slab length and register count. The simulator
-//! checks that hash against the source it would generate for its own
-//! tape before attaching a native engine, so a stale dylib (different
-//! design, different optimizer or codegen revision, or the entry point
-//! before it took `rn`) is rejected instead of silently producing wrong
-//! bits.
+//! header, settle and commit bodies, slab length and register count. The
+//! simulator checks that hash against the source it would generate for
+//! its own tape before attaching a native engine, so a stale dylib
+//! (different design, different optimizer or codegen revision, or an
+//! entry point from before the commit was native) is rejected instead of
+//! silently producing wrong bits.
 
-use crate::tape::{RegPlan, TapeOp};
+use crate::tape::{RegPlan, TapeOp, WritePlan};
 use std::fmt::Write;
 use strober_rtl::{BinOp, UnOp, Width};
 
@@ -45,10 +49,10 @@ use strober_rtl::{BinOp, UnOp, Width};
 #[derive(Debug, Clone)]
 pub struct JitSource {
     /// Complete Rust source for a `cdylib` crate exporting
-    /// `strober_jit_settle` and `strober_jit_sig`.
+    /// `strober_jit_settle`, `strober_jit_commit` and `strober_jit_sig`.
     pub source: String,
-    /// FNV-1a hash of the crate header, settle body, slab length and
-    /// register count, also returned by the compiled dylib's
+    /// FNV-1a hash of the crate header, settle and commit bodies, slab
+    /// length and register count, also returned by the compiled dylib's
     /// `strober_jit_sig`.
     pub sig: u64,
 }
@@ -154,6 +158,41 @@ fn mem_read(mem: u32, addr_expr: &str) -> String {
     )
 }
 
+/// The memory commit, transcribed from the interpreted walk in
+/// `Simulator::clock_edge`: one statement per write port, in plan order.
+/// Nothing settle keeps in a local exists here, so an operand is the
+/// constant's literal or a load of the slot settle stored (every
+/// write-port slot is in `stored`). A port whose enable is a constant 0
+/// never writes and is left out; a constant nonzero enable writes every
+/// edge, so its statement has no branch.
+fn emit_commit(source: &mut String, write_plans: &[WritePlan], consts: &[u64], stored: &[bool]) {
+    let r = |slot: u32| match consts.get(slot as usize) {
+        Some(c) => format!("{c:#x}u64"),
+        None => {
+            assert!(
+                stored[slot as usize],
+                "write-port slot {slot} is neither a constant nor stored by settle"
+            );
+            format!("*v.add({slot})")
+        }
+    };
+    for plan in write_plans {
+        let guard = match consts.get(plan.enable as usize) {
+            Some(0) => continue,
+            Some(_) => String::new(),
+            None => format!("if {} != 0 ", r(plan.enable)),
+        };
+        let _ = writeln!(
+            source,
+            "    {guard}{{ let s = &*mems.add({}); let a = ({}) as usize; \
+             if a < s.len {{ *s.ptr.add(a) = {}; }} }}",
+            plan.mem,
+            r(plan.addr),
+            r(plan.data)
+        );
+    }
+}
+
 /// Everything the generated crate holds ahead of the settle body. The
 /// body is integer arithmetic on `core` types only, so the crate is
 /// `#![no_std]`: a dylib then carries its own code and nothing else
@@ -177,7 +216,7 @@ fn panic(_: &core::panic::PanicInfo<'_>) -> ! {
 /// One memory array, passed as a raw span across the C ABI.
 #[repr(C)]
 pub struct MemSpan {
-    pub ptr: *const u64,
+    pub ptr: *mut u64,
     pub len: usize,
 }
 
@@ -200,7 +239,8 @@ pub struct MemSpan {
 /// - `mems` is valid for reads of one span per memory of the design, and
 ///   each span's `ptr` is valid for reads of `len` words. `len` is the
 ///   only bound a memory read trusts: an address at or past it reads as
-///   zero, whatever the design declared.
+///   zero, whatever the design declared. This function never writes a
+///   memory.
 /// - Nothing else writes to any of these while the call runs. Only `v`
 ///   and `rn` are written, and no pointer is kept after the return.
 #[no_mangle]
@@ -213,6 +253,30 @@ pub unsafe extern \"C\" fn strober_jit_settle(
 ) {
 ";
 
+/// The memory commit that follows the settle body. It runs at the clock
+/// edge, after a settle of the same state has stored every write port's
+/// enable, address and data slot.
+const COMMIT_HEADER: &str = "\
+}
+
+/// Commits the memory writes of one clock edge, port by port in the
+/// interpreter's order, so a later port wins a same-address collision.
+///
+/// # Safety
+///
+/// - `v` is valid for reads of the value slab this source was generated
+///   from, and a `strober_jit_settle` of the current state has stored it.
+///   The code reads only the write-port slots that settle stores.
+/// - `mems` is valid for reads of one span per memory of the design, and
+///   each span's `ptr` is valid for writes of `len` words. `len` is the
+///   only bound a write trusts: an address at or past it writes nothing.
+/// - Nothing else reads or writes any of these while the call runs. Only
+///   memory words below each `len` are written, and no pointer is kept
+///   after the return.
+#[no_mangle]
+pub unsafe extern \"C\" fn strober_jit_commit(v: *const u64, mems: *const MemSpan) {
+";
+
 /// Lowers a tape to the source of a `cdylib` crate exporting the native
 /// settle entry point. `n_values` is the slot slab length; every slot
 /// index the tape and the register plans reference is asserted to lie
@@ -223,13 +287,15 @@ pub unsafe extern \"C\" fn strober_jit_settle(
 /// `settle` (outputs, memory ports): only those are written back to the
 /// slab, everything else lives in SSA locals the whole function.
 /// `reg_plans` become the register-capture epilogue, one
-/// `*rn.add(i) = …` per register.
+/// `*rn.add(i) = …` per register, and `write_plans` the body of the
+/// separate memory-commit function, one statement per port in plan order.
 pub(crate) fn emit(
     tape: &[TapeOp],
     consts: &[u64],
     n_values: usize,
     stored: &[bool],
     reg_plans: &[RegPlan],
+    write_plans: &[WritePlan],
 ) -> JitSource {
     assert_eq!(stored.len(), n_values, "stored mask must cover the slab");
     let mut reads = Vec::new();
@@ -243,6 +309,7 @@ pub(crate) fn emit(
             .flat_map(|p| [Some(p.next), p.enable])
             .flatten(),
     );
+    reads.extend(write_plans.iter().flat_map(|p| [p.enable, p.addr, p.data]));
     for &slot in &reads {
         assert!(
             (slot as usize) < n_values,
@@ -313,13 +380,16 @@ pub(crate) fn emit(
         };
     }
 
-    // The hash covers the crate header, the settle body, the slab length
-    // and the register count: a codegen revision that changes only the
-    // header (as the move to `#![no_std]` and the `rn` argument did)
-    // still retires every dylib built before it, and two tapes that
-    // happen to emit the same ops over different slab or register-file
-    // sizes (never expected, but cheap to defend against) still get
-    // distinct ids.
+    source.push_str(COMMIT_HEADER);
+    emit_commit(&mut source, write_plans, consts, stored);
+
+    // The hash covers the crate header, the settle and commit bodies, the
+    // slab length and the register count: a codegen revision that
+    // changes only the header (as the move to `#![no_std]`, the `rn`
+    // argument and the writable spans did) still retires every dylib
+    // built before it, and two tapes that happen to emit the same ops
+    // over different slab or register-file sizes (never expected, but
+    // cheap to defend against) still get distinct ids.
     let n_regs = reg_plans.len();
     let sig = fnv1a(
         source
@@ -372,27 +442,30 @@ mod tests {
             },
         ];
         let all = [true; 3];
-        let one = emit(&tape, &[7], 3, &all, &[]);
-        let two = emit(&tape, &[7], 3, &all, &[]);
+        let one = emit(&tape, &[7], 3, &all, &[], &[]);
+        let two = emit(&tape, &[7], 3, &all, &[], &[]);
         assert_eq!(one.sig, two.sig, "emission must be deterministic");
         assert!(one.source.contains("strober_jit_settle"));
         assert!(one.source.contains("strober_jit_sig"));
         assert!(one.source.contains("#![no_std]") && one.source.contains("#[panic_handler]"));
         assert!(one.source.contains(&format!("{:#x}", one.sig)));
         // Different slab length => different identity.
-        assert_ne!(emit(&tape, &[7], 4, &[true; 4], &[]).sig, one.sig);
+        assert_ne!(emit(&tape, &[7], 4, &[true; 4], &[], &[]).sig, one.sig);
         // A different stored-slot set changes the emitted body, hence
         // the identity: consumers must never attach across the two.
-        assert_ne!(emit(&tape, &[7], 3, &[true, true, false], &[]).sig, one.sig);
+        assert_ne!(
+            emit(&tape, &[7], 3, &[true, true, false], &[], &[]).sig,
+            one.sig
+        );
         // So does a constant's value: it is part of the code now.
-        assert_ne!(emit(&tape, &[8], 3, &all, &[]).sig, one.sig);
+        assert_ne!(emit(&tape, &[8], 3, &all, &[], &[]).sig, one.sig);
         // So does a register file: the entry point's `rn` has a length.
         let reg = RegPlan {
             next: 2,
             enable: None,
             mask: 0xff,
         };
-        assert_ne!(emit(&tape, &[7], 3, &all, &[reg]).sig, one.sig);
+        assert_ne!(emit(&tape, &[7], 3, &all, &[reg], &[]).sig, one.sig);
     }
 
     #[test]
@@ -407,7 +480,7 @@ mod tests {
                 w: w(8),
             },
         ];
-        let src = emit(&tape, &[0], 3, &[false, false, true], &[]).source;
+        let src = emit(&tape, &[0], 3, &[false, false, true], &[], &[]).source;
         // Slot 1 is internal: a local binding but no slab store.
         assert!(src.contains("let t1 ="));
         assert!(!src.contains("*v.add(1) = t1"));
@@ -417,19 +490,41 @@ mod tests {
         assert!(src.contains("(t1).wrapping_add(t1)"));
     }
 
-    /// Every `*v.add(k)` in `src` is the target of a store of `t<k>`.
-    fn slab_is_write_only(src: &str) -> bool {
-        src.match_indices("*v.add(").all(|(at, _)| {
-            let rest = &src[at + "*v.add(".len()..];
+    /// The settle and the commit function of a generated source.
+    fn bodies(src: &str) -> (&str, &str) {
+        let at = |f: &str| src.find(f).unwrap_or_else(|| panic!("{f} missing: {src}"));
+        let (settle, commit, sig) = (
+            at("fn strober_jit_settle("),
+            at("fn strober_jit_commit("),
+            at("fn strober_jit_sig("),
+        );
+        (&src[settle..commit], &src[commit..sig])
+    }
+
+    /// Every `*v.add(k)` in `settle` is the target of a store of `t<k>`.
+    fn slab_is_write_only(settle: &str) -> bool {
+        settle.match_indices("*v.add(").all(|(at, _)| {
+            let rest = &settle[at + "*v.add(".len()..];
             let slot = &rest[..rest.find(')').expect("closed")];
             rest[slot.len()..].starts_with(&format!(") = t{slot};"))
+        })
+    }
+
+    /// Every `*v.add(k)` in `commit` is a read of a slot in `stored`.
+    fn commit_reads_only_stored(commit: &str, stored: &[bool]) -> bool {
+        commit.match_indices("*v.add(").all(|(at, _)| {
+            let rest = &commit[at + "*v.add(".len()..];
+            let close = rest.find(')').expect("closed");
+            let slot: usize = rest[..close].parse().expect("a slot index");
+            !rest[close..].starts_with(") =") && stored[slot]
         })
     }
 
     #[test]
     fn constants_are_literals_and_the_slab_is_only_written() {
         // Slots 0 and 1 are constants (3 and 0xf0); every op reads at
-        // least one of them, and the register plans read both.
+        // least one of them, and the register plans and the write port
+        // read both.
         let tape = vec![
             TapeOp::Input { dst: 2, port: 0 },
             TapeOp::BitAnd { dst: 3, a: 2, b: 1 },
@@ -459,14 +554,15 @@ mod tests {
                 mask: 0xff,
             },
         ];
-        let src = emit(
-            &tape,
-            &[3, 0xf0],
-            6,
-            &[false, false, true, true, true, true],
-            &plans,
-        )
-        .source;
+        let port = WritePlan {
+            mem: 0,
+            enable: 3,
+            addr: 0,
+            data: 5,
+        };
+        let stored = [false, false, true, true, true, true];
+        let src = emit(&tape, &[3, 0xf0], 6, &stored, &plans, &[port]).source;
+        let (settle, commit) = bodies(&src);
         assert!(src.contains("let t3 = t2 & 0xf0u64;"), "{src}");
         assert!(
             src.contains("if t3 != 0 { 0x3u64 } else { 0xf0u64 }"),
@@ -481,20 +577,100 @@ mod tests {
             src.contains("*rn.add(1) = if 0xf0u64 != 0 { t5 & 0xff }"),
             "{src}"
         );
-        // Stores of the four ops, and no other access to the slab.
-        assert_eq!(src.matches("*v.add(").count(), 4, "{src}");
-        assert!(slab_is_write_only(&src), "{src}");
+        // Stores of the four ops, and no other access to the slab in the
+        // settle; the commit reads the port's two stored slots, and its
+        // constant address is a literal.
+        assert_eq!(settle.matches("*v.add(").count(), 4, "{src}");
+        assert!(slab_is_write_only(settle), "{src}");
+        assert!(
+            commit.contains("if *v.add(3) != 0 { let s = &*mems.add(0); let a = (0x3u64) as usize; if a < s.len { *s.ptr.add(a) = *v.add(5); } }"),
+            "{src}"
+        );
+        assert_eq!(commit.matches("*v.add(").count(), 2, "{src}");
+        assert!(commit_reads_only_stored(commit, &stored), "{src}");
     }
 
     #[test]
     fn a_lowered_design_never_reads_the_slab() {
         // A random design through the real optimizer: whatever constants
-        // survive folding are literals in the generated code.
+        // survive folding are literals in the generated code. The settle
+        // never reads the slab; the commit reads it only at the
+        // write-port slots the settle stores.
+        let mut commits_reading = 0;
         for seed in 0..8 {
             let design = crate::rand_design::rand_design(seed, &Default::default());
-            let src = crate::Simulator::new(&design).unwrap().jit_source().source;
-            assert!(slab_is_write_only(&src), "seed {seed}");
+            let sim = crate::Simulator::new(&design).unwrap();
+            let src = sim.jit_source().source;
+            let (settle, commit) = bodies(&src);
+            assert!(slab_is_write_only(settle), "seed {seed}");
+            assert!(
+                commit_reads_only_stored(commit, &sim.stored_slots()),
+                "seed {seed}"
+            );
+            commits_reading += usize::from(commit.contains("*v.add("));
         }
+        assert!(commits_reading > 0, "some commit must read a stored slot");
+    }
+
+    #[test]
+    fn commit_transcribes_write_ports_in_plan_order() {
+        // Slots 0..3 are constants 0, 1 and 5; 3..6 are inputs, stored.
+        let tape = vec![
+            TapeOp::Input { dst: 3, port: 0 },
+            TapeOp::Input { dst: 4, port: 1 },
+            TapeOp::Input { dst: 5, port: 2 },
+        ];
+        let consts = [0, 1, 5];
+        let stored = [false, false, false, true, true, true];
+        let port = |mem, enable, addr, data| WritePlan {
+            mem,
+            enable,
+            addr,
+            data,
+        };
+        let plans = [
+            port(0, 3, 4, 5), // data-dependent enable
+            port(1, 1, 2, 4), // enable tied to 1, constant address
+            port(0, 0, 4, 5), // enable tied to 0: never writes
+            port(0, 1, 4, 3), // same memory and address as the first
+        ];
+        let src = emit(&tape, &consts, 6, &stored, &[], &plans).source;
+        let (_, commit) = bodies(&src);
+        let first = "    if *v.add(3) != 0 { let s = &*mems.add(0); let a = (*v.add(4)) as usize; \
+                     if a < s.len { *s.ptr.add(a) = *v.add(5); } }\n";
+        let second = "    { let s = &*mems.add(1); let a = (0x5u64) as usize; \
+                      if a < s.len { *s.ptr.add(a) = *v.add(4); } }\n";
+        let last = "    { let s = &*mems.add(0); let a = (*v.add(4)) as usize; \
+                    if a < s.len { *s.ptr.add(a) = *v.add(3); } }\n";
+        // A constant-1 enable has no branch, a constant-0 port emits
+        // nothing, and the rest keep plan order, so the last port still
+        // wins a same-address collision.
+        let (a, b, c) = (commit.find(first), commit.find(second), commit.find(last));
+        assert!(a.is_some() && b.is_some() && c.is_some(), "{commit}");
+        assert!(a < b && b < c, "plan order: {commit}");
+        assert_eq!(commit.matches("*s.ptr.add(a) = ").count(), 3, "{commit}");
+        assert_eq!(commit.matches(" != 0").count(), 1, "{commit}");
+        assert!(
+            !commit.contains("0x0u64") && !commit.contains("0x1u64"),
+            "{commit}"
+        );
+        assert!(commit_reads_only_stored(commit, &stored), "{commit}");
+
+        // The commit is part of the code the signature covers.
+        let sig = |plans: &[WritePlan]| emit(&tape, &consts, 6, &stored, &[], plans).sig;
+        let base = sig(&plans);
+        assert_ne!(sig(&plans[..3]), base, "a port removed");
+        assert_ne!(
+            sig(&[plans[3], plans[1], plans[0]]),
+            base,
+            "ports reordered"
+        );
+        assert_ne!(
+            sig(&[plans[0], plans[1], plans[2], port(0, 1, 4, 5)]),
+            base,
+            "a port's data changed"
+        );
+        assert_ne!(sig(&[]), base, "no ports");
     }
 
     #[test]
@@ -504,7 +680,7 @@ mod tests {
             TapeOp::BitOr { dst: 2, a: 1, b: 4 },
             TapeOp::Input { dst: 4, port: 0 },
         ];
-        emit(&tape, &[0, 1], 5, &[false; 5], &[]);
+        emit(&tape, &[0, 1], 5, &[false; 5], &[], &[]);
     }
 
     #[test]
@@ -544,7 +720,7 @@ mod tests {
                 mask: 0xff,
             },
         ];
-        let src = emit(&tape, &[0, 2], 5, &[false; 5], &plans).source;
+        let src = emit(&tape, &[0, 2], 5, &[false; 5], &plans, &[]).source;
         assert!(src.contains("rn: *mut u64"));
         assert!(src.contains("    *rn.add(0) = t4 & 0xff;"));
         assert!(src.contains("    *rn.add(1) = if t3 != 0 { t2 & 0xf } else { *regs.add(1) };"));

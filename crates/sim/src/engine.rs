@@ -8,9 +8,9 @@
 //! explicit so callers can select an engine dynamically and benchmark
 //! rows can be labeled by variant, and [`NativeSettle`] is the narrow
 //! plug-in point through which `strober-jit` swaps the interpreted
-//! settle loop *and* the register-capture half of the clock edge for a
-//! `dlopen`ed native function without the `Simulator` facade changing
-//! shape.
+//! settle loop *and* the clock edge's register capture and memory commit
+//! for `dlopen`ed native functions without the `Simulator` facade
+//! changing shape.
 //!
 //! [`NaiveInterpreter`]: crate::NaiveInterpreter
 
@@ -57,54 +57,59 @@ pub trait Engine {
     fn engine_name(&self) -> &'static str;
 }
 
-/// One memory array as the native entry point receives it: the address
+/// One memory array as the native entry points receive it: the address
 /// and length of the simulator's buffer for that memory, laid out as the
 /// generated crate's `#[repr(C)] MemSpan`.
 ///
-/// Only the simulator builds spans, from its own memories, and rebuilds
-/// them whenever a memory's buffer may have moved; a span is never
-/// dereferenced outside a native settle call made while the simulator
-/// holds the memories it describes.
+/// Only the simulator builds spans, from its own memories through
+/// `Vec::as_mut_ptr`, and marks them stale on every `&mut` access to a
+/// memory (a write, a restore, a reset, an interpreted commit), so a span
+/// in use always carries the latest write permission to its buffer. A
+/// span is never dereferenced outside a native settle or commit call made
+/// while the simulator holds the memories it describes.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
 pub struct MemSpan {
-    ptr: *const u64,
+    ptr: *mut u64,
     len: usize,
 }
 
 // SAFETY: `len` is a plain integer and `ptr` is only an address here:
-// nothing in safe code reads through it, and native settle code does so
-// only under `NativeSettle::settle`'s contract, called by the simulator
-// that owns (and borrows, for the whole call) the memory it points at.
+// nothing in safe code reads or writes through it, and native code does
+// so only under `NativeSettle::settle`'s and `NativeSettle::commit`'s
+// contracts, called by the simulator that owns (and mutably borrows, for
+// the whole call) the memory it points at.
 unsafe impl Send for MemSpan {}
 unsafe impl Sync for MemSpan {}
 
 impl MemSpan {
-    pub(crate) fn of(mem: &[u64]) -> Self {
+    pub(crate) fn of(mem: &mut Vec<u64>) -> Self {
         MemSpan {
-            ptr: mem.as_ptr(),
+            ptr: mem.as_mut_ptr(),
             len: mem.len(),
         }
     }
 }
 
 /// A native (JIT-compiled) replacement for the tape settle loop and the
-/// register-capture half of the clock edge.
+/// clock edge's register capture and memory commit.
 ///
-/// Implementations evaluate exactly the same op tape the sequential
-/// interpreter would walk, writing every externally observed slot of
-/// `values`, and then every register's next value into `reg_next` (the
-/// register's next-state slot masked to its width, or its current value
-/// where an enable is low). `values` is the dense slot slab, `inputs` the
-/// per-port input latches, `regs` the current register file and `mems`
-/// one span per design memory. The callee must not retain pointers past
-/// the call. Memory commit, the register swap and the cycle count stay
-/// on the simulator's shared path.
+/// [`settle`](NativeSettle::settle) evaluates exactly the same op tape
+/// the sequential interpreter would walk, writing every externally
+/// observed slot of `values`, and then every register's next value into
+/// `reg_next` (the register's next-state slot masked to its width, or its
+/// current value where an enable is low). [`commit`](NativeSettle::commit)
+/// then commits the memory writes of the cycle, port by port in the
+/// interpreter's order, from the write-port slots the settle stored.
+/// `values` is the dense slot slab, `inputs` the per-port input latches,
+/// `regs` the current register file and `mems` one span per design
+/// memory. The callee must not retain pointers past a call. The register
+/// swap and the cycle count stay on the simulator's shared path.
 ///
 /// Bit-identity with the interpreted tape is non-negotiable and is
 /// enforced at attach time by [`NativeSettle::signature`]: the simulator
 /// refuses an engine whose signature does not match the FNV-1a hash of
-/// the settle source it would generate for its own tape (see
+/// the source it would generate for its own tape and write ports (see
 /// `Simulator::attach_jit`), which rejects stale dylibs compiled for a
 /// different design or optimizer configuration.
 pub trait NativeSettle: Send + Sync + std::fmt::Debug {
@@ -119,8 +124,10 @@ pub trait NativeSettle: Send + Sync + std::fmt::Debug {
     /// [`signature`](NativeSettle::signature) returns, `inputs` one latch
     /// per port of that design, `regs` and `reg_next` one word per
     /// register each, and `mems` one span per memory, each describing a
-    /// live buffer. `Simulator` meets this by passing its own arrays to
-    /// an engine whose signature it checked at attach.
+    /// live buffer that nothing else accesses during the call. The code
+    /// writes `values` and `reg_next` and only reads `mems`. `Simulator`
+    /// meets this by passing its own arrays to an engine whose signature
+    /// it checked at attach.
     unsafe fn settle(
         &self,
         values: &mut [u64],
@@ -130,7 +137,22 @@ pub trait NativeSettle: Send + Sync + std::fmt::Debug {
         reg_next: &mut [u64],
     );
 
-    /// The FNV-1a hash of the generated settle source this engine was
-    /// compiled from, used to verify design/tape identity at attach time.
+    /// Commits the cycle's memory writes: for each write port in plan
+    /// order, when its enable is nonzero, stores its data word at its
+    /// address, unless the address is at or past the span's `len`.
+    ///
+    /// # Safety
+    ///
+    /// `values` must be the slab of the tape this engine was generated
+    /// from, holding the write-port slots a [`settle`](NativeSettle::settle)
+    /// of the current state stored (the code reads only those, and
+    /// nothing else of `values`), and `mems` one span per memory of that
+    /// design, each valid for writes of `len` words that nothing else
+    /// accesses during the call. The code writes only below each span's
+    /// `len`. `Simulator::clock_edge` meets this right after its settle.
+    unsafe fn commit(&self, values: &[u64], mems: &[MemSpan]);
+
+    /// The FNV-1a hash of the generated source this engine was compiled
+    /// from, used to verify design/tape identity at attach time.
     fn signature(&self) -> u64;
 }

@@ -17,12 +17,13 @@
 //! Three engines are provided:
 //!
 //! * [`Simulator`] — the compiled-tape engine used everywhere.
-//! * [`Simulator::attach_jit`] replaces the settle loop and register
-//!   capture with native code compiled from the tape by `strober-jit`:
-//!   [`Simulator::jit_source`] lowers the tape to one straight-line Rust
-//!   function (constants, masks and slot indices baked in, no per-op
-//!   dispatch), and any [`NativeSettle`] whose signature matches can be
-//!   plugged in. See DESIGN.md §16.
+//! * [`Simulator::attach_jit`] replaces the settle loop, register
+//!   capture and memory commit with native code compiled from the tape
+//!   by `strober-jit`: [`Simulator::jit_source`] lowers the tape to one
+//!   straight-line Rust function (constants, masks and slot indices baked
+//!   in, no per-op dispatch) plus a commit function, and any
+//!   [`NativeSettle`] whose signature matches can be plugged in. See
+//!   DESIGN.md §16.
 //! * [`NaiveInterpreter`] — a deliberately simple tree-walking reference
 //!   engine, used for differential testing and as the slow baseline in the
 //!   ablation benchmarks.
@@ -83,4 +84,4 @@ pub use state::SimState;
 // The id types the peek/poke/resolve APIs traffic in, re-exported so
 // callers holding pre-resolved handles need not depend on `strober-rtl`.
 pub use strober_rtl::{NodeId, PortId};
-pub use tape::Simulator;
+pub use tape::{InputSlot, OutputSlot, Simulator};

@@ -16,11 +16,12 @@
 //! Each [`Simulator::step`] settles the combinational tape, captures
 //! register next-values, commits memory writes and advances the clock.
 //! `settle` walks the tape by default, and `clock_edge` then walks the
-//! register plans. After [`Simulator::attach_jit`] `settle` calls the
-//! native code compiled from the same tape and plans instead, which
-//! writes the register next-values itself, so `clock_edge` skips its
-//! walk. Both are bit-identical by construction; memory commit, the
-//! register swap and the cycle count stay shared by both paths.
+//! register and write plans. After [`Simulator::attach_jit`] `settle`
+//! calls the native code compiled from the same tape and plans instead,
+//! which writes the register next-values itself, and `clock_edge` calls
+//! the native memory commit in place of both walks. Both paths are
+//! bit-identical by construction; the register swap and the cycle count
+//! stay shared.
 
 use crate::codegen::JitSource;
 use crate::engine::{Engine, MemSpan, NativeSettle};
@@ -183,6 +184,26 @@ pub(crate) struct WritePlan {
     pub(crate) enable: u32,
 }
 
+/// A target output resolved to the value-slab slot that holds it, for
+/// per-cycle port reads that cost one load. Outputs are roots of the
+/// optimizer's liveness pass, so every output has a slot (one it folded
+/// to a constant reads the constant's), and every engine keeps output
+/// slots current in the slab (the interpreter stores every slot, the
+/// native settle stores the observed ones), so
+/// [`peek_slot`](Simulator::peek_slot) reads it after the settle's dirty
+/// check with no further lookup. Get one from
+/// [`output_slot`](Simulator::output_slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutputSlot(u32);
+
+/// A target input port with its width mask, for per-cycle pokes that cost
+/// one store. Get one from [`input_slot`](Simulator::input_slot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputSlot {
+    port: u32,
+    mask: u64,
+}
+
 /// The compiled-tape cycle-accurate simulator.
 ///
 /// Construction compiles the design once (`O(nodes)`); each [`step`] then
@@ -219,16 +240,20 @@ pub struct Simulator {
     /// next and enable slots included — reroute to the tree-walking
     /// recompute, like `DEAD` ones.
     jit_stored: Option<Arc<[bool]>>,
-    /// `mems` as the spans the native engine reads them through.
+    /// `mems` as the spans the native engine reads and writes them
+    /// through.
     mem_spans: MemSpans,
 }
 
 /// The memory span table handed to the native engine, built once and
-/// reused by every settle so that none allocates.
+/// reused by every settle and commit so that none allocates.
 ///
-/// An empty table stands for "stale": anything that may move a memory's
-/// buffer clears it, and the next native settle rebuilds it. A clone
-/// starts stale, because its memories are new buffers.
+/// An empty table stands for "stale". Every `&mut` access to a memory —
+/// one that may move its buffer, or one that takes a fresh write borrow
+/// of it — clears the table, and the next native call rebuilds it from
+/// `Vec::as_mut_ptr`, so the spans in use always carry the latest write
+/// permission. A clone starts stale, because its memories are new
+/// buffers.
 #[derive(Debug, Default)]
 struct MemSpans(Vec<MemSpan>);
 
@@ -240,12 +265,17 @@ impl Clone for MemSpans {
 
 impl MemSpans {
     /// The spans of `mems`, rebuilt first when the table is stale.
-    fn of(&mut self, mems: &[Vec<u64>]) -> &[MemSpan] {
+    fn of(&mut self, mems: &mut [Vec<u64>]) -> &[MemSpan] {
         if self.0.len() != mems.len() {
             self.0.clear();
-            self.0.extend(mems.iter().map(|m| MemSpan::of(m)));
+            self.0.extend(mems.iter_mut().map(MemSpan::of));
         }
         &self.0
+    }
+
+    /// Marks the table stale; call on every `&mut` access to a memory.
+    fn stale(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -334,6 +364,7 @@ impl Simulator {
     }
 
     /// Sets a top-level input by port id index.
+    #[inline]
     pub(crate) fn poke_raw(&mut self, port: u32, value: u64) {
         self.inputs[port as usize] = value;
         self.dirty = true;
@@ -346,6 +377,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `port` is not a port of this design.
+    #[inline]
     pub fn poke(&mut self, port: strober_rtl::PortId, value: u64) {
         let width = self.design.ports()[port.index()].width();
         self.poke_raw(port.index() as u32, value & width.mask());
@@ -381,9 +413,10 @@ impl Simulator {
     /// own tape generates. From then on `settle` calls into the native
     /// code instead of walking the tape, and that code also writes every
     /// register's next value, so [`clock_edge`](Simulator::clock_edge)
-    /// skips its interpreted register walk. Memory commit, the register
-    /// swap and the cycle count stay on the shared path. Results are
-    /// bit-identical to the tape walk.
+    /// skips its interpreted register walk and commits memory writes
+    /// through the native commit. The register swap and the cycle count
+    /// stay on the shared path. Results are bit-identical to the tape
+    /// walk.
     ///
     /// The engine is shared by reference across [`Clone`]s.
     ///
@@ -420,7 +453,7 @@ impl Simulator {
     /// code captures registers from its locals. Internal temporaries
     /// stay in locals too; reads of those slots reroute to the
     /// tree-walking recompute (see [`peek`](Simulator::peek)).
-    fn stored_slots(&self) -> Vec<bool> {
+    pub(crate) fn stored_slots(&self) -> Vec<bool> {
         let mut stored = vec![false; self.values.len()];
         let mut mark = |slot: u32| {
             if slot != DEAD {
@@ -450,7 +483,8 @@ impl Simulator {
     }
 
     /// Generates the Rust source of this tape's native settle function,
-    /// register capture included (see [`crate::JitSource`]).
+    /// register capture included, and of its memory commit (see
+    /// [`crate::JitSource`]).
     /// `strober-jit` compiles this to a `cdylib` and attaches the result
     /// via [`attach_jit`](Simulator::attach_jit).
     pub fn jit_source(&self) -> JitSource {
@@ -463,6 +497,7 @@ impl Simulator {
             self.values.len(),
             &self.stored_slots(),
             &self.reg_plans,
+            &self.write_plans,
         )
     }
 
@@ -485,22 +520,30 @@ impl Simulator {
     /// do on every settle, however many run per cycle, because the next
     /// state depends only on inputs, registers and memories, and every
     /// setter of those marks the simulator dirty.
+    #[inline]
     pub fn settle(&mut self) {
-        if !self.dirty {
-            return;
+        if self.dirty {
+            self.settle_dirty();
         }
+    }
+
+    /// The body of [`settle`](Simulator::settle), out of line so that the
+    /// dirty check inlines into every peek and port read.
+    #[inline(never)]
+    fn settle_dirty(&mut self) {
         if let Some(jit) = &self.jit {
             // SAFETY: `attach_jit` accepted this engine because its
             // signature is the hash of this tape's generated source, and
             // these are this simulator's own slab, port latches and
             // register files, with spans of its memories that are rebuilt
-            // whenever a memory buffer may have moved.
+            // after every `&mut` access to one; `&mut self` keeps every
+            // other access out for the call.
             unsafe {
                 jit.settle(
                     &mut self.values,
                     &self.inputs,
                     &self.regs,
-                    self.mem_spans.of(&self.mems),
+                    self.mem_spans.of(&mut self.mems),
                     &mut self.reg_next,
                 );
             }
@@ -577,15 +620,24 @@ impl Simulator {
     /// Settles first if needed, so calling this alone is a full
     /// [`step`](Simulator::step).
     ///
-    /// Register capture is the one part that depends on the engine: the
-    /// interpreted tape walks the register plans here, while a native
-    /// engine already wrote `reg_next` in the settle above (an attach,
-    /// a detach and every state setter mark the simulator dirty, so that
-    /// settle always belongs to the current state and engine). Memory
-    /// commit and the swap are shared by both.
+    /// Register capture and memory commit depend on the engine: the
+    /// interpreted tape walks the register and write plans here, while a
+    /// native engine already wrote `reg_next` in the settle above and
+    /// commits the writes through its generated commit, which reads the
+    /// write-port slots that settle stored (an attach, a detach and every
+    /// state setter mark the simulator dirty, so that settle always
+    /// belongs to the current state and engine). The swap is shared.
     pub fn clock_edge(&mut self) {
         self.settle();
-        if self.jit.is_none() {
+        if let Some(jit) = &self.jit {
+            // SAFETY: the engine's signature covers the write plans its
+            // commit was generated from; the settle above stored every
+            // write-port slot of the current state into this slab; the
+            // spans describe this simulator's memories, rebuilt after
+            // every `&mut` access to one, and `&mut self` keeps every
+            // other access out for the call.
+            unsafe { jit.commit(&self.values, self.mem_spans.of(&mut self.mems)) };
+        } else {
             for (i, plan) in self.reg_plans.iter().enumerate() {
                 let en = plan.enable.is_none_or(|e| self.values[e as usize] != 0);
                 self.reg_next[i] = if en {
@@ -594,16 +646,17 @@ impl Simulator {
                     self.regs[i]
                 };
             }
-        }
-        for plan in &self.write_plans {
-            if self.values[plan.enable as usize] != 0 {
-                let addr = self.values[plan.addr as usize] as usize;
-                let data = self.values[plan.data as usize];
-                let mem = &mut self.mems[plan.mem as usize];
-                if let Some(slot) = mem.get_mut(addr) {
-                    *slot = data;
+            for plan in &self.write_plans {
+                if self.values[plan.enable as usize] != 0 {
+                    let addr = self.values[plan.addr as usize] as usize;
+                    let data = self.values[plan.data as usize];
+                    let mem = &mut self.mems[plan.mem as usize];
+                    if let Some(slot) = mem.get_mut(addr) {
+                        *slot = data;
+                    }
                 }
             }
+            self.mem_spans.stale();
         }
         std::mem::swap(&mut self.regs, &mut self.reg_next);
         self.cycle += 1;
@@ -638,6 +691,7 @@ impl Simulator {
     /// Nodes whose slot the optimizer removed (folded, merged or dead)
     /// are recomputed on demand by a tree-walking fallback; outputs,
     /// register inputs and memory ports always stay on the fast path.
+    #[inline]
     pub fn peek(&mut self, node: NodeId) -> u64 {
         self.settle();
         match self.node_slot[node.index()] {
@@ -713,6 +767,52 @@ impl Simulator {
             })
     }
 
+    /// The slab slot of output `node`, for
+    /// [`peek_slot`](Simulator::peek_slot); `None` when `node` is not an
+    /// output of this design.
+    pub fn output_slot(&self, node: NodeId) -> Option<OutputSlot> {
+        let is_output = self.output_index.values().any(|&id| id == node);
+        is_output.then(|| OutputSlot(self.node_slot[node.index()]))
+    }
+
+    /// Reads an output through its slab slot, settling first if needed:
+    /// the same value [`peek`](Simulator::peek) returns for that output,
+    /// under either engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` came from a simulator with a larger slab.
+    #[inline]
+    pub fn peek_slot(&mut self, slot: OutputSlot) -> u64 {
+        self.settle();
+        self.values[slot.0 as usize]
+    }
+
+    /// Input port `port` with its width mask, for
+    /// [`poke_slot`](Simulator::poke_slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not a port of this design.
+    pub fn input_slot(&self, port: PortId) -> InputSlot {
+        InputSlot {
+            port: port.index() as u32,
+            mask: self.design.ports()[port.index()].width().mask(),
+        }
+    }
+
+    /// Sets an input through its pre-resolved slot, masking the value to
+    /// the port's width: [`poke`](Simulator::poke) without the width
+    /// lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` came from a design with more ports.
+    #[inline]
+    pub fn poke_slot(&mut self, slot: InputSlot, value: u64) {
+        self.poke_raw(slot.port, value & slot.mask);
+    }
+
     /// Resolves an input port name to its port id once, for hot loops that
     /// would otherwise hash the name on every [`poke`](Simulator::poke).
     ///
@@ -759,6 +859,7 @@ impl Simulator {
     pub fn set_mem_value(&mut self, mem: MemId, addr: usize, value: u64) {
         let mask = self.design.memory(mem).width().mask();
         self.mems[mem.index()][addr] = value & mask;
+        self.mem_spans.stale();
         self.dirty = true;
     }
 
@@ -796,7 +897,7 @@ impl Simulator {
         }
         self.regs.clone_from(&state.regs);
         self.mems.clone_from(&state.mems);
-        self.mem_spans = MemSpans::default();
+        self.mem_spans.stale();
         self.cycle = state.cycle;
         self.dirty = true;
         Ok(())
@@ -819,7 +920,7 @@ impl Simulator {
             v.resize(depth, 0);
             self.mems[i] = v;
         }
-        self.mem_spans = MemSpans::default();
+        self.mem_spans.stale();
         self.cycle = 0;
         self.dirty = true;
     }

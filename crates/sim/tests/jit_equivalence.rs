@@ -11,6 +11,10 @@
 //! without enables (peeking every next and enable node, which the
 //! generated code no longer stores), and a detach, clone, register write
 //! or memory write landing between a native settle and the clock edge.
+//! The memory commit at the edge is native too; random designs have one
+//! write port per memory, so a hand-built memory holds it to the
+//! interpreted commit where ports collide, write past the depth and are
+//! tied enabled, across a detach and a re-attach.
 //!
 //! Every case skips (with a printed reason) when no `rustc` is on
 //! `PATH` — the same condition under which the production fallback
@@ -34,14 +38,12 @@ fn stim(seed: u64, port: usize, cycle: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One shared content-addressed cache for the whole test binary, so the
-/// per-design compile happens once even when several cases reuse a seed.
+/// One shared content-addressed cache, so the per-design compile happens
+/// once even when several cases reuse a seed, and a second run of the
+/// binary compiles nothing (a directory per process added ~0.46 MB to
+/// the temp directory on every run).
 fn compiler() -> JitCompiler {
-    JitCompiler::new(
-        std::env::temp_dir()
-            .join("strober-jit-equivalence")
-            .join(std::process::id().to_string()),
-    )
+    JitCompiler::new(std::env::temp_dir().join("strober-jit-equivalence"))
 }
 
 /// Runs `design` for [`CYCLES`] with the native engine attached and
@@ -400,4 +402,99 @@ fn state_changes_between_a_native_settle_and_the_edge_are_captured() {
         interp.clock_edge();
         assert_eq!(native.state(), interp.state(), "cycle {cycle}");
     }
+}
+
+/// A memory with four write ports that the generated commit has to get
+/// right together: two whose data-dependent enables and addresses collide
+/// in the same cycle (the later port must win), one whose address runs
+/// past the depth half the time (nothing is written), and one whose
+/// enable is a constant 1 (a write every edge, with no branch). Two read
+/// ports and a register fold what was written back into the next cycle.
+/// Returns the design and the node ids the test counts events on.
+fn colliding_ports() -> (Design, [strober_rtl::NodeId; 6]) {
+    let mut d = Design::new("collide");
+    let x = d.input("x", w(16)).expect("fresh");
+    let a = d.input("a", w(4)).expect("fresh");
+    let b = d.input("b", w(4)).expect("fresh");
+    let r = d.reg("r", w(16), 0x1234).expect("fresh");
+    let rq = d.reg_out(r);
+    // Depth 12 behind a 4-bit address: 12..15 are past the depth.
+    let m = d.mem("m", w(16), 12, vec![7; 12]).expect("fresh");
+    let bit = |d: &mut Design, n, i| d.slice(n, i, i).expect("bit");
+
+    // Ports 0 and 1: port 1 takes port 0's address whenever r[0] is set.
+    let en0 = bit(&mut d, x, 0);
+    d.mem_write(m, a, x, en0).expect("port 0");
+    let r0 = bit(&mut d, rq, 0);
+    let addr1 = d.mux(r0, a, b).expect("mux");
+    let (r1, x1) = (bit(&mut d, rq, 1), bit(&mut d, x, 1));
+    let en1 = d.binary(BinOp::Xor, r1, x1).expect("xor");
+    d.mem_write(m, addr1, rq, en1).expect("port 1");
+
+    // Port 2: b | 8 is 8..15, past the depth half the time.
+    let eight = d.constant(8, w(4));
+    let addr2 = d.or(b, eight).expect("or");
+    let en2 = bit(&mut d, x, 2);
+    let data2 = d.binary(BinOp::Add, x, rq).expect("add");
+    d.mem_write(m, addr2, data2, en2).expect("port 2");
+
+    // Port 3: always enabled, at r[7:4], which also runs past the depth.
+    let one = d.constant(1, Width::BIT);
+    let addr3 = d.slice(rq, 7, 4).expect("slice");
+    let data3 = d.binary(BinOp::Xor, x, rq).expect("xor");
+    d.mem_write(m, addr3, data3, one).expect("port 3");
+
+    let qa = d.mem_read(m, a).expect("read a");
+    let qb = d.mem_read(m, b).expect("read b");
+    let mix = d.binary(BinOp::Add, qa, qb).expect("add");
+    let next = d.binary(BinOp::Xor, mix, x).expect("xor");
+    d.connect_reg(r, next, None).expect("connect");
+    d.output("qa", qa).expect("fresh");
+    d.output("qb", qb).expect("fresh");
+    (d, [a, en0, en1, addr1, addr2, en2])
+}
+
+#[test]
+fn colliding_write_ports_commit_natively_as_interpreted() {
+    if skip() {
+        return;
+    }
+    const RUN: u64 = 1200;
+    let (design, [a, en0, en1, addr1, addr2, en2]) = colliding_ports();
+    let mut interp = Simulator::new(&design).expect("valid");
+    let mut native = Simulator::new(&design).expect("valid");
+    compiler().attach(&mut native).expect("jit attach");
+    let mut naive = NaiveInterpreter::new(&design).expect("valid");
+    let (mut collisions, mut past_depth) = (0, 0);
+    for cycle in 0..RUN {
+        // Off the native engine for the middle third of the run.
+        if cycle == RUN / 3 {
+            native.detach_jit();
+        } else if cycle == 2 * RUN / 3 {
+            compiler().attach(&mut native).expect("jit re-attach");
+        }
+        for (i, p) in design.ports().iter().enumerate() {
+            let v = stim(41, i, cycle) & p.width().mask();
+            interp.poke(p.id(), v);
+            native.poke(p.id(), v);
+            naive.poke_by_name(p.name(), v).expect("port");
+        }
+        let both = interp.peek(en0) & interp.peek(en1) == 1;
+        collisions += u64::from(both && interp.peek(addr1) == interp.peek(a));
+        past_depth += u64::from(interp.peek(en2) == 1 && interp.peek(addr2) >= 12);
+        interp.step();
+        native.step();
+        naive.step();
+        assert_eq!(native.state(), interp.state(), "cycle {cycle}");
+    }
+    assert_eq!(native.active_engine_name(), "tape-jit");
+    assert_eq!(
+        interp.state(),
+        naive.state(),
+        "the tape walk against the reference"
+    );
+    assert!(
+        collisions > 50 && past_depth > 50,
+        "the run must collide ({collisions}) and write past the depth ({past_depth}) often"
+    );
 }
