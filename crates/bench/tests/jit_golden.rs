@@ -44,13 +44,23 @@ fn skip() -> bool {
     false
 }
 
-/// A scratch directory unique to this test binary invocation.
-fn scratch(tag: &str) -> std::path::PathBuf {
+/// A scratch directory unique to this test binary invocation, empty at
+/// first and removed on drop, so a run leaves nothing in the temp
+/// directory.
+struct Scratch(std::path::PathBuf);
+
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir()
         .join("strober-jit-golden")
         .join(format!("{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    Scratch(dir)
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Steps the design for [`CYCLES`] on the interpreted tape and with the
@@ -212,7 +222,8 @@ fn second_flow_for_the_same_fingerprint_skips_rustc() {
     // from the stored bytes (`store`) without ever invoking rustc — even
     // with the compiler's own file cache wiped.
     let design = build_core(&CoreConfig::rok_tiny());
-    let root = scratch("store");
+    let scratch = scratch("store");
+    let root = scratch.0.clone();
     let mut store = Store::open(&root).expect("store");
 
     let first = StroberFlow::new(&design, sampled_config(HubEngine::Jit)).expect("prepare");
@@ -246,4 +257,9 @@ fn second_flow_for_the_same_fingerprint_skips_rustc() {
     // And the restored engine actually runs the sampled flow.
     let outcome = second.run_sampled(&mut NoIo, 20_000).expect("sampled run");
     assert!(!outcome.snapshots.is_empty());
+
+    // The store and its dylib cache go with the scratch directory: a
+    // second run of this test adds no files.
+    drop((second, store, scratch));
+    assert!(!root.exists(), "{} outlived the test", root.display());
 }

@@ -411,6 +411,40 @@ impl HostModel for DramModel {
     fn is_done(&self) -> bool {
         self.tohost & 1 == 1
     }
+
+    /// A cycle is quiet when no response beat is due, the core puts no
+    /// request on the bus and logs no console byte, and `tohost` does not
+    /// say halt: then `tick` drives an idle response and changes only
+    /// `now`, `busy_cycles` and the `tohost`/`instret` mirrors. The
+    /// budget is the distance to the first beat of the read in flight,
+    /// 0 while its beats are being delivered, and unbounded with no read
+    /// in flight.
+    fn quiet_budget(&mut self, _cycle: u64, io: &mut OutputView<'_>) -> u64 {
+        let budget = match self.inflight {
+            None => u64::MAX,
+            Some(inf) => inf.ready_at.saturating_sub(self.now),
+        };
+        if budget == 0 {
+            return 0;
+        }
+        let p = *self.hub_ports.get_or_insert_with(|| HubPorts::resolve(io));
+        io.write(p.resp_valid, 0);
+        io.write(p.resp_tag, 0);
+        io.write(p.resp_rdata, 0);
+        // `tick` acts on a request or console byte when the valid reads
+        // 1, and `is_done` on bit 0 of `tohost`: bit 0 covers all three.
+        io.guard(p.req_valid, 1);
+        io.guard(p.console_valid, 1);
+        io.guard(p.tohost, 1);
+        budget
+    }
+
+    fn skip_quiet(&mut self, cycles: u64) {
+        self.now += cycles;
+        if self.inflight.is_some() {
+            self.counters.busy_cycles += cycles;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! | `naive`     | tree-walking interpreter                 | (reference)      |
 //! | `tape`      | compiled op-tape, optimizing compiler    | `naive`          |
 //! | `tape-jit`  | rustc-compiled native settle + register capture dylib | `naive` |
+//! | `tape-run`  | the guarded run loop (`Simulator::run_guarded`), interpreted and native, with a random guard and budgets | per-cycle `step` on the same engine |
 //! | `fame`      | FAME1 hub with `fire` held high          | `naive`          |
 //! | `naive-gate` | netlist evaluated gate by gate (`NaiveGateSim`) | `naive` |
 //! | `batch@L`   | L-lane bit-parallel gate-level sim       | `naive-gate`     |
@@ -30,7 +31,7 @@ use strober_gates::{CellKind, CellLibrary, Gate, Netlist};
 use strober_gatesim::{ActivityReport, BatchSim, NaiveGateSim};
 use strober_platform::{HostModel, OutputView, PlatformConfig, TargetInput, ZynqHost};
 use strober_power::PowerAnalyzer;
-use strober_sim::{NaiveInterpreter, Simulator};
+use strober_sim::{Guard, NaiveInterpreter, Simulator};
 use strober_synth::{synthesize, SynthOptions};
 
 /// A deliberately-introduced netlist bug, applied after synthesis to
@@ -417,6 +418,8 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
         jit_lane_skip_notice();
     }
 
+    check_run_loop(genome, &design, &ports, &outputs)?;
+
     // --- Oracle: FAME1 hub with fire held high, and the free-run hub
     // production sessions simulate, with fire and every readout control
     // tied off (stream A only). ---
@@ -636,6 +639,110 @@ fn compare_rtl(
                 run.state.mems != reference.state.mems
             ),
         });
+    }
+    Ok(())
+}
+
+/// `tape-run`: the guarded run loop against per-cycle stepping, on the
+/// interpreted tape and, with a `rustc`, on native code. A genome-seeded
+/// draw picks one output and mask as the guard; each segment drives fresh
+/// stimulus and runs a random budget (0 included). After every loop exit
+/// the cycles clocked, the state and every output must equal what
+/// stepping cycle by cycle, checking the guard before each step, left.
+fn check_run_loop(
+    genome: &Genome,
+    design: &strober_rtl::Design,
+    ports: &[(String, u64)],
+    outputs: &[String],
+) -> Result<(), Divergence> {
+    let oracle = "tape-run";
+    let err = |detail: String| Divergence::Error {
+        oracle: oracle.to_owned(),
+        detail,
+    };
+    let interp = Simulator::new(design).map_err(|e| err(e.to_string()))?;
+    let mut engines = vec![interp.clone()];
+    if strober_jit::rustc_version().is_some() {
+        let mut native = interp;
+        strober_jit::JitCompiler::in_temp()
+            .attach(&mut native)
+            .map_err(|e| err(e.to_string()))?;
+        engines.push(native);
+    }
+    let mut rng = StdRng::seed_from_u64(genome.stim_seed ^ 0x7A9E_5EED_0F4A_1100);
+    let Some(watched) = outputs.get(rng.gen_range(0..outputs.len().max(1))) else {
+        return Ok(());
+    };
+    let node = engines[0]
+        .resolve_output(watched)
+        .map_err(|e| err(e.to_string()))?;
+    let width = design.width(node).mask();
+    // Half the guards watch one bit, half a random set of them.
+    let mask = match rng.gen_range(0..2) {
+        0 => 1u64 << rng.gen_range(0..width.count_ones()),
+        _ => (rng.gen::<u64>() & width).max(1),
+    };
+    let budgets: Vec<u64> = (0..u64::from(genome.cycles))
+        .map(|_| rng.gen_range(0..=24))
+        .collect();
+    let stream = lane_stream(genome, 0);
+    for mut sim in engines {
+        let guard = [Guard::new(sim.output_slot(node).expect("an output"), mask)];
+        let mut reference = sim.clone();
+        let (mut cycle, mut segment) = (0u64, 0usize);
+        while cycle < u64::from(genome.cycles) {
+            for (i, (name, port_mask)) in ports.iter().enumerate() {
+                let value = stimulus(stream, i, segment as u64) & port_mask;
+                sim.poke_by_name(name, value)
+                    .and_then(|()| reference.poke_by_name(name, value))
+                    .map_err(|e| err(e.to_string()))?;
+            }
+            let budget = budgets[segment];
+            let ran = sim.run_guarded(&guard, budget);
+            let mut stepped = 0;
+            while stepped < budget && reference.peek(node) & mask == 0 {
+                reference.step();
+                stepped += 1;
+            }
+            let label = sim.active_engine_name();
+            if ran != stepped || sim.state() != reference.state() {
+                return Err(Divergence::State {
+                    oracle: oracle.to_owned(),
+                    reference: "step".to_owned(),
+                    detail: format!(
+                        "{label}, segment {segment} (budget {budget}, guard `{watched}` & {mask:#x}): \
+                         the loop clocked {ran} cycles to cycle {}, stepping {stepped} to cycle {}",
+                        sim.cycle(),
+                        reference.cycle()
+                    ),
+                });
+            }
+            for out in outputs {
+                let (got, expected) = match (sim.peek_output(out), reference.peek_output(out)) {
+                    (Ok(got), Ok(expected)) => (got, expected),
+                    (Err(e), _) | (_, Err(e)) => return Err(err(e.to_string())),
+                };
+                if got != expected {
+                    return Err(Divergence::Output {
+                        oracle: oracle.to_owned(),
+                        reference: "step".to_owned(),
+                        output: out.clone(),
+                        cycle: sim.cycle(),
+                        lane: 0,
+                        expected,
+                        got,
+                    });
+                }
+            }
+            // A guard that fired on the budget's first cycle clocked
+            // nothing: step over that cycle as the host would tick it.
+            if ran == 0 {
+                sim.step();
+                reference.step();
+            }
+            cycle = sim.cycle();
+            segment += 1;
+        }
     }
     Ok(())
 }

@@ -3,13 +3,13 @@
 //! The loader is raw `libdl` FFI — no external crates — and the loaded
 //! handle lives as long as the [`DylibEngine`], which the simulator holds
 //! behind an `Arc`. The handle is closed on drop, after every clone of
-//! the owning simulator has released it, so the settle and commit
-//! function pointers can never outlive their code.
+//! the owning simulator has released it, so the settle, commit and
+//! run function pointers can never outlive their code.
 
 use crate::JitError;
 use std::ffi::{c_char, c_int, c_void, CString};
 use std::path::{Path, PathBuf};
-use strober_sim::{MemSpan, NativeSettle};
+use strober_sim::{Guard, MemSpan, NativeSettle};
 
 #[link(name = "dl")]
 extern "C" {
@@ -27,6 +27,19 @@ const RTLD_NOW: c_int = 2;
 type SettleFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const MemSpan, *mut u64);
 /// `strober_jit_commit`: slab, memory spans.
 type CommitFn = unsafe extern "C" fn(*const u64, *const MemSpan);
+/// `strober_jit_run`: slab, inputs, registers, register next-state,
+/// memory spans, guard table and its length, budget; returns the cycles
+/// clocked. [`Guard`] has the layout of the generated `#[repr(C)] Guard`.
+type RunFn = unsafe extern "C" fn(
+    *mut u64,
+    *const u64,
+    *mut u64,
+    *mut u64,
+    *const MemSpan,
+    *const Guard,
+    usize,
+    u64,
+) -> u64;
 type SigFn = unsafe extern "C" fn() -> u64;
 
 /// The last `dlerror` as a string, or a placeholder when libdl reports
@@ -53,12 +66,13 @@ pub struct DylibEngine {
     handle: *mut c_void,
     settle: SettleFn,
     commit: CommitFn,
+    run: RunFn,
     sig: u64,
     path: PathBuf,
 }
 
-// Safety: the dylib's code section is immutable and the settle and commit
-// functions write only through the pointers passed per call; the raw
+// Safety: the dylib's code section is immutable and the settle, commit
+// and run functions write only through the pointers passed per call; the raw
 // handle is only used again on drop.
 unsafe impl Send for DylibEngine {}
 unsafe impl Sync for DylibEngine {}
@@ -102,16 +116,19 @@ impl DylibEngine {
         };
         let settle_sym = lookup("strober_jit_settle")?;
         let commit_sym = lookup("strober_jit_commit")?;
+        let run_sym = lookup("strober_jit_run")?;
         let sig_sym = lookup("strober_jit_sig")?;
         // Safety: transmuting a data pointer to a function pointer is
         // what dlsym requires on every Unix. `strober_jit_sig` is nullary
-        // in every codegen revision; `strober_jit_settle` and
-        // `strober_jit_commit` have `SettleFn`'s and `CommitFn`'s shapes
-        // in the revision whose signatures `Simulator::attach_jit`
-        // accepts (both headers are hashed into the signature, so a dylib
-        // from an older revision is refused before either runs).
+        // in every codegen revision; `strober_jit_settle`,
+        // `strober_jit_commit` and `strober_jit_run` have `SettleFn`'s,
+        // `CommitFn`'s and `RunFn`'s shapes in the revision whose
+        // signatures `Simulator::attach_jit` accepts (all three headers
+        // are hashed into the signature, so a dylib from an older
+        // revision is refused before any of them runs).
         let settle: SettleFn = unsafe { std::mem::transmute(settle_sym) };
         let commit: CommitFn = unsafe { std::mem::transmute(commit_sym) };
+        let run: RunFn = unsafe { std::mem::transmute(run_sym) };
         let sig_fn: SigFn = unsafe { std::mem::transmute(sig_sym) };
         // Safety: nullary pure function exported by the generated code.
         let sig = unsafe { sig_fn() };
@@ -119,6 +136,7 @@ impl DylibEngine {
             handle,
             settle,
             commit,
+            run,
             sig,
             path: path.to_path_buf(),
         })
@@ -191,6 +209,49 @@ impl NativeSettle for DylibEngine {
         // - the borrows last the whole call, and the code writes only
         //   memory words below each span's `len` and keeps no pointer.
         unsafe { (self.commit)(values.as_ptr(), mems.as_ptr()) }
+    }
+
+    unsafe fn run(
+        &self,
+        values: &mut [u64],
+        inputs: &[u64],
+        regs: &mut [u64],
+        reg_next: &mut [u64],
+        mems: &[MemSpan],
+        guards: &[Guard],
+        budget: u64,
+    ) -> u64 {
+        assert_eq!(
+            reg_next.len(),
+            regs.len(),
+            "register next-state and register file differ in length"
+        );
+        // SAFETY: the generated run loop's contract (its `# Safety`
+        // section in `strober-sim`'s codegen header), met clause by clause:
+        // - the settle's and the commit's clauses, as in `settle` and
+        //   `commit` above (`NativeSettle::run`'s contract): `values` is
+        //   the slab of this engine's tape, `inputs`, `regs`, `reg_next`
+        //   and `mems` have that design's shapes, and the spans are valid
+        //   for reads and writes of their buffers;
+        // - `regs` and `reg_next` have one length (asserted above) and,
+        //   being separate `&mut`s, overlap nothing, so the loop may
+        //   settle from either into the other;
+        // - `guards` is a live slice of `guards.len()` guards whose slots
+        //   lie below `values.len()` (the same contract);
+        // - the borrows last the whole call, nothing else accesses the
+        //   memories meanwhile, and the code keeps no pointer.
+        unsafe {
+            (self.run)(
+                values.as_mut_ptr(),
+                inputs.as_ptr(),
+                regs.as_mut_ptr(),
+                reg_next.as_mut_ptr(),
+                mems.as_ptr(),
+                guards.as_ptr(),
+                guards.len(),
+                budget,
+            )
+        }
     }
 
     fn signature(&self) -> u64 {

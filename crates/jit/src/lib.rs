@@ -664,12 +664,48 @@ mod tests {
         ctx.finish().unwrap()
     }
 
-    fn temp_compiler(tag: &str) -> JitCompiler {
-        JitCompiler::new(
-            std::env::temp_dir()
-                .join("strober-jit-test")
-                .join(format!("{tag}-{}", std::process::id())),
-        )
+    /// A compiler over a cache directory of its own, empty at first and
+    /// removed on drop: the cases that expect a cold compile get one, and
+    /// a test run leaves nothing behind in the temp directory.
+    struct ScratchCompiler(JitCompiler);
+
+    impl std::ops::Deref for ScratchCompiler {
+        type Target = JitCompiler;
+
+        fn deref(&self) -> &JitCompiler {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchCompiler {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.cache_dir());
+        }
+    }
+
+    fn temp_compiler(tag: &str) -> ScratchCompiler {
+        let dir = std::env::temp_dir()
+            .join("strober-jit-test")
+            .join(format!("{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchCompiler(JitCompiler::new(dir))
+    }
+
+    #[test]
+    fn a_scratch_cache_leaves_nothing_behind() {
+        let dir = {
+            let compiler = temp_compiler("leaves-nothing");
+            if rustc_version().is_some() {
+                let mut sim = Simulator::new(&counter_design()).unwrap();
+                compiler.attach(&mut sim).expect("attach");
+            } else {
+                std::fs::create_dir_all(compiler.cache_dir()).unwrap();
+                std::fs::write(compiler.cache_dir().join("entry"), b"").unwrap();
+            }
+            assert!(compiler.cache_dir().read_dir().unwrap().next().is_some());
+            compiler.cache_dir().to_path_buf()
+        };
+        assert!(!dir.exists(), "{} outlived its compiler", dir.display());
     }
 
     #[test]

@@ -3,11 +3,28 @@
 use std::collections::HashMap;
 use strober_fame::{FameResult, FameSnapshot, HubLayout, SnapshotController};
 use strober_rtl::{Design, NodeId, PortId};
-use strober_sim::{InputSlot, OutputSlot, SimError, Simulator};
+use strober_sim::{Guard, InputSlot, OutputSlot, SimError, Simulator};
 
 /// Host-side models of the target's environment (main memory, I/O
 /// devices), serviced once per target cycle — the software half of the
 /// paper's Zynq mapping.
+///
+/// # Quiet runs
+///
+/// Most cycles need nothing from the host: no request to serve, no
+/// response due, no byte to log. A model that can say so ahead of time
+/// implements [`quiet_budget`](HostModel::quiet_budget) and
+/// [`skip_quiet`](HostModel::skip_quiet), and [`ZynqHost`] then clocks
+/// such cycles in one native loop without ticking it. The contract is
+/// that skipping changes nothing a caller can see: for every `k` up to
+/// the budget, `k` cycles whose guards stayed quiet, accounted by
+/// `skip_quiet(k)`, leave the model exactly as `k` ticks with the quiet
+/// inputs would, apart from fields that only mirror target outputs and
+/// that the next tick rewrites; and `is_done` cannot become true on a
+/// quiet cycle. The host still ticks the last cycle of every
+/// [`run`](ZynqHost::run) and capture segment, so such mirrors read as a
+/// per-cycle run leaves them. Models that keep the defaults are ticked on
+/// every cycle.
 pub trait HostModel {
     /// Services one target cycle: read the target's outputs, update model
     /// state (e.g. the DRAM timing model), and drive the target's inputs
@@ -21,6 +38,29 @@ pub trait HostModel {
     /// Whether the workload has finished (stops [`ZynqHost::run`]).
     fn is_done(&self) -> bool {
         false
+    }
+
+    /// How many cycles from `cycle` on are quiet: cycles on which
+    /// [`tick`](HostModel::tick) would drive the same inputs every time
+    /// and change nothing but what [`skip_quiet`](HostModel::skip_quiet)
+    /// accounts, unless a guard fires. Before returning, the model drives
+    /// those quiet inputs through `io` and names its guards with
+    /// [`OutputView::guard`]: the outputs whose activity on a cycle needs
+    /// a tick. The host clocks at most that many cycles without ticking,
+    /// stopping before any cycle on which a guard fires, and ticks that
+    /// cycle as usual. `u64::MAX` means no scheduled action at all; the
+    /// default, 0, ticks every cycle (see the trait's "Quiet runs").
+    fn quiet_budget(&mut self, cycle: u64, io: &mut OutputView<'_>) -> u64 {
+        let _ = (cycle, io);
+        0
+    }
+
+    /// Accounts `cycles` quiet cycles the host clocked after a
+    /// [`quiet_budget`](HostModel::quiet_budget) without ticking: what
+    /// that many ticks would have changed in the model. The default does
+    /// nothing.
+    fn skip_quiet(&mut self, cycles: u64) {
+        let _ = cycles;
     }
 }
 
@@ -43,6 +83,7 @@ pub struct OutputView<'a> {
     sim: &'a mut Simulator,
     out_map: &'a HashMap<String, NodeId>,
     in_map: &'a HashMap<String, PortId>,
+    guards: &'a mut Vec<Guard>,
 }
 
 impl OutputView<'_> {
@@ -114,6 +155,15 @@ impl OutputView<'_> {
     #[inline]
     pub fn write(&mut self, port: TargetInput, value: u64) {
         self.sim.poke_slot(port.0, value);
+    }
+
+    /// Names a guard of the quiet run that a
+    /// [`HostModel::quiet_budget`] is preparing: the run stops before
+    /// clocking a cycle on which `port` has any bit of `mask` set, and
+    /// that cycle is ticked. Guards named in a `tick` are ignored.
+    #[inline]
+    pub fn guard(&mut self, port: TargetOutput, mask: u64) {
+        self.guards.push(Guard::new(port.0, mask));
     }
 }
 
@@ -275,6 +325,9 @@ pub struct ZynqHost {
     /// Whether `sim` runs the free-run hub ([`FameResult::free_run`]),
     /// whose scan and readout logic is tied off.
     free_run: bool,
+    /// The guards of the quiet run being prepared, kept so that naming
+    /// them allocates only once per host.
+    guards: Vec<Guard>,
     target_cycles: u64,
     hub_cycles: u64,
     records: u64,
@@ -423,6 +476,7 @@ impl ZynqHost {
             out_map,
             in_map,
             free_run,
+            guards: Vec::new(),
             target_cycles: 0,
             hub_cycles: 0,
             records: 0,
@@ -456,6 +510,7 @@ impl ZynqHost {
                 sim: &mut self.sim,
                 out_map: &self.out_map,
                 in_map: &self.in_map,
+                guards: &mut self.guards,
             };
             model.tick(self.target_cycles, &mut io);
         }
@@ -468,16 +523,68 @@ impl ZynqHost {
     /// Runs up to `max_cycles` target cycles, stopping early when the
     /// model reports completion. Returns the number of cycles run.
     ///
+    /// Cycles the model declares quiet ([`HostModel::quiet_budget`]) are
+    /// clocked in one loop without ticking it, natively when the hub has
+    /// a native engine; the last cycle is always ticked. Everything a
+    /// caller can observe afterwards — target state, model, statistics —
+    /// is what ticking every cycle leaves.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the hub does not match the metadata.
     pub fn run(&mut self, model: &mut dyn HostModel, max_cycles: u64) -> Result<u64, SimError> {
-        let mut ran = 0;
-        while ran < max_cycles && !model.is_done() {
+        self.advance(model, max_cycles, true)
+    }
+
+    /// Advances up to `cycles` target cycles, through quiet runs where
+    /// the model allows them, and ticks the last one. With `until_done`
+    /// it stops early once the model reports completion, as
+    /// [`run`](ZynqHost::run) does; a capture segment runs its full
+    /// length. Counts `strober.platform.quiet_runs` and `.quiet_cycles`.
+    fn advance(
+        &mut self,
+        model: &mut dyn HostModel,
+        cycles: u64,
+        until_done: bool,
+    ) -> Result<u64, SimError> {
+        let (mut ran, mut quiet_runs, mut quiet_cycles) = (0, 0, 0);
+        while ran < cycles && !(until_done && model.is_done()) {
+            // Leave the segment's last cycle to a tick, so that what the
+            // model mirrors of the target's outputs is read on it.
+            let cap = cycles - ran - 1;
+            if cap > 0 {
+                let budget = self.quiet_budget(model).min(cap);
+                let skipped = self.sim.run_guarded(&self.guards, budget);
+                if skipped > 0 {
+                    model.skip_quiet(skipped);
+                    self.hub_cycles += skipped;
+                    self.target_cycles += skipped;
+                    ran += skipped;
+                    quiet_runs += 1;
+                    quiet_cycles += skipped;
+                }
+            }
             self.step_target(model)?;
             ran += 1;
         }
+        if quiet_runs > 0 {
+            strober_probe::counter_add("strober.platform.quiet_runs", quiet_runs);
+            strober_probe::counter_add("strober.platform.quiet_cycles", quiet_cycles);
+        }
         Ok(ran)
+    }
+
+    /// Asks the model for its quiet budget from the current cycle,
+    /// collecting the guards it names into `self.guards`.
+    fn quiet_budget(&mut self, model: &mut dyn HostModel) -> u64 {
+        self.guards.clear();
+        let mut io = OutputView {
+            sim: &mut self.sim,
+            out_map: &self.out_map,
+            in_map: &self.in_map,
+            guards: &mut self.guards,
+        };
+        model.quiet_budget(self.target_cycles, &mut io)
     }
 
     /// Captures a complete replayable snapshot: runs the `warmup` prefix
@@ -503,13 +610,9 @@ impl ZynqHost {
         let _span = strober_probe::span("strober.platform.capture_snapshot");
         let scan_before = self.ctl.overhead_cycles();
         let warmup = self.trace_window() - self.replay_length();
-        for _ in 0..warmup {
-            self.step_target(model)?;
-        }
+        self.advance(model, warmup, false)?;
         let pending = self.ctl.read_state(&self.sim, &self.layout);
-        for _ in 0..self.replay_length() {
-            self.step_target(model)?;
-        }
+        self.advance(model, self.replay_length(), false)?;
         let snap = self.ctl.read_traces(&self.sim, &self.layout, pending);
         self.count_record(scan_before);
         Ok(snap)
@@ -813,6 +916,19 @@ mod tests {
 
         unsafe fn commit(&self, _: &[u64], _: &[strober_sim::MemSpan]) {}
 
+        unsafe fn run(
+            &self,
+            _: &mut [u64],
+            _: &[u64],
+            _: &mut [u64],
+            _: &mut [u64],
+            _: &[strober_sim::MemSpan],
+            _: &[Guard],
+            _: u64,
+        ) -> u64 {
+            0
+        }
+
         fn signature(&self) -> u64 {
             self.0
         }
@@ -925,5 +1041,213 @@ mod tests {
         host.capture_snapshot(&mut model).unwrap();
         let after = host.stats().modeled_seconds;
         assert!(after > before + 1.0, "record latency must dominate");
+    }
+
+    /// A cycle counter `count` and an accumulator `sum` of input `x`.
+    fn counted() -> FameResult {
+        let ctx = Ctx::new("counted");
+        let w16 = Width::new(16).unwrap();
+        let x = ctx.input("x", Width::new(8).unwrap());
+        let cnt = ctx.reg("cnt", w16, 0);
+        cnt.set(&cnt.out().add_lit(1));
+        let acc = ctx.reg("acc", w16, 0);
+        acc.set(&(&acc.out() + &x.zext(w16)));
+        ctx.output("count", &cnt.out());
+        ctx.output("sum", &acc.out());
+        transform(
+            &ctx.finish().unwrap(),
+            &FameConfig {
+                replay_length: 8,
+                warmup: 2,
+            },
+        )
+        .unwrap()
+    }
+
+    /// Drives `x` on scheduled cycles and logs every cycle on which
+    /// `count` has a bit of `mask` set. Its quiet budget runs to the next
+    /// scheduled cycle, guarded by `count & mask`; with `quiet` off it keeps
+    /// the trait's defaults and is ticked every cycle.
+    #[derive(Debug, Default)]
+    struct Scheduled {
+        events: Vec<u64>,
+        mask: u64,
+        quiet: bool,
+        now: u64,
+        /// `(cycle, count, sum)` on every cycle that needed a tick.
+        log: Vec<(u64, u64, u64)>,
+        /// `sum` as the last tick read it.
+        acc: u64,
+        /// `(cycle, budget)` of every nonzero budget asked for.
+        asked: Vec<(u64, u64)>,
+        /// `(cycle, cycles)` of every quiet run.
+        skipped: Vec<(u64, u64)>,
+        /// Every cycle ticked.
+        ticked: Vec<u64>,
+        ports: Option<(TargetInput, TargetOutput, TargetOutput)>,
+    }
+
+    impl Scheduled {
+        fn new(events: &[u64], mask: u64, quiet: bool) -> Self {
+            Scheduled {
+                events: events.to_vec(),
+                mask,
+                quiet,
+                ..Scheduled::default()
+            }
+        }
+
+        fn ports(&mut self, io: &OutputView<'_>) -> (TargetInput, TargetOutput, TargetOutput) {
+            *self
+                .ports
+                .get_or_insert_with(|| (io.input("x"), io.output("count"), io.output("sum")))
+        }
+
+        /// What a caller can observe: the quiet machinery's own records
+        /// left out.
+        fn observed(&self) -> (u64, &[(u64, u64, u64)], u64) {
+            (self.now, &self.log, self.acc)
+        }
+    }
+
+    impl HostModel for Scheduled {
+        fn tick(&mut self, cycle: u64, io: &mut OutputView<'_>) {
+            assert_eq!(cycle, self.now, "skipped cycles were accounted");
+            let (x, cnt, acc) = self.ports(io);
+            let count = io.read(cnt);
+            self.acc = io.read(acc);
+            let event = self.events.contains(&cycle);
+            io.write(x, if event { (cycle & 0x7f) + 1 } else { 0 });
+            if event || count & self.mask != 0 {
+                self.log.push((cycle, count, self.acc));
+            }
+            self.ticked.push(cycle);
+            self.now += 1;
+        }
+
+        fn quiet_budget(&mut self, cycle: u64, io: &mut OutputView<'_>) -> u64 {
+            assert_eq!(cycle, self.now, "skipped cycles were accounted");
+            let budget = match self.events.iter().find(|&&e| e >= cycle) {
+                Some(e) => e - cycle,
+                None => u64::MAX,
+            };
+            if !self.quiet || budget == 0 {
+                return 0;
+            }
+            let (x, cnt, _) = self.ports(io);
+            io.write(x, 0);
+            io.guard(cnt, self.mask);
+            self.asked.push((cycle, budget));
+            budget
+        }
+
+        fn skip_quiet(&mut self, cycles: u64) {
+            self.skipped.push((self.now, cycles));
+            self.now += cycles;
+        }
+    }
+
+    /// Runs `segments` (`Some(n)` a `run` of `n` cycles, `None` a
+    /// capture) on a fresh host of `fame` under `engine`.
+    fn drive(
+        fame: &FameResult,
+        engine: HubEngine,
+        model: &mut Scheduled,
+        segments: &[Option<u64>],
+    ) -> (
+        Vec<u64>,
+        Vec<FameSnapshot>,
+        PlatformStats,
+        strober_sim::SimState,
+    ) {
+        let cfg = PlatformConfig {
+            hub_engine: engine,
+            ..PlatformConfig::default()
+        };
+        let mut host = ZynqHost::new(fame, cfg).unwrap();
+        let native = engine == HubEngine::Jit && strober_jit::rustc_version().is_some();
+        assert_eq!(host.engine_name(), if native { "tape-jit" } else { "tape" });
+        let (mut ran, mut snaps) = (Vec::new(), Vec::new());
+        for segment in segments {
+            match segment {
+                Some(n) => ran.push(host.run(model, *n).unwrap()),
+                None => snaps.push(host.capture_snapshot(model).unwrap()),
+            }
+        }
+        (ran, snaps, host.stats(), host.sim.state())
+    }
+
+    #[test]
+    fn quiet_runs_leave_what_ticking_every_cycle_leaves() {
+        let fame = counted();
+        // `count` counts target cycles, so mask 0x10 guards cycles 16..32,
+        // 48..64, ...; the events at 3 and 5 give a budget of 1 at cycle
+        // 4, and the one at 49 a budget from 41 whose last cycle, 48, is
+        // the first guarded one.
+        let events = [3, 5, 20, 40, 49, 100, 170, 171, 260];
+        let segments = [
+            Some(150),
+            None,
+            Some(37),
+            None,
+            Some(1),
+            Some(2),
+            None,
+            Some(300),
+        ];
+        let mut covered = [false; 4];
+        for engine in [HubEngine::Interp, HubEngine::Jit] {
+            let mut quiet = Scheduled::new(&events, 0x10, true);
+            let mut ticked = Scheduled::new(&events, 0x10, false);
+            let a = drive(&fame, engine, &mut quiet, &segments);
+            let b = drive(&fame, engine, &mut ticked, &segments);
+            assert_eq!(a, b, "{engine}");
+            assert_eq!(quiet.observed(), ticked.observed(), "{engine}");
+            assert!(ticked.skipped.is_empty() && ticked.asked.is_empty());
+
+            let guarded = |c: u64| c & 0x10 != 0;
+            for &(c, budget) in &quiet.asked {
+                match quiet.skipped.iter().find(|&&(at, _)| at == c) {
+                    // Asked for a budget, clocked nothing: the guard
+                    // fired on the budget's first cycle.
+                    None => {
+                        assert!(guarded(c), "cycle {c}");
+                        covered[0] = true;
+                    }
+                    Some(&(_, k)) => {
+                        let next = c + k;
+                        assert!(quiet.ticked.contains(&next), "cycle {next} ticked");
+                        // The guard fired on the budget's last cycle.
+                        covered[1] |= k + 1 == budget && guarded(next);
+                        covered[2] |= budget == 1 && k == 1;
+                        // The segment ended mid-quiet-run: neither a guard
+                        // nor the schedule stopped the run.
+                        covered[3] |= k < budget && !guarded(next) && !events.contains(&next);
+                    }
+                }
+            }
+            assert_eq!(
+                quiet.ticked.len() as u64 + quiet.skipped.iter().map(|s| s.1).sum::<u64>(),
+                b.2.target_cycles,
+                "{engine}: every cycle was ticked or skipped once"
+            );
+        }
+        assert_eq!(
+            covered, [true; 4],
+            "first-cycle guard, last-cycle guard, budget 1, segment end mid-run"
+        );
+    }
+
+    #[test]
+    fn a_model_without_a_budget_is_ticked_every_cycle() {
+        let mut host = ZynqHost::new(&fame(), PlatformConfig::default()).unwrap();
+        let mut model = Echo {
+            last: 0,
+            limit: u64::MAX,
+        };
+        assert_eq!(host.run(&mut model, 50).unwrap(), 50);
+        host.capture_snapshot(&mut model).unwrap();
+        // acc = 0 + 1 + ... + 57: every cycle drove its own `x`.
+        assert_eq!(host.peek_output("value").unwrap(), 57 * 58 / 2);
     }
 }

@@ -15,8 +15,10 @@
 //! * [`MmioMap`] — the address map a platform-mapping pass assigns to
 //!   control signals, scan-chain outputs and trace buffers.
 //! * [`ZynqHost`] — the driver loop: it services target I/O through a
-//!   [`HostModel`] every cycle, fires the FAME1 hub, triggers snapshot
-//!   captures, and maintains the *modelled* wall-clock cost (raw fabric
+//!   [`HostModel`] on every cycle that needs the host, clocks the quiet
+//!   ones between in one loop (native code on the native engine), fires
+//!   the FAME1 hub, triggers snapshot captures, and maintains the
+//!   *modelled* wall-clock cost (raw fabric
 //!   cycles, host-sync stalls, per-record readout latency) alongside real
 //!   host-machine time. A production host simulates the free-run hub
 //!   ([`strober_fame::FameResult::free_run`]): it captures by reading

@@ -16,12 +16,16 @@
 //! slots the optimizer removed. A second function, the memory commit of
 //! the clock edge, follows: one statement per memory write port, in the
 //! interpreter's order, reading the write-port slots the settle stored.
+//! A third, the same text for every design, runs whole cycles: it calls
+//! the settle, checks the run-time guard table, calls the commit and
+//! swaps the register files, until a guard fires or its budget is spent.
 //! `strober-jit` compiles the emitted source with
 //! `rustc --crate-type cdylib` and `dlopen`s the result; the exported
-//! `strober_jit_settle` and `strober_jit_commit` symbols have the exact
-//! signatures of [`crate::NativeSettle::settle`] and
-//! [`crate::NativeSettle::commit`] flattened to C ABI (memories are
-//! passed as `(ptr, len)` span pairs).
+//! `strober_jit_settle`, `strober_jit_commit` and `strober_jit_run`
+//! symbols have the exact signatures of [`crate::NativeSettle::settle`],
+//! [`crate::NativeSettle::commit`] and [`crate::NativeSettle::run`]
+//! flattened to C ABI (memories are passed as `(ptr, len)` span pairs,
+//! guards as a `(ptr, count)` table).
 //!
 //! Bit-identity with the interpreted tape is achieved by construction:
 //! every emitted expression is a literal transcription of the matching
@@ -34,12 +38,12 @@
 //! The emitted crate is `#![no_std]` (the body needs nothing but `core`
 //! integer ops, and a dylib that links std is 4.3 MB instead of ~15 KB).
 //! It also exports `strober_jit_sig() -> u64`, an FNV-1a hash of the crate
-//! header, settle and commit bodies, slab length and register count. The
-//! simulator checks that hash against the source it would generate for
-//! its own tape before attaching a native engine, so a stale dylib
-//! (different design, different optimizer or codegen revision, or an
-//! entry point from before the commit was native) is rejected instead of
-//! silently producing wrong bits.
+//! header, settle and commit bodies, run loop, slab length and register
+//! count. The simulator checks that hash against the source it would
+//! generate for its own tape before attaching a native engine, so a stale
+//! dylib (different design, different optimizer or codegen revision, or
+//! an entry point from before the commit or the run loop was native) is
+//! rejected instead of silently producing wrong bits.
 
 use crate::tape::{RegPlan, TapeOp, WritePlan};
 use std::fmt::Write;
@@ -49,11 +53,12 @@ use strober_rtl::{BinOp, UnOp, Width};
 #[derive(Debug, Clone)]
 pub struct JitSource {
     /// Complete Rust source for a `cdylib` crate exporting
-    /// `strober_jit_settle`, `strober_jit_commit` and `strober_jit_sig`.
-    pub source: String,
-    /// FNV-1a hash of the crate header, settle and commit bodies, slab
-    /// length and register count, also returned by the compiled dylib's
+    /// `strober_jit_settle`, `strober_jit_commit`, `strober_jit_run` and
     /// `strober_jit_sig`.
+    pub source: String,
+    /// FNV-1a hash of the crate header, settle and commit bodies, run
+    /// loop, slab length and register count, also returned by the
+    /// compiled dylib's `strober_jit_sig`.
     pub sig: u64,
 }
 
@@ -251,6 +256,21 @@ pub unsafe extern \"C\" fn strober_jit_settle(
     mems: *const MemSpan,
     rn: *mut u64,
 ) {
+    settle(v, inp, regs, mems, rn)
+}
+
+/// The body of `strober_jit_settle`, under its contract. Private, so that
+/// `strober_jit_run` calls it directly rather than through the symbol
+/// table, and out of line, so that it calls it rather than inlining a
+/// second copy.
+#[inline(never)]
+unsafe fn settle(
+    v: *mut u64,
+    inp: *const u64,
+    regs: *const u64,
+    mems: *const MemSpan,
+    rn: *mut u64,
+) {
 ";
 
 /// The memory commit that follows the settle body. It runs at the clock
@@ -275,6 +295,73 @@ const COMMIT_HEADER: &str = "\
 ///   after the return.
 #[no_mangle]
 pub unsafe extern \"C\" fn strober_jit_commit(v: *const u64, mems: *const MemSpan) {
+    commit(v, mems)
+}
+
+/// The body of `strober_jit_commit`, under its contract; private, so that
+/// `strober_jit_run` calls it directly.
+unsafe fn commit(v: *const u64, mems: *const MemSpan) {
+";
+
+/// The run loop that follows the commit body: whole cycles with the
+/// inputs held, until a guard fires or the budget is spent. It is the same
+/// text for every design; the guards arrive at run time, so one dylib
+/// serves every host model.
+const RUN: &str = "\
+}
+
+/// One run guard: the run stops before clocking a cycle in which slab
+/// slot `slot` has any bit of `mask` set.
+#[repr(C)]
+pub struct Guard {
+    pub slot: u64,
+    pub mask: u64,
+}
+
+/// Clocks up to `budget` cycles with the inputs held, and returns how
+/// many it clocked. Each cycle settles, stops if a guard fires, commits
+/// the memory writes and swaps the register files: cycle `k` settles from
+/// `regs` on even `k` and from `rn` on odd `k`, so after an odd count the
+/// current registers are in `rn`.
+///
+/// # Safety
+///
+/// `strober_jit_settle`'s and `strober_jit_commit`'s contracts, for the
+/// whole call, with `regs` and `rn` each valid for reads and writes of one
+/// word per register, plus:
+/// - `guards` is valid for reads of `n_guards` guards, and every guard's
+///   `slot` lies below the slab length hashed into `strober_jit_sig`: the
+///   code reads `v` at that slot unchecked, after the settle stored it.
+/// - Nothing else reads or writes any of these while the call runs, and no
+///   pointer is kept after the return.
+#[no_mangle]
+pub unsafe extern \"C\" fn strober_jit_run(
+    v: *mut u64,
+    inp: *const u64,
+    regs: *mut u64,
+    rn: *mut u64,
+    mems: *const MemSpan,
+    guards: *const Guard,
+    n_guards: usize,
+    budget: u64,
+) -> u64 {
+    let (mut cur, mut nxt) = (regs, rn);
+    let mut ran = 0;
+    while ran < budget {
+        settle(v, inp, cur, mems, nxt);
+        let mut g = 0;
+        while g < n_guards {
+            let guard = &*guards.add(g);
+            if v.add(guard.slot as usize).read() & guard.mask != 0 {
+                return ran;
+            }
+            g += 1;
+        }
+        commit(v, mems);
+        core::mem::swap(&mut cur, &mut nxt);
+        ran += 1;
+    }
+    ran
 ";
 
 /// Lowers a tape to the source of a `cdylib` crate exporting the native
@@ -382,14 +469,16 @@ pub(crate) fn emit(
 
     source.push_str(COMMIT_HEADER);
     emit_commit(&mut source, write_plans, consts, stored);
+    source.push_str(RUN);
 
     // The hash covers the crate header, the settle and commit bodies, the
-    // slab length and the register count: a codegen revision that
-    // changes only the header (as the move to `#![no_std]`, the `rn`
-    // argument and the writable spans did) still retires every dylib
-    // built before it, and two tapes that happen to emit the same ops
-    // over different slab or register-file sizes (never expected, but
-    // cheap to defend against) still get distinct ids.
+    // run loop, the slab length and the register count: a codegen
+    // revision that changes only the header or the run loop (as the move
+    // to `#![no_std]`, the `rn` argument, the writable spans and the run
+    // loop did) still retires every dylib built before it, and two tapes
+    // that happen to emit the same ops over different slab or
+    // register-file sizes (never expected, but cheap to defend against)
+    // still get distinct ids.
     let n_regs = reg_plans.len();
     let sig = fnv1a(
         source
@@ -493,12 +582,47 @@ mod tests {
     /// The settle and the commit function of a generated source.
     fn bodies(src: &str) -> (&str, &str) {
         let at = |f: &str| src.find(f).unwrap_or_else(|| panic!("{f} missing: {src}"));
-        let (settle, commit, sig) = (
+        let (settle, commit, run) = (
             at("fn strober_jit_settle("),
             at("fn strober_jit_commit("),
-            at("fn strober_jit_sig("),
+            at("fn strober_jit_run("),
         );
-        (&src[settle..commit], &src[commit..sig])
+        (&src[settle..commit], &src[commit..run])
+    }
+
+    #[test]
+    fn the_run_loop_calls_settle_and_commit_and_reads_only_guard_slots() {
+        let tape = vec![TapeOp::Input { dst: 1, port: 0 }];
+        let src = emit(&tape, &[0], 2, &[false, true], &[], &[]).source;
+        let at = |f: &str| src.find(f).unwrap_or_else(|| panic!("{f} missing: {src}"));
+        let run = &src[at("fn strober_jit_run(")..at("fn strober_jit_sig(")];
+        // One call each, to the private bodies the exported entry points
+        // wrap, not an inlined copy of the settle.
+        assert_eq!(run.matches("settle(v, inp, cur, mems, nxt);").count(), 1);
+        assert_eq!(run.matches("commit(v, mems);").count(), 1);
+        assert!(!run.contains("let t1 ="), "{run}");
+        assert!(
+            src.contains("    settle(v, inp, regs, mems, rn)\n}"),
+            "{src}"
+        );
+        assert!(src.contains("    commit(v, mems)\n}"), "{src}");
+        assert!(src.contains("#[inline(never)]\nunsafe fn settle("), "{src}");
+        // The loop's one slab access is the guard read, after the settle
+        // and before the commit; guards are not baked in.
+        assert_eq!(run.matches("v.add(").count(), 1, "{run}");
+        let (settled, read, commit) = (
+            run.find("settle(").unwrap(),
+            run.find("v.add(guard.slot as usize).read()").unwrap(),
+            run.find("commit(").unwrap(),
+        );
+        assert!(settled < read && read < commit, "{run}");
+        // Every design gets the same loop text.
+        let other = emit(&[], &[5, 6], 2, &[false; 2], &[], &[]).source;
+        let run_of = |s: &str| {
+            s[s.find("fn strober_jit_run(").unwrap()..s.find("fn strober_jit_sig(").unwrap()]
+                .to_owned()
+        };
+        assert_eq!(run_of(&other), run.to_owned());
     }
 
     /// Every `*v.add(k)` in `settle` is the target of a store of `t<k>`.

@@ -15,6 +15,7 @@
 //! [`NaiveInterpreter`]: crate::NaiveInterpreter
 
 use crate::state::SimState;
+use crate::tape::OutputSlot;
 use strober_rtl::{NodeId, PortId};
 
 /// The cycle-accurate simulation contract every engine implements.
@@ -91,6 +92,39 @@ impl MemSpan {
     }
 }
 
+/// One condition a [`Simulator::run_guarded`] watches: the run stops
+/// before clocking a cycle whose settled output has any bit of `mask`
+/// set. Laid out as the generated crate's `#[repr(C)] Guard`, so native
+/// code reads a guard table in place.
+///
+/// [`Simulator::run_guarded`]: crate::Simulator::run_guarded
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Guard {
+    slot: u64,
+    mask: u64,
+}
+
+impl Guard {
+    /// Watches `mask`'s bits of the output at `output`.
+    pub fn new(output: OutputSlot, mask: u64) -> Self {
+        Guard {
+            slot: u64::from(output.index()),
+            mask,
+        }
+    }
+
+    /// The slab slot the guard reads.
+    pub(crate) fn slot(&self) -> u64 {
+        self.slot
+    }
+
+    /// Whether the guard fires on a settled slab.
+    pub(crate) fn fires(&self, values: &[u64]) -> bool {
+        values[self.slot as usize] & self.mask != 0
+    }
+}
+
 /// A native (JIT-compiled) replacement for the tape settle loop and the
 /// clock edge's register capture and memory commit.
 ///
@@ -104,7 +138,9 @@ impl MemSpan {
 /// `values` is the dense slot slab, `inputs` the per-port input latches,
 /// `regs` the current register file and `mems` one span per design
 /// memory. The callee must not retain pointers past a call. The register
-/// swap and the cycle count stay on the simulator's shared path.
+/// swap and the cycle count stay on the simulator's shared path, except
+/// inside [`run`](NativeSettle::run), which loops over whole cycles and
+/// swaps the register files itself.
 ///
 /// Bit-identity with the interpreted tape is non-negotiable and is
 /// enforced at attach time by [`NativeSettle::signature`]: the simulator
@@ -151,6 +187,40 @@ pub trait NativeSettle: Send + Sync + std::fmt::Debug {
     /// accesses during the call. The code writes only below each span's
     /// `len`. `Simulator::clock_edge` meets this right after its settle.
     unsafe fn commit(&self, values: &[u64], mems: &[MemSpan]);
+
+    /// Runs whole cycles with the inputs held: settle, then the guard
+    /// check, then the memory commit and the register swap, until a
+    /// guard fires or `budget` cycles have been clocked. Returns how many
+    /// were clocked. Cycle `k` settles from the register file the swap
+    /// left current, `regs` on even `k` and `reg_next` on odd `k`, and
+    /// captures into the other, so after an odd count the current
+    /// registers are in `reg_next`. A guard stop leaves `values` and the
+    /// other file settled for the unclocked cycle; a budget stop leaves
+    /// them from the last clocked one.
+    ///
+    /// # Safety
+    ///
+    /// [`settle`](NativeSettle::settle)'s and
+    /// [`commit`](NativeSettle::commit)'s contracts together, for the
+    /// whole call: `values` the slab of the tape this engine was
+    /// generated from, `inputs` one latch per port, `regs` and `reg_next`
+    /// one word per register each, and `mems` one span per memory, each
+    /// valid for reads and writes of `len` words that nothing else
+    /// accesses during the call. Every guard's slot must lie below
+    /// `values.len()`: the code reads it unchecked. `Simulator::run_guarded`
+    /// checks that, and passes its own arrays to an engine whose
+    /// signature it checked at attach.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn run(
+        &self,
+        values: &mut [u64],
+        inputs: &[u64],
+        regs: &mut [u64],
+        reg_next: &mut [u64],
+        mems: &[MemSpan],
+        guards: &[Guard],
+        budget: u64,
+    ) -> u64;
 
     /// The FNV-1a hash of the generated source this engine was compiled
     /// from, used to verify design/tape identity at attach time.

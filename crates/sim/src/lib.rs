@@ -21,9 +21,10 @@
 //!   capture and memory commit with native code compiled from the tape
 //!   by `strober-jit`: [`Simulator::jit_source`] lowers the tape to one
 //!   straight-line Rust function (constants, masks and slot indices baked
-//!   in, no per-op dispatch) plus a commit function, and any
-//!   [`NativeSettle`] whose signature matches can be plugged in. See
-//!   DESIGN.md §16.
+//!   in, no per-op dispatch) plus a commit function and a loop over
+//!   whole cycles that stops on run-time [`Guard`]s
+//!   ([`Simulator::run_guarded`]), and any [`NativeSettle`] whose
+//!   signature matches can be plugged in. See DESIGN.md §16.
 //! * [`NaiveInterpreter`] — a deliberately simple tree-walking reference
 //!   engine, used for differential testing and as the slow baseline in the
 //!   ablation benchmarks.
@@ -76,7 +77,7 @@ mod state;
 mod tape;
 
 pub use codegen::JitSource;
-pub use engine::{Engine, MemSpan, NativeSettle};
+pub use engine::{Engine, Guard, MemSpan, NativeSettle};
 pub use error::SimError;
 pub use interp::NaiveInterpreter;
 pub use opt::{PassStats, TapeOptions};

@@ -21,10 +21,12 @@
 //! which writes the register next-values itself, and `clock_edge` calls
 //! the native memory commit in place of both walks. Both paths are
 //! bit-identical by construction; the register swap and the cycle count
-//! stay shared.
+//! stay shared. [`Simulator::run_guarded`] clocks many such cycles in one
+//! call, until a guard output fires, and on the native engine the whole
+//! loop, swap included, runs in generated code.
 
 use crate::codegen::JitSource;
-use crate::engine::{Engine, MemSpan, NativeSettle};
+use crate::engine::{Engine, Guard, MemSpan, NativeSettle};
 use crate::error::SimError;
 use crate::opt::{PassStats, TapeOptions};
 use crate::state::SimState;
@@ -196,6 +198,13 @@ pub(crate) struct WritePlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutputSlot(u32);
 
+impl OutputSlot {
+    /// The slab slot.
+    pub(crate) fn index(self) -> u32 {
+        self.0
+    }
+}
+
 /// A target input port with its width mask, for per-cycle pokes that cost
 /// one store. Get one from [`input_slot`](Simulator::input_slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,8 +375,14 @@ impl Simulator {
     /// Sets a top-level input by port id index.
     #[inline]
     pub(crate) fn poke_raw(&mut self, port: u32, value: u64) {
-        self.inputs[port as usize] = value;
-        self.dirty = true;
+        // An unchanged input leaves the settled slab valid: a host model
+        // that drives the same idle value cycle after cycle costs no
+        // settle of its own.
+        let input = &mut self.inputs[port as usize];
+        if *input != value {
+            *input = value;
+            self.dirty = true;
+        }
     }
 
     /// Sets a top-level input by [`strober_rtl::PortId`], masking the value
@@ -661,6 +676,69 @@ impl Simulator {
         std::mem::swap(&mut self.regs, &mut self.reg_next);
         self.cycle += 1;
         self.dirty = true;
+    }
+
+    /// Clocks up to `budget` cycles with the inputs held, stopping before
+    /// clocking a cycle in which any guard fires, and returns how many
+    /// cycles were clocked: `budget` unless a guard stopped the run.
+    /// Each clocked cycle is a [`step`](Simulator::step), so the state
+    /// after `n` clocked cycles is what `n` steps leave; after a guard
+    /// stop the simulator is settled for the unclocked cycle, ready for
+    /// the host to read its outputs and drive new inputs.
+    ///
+    /// With a native engine attached the whole loop runs in generated
+    /// code ([`NativeSettle::run`]), which swaps the register files
+    /// itself; this method reconciles them after an odd count. The
+    /// interpreted loop below is the reference it is held to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a guard came from a simulator with a larger slab.
+    pub fn run_guarded(&mut self, guards: &[Guard], budget: u64) -> u64 {
+        assert!(
+            guards.iter().all(|g| g.slot() < self.values.len() as u64),
+            "guard slot out of range for this simulator's slab"
+        );
+        if budget == 0 {
+            return 0;
+        }
+        let Some(jit) = &self.jit else {
+            let mut ran = 0;
+            while ran < budget {
+                self.settle();
+                if guards.iter().any(|g| g.fires(&self.values)) {
+                    break;
+                }
+                self.clock_edge();
+                ran += 1;
+            }
+            return ran;
+        };
+        // SAFETY: `attach_jit` accepted this engine because its signature
+        // is the hash of this tape's generated source, these are this
+        // simulator's own slab, port latches, register files and memory
+        // spans (rebuilt after every `&mut` access to a memory), every
+        // guard slot was checked against the slab above, and `&mut self`
+        // keeps every other access out for the call.
+        let ran = unsafe {
+            jit.run(
+                &mut self.values,
+                &self.inputs,
+                &mut self.regs,
+                &mut self.reg_next,
+                self.mem_spans.of(&mut self.mems),
+                guards,
+                budget,
+            )
+        };
+        if ran % 2 == 1 {
+            std::mem::swap(&mut self.regs, &mut self.reg_next);
+        }
+        self.cycle += ran;
+        // A guard stop settled the unclocked cycle; a budget stop's last
+        // settle belongs to the cycle it clocked.
+        self.dirty = ran == budget;
+        ran
     }
 
     /// Advances `n` cycles.

@@ -14,7 +14,9 @@
 //! The memory commit at the edge is native too; random designs have one
 //! write port per memory, so a hand-built memory holds it to the
 //! interpreted commit where ports collide, write past the depth and are
-//! tied enabled, across a detach and a re-attach.
+//! tied enabled, across a detach and a re-attach. The native run loop,
+//! which clocks whole cycles between host events in generated code, is
+//! held to the interpreted loop on random designs, guards and budgets.
 //!
 //! Every case skips (with a printed reason) when no `rustc` is on
 //! `PATH` — the same condition under which the production fallback
@@ -23,7 +25,7 @@
 use strober_jit::{rustc_version, JitCompiler};
 use strober_rtl::{BinOp, Design, Width};
 use strober_sim::rand_design::{rand_design, RandDesignConfig};
-use strober_sim::{NaiveInterpreter, Simulator};
+use strober_sim::{Guard, NaiveInterpreter, Simulator};
 
 const SEEDS: u64 = 10;
 const CYCLES: u64 = 32;
@@ -497,4 +499,58 @@ fn colliding_write_ports_commit_natively_as_interpreted() {
         collisions > 50 && past_depth > 50,
         "the run must collide ({collisions}) and write past the depth ({past_depth}) often"
     );
+}
+
+#[test]
+fn the_native_run_loop_matches_the_interpreted_loop() {
+    if skip() {
+        return;
+    }
+    // Budgets cover 0, 1, even and odd counts (an odd count leaves the
+    // native loop's current registers in the other file) and runs long
+    // enough to cross several guard stops.
+    const BUDGETS: [u64; 8] = [0, 1, 2, 3, 7, 16, 31, 1];
+    for seed in 0..SEEDS {
+        let design = rand_design(6000 + seed, &RandDesignConfig::default());
+        let ports: Vec<(String, u64)> = design
+            .ports()
+            .iter()
+            .map(|p| (p.name().to_owned(), p.width().mask()))
+            .collect();
+        let outputs: Vec<String> = design.outputs().iter().map(|(n, _)| n.clone()).collect();
+        let interp = Simulator::new(&design).expect("valid design");
+        let mut native = interp.clone();
+        compiler().attach(&mut native).expect("jit attach");
+        for (k, out) in outputs.iter().enumerate() {
+            let node = interp.resolve_output(out).expect("output");
+            let slot = interp.output_slot(node).expect("an output");
+            let mask = if k % 2 == 0 { 1 } else { u64::MAX };
+            let guard = [Guard::new(slot, mask)];
+            let (mut a, mut b) = (interp.clone(), native.clone());
+            for (round, &budget) in BUDGETS.iter().cycle().take(24).enumerate() {
+                for (i, (name, port_mask)) in ports.iter().enumerate() {
+                    let value = stim(seed, i, round as u64) & port_mask;
+                    a.poke_by_name(name, value).expect("port");
+                    b.poke_by_name(name, value).expect("port");
+                }
+                let (ran_a, ran_b) = (a.run_guarded(&guard, budget), b.run_guarded(&guard, budget));
+                let at = format!("seed {seed}, guard `{out}` & {mask:#x}, round {round}");
+                assert_eq!(ran_a, ran_b, "{at}: cycles clocked");
+                assert!(ran_a <= budget, "{at}");
+                assert_eq!(a.state(), b.state(), "{at}: state");
+                for o in &outputs {
+                    assert_eq!(
+                        a.peek_output(o).expect("output"),
+                        b.peek_output(o).expect("output"),
+                        "{at}: output `{o}`"
+                    );
+                }
+                if ran_a < budget {
+                    assert_ne!(a.peek(node) & mask, 0, "{at}: stopped without a guard");
+                    a.step();
+                    b.step();
+                }
+            }
+        }
+    }
 }

@@ -158,6 +158,17 @@ fn estimate_run_emits_the_expected_span_tree_and_trace_json() {
     assert!(metrics.counter("strober.sampling.accepts").unwrap() >= run.snapshots.len() as u64);
     assert!(metrics.counter("strober.gatesim.load_commands").unwrap() > 0);
     assert!(metrics.counter("strober.platform.scan_cycles").unwrap() > 0);
+    // The DRAM model lets the host clock its quiet cycles in one loop:
+    // most of the run's cycles, in runs of more than one cycle each on
+    // average, and never more cycles than the run had.
+    let quiet_runs = metrics.counter("strober.platform.quiet_runs").unwrap();
+    let quiet_cycles = metrics.counter("strober.platform.quiet_cycles").unwrap();
+    assert!(quiet_runs > 0 && quiet_cycles > quiet_runs);
+    assert!(
+        quiet_cycles * 2 > run.target_cycles && quiet_cycles < run.target_cycles,
+        "{quiet_cycles} quiet of {} cycles",
+        run.target_cycles
+    );
     assert!(metrics.gauge("strober.core.sim_cycles_per_sec").unwrap() > 0.0);
 
     // The gate-level op tape is compiled on first use and shared by
