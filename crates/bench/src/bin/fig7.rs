@@ -3,18 +3,17 @@
 //! off-chip latency; sweeping the simulated DRAM latency moves only the
 //! off-chip plateau, exactly as in the paper.
 
+use strober::{StroberConfig, StroberFlow};
 use strober_bench::MEM_BYTES;
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
 use strober_isa::{assemble, programs};
-use strober_sim::Simulator;
 
-fn chase(design: &strober_rtl::Design, list_bytes: u32, dram_latency: u64) -> f64 {
+fn chase(flow: &StroberFlow, list_bytes: u32, dram_latency: u64) -> f64 {
     let hops = 2048;
     // Stride of one cache block so every hop leaves the current line.
     let src = programs::pointer_chase(list_bytes / 4, 4, hops);
     let image = assemble(&src).expect("chase assembles");
-    let mut sim = Simulator::new(design).expect("core");
     let mut dram = DramModel::new(
         DramConfig {
             cas_latency_cycles: dram_latency,
@@ -23,17 +22,16 @@ fn chase(design: &strober_rtl::Design, list_bytes: u32, dram_latency: u64) -> f6
         MEM_BYTES,
     );
     dram.load(&image.words, 0);
-    let mut guard = 0u64;
-    while dram.exit_code().is_none() {
-        dram.tick_raw(&mut sim);
-        guard += 1;
-        assert!(guard < 200_000_000, "chase did not finish");
-    }
-    f64::from(dram.exit_code().unwrap()) / f64::from(hops)
+    flow.run(&mut dram, 200_000_000).expect("run");
+    let exit = dram.exit_code().expect("chase did not finish");
+    f64::from(exit) / f64::from(hops)
 }
 
 fn main() {
     let design = build_core(&CoreConfig::rok());
+    // One session serves the whole sweep: the DRAM latency is the host
+    // model's, not the target's.
+    let flow = StroberFlow::new(&design, StroberConfig::default()).expect("session");
     let latencies = [50u64, 100, 200];
     let sizes_kib = [0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
@@ -48,7 +46,7 @@ fn main() {
         let bytes = (s * 1024.0) as u32;
         print!("{s:>10.2}");
         for l in latencies {
-            let cyc = chase(&design, bytes, l);
+            let cyc = chase(&flow, bytes, l);
             print!("  {cyc:>8.1}");
         }
         println!();

@@ -4,16 +4,26 @@
 //! simulators, four over commercial gate-level simulation).
 
 use std::time::Instant;
-use strober::PerfModel;
+use strober::{HubEngine, PerfModel, StroberConfig, StroberFlow};
 use strober_bench::{Workload, MEM_BYTES};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel};
-use strober_fame::{transform, FameConfig};
 use strober_gatesim::BatchSim;
 use strober_isa::Iss;
-use strober_platform::{PlatformConfig, ZynqHost};
-use strober_sim::{NaiveInterpreter, Simulator};
-use strober_synth::{synthesize, SynthOptions};
+use strober_sim::NaiveInterpreter;
+
+/// Times one whole run of `image` on the session's hub; returns the
+/// engine row's label and its rate in target cycles per second.
+fn time_hub(flow: &StroberFlow, image: &[u32]) -> (String, f64) {
+    flow.prepare_jit(None);
+    let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
+    dram.load(image, 0);
+    let t0 = Instant::now();
+    let stats = flow.run(&mut dram, 100_000_000).expect("run");
+    let rate = stats.target_cycles as f64 / t0.elapsed().as_secs_f64();
+    let label = format!("FAME1 hub, {}", flow.hub_engine_name());
+    (label, rate)
+}
 
 fn main() {
     let design = build_core(&CoreConfig::rok());
@@ -26,17 +36,14 @@ fn main() {
     iss.run(50_000_000).expect("no faults");
     let iss_rate = iss.instret() as f64 / t0.elapsed().as_secs_f64();
 
-    // Compiled-tape RTL simulation (the FPGA stand-in).
-    let mut sim = Simulator::new(&design).expect("core");
-    let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
-    dram.load(&image, 0);
-    let t0 = Instant::now();
-    let mut rtl_cycles = 0u64;
-    while dram.exit_code().is_none() {
-        dram.tick_raw(&mut sim);
-        rtl_cycles += 1;
-    }
-    let rtl_rate = rtl_cycles as f64 / t0.elapsed().as_secs_f64();
+    // The FAME1 hub as a whole run drives it (`StroberFlow::run`): under
+    // the session's engine rule, and interpreted.
+    let flow = StroberFlow::new(&design, StroberConfig::default()).expect("session");
+    let (hub_label, hub_rate) = time_hub(&flow, &image);
+    let mut interp_config = StroberConfig::default();
+    interp_config.platform.hub_engine = HubEngine::Interp;
+    let interp = StroberFlow::new(&design, interp_config).expect("session");
+    let (interp_label, interp_rate) = time_hub(&interp, &image);
 
     // Naive tree-walking RTL interpreter (ablation baseline).
     let mut naive = NaiveInterpreter::new(&design).expect("core");
@@ -47,19 +54,8 @@ fn main() {
     }
     let naive_rate = naive_cycles as f64 / t0.elapsed().as_secs_f64();
 
-    // FAME1 hub on the host platform.
-    let fame = transform(&design, &FameConfig::default()).expect("transform");
-    let mut host = ZynqHost::new(&fame, PlatformConfig::default()).expect("host");
-    let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
-    dram.load(&image, 0);
-    let t0 = Instant::now();
-    host.run(&mut dram, 100_000_000).expect("run");
-    let hub_cycles = host.target_cycles();
-    let hub_rate = hub_cycles as f64 / t0.elapsed().as_secs_f64();
-
     // Gate-level simulation: one run, on a one-lane batch.
-    let synth = synthesize(&design, &SynthOptions::default()).expect("synth");
-    let mut gsim = BatchSim::with_lanes(&synth.netlist, 1).expect("netlist");
+    let mut gsim = BatchSim::with_lanes(&flow.synth().netlist, 1).expect("netlist");
     let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
     dram.load(&image, 0);
     let t0 = Instant::now();
@@ -71,8 +67,8 @@ fn main() {
 
     println!("Measured simulator ladder on this machine (Rok, dhrystone):");
     println!("  ISS (functional)            {:>12.0} instr/s", iss_rate);
-    println!("  RTL tape simulator          {:>12.0} cycles/s", rtl_rate);
-    println!("  FAME1 hub on host platform  {:>12.0} cycles/s", hub_rate);
+    println!("  {hub_label:<27} {hub_rate:>12.0} cycles/s");
+    println!("  {interp_label:<27} {interp_rate:>12.0} cycles/s");
     println!(
         "  naive RTL interpreter       {:>12.0} cycles/s",
         naive_rate
@@ -81,15 +77,15 @@ fn main() {
     println!();
     println!("Measured ratios:");
     println!(
-        "  tape vs naive interpreter:  {:>8.1}x",
-        rtl_rate / naive_rate
+        "  hub vs interpreted hub:     {:>8.1}x",
+        hub_rate / interp_rate
     );
     println!(
-        "  tape vs gate-level:         {:>8.1}x",
-        rtl_rate / gate_rate
+        "  interpreted hub vs naive:   {:>8.1}x",
+        interp_rate / naive_rate
     );
     println!(
-        "  hub  vs gate-level:         {:>8.1}x",
+        "  hub vs gate-level:          {:>8.1}x",
         hub_rate / gate_rate
     );
     println!();

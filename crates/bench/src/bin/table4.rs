@@ -2,13 +2,16 @@
 //! the Rok processor: 30 random snapshots of 128 cycles cover only a few
 //! percent of each run, yet (Fig. 8) predict average power accurately.
 
-use strober_bench::{fmt_u64, run_on_rtl, Workload};
+use strober::{StroberConfig, StroberFlow};
+use strober_bench::{fmt_u64, Workload, MEM_BYTES};
 use strober_cores::{build_core, CoreConfig};
-use strober_dram::DramConfig;
+use strober_dram::{DramConfig, DramModel};
 
 fn main() {
     let design = build_core(&CoreConfig::rok());
-    let (n, l) = (30u64, 128u64);
+    let flow = StroberFlow::new(&design, StroberConfig::default()).expect("session");
+    let n = flow.config().sample_size as u64;
+    let l = u64::from(flow.config().replay_length);
 
     println!("Table IV: simulated and replayed cycles on Rok (n = {n}, L = {l})");
     println!(
@@ -25,13 +28,16 @@ fn main() {
     ];
     for (w, &(pname, pcycles)) in Workload::MICRO.iter().zip(paper) {
         assert_eq!(w.name(), pname);
-        let (outcome, _) = run_on_rtl(&design, &w.image(), DramConfig::default(), 50_000_000);
+        let mut dram = DramModel::new(DramConfig::default(), MEM_BYTES);
+        dram.load(&w.image(), 0);
+        let cycles = flow.run(&mut dram, 50_000_000).expect("run").target_cycles;
+        assert!(dram.exit_code().is_some(), "{} must halt", w.name());
         let replayed = n * l;
-        let coverage = replayed as f64 / outcome.cycles as f64 * 100.0;
+        let coverage = replayed as f64 / cycles as f64 * 100.0;
         println!(
             "{:<12} {:>16} {:>13}x{:<2} {:>9.2}% {:>12}",
             w.name(),
-            fmt_u64(outcome.cycles),
+            fmt_u64(cycles),
             n,
             l,
             coverage,

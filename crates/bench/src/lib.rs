@@ -21,12 +21,9 @@
 //! are the reproduction targets. EXPERIMENTS.md records paper-vs-measured
 //! for every row.
 
-use std::time::Instant;
 use strober_cores::CoreConfig;
-use strober_dram::{DramConfig, DramModel};
 use strober_isa::{assemble, programs};
 use strober_rtl::Design;
-use strober_sim::Simulator;
 
 /// Memory size every workload assumes.
 pub const MEM_BYTES: usize = programs::MEM_BYTES;
@@ -112,58 +109,6 @@ impl Workload {
             .expect("bundled workload assembles")
             .words
     }
-}
-
-/// The result of running a workload to completion on the fast RTL
-/// simulator with the DRAM model.
-#[derive(Debug, Clone, Copy)]
-pub struct RunOutcome {
-    /// Cycles to completion.
-    pub cycles: u64,
-    /// Retired instructions.
-    pub instret: u64,
-    /// Program exit code.
-    pub exit_code: u32,
-    /// Host wall-clock seconds.
-    pub wall_seconds: f64,
-}
-
-/// Runs a workload to completion on the bare RTL simulator (no FAME hub),
-/// returning timing and the DRAM model used (for its counters).
-///
-/// # Panics
-///
-/// Panics if the workload does not halt within `max_cycles`.
-pub fn run_on_rtl(
-    design: &Design,
-    image: &[u32],
-    dram_cfg: DramConfig,
-    max_cycles: u64,
-) -> (RunOutcome, DramModel) {
-    let mut sim = Simulator::new(design).expect("core design");
-    let mut dram = DramModel::new(dram_cfg, MEM_BYTES);
-    dram.load(image, 0);
-    let t0 = Instant::now();
-    let mut cycles = 0u64;
-    while cycles < max_cycles {
-        dram.tick_raw(&mut sim);
-        cycles += 1;
-        if cycles.is_multiple_of(256) && dram.exit_code().is_some() {
-            break;
-        }
-    }
-    let exit_code = dram
-        .exit_code()
-        .unwrap_or_else(|| panic!("workload did not halt in {max_cycles} cycles"));
-    (
-        RunOutcome {
-            cycles,
-            instret: dram.instret(),
-            exit_code,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        },
-        dram,
-    )
 }
 
 /// Builds the three Table II cores.
@@ -252,18 +197,5 @@ mod tests {
         assert_eq!(fmt_u64(999), "999");
         assert_eq!(fmt_u64(1000), "1,000");
         assert_eq!(fmt_u64(1234567), "1,234,567");
-    }
-
-    #[test]
-    fn a_microbenchmark_runs_to_completion() {
-        let design = strober_cores::build_core(&CoreConfig::rok_tiny());
-        let (outcome, _) = run_on_rtl(
-            &design,
-            &Workload::Vvadd.image(),
-            DramConfig::default(),
-            10_000_000,
-        );
-        assert!(outcome.cycles > 1000);
-        assert!(outcome.instret > 0);
     }
 }

@@ -825,7 +825,9 @@ USAGE:
       cycles 0..K (W windows); the workload had not halted.
 
   strober run      [--core NAME] [--workload NAME | --asm FILE] [--max-cycles N]
-      Fast performance-only simulation (cycles, CPI, exit code).
+      Fast performance-only simulation: the whole workload on the FAME1
+      hub a sampled run drives, no sampling (cycles, CPI, exit code, the
+      settle engine and why, prepare and run time).
 
   strober workloads
       List the bundled workloads.

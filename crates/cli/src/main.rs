@@ -8,7 +8,7 @@ use args::{
     FuzzArgs, JobsArgs, ProbeArgs, RunArgs, ServeArgs, SubmitArgs, TopArgs, HELP,
 };
 use std::process::ExitCode;
-use strober::{RunControl, StroberFlow};
+use strober::{RunControl, StroberConfig, StroberFlow};
 use strober_cores::build_core;
 use strober_dram::{DramConfig, DramModel};
 use strober_isa::programs;
@@ -36,21 +36,25 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
     let config = core_config(&a.core)?;
     let image = load_image(&a.workload, &a.asm)?;
     let design = build_core(&config);
-    let mut sim = strober_sim_new(&design)?;
+    let t0 = std::time::Instant::now();
+    let flow = StroberFlow::new(&design, StroberConfig::default())
+        .map_err(|e| format!("flow setup failed: {e}"))?;
+    flow.prepare_jit(None);
+    let prepare_s = t0.elapsed().as_secs_f64();
     let mut dram = DramModel::new(DramConfig::default(), programs::MEM_BYTES);
     dram.load(&image, 0);
     let t0 = std::time::Instant::now();
-    let mut cycles = 0u64;
-    while cycles < a.max_cycles && dram.exit_code().is_none() {
-        dram.tick_raw(&mut sim);
-        cycles += 1;
-    }
+    let stats = flow
+        .run(&mut dram, a.max_cycles)
+        .map_err(|e| format!("run failed: {e}"))?;
+    let run_s = t0.elapsed().as_secs_f64();
     let Some(exit) = dram.exit_code() else {
         return Err(format!(
             "workload did not halt within {} cycles",
             a.max_cycles
         ));
     };
+    let cycles = stats.target_cycles;
     let instret = dram.instret();
     println!("core:      {}", config.name);
     println!("cycles:    {cycles}");
@@ -61,15 +65,16 @@ fn cmd_run(a: &RunArgs) -> Result<(), String> {
         println!("console:   {}", String::from_utf8_lossy(dram.console()));
     }
     println!(
-        "host:      {:.2} s ({:.0} cycles/s)",
-        t0.elapsed().as_secs_f64(),
-        cycles as f64 / t0.elapsed().as_secs_f64()
+        "engine:    {} ({})",
+        flow.hub_engine_name(),
+        flow.hub_engine_reason()
+    );
+    println!("prepare:   {prepare_s:.2} s");
+    println!(
+        "host:      {run_s:.2} s ({:.0} cycles/s)",
+        cycles as f64 / run_s
     );
     Ok(())
-}
-
-fn strober_sim_new(design: &strober_rtl::Design) -> Result<strober_sim::Simulator, String> {
-    strober_sim::Simulator::new(design).map_err(|e| format!("invalid design: {e}"))
 }
 
 /// Opens the artifact store for an estimate run, or `None` when caching is

@@ -14,7 +14,7 @@ use strober_formal::{match_designs, MatchOptions, NameMap};
 use strober_gates::CellLibrary;
 use strober_gatesim::{BatchSim, GateSimError, Tape, VpiLoader, MAX_LANES};
 use strober_jit::{JitArtifact, JitCompiler, JitProvenance};
-use strober_platform::{HostModel, HubEngine, PlatformConfig, ZynqHost};
+use strober_platform::{HostModel, HubEngine, PlatformConfig, PlatformStats, ZynqHost};
 use strober_power::PowerAnalyzer;
 use strober_rtl::Design;
 use strober_sampling::{Confidence, Reservoir, SampleStats, StopDecision, StoppingRule};
@@ -511,6 +511,28 @@ impl StroberFlow {
         // As with the tape, a concurrent first batch may have won.
         let _ = self.load_plan.set(plan);
         Ok(self.load_plan.get().expect("just set"))
+    }
+
+    /// Runs the workload on the host platform without sampling: the same
+    /// free-run hub, settle engine and quiet-run loop a sampled run's free
+    /// windows use, for up to `max_cycles` target cycles or until the
+    /// model reports completion. The run stops right after the cycle on
+    /// which the model first reports completion, so `target_cycles`
+    /// counts that cycle and no more.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StroberError`] if the hub cannot be simulated.
+    pub fn run(
+        &self,
+        model: &mut dyn HostModel,
+        max_cycles: u64,
+    ) -> Result<PlatformStats, StroberError> {
+        let _span = strober_probe::span("strober.core.run");
+        let mut host =
+            ZynqHost::with_sim(&self.fame, self.config.platform.clone(), self.hub_sim()?)?;
+        host.run(model, max_cycles)?;
+        Ok(host.stats())
     }
 
     /// Runs the workload on the host platform with reservoir sampling:

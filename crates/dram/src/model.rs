@@ -1,7 +1,6 @@
 //! The DRAM timing model and activity counters.
 
 use strober_platform::{HostModel, OutputView, TargetInput, TargetOutput};
-use strober_sim::{NodeId, PortId};
 
 /// The core memory-interface ports of a FAME hub, resolved once on the
 /// first [`HostModel::tick`] so the per-cycle loop never hashes a name.
@@ -36,47 +35,6 @@ impl HubPorts {
             console_byte: io.output("console_byte"),
             tohost: io.output("tohost"),
             instret: io.output("instret"),
-        }
-    }
-}
-
-/// The same interface resolved against a bare simulator for
-/// [`DramModel::tick_raw`]. The console ports are optional there (cores
-/// without a console still run bare workloads).
-#[derive(Debug, Clone, Copy)]
-struct RawPorts {
-    resp_valid: PortId,
-    resp_tag: PortId,
-    resp_rdata: PortId,
-    req_valid: NodeId,
-    req_rw: NodeId,
-    req_addr: NodeId,
-    req_wdata: NodeId,
-    req_tag: NodeId,
-    console: Option<(NodeId, NodeId)>,
-    tohost: NodeId,
-    instret: NodeId,
-}
-
-impl RawPorts {
-    fn resolve(sim: &strober_sim::Simulator) -> Self {
-        let port = |n: &str| sim.resolve_port(n).expect("core port");
-        let out = |n: &str| sim.resolve_output(n).expect("core port");
-        RawPorts {
-            resp_valid: port("mem_resp_valid"),
-            resp_tag: port("mem_resp_tag"),
-            resp_rdata: port("mem_resp_rdata"),
-            req_valid: out("mem_req_valid"),
-            req_rw: out("mem_req_rw"),
-            req_addr: out("mem_req_addr"),
-            req_wdata: out("mem_req_wdata"),
-            req_tag: out("mem_req_tag"),
-            console: sim
-                .resolve_output("console_valid")
-                .ok()
-                .zip(sim.resolve_output("console_byte").ok()),
-            tohost: out("tohost"),
-            instret: out("instret"),
         }
     }
 }
@@ -135,8 +93,9 @@ struct Inflight {
 }
 
 /// Backing storage plus the timing model; drives a core's external memory
-/// port either through [`HostModel`] (on the FAME platform) or directly
-/// via [`DramModel::tick_raw`] (on a bare simulator).
+/// port as the [`HostModel`] of a FAME hub, whole runs and sampled runs
+/// alike (`StroberFlow::run`, `StroberFlow::run_sampled`), or one lane
+/// of a gate-level simulation through [`DramModel::tick_gate`].
 ///
 /// Port names are resolved to numeric handles on the first serviced cycle
 /// and cached, so one model instance must keep driving the same target it
@@ -153,7 +112,6 @@ pub struct DramModel {
     tohost: u64,
     instret: u64,
     hub_ports: Option<HubPorts>,
-    raw_ports: Option<RawPorts>,
 }
 
 impl DramModel {
@@ -180,7 +138,6 @@ impl DramModel {
             tohost: 0,
             instret: 0,
             hub_ports: None,
-            raw_ports: None,
         }
     }
 
@@ -317,41 +274,6 @@ impl DramModel {
         }
     }
 
-    /// Services one cycle of a bare `strober-sim` simulator running a core
-    /// design (poke responses, sample requests, step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design does not expose the core memory interface.
-    pub fn tick_raw(&mut self, sim: &mut strober_sim::Simulator) {
-        let p = *self.raw_ports.get_or_insert_with(|| RawPorts::resolve(sim));
-        let resp = self.response();
-        sim.poke(p.resp_valid, resp.0);
-        sim.poke(p.resp_tag, resp.1);
-        sim.poke(p.resp_rdata, resp.2);
-        let valid = sim.peek(p.req_valid) == 1;
-        let rw = sim.peek(p.req_rw) == 1;
-        let addr = sim.peek(p.req_addr) as u32;
-        let wdata = sim.peek(p.req_wdata) as u32;
-        let tag = sim.peek(p.req_tag);
-        self.request(valid, rw, addr, wdata, tag);
-        if valid || self.inflight.is_some() {
-            self.counters.busy_cycles += 1;
-        }
-        if let Some((console_valid, console_byte)) = p.console {
-            if sim.peek(console_valid) == 1 {
-                let byte = sim.peek(console_byte) as u8;
-                self.console.push(byte);
-            }
-        }
-        self.tohost = sim.peek(p.tohost);
-        self.instret = sim.peek(p.instret);
-        sim.step();
-        self.now += 1;
-    }
-}
-
-impl DramModel {
     /// Services one cycle of a gate-level simulation of a core netlist
     /// (used for the full-workload ground-truth runs of Fig. 8): drives
     /// every lane of `sim` alike and reads lane 0, so a one-lane batch is

@@ -5,13 +5,15 @@
 //!
 //! Run with: `cargo run --release --example dram_explore`
 
+use strober::{StroberConfig, StroberFlow};
 use strober_cores::{build_core, CoreConfig};
 use strober_dram::{DramConfig, DramModel, LpddrPowerParams};
 use strober_isa::{assemble, programs};
-use strober_sim::Simulator;
 
 fn main() {
     let design = build_core(&CoreConfig::rok());
+    // One session runs every point: the latency is the host model's.
+    let flow = StroberFlow::new(&design, StroberConfig::default()).expect("session");
     // A 64 KiB working set — four times the 16 KiB D$, so every hop goes
     // to memory.
     let src = programs::pointer_chase(16 * 1024, 4, 4096);
@@ -23,7 +25,6 @@ fn main() {
         "DRAM latency", "run cycles", "cycles/load", "activations", "DRAM mW"
     );
     for latency in [25u64, 50, 100, 200, 400] {
-        let mut sim = Simulator::new(&design).expect("core");
         let mut dram = DramModel::new(
             DramConfig {
                 cas_latency_cycles: latency,
@@ -32,13 +33,8 @@ fn main() {
             programs::MEM_BYTES,
         );
         dram.load(&image, 0);
-        let mut cycles = 0u64;
-        while dram.exit_code().is_none() {
-            dram.tick_raw(&mut sim);
-            cycles += 1;
-            assert!(cycles < 100_000_000, "did not finish");
-        }
-        let chase_cycles = f64::from(dram.exit_code().unwrap());
+        let cycles = flow.run(&mut dram, 100_000_000).expect("run").target_cycles;
+        let chase_cycles = f64::from(dram.exit_code().expect("did not finish"));
         let power = params.average_power_mw(dram.counters(), cycles, 1.0e9);
         println!(
             "{:>12} {:>12} {:>14.1} {:>12} {:>12.2}",
